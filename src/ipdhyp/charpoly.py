@@ -41,11 +41,13 @@ from .errors import (
 from .kernel import (
     ComplexLike,
     ComplexValue,
-    IntVector,
     ParamVector,
+    as_int_vector,
+    as_param_vector,
     cplx,
     gamma,
     is_nonpositive_integer,
+    near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
     terminating_pfq,
@@ -53,6 +55,9 @@ from .kernel import (
 
 #: Relative magnitude below which a leading coefficient is trimmed.
 TRIM_GUARD_DIGITS = 6
+
+#: Distance from a nonpositive integer at which a root is flagged as a pole risk.
+POLE_RISK_TOL = mp.mpf("1e-6")
 
 
 class CPoly:
@@ -184,15 +189,6 @@ class RootSet:
         return len(self.roots)
 
 
-def _near_nonpositive_integer(z: ComplexValue, tol=None) -> bool:
-    if tol is None:
-        tol = mp.mpf("1e-6")
-    if abs(z.imag) > tol:
-        return False
-    nearest = mp.floor(z.real + mp.mpf("0.5"))
-    return nearest <= 0 and abs(z.real - nearest) <= tol
-
-
 def find_roots(
     poly: CPoly,
     seed: int = 0,
@@ -220,9 +216,8 @@ def find_roots(
         if n == 1:
             roots = [-monic.coeffs[0]]
             res = abs(poly(roots[0])) / abs(poly.leading)
-            return RootSet(
-                ParamVector(roots), res, (_near_nonpositive_integer(roots[0]),)
-            )
+            flag = near_nonpositive_integer(roots[0], POLE_RISK_TOL)
+            return RootSet(ParamVector(roots), res, (flag,))
         deriv = monic.derivative()
         radius = 1 + max(abs(c) for c in monic.coeffs[:-1])
         z = [
@@ -266,16 +261,8 @@ def find_roots(
                 f"within {max_iterations} sweeps (got {mp.nstr(residual, 5)})"
             )
     roots = [mp.mpc(zi) for zi in z]
-    flags = tuple(_near_nonpositive_integer(zi) for zi in roots)
+    flags = tuple(near_nonpositive_integer(zi, POLE_RISK_TOL) for zi in roots)
     return RootSet(ParamVector(roots), residual, flags)
-
-
-def _vec(f) -> ParamVector:
-    return f if isinstance(f, ParamVector) else ParamVector(f)
-
-
-def _mul(m) -> IntVector:
-    return m if isinstance(m, IntVector) else IntVector(m)
 
 
 def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
@@ -287,7 +274,7 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     Requires (c-b-m)_m != 0 (otherwise the transformation degenerates).
     """
     b, c = cplx(b), cplx(c)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     norm = pochhammer(c - b - mt, mt)
     if norm == 0:
@@ -354,7 +341,7 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     Coefficientwise P = (f)_m * Q, so both share the same roots.
     """
     b, c = cplx(b), cplx(c)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     norm = pochhammer(c - b - mt, mt)
     if norm == 0:
@@ -377,29 +364,41 @@ def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     Requires (c-a-m)_m != 0 and (c-b-m)_m != 0.
     """
     a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     if pochhammer(c - a - mt, mt) == 0 or pochhammer(c - b - mt, mt) == 0:
         raise DegenerateCaseError("(c-a-m)_m or (c-b-m)_m vanishes")
-    rise = [mp.mpc(0)] * (mt + 1)
-    for k in range(mt + 1):
+    coef = [coeff_C(k, f, m) for k in range(mt + 1)]
+    return _hatted(mt, coef, a, b, c - a - mt, c - b - mt, c - a - b - mt)
+
+
+def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
+    """sum_k (-1)^k coef_k (u)_k (v)_k / ((alpha)_k (beta)_k) * (t)_k
+    * 3F2(k-n, gamma_, t+k; alpha+k, beta+k | 1), a polynomial of degree n.
+
+    The terminating 3F2 is expanded in the rising-factorial basis
+    (t)_k (t+k)_s = (t)_{k+s} and the result converted to monomials, so
+    everything stays exact.  Shared by Q-hat and L-hat.
+    """
+    rise = [mp.mpc(0)] * (n + 1)
+    for k in range(n + 1):
         weight = (
             (-1) ** k
-            * coeff_C(k, f, m)
-            * pochhammer(a, k)
-            * pochhammer(b, k)
-            / (pochhammer(c - a - mt, k) * pochhammer(c - b - mt, k))
+            * coef[k]
+            * pochhammer(u, k)
+            * pochhammer(v, k)
+            / (pochhammer(alpha, k) * pochhammer(beta, k))
         )
         rise[k] += weight
         term = mp.mpc(1)
-        for s in range(mt - k):
-            term *= ((-mt + k + s) * (c - a - b - mt + s)) / (
-                (c - a - mt + k + s) * (c - b - mt + k + s) * (s + 1)
+        for s in range(n - k):
+            term *= ((-n + k + s) * (gamma_ + s)) / (
+                (alpha + k + s) * (beta + k + s) * (s + 1)
             )
             rise[k + s + 1] += weight * term
     out = CPoly([mp.mpc(0)], trim=False)
-    for n, cn in enumerate(rise):
-        out = out + cn * rising_basis(n)
+    for j, cj in enumerate(rise):
+        out = out + cj * rising_basis(j)
     return CPoly(out.coeffs)
 
 
@@ -411,7 +410,7 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     is a strong cross-check.
     """
     a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     norm = pochhammer(c - a - mt, mt)
     if norm == 0 or pochhammer(c - b - mt, mt) == 0:
@@ -456,7 +455,7 @@ def build_T(
     T*(z) adds the factor (b+1-a+z)_{q-1} / Gamma(b+q-a) per summand.
     """
     b = cplx(b)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     p = int(p)
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -506,7 +505,7 @@ def build_L(
     (e-a-m+1)_{m-1} != 0.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    f, m = _vec(f), _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     if mt < 1:
         raise ValueError("need m_total >= 1")
@@ -524,26 +523,9 @@ def build_L(
     elif variant == "Lhat":
         if pochhammer(e - a - mt + 1, mt - 1) == 0:
             raise DegenerateCaseError("(e-a-m+1)_{m-1} = 0")
-        rise = [mp.mpc(0)] * mt
-        for k in range(mt):
-            weight = (
-                (-1) ** k
-                * yk[k]
-                * pochhammer(a, k)
-                * pochhammer(d, k)
-                / (pochhammer(e - a - mt + 1, k) * pochhammer(e - d - mt + 1, k))
-            )
-            rise[k] += weight
-            term = mp.mpc(1)
-            for s in range(mt - 1 - k):
-                term *= ((-mt + 1 + k + s) * (e - a - d - mt + 1 + s)) / (
-                    (e - a - mt + 1 + k + s) * (e - d - mt + 1 + k + s) * (s + 1)
-                )
-                rise[k + s + 1] += weight * term
-        out = CPoly([mp.mpc(0)], trim=False)
-        for n, cn in enumerate(rise):
-            out = out + cn * rising_basis(n)
-        result = CPoly(out.coeffs)
+        result = _hatted(
+            mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1
+        )
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if result.is_zero:

@@ -4,7 +4,7 @@ Complex numbers are accepted as decimal strings like "0.5-0.25i" or as
 [re, im] pairs (both components decimal strings or numbers); outputs render
 complex values as [re, im] decimal-string pairs at the full working
 precision.  Exit codes: 0 success / all identities pass, 1 verification
-failure, 2 usage or configuration error.
+failure or skipped case, 2 usage or configuration error.
 
 The environment variable IPDHYP_DIGITS overrides the default precision.
 """
@@ -22,20 +22,10 @@ import mpmath as mp
 
 from . import verify as verify_mod
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots, w_poly
-from .coeffs import IpdSpec
 from .errors import IpdHypError
 from .hypeval import HypFunction, eval_pfq
-from .kernel import IntVector, ParamVector, cplx, set_precision
-from .transforms import (
-    HypExpression,
-    apply_degenerate_p,
-    apply_degenerate_single,
-    apply_degenerate_vector,
-    apply_mp1,
-    apply_mp2,
-    apply_two_free,
-    expand_to_gauss,
-)
+from .kernel import ComplexValue, IntVector, ParamVector, cplx, set_precision
+from .transforms import HypExpression
 
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
 
@@ -138,68 +128,21 @@ def _expression_doc(expr: HypExpression) -> dict:
     return {"terms": terms}
 
 
-_THEOREMS = (
-    "MP1",
-    "MP2",
-    "COR1",
-    "THM3_EQ19",
-    "THM3_EQ20",
-    "THM4_EQ29",
-    "THM4_EQ31",
-    "VEC_EQ27",
-    "VEC_EQ28",
-    "THM5_FIRST",
-    "THM5_SECOND",
-)
-
-
-def _build_expression(theorem: str, doc: dict) -> HypExpression:
-    f = _get_vector(doc, "f")
-    m = _get_mults(doc)
-    a = _get_complex(doc, "a")
-    if theorem in ("MP1", "MP2", "COR1"):
-        spec = IpdSpec(
-            b=_get_complex(doc, "b"), f=f, m=m, a=a, c=_get_complex(doc, "c")
-        )
-        if theorem == "MP1":
-            return apply_mp1(spec, route=doc.get("route", "paperQ"))
-        if theorem == "MP2":
-            return apply_mp2(spec, route=doc.get("route", "paperQhat"))
-        return expand_to_gauss(spec)
-    if theorem in ("THM3_EQ19", "THM3_EQ20"):
-        spec = IpdSpec(b=_get_complex(doc, "b"), f=f, m=m, a=a)
-        return apply_degenerate_single(
-            spec, variant="eq19" if theorem.endswith("19") else "eq20"
-        )
-    if theorem in ("THM4_EQ29", "THM4_EQ31"):
-        spec = IpdSpec(b=_get_complex(doc, "b"), f=f, m=m, a=a)
-        p = int(doc.get("p", 1))
-        return apply_degenerate_p(
-            spec, p, variant="eq29" if theorem.endswith("29") else "eq31"
-        )
-    if theorem in ("VEC_EQ27", "VEC_EQ28"):
-        bvec = _get_vector(doc, "b")
-        pvec = _get_mults(doc, "p")
-        return apply_degenerate_vector(
-            bvec, pvec, a, f, m,
-            variant="eq27" if theorem.endswith("27") else "eq28",
-        )
-    if theorem in ("THM5_FIRST", "THM5_SECOND"):
-        return apply_two_free(
-            a,
-            _get_complex(doc, "d"),
-            _get_complex(doc, "e"),
-            _get_complex(doc, "b"),
-            f,
-            m,
-            variant="first" if theorem.endswith("FIRST") else "second",
-        )
-    raise ValueError(f"unknown theorem {theorem!r}")
+#: Readers of the params entry types that the theorem table declares.
+_READERS = {
+    ComplexValue: _get_complex,
+    ParamVector: _get_vector,
+    IntVector: _get_mults,
+    int: lambda doc, key: int(doc[key]),
+    str: lambda doc, key: str(doc[key]),
+}
 
 
 def _cmd_transform(args) -> int:
-    doc = _load_params(args.params)
-    expr = _build_expression(args.theorem, doc)
+    check = verify_mod.IDENTITIES[args.theorem].check
+    doc = dict(check.defaults, **_load_params(args.params))
+    params = {key: _READERS[kind](doc, key) for key, kind in check.keys.items()}
+    expr = check.rhs(params)
     out = {"theorem": args.theorem, "expression": _expression_doc(expr)}
     if args.x is not None:
         x = parse_complex(args.x)
@@ -315,7 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_transform = sub.add_parser("transform", help="emit a transformed expression as JSON")
-    p_transform.add_argument("--theorem", required=True, choices=_THEOREMS)
+    theorems = [
+        identity_id
+        for identity_id, entry in verify_mod.IDENTITIES.items()
+        if isinstance(entry.check, verify_mod.TwoSided)
+    ]
+    p_transform.add_argument("--theorem", required=True, choices=theorems)
     p_transform.add_argument("--params", required=True, help="JSON parameter file")
     p_transform.add_argument("--x", default=None, help="optional evaluation point")
     p_transform.set_defaults(func=_cmd_transform)
@@ -336,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--only", default=None, help="comma-separated identity ids")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--count", type=int, default=20)
-    p_verify.add_argument("--digits", type=int, default=None, dest="digits_sub",
+    p_verify.add_argument("--digits", type=int, default=argparse.SUPPRESS,
                           help=argparse.SUPPRESS)
     p_verify.add_argument("--tol", default=None, help="relative residual tolerance")
     p_verify.add_argument("--json", default=None, help="also write the report here")
@@ -353,8 +301,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     digits = args.digits
-    if digits is None and getattr(args, "digits_sub", None) is not None:
-        digits = args.digits_sub
     if digits is None:
         env = os.environ.get("IPDHYP_DIGITS")
         digits = int(env) if env else None

@@ -43,6 +43,8 @@ from .kernel import (
     ComplexValue,
     IntVector,
     ParamVector,
+    as_int_vector,
+    as_param_vector,
     cplx,
     genfunc_coeffs,
     pochhammer,
@@ -71,10 +73,8 @@ class IpdSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "b", cplx(self.b))
-        if not isinstance(self.f, ParamVector):
-            object.__setattr__(self, "f", ParamVector(self.f))
-        if not isinstance(self.m, IntVector):
-            object.__setattr__(self, "m", IntVector(self.m))
+        object.__setattr__(self, "f", as_param_vector(self.f))
+        object.__setattr__(self, "m", as_int_vector(self.m))
         if self.a is not None:
             object.__setattr__(self, "a", cplx(self.a))
         if self.c is not None:
@@ -101,10 +101,8 @@ class NorlundArgs:
     b: ParamVector
 
     def __post_init__(self):
-        if not isinstance(self.a, ParamVector):
-            object.__setattr__(self, "a", ParamVector(self.a))
-        if not isinstance(self.b, ParamVector):
-            object.__setattr__(self, "b", ParamVector(self.b))
+        object.__setattr__(self, "a", as_param_vector(self.a))
+        object.__setattr__(self, "b", as_param_vector(self.b))
         if len(self.b) != len(self.a) + 1:
             raise LengthMismatchError(
                 f"need len(b) = len(a)+1, got {len(self.a)} and {len(self.b)}"
@@ -119,14 +117,6 @@ class NorlundArgs:
         return NorlundArgs(self.a + alpha, self.b + alpha)
 
 
-def _vec(f) -> ParamVector:
-    return f if isinstance(f, ParamVector) else ParamVector(f)
-
-
-def _mul(m) -> IntVector:
-    return m if isinstance(m, IntVector) else IntVector(m)
-
-
 def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
     """C_{k,r}(f, m) for 0 <= k <= m_total.
 
@@ -136,8 +126,7 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
 
     C_0 = 1 and C_m = 1/(f)_m always.
     """
-    f = _vec(f)
-    m = _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     if not 0 <= k <= mt:
         raise IndexOutOfRangeError(f"need 0 <= k <= {mt}, got {k}")
@@ -167,8 +156,7 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     D_0 = (f-b)_m.  Equivalently D_k is the k-th forward difference of
     t -> (f-b-t)_m at t = 0, divided by k!.
     """
-    f = _vec(f)
-    m = _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     b = cplx(b)
     mt = m.total
     if not 0 <= k <= mt:
@@ -196,8 +184,7 @@ def w_poly_coeffs(b: ComplexLike, f, m) -> list:
     ((f)_m - (f-b)_m)/(f)_m.  Computed by exact synthetic division of the
     numerator by (x + b) (the numerator vanishes at x = -b identically).
     """
-    f = _vec(f)
-    m = _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     b = cplx(b)
     mt = m.total
     if mt < 1:
@@ -229,8 +216,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     route "norlund":  (-1)^{m-l-1} b/(f)_m *
                       sum_i (-1)^i g_{m-1-l-i}(-f; -f-m, l) (1-b)_i.
     """
-    f = _vec(f)
-    m = _mul(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     b = cplx(b)
     mt = m.total
     if not 0 <= l <= mt - 1:

@@ -10,6 +10,9 @@ Three regimes:
   to the terminal index, any argument.
 * |x| < 1 (or p <= q): geometric regime; the running tail estimate
   |t_{n+1}| / (1 - qhat) with a safety factor drives the stopping rule.
+  On |x| = 1 away from x = 1 that estimate never falls below its
+  tolerance, so such a p = q+1 series is refused at once with
+  SlowConvergenceError (after the DivergentSeriesError check on sigma).
 * x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like
   a power n^-sigma, so naive truncation cannot reach tight tolerances.
   The partial sum over n < N is completed with the power-law tail
@@ -43,6 +46,7 @@ from .kernel import (
     ComplexValue,
     ParamVector,
     as_nonpositive_integer,
+    as_param_vector,
     cplx,
 )
 
@@ -64,10 +68,8 @@ class HypFunction:
     den: ParamVector
 
     def __post_init__(self):
-        if not isinstance(self.num, ParamVector):
-            object.__setattr__(self, "num", ParamVector(self.num))
-        if not isinstance(self.den, ParamVector):
-            object.__setattr__(self, "den", ParamVector(self.den))
+        object.__setattr__(self, "num", as_param_vector(self.num))
+        object.__setattr__(self, "den", as_param_vector(self.den))
 
     @property
     def p(self) -> int:
@@ -269,9 +271,11 @@ def eval_pfq(
     """Evaluate pFq(num; den; x) by truncated series summation.
 
     Convergence classification: terminating series work anywhere; p <= q
-    converges for every x; p = q+1 needs |x| < 1, or |x| = 1 together with
-    Re(sum(den) - sum(num)) > 0 (handled by the power-tail path when
-    x = 1).  Everything else raises DivergentSeriesError.
+    converges for every x; p = q+1 needs |x| < 1, or x = 1 together with
+    Re(sum(den) - sum(num)) > 0 (the power-tail path).  Everything else
+    raises DivergentSeriesError, except a p = q+1 series on |x| = 1 with
+    x != 1 and Re(sum(den) - sum(num)) > 0: it converges, too slowly for
+    direct summation, and raises SlowConvergenceError at once.
     """
     x = cplx(x)
     if tol is None:
@@ -298,7 +302,10 @@ def eval_pfq(
                 raise DivergentSeriesError(
                     "|x| = 1 requires Re(sum(den) - sum(num)) > 0"
                 )
-            # falls through to direct summation; may be slow on the circle
+            raise SlowConvergenceError(
+                "|x| = 1 with x != 1: the terms decay only like a power of n, "
+                "too slowly for direct summation"
+            )
     return _sum_geometric(fun, x, tol)
 
 

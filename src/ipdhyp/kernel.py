@@ -63,6 +63,14 @@ def cplx(value: ComplexLike, imag: ComplexLike | None = None) -> ComplexValue:
     return mp.mpc(mp.mpmathify(value))
 
 
+def near_nonpositive_integer(z: ComplexValue, tol: mp.mpf) -> bool:
+    """True when z lies within ``tol`` of a nonpositive integer (0, -1, ...)."""
+    if abs(z.imag) > tol:
+        return False
+    nearest = mp.floor(z.real + mp.mpf("0.5"))
+    return nearest <= 0 and abs(z.real - nearest) <= tol
+
+
 def is_nonpositive_integer(z: ComplexLike) -> bool:
     """True when z is exactly a nonpositive integer (0, -1, -2, ...)."""
     z = cplx(z)
@@ -167,10 +175,14 @@ VectorLike = Union[ParamVector, Sequence[ComplexLike]]
 MultLike = Union[IntVector, Sequence[int]]
 
 
-def _as_params(f: VectorLike) -> tuple:
-    if isinstance(f, ParamVector):
-        return f.entries
-    return tuple(cplx(e) for e in f)
+def as_param_vector(f: VectorLike) -> ParamVector:
+    """Coerce a sequence of complex-like values to a ParamVector."""
+    return f if isinstance(f, ParamVector) else ParamVector(f)
+
+
+def as_int_vector(m: MultLike) -> IntVector:
+    """Coerce a sequence of positive integers to an IntVector."""
+    return m if isinstance(m, IntVector) else IntVector(m)
 
 
 def _as_mults(m: MultLike) -> tuple:
@@ -202,7 +214,7 @@ def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
 
 def pochhammer_vec(f: VectorLike, m: MultLike) -> ComplexValue:
     """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r}."""
-    fs = _as_params(f)
+    fs = as_param_vector(f).entries
     ms = _as_mults(m)
     if len(fs) != len(ms):
         raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
@@ -282,7 +294,7 @@ def genfunc_coeffs(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    fs = _as_params(f)
+    fs = as_param_vector(f).entries
     ms = _as_mults(m)
     if len(fs) != len(ms):
         raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")

@@ -41,7 +41,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .charpoly import RootSet, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
+from .charpoly import POLE_RISK_TOL, RootSet, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
 from .coeffs import IpdSpec, coeff_D, coeff_Y
 from .errors import (
     DegenerateCaseError,
@@ -57,8 +57,11 @@ from .kernel import (
     ComplexValue,
     IntVector,
     ParamVector,
+    as_int_vector,
+    as_param_vector,
     cplx,
     gamma,
+    near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
 )
@@ -127,24 +130,21 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
     return HypFunction(ParamVector(num), ParamVector(den))
 
 
-def _warn_pole_risk(roots: RootSet, what: str) -> None:
-    if any(roots.pole_risk):
-        bad = [
-            mp.nstr(r, 8)
-            for r, flag in zip(roots.roots, roots.pole_risk)
-            if flag
-        ]
+def _root_pair_params(roots: RootSet, what: str, negate: bool = False):
+    """Top/bottom parameter lists (rho+1; rho), optionally with rho = -root.
+
+    Warns (RootWarning) when a bottom parameter rho lies at a nonpositive
+    integer, where the series is ill-defined unless it terminates first.
+    """
+    vals = [-r for r in roots.roots] if negate else list(roots.roots)
+    bad = [mp.nstr(v, 8) for v in vals if near_nonpositive_integer(v, POLE_RISK_TOL)]
+    if bad:
         warnings.warn(
             f"{what} has shifted parameters at nonpositive integers: {bad}; "
             "evaluation fails only if the series reaches the pole",
             RootWarning,
             stacklevel=3,
         )
-
-
-def _root_pair_params(roots: RootSet, negate: bool = False):
-    """Top/bottom parameter lists (rho+1; rho), optionally with rho = -root."""
-    vals = [-r for r in roots.roots] if negate else list(roots.roots)
     return [v + 1 for v in vals], vals
 
 
@@ -167,8 +167,7 @@ def apply_mp1(spec: IpdSpec, route: str = "paperQ", root_seed: int = 0) -> HypEx
     else:
         raise ValueError(f"unknown route {route!r}")
     roots = find_roots(poly, seed=root_seed)
-    _warn_pole_risk(roots, "first transformation")
-    top, bottom = _root_pair_params(roots)
+    top, bottom = _root_pair_params(roots, "first transformation")
     fun = HypFunction(
         ParamVector([a, c - b - mt] + top), ParamVector([c] + bottom)
     )
@@ -197,8 +196,7 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat", root_seed: int = 0) -> Hy
     else:
         raise ValueError(f"unknown route {route!r}")
     roots = find_roots(poly, seed=root_seed)
-    _warn_pole_risk(roots, "second transformation")
-    top, bottom = _root_pair_params(roots)
+    top, bottom = _root_pair_params(roots, "second transformation")
     fun = HypFunction(
         ParamVector([c - a - mt, c - b - mt] + top), ParamVector([c] + bottom)
     )
@@ -225,7 +223,7 @@ def expand_to_gauss(spec: IpdSpec) -> HypExpression:
 
 def _algebraic_tail(a: ComplexValue, b: ComplexValue, f, m, scale: ComplexValue):
     """Terms scale * Y_l(b, f, m) (a)_l x^l (1-x)^(-a-l), l = 0..m-1."""
-    mt = m.total if isinstance(m, IntVector) else IntVector(m).total
+    mt = as_int_vector(m).total
     out = []
     for l in range(mt):
         coeff = scale * coeff_Y(l, b, f, m) * pochhammer(a, l)
@@ -324,8 +322,7 @@ def apply_degenerate_p(
         raise ValueError(f"unknown variant {variant!r}")
     if p > 1:
         roots = find_roots(poly, seed=root_seed)
-        _warn_pole_risk_negated(roots, "degenerate transformation")
-        top, bottom = _root_pair_params(roots, negate=True)
+        top, bottom = _root_pair_params(roots, "degenerate transformation", negate=True)
     else:
         top, bottom = [], []
     fun = HypFunction(ParamVector(head_num + top), ParamVector([b + p] + bottom))
@@ -344,24 +341,6 @@ def apply_degenerate_p(
     return HypExpression(terms)
 
 
-def _warn_pole_risk_negated(roots: RootSet, what: str) -> None:
-    """Pole risk for parameter sets built from the negated roots."""
-    suspect = [
-        mp.nstr(r, 8)
-        for r in roots.roots
-        if abs(r.imag) < mp.mpf("1e-6")
-        and abs(r.real - mp.floor(r.real + mp.mpf("0.5"))) < mp.mpf("1e-6")
-        and mp.floor(r.real + mp.mpf("0.5")) >= 0
-    ]
-    if suspect:
-        warnings.warn(
-            f"{what} has shifted parameters at nonpositive integers: {suspect}; "
-            "evaluation fails only if the series reaches the pole",
-            RootWarning,
-            stacklevel=4,
-        )
-
-
 def apply_degenerate_vector(
     b: ParamVector,
     p: IntVector,
@@ -378,10 +357,7 @@ def apply_degenerate_vector(
     transformation (variant "eq27" via the Moebius-argument form, "eq28"
     via the plain-argument form).
     """
-    if not isinstance(b, ParamVector):
-        b = ParamVector(b)
-    if not isinstance(p, IntVector):
-        p = IntVector(p)
+    b, p = as_param_vector(b), as_int_vector(p)
     if len(b) != len(p):
         raise DistinctnessViolationError("b and p must have matching lengths")
     a = cplx(a)
@@ -437,10 +413,7 @@ def apply_two_free(
     parameter pairs come from the roots of L or L-hat.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    if not isinstance(f, ParamVector):
-        f = ParamVector(f)
-    if not isinstance(m, IntVector):
-        m = IntVector(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     if b == 0:
         raise TrivialSplitError("b = 0 makes the weight polynomial vanish")
     mt = m.total
@@ -460,8 +433,7 @@ def apply_two_free(
         if mt > 1:
             poly = build_L(a, d, e, b, f, m, variant="L")
             roots = find_roots(poly, seed=root_seed)
-            _warn_pole_risk(roots, "two-free-parameter transformation")
-            top, bottom = _root_pair_params(roots)
+            top, bottom = _root_pair_params(roots, "two-free-parameter transformation")
         else:
             top, bottom = [], []
         fun = HypFunction(
@@ -474,8 +446,7 @@ def apply_two_free(
         if mt > 1:
             poly = build_L(a, d, e, b, f, m, variant="Lhat")
             roots = find_roots(poly, seed=root_seed)
-            _warn_pole_risk(roots, "two-free-parameter transformation")
-            top, bottom = _root_pair_params(roots)
+            top, bottom = _root_pair_params(roots, "two-free-parameter transformation")
         else:
             top, bottom = [], []
         fun = HypFunction(
@@ -491,10 +462,7 @@ def apply_two_free(
 def two_free_function(a, d, e, b, f, m) -> HypFunction:
     """Left side of the two-free-parameter identity as a HypFunction."""
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    if not isinstance(f, ParamVector):
-        f = ParamVector(f)
-    if not isinstance(m, IntVector):
-        m = IntVector(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     num = [a, d, b] + list(f.shifted_by(m))
     den = [e, b + 1] + list(f)
     return HypFunction(ParamVector(num), ParamVector(den))
@@ -502,14 +470,8 @@ def two_free_function(a, d, e, b, f, m) -> HypFunction:
 
 def vector_function(a, b: ParamVector, p: IntVector, f, m) -> HypFunction:
     """Left side of the vector-difference identity as a HypFunction."""
-    if not isinstance(b, ParamVector):
-        b = ParamVector(b)
-    if not isinstance(p, IntVector):
-        p = IntVector(p)
-    if not isinstance(f, ParamVector):
-        f = ParamVector(f)
-    if not isinstance(m, IntVector):
-        m = IntVector(m)
+    b, p = as_param_vector(b), as_int_vector(p)
+    f, m = as_param_vector(f), as_int_vector(m)
     num = [cplx(a)] + list(b) + list(f.shifted_by(m))
     den = [bj + pj for bj, pj in zip(b, p)] + list(f)
     return HypFunction(ParamVector(num), ParamVector(den))
@@ -537,10 +499,7 @@ def meijer_norlund_ipd(
     if not (t.imag == 0 and 0 < t.real < 1):
         raise ValueError("t must be real in (0, 1)")
     b, c = cplx(b), cplx(c)
-    if not isinstance(f, ParamVector):
-        f = ParamVector(f)
-    if not isinstance(m, IntVector):
-        m = IntVector(m)
+    f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     if route == "closed":
         acc = mp.mpc(0)

@@ -41,6 +41,7 @@ from .kernel import (
     ParamVector,
     cplx,
     gamma,
+    near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
     terminating_pfq,
@@ -57,31 +58,6 @@ from .transforms import (
     meijer_norlund_ipd,
     two_free_function,
     vector_function,
-)
-
-#: Identity catalog, in report order.
-IDENTITY_IDS = (
-    "MP1",
-    "MP2",
-    "THM3_EQ19",
-    "THM3_EQ20",
-    "THM4_EQ29",
-    "THM4_EQ31",
-    "VEC_EQ27",
-    "VEC_EQ28",
-    "THM5_FIRST",
-    "THM5_SECOND",
-    "LEMMA1",
-    "COR1",
-    "LEMMA2",
-    "COR2",
-    "LEMMA3",
-    "LEMMA4",
-    "MINTON",
-    "KARLSSON",
-    "COR3",
-    "COR4",
-    "COR5",
 )
 
 #: Pochhammer non-vanishing margin used by the rejection sampler.
@@ -131,7 +107,7 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.n_failed else 0
+        return 1 if self.n_failed or self.n_skipped else 0
 
     def identity_summary(self) -> dict:
         """Per-identity aggregation: worst residual and combined status."""
@@ -198,28 +174,15 @@ def _poch_margin(z: ComplexValue, n: int) -> None:
 
 
 def _clear_of_nonpositive_integers(z: ComplexValue, why: str) -> None:
-    if abs(z.imag) >= MARGIN:
-        return
-    nearest = mp.floor(z.real + mp.mpf("0.5"))
-    if nearest <= 0:
-        _require(abs(z.real - nearest) >= MARGIN, why)
+    _require(not near_nonpositive_integer(z, MARGIN), why)
 
 
-def _bottom_params_ok(fun: HypFunction) -> None:
-    for v in fun.den:
-        _clear_of_nonpositive_integers(v, "bottom parameter near a pole")
-
-
-def _roots_usable(roots) -> None:
-    for r in roots:
+def _roots_usable(params) -> None:
+    """Require the series parameters built from characteristic roots (the
+    roots themselves, or their negatives) to be moderate and off the poles."""
+    for r in params:
         _require(abs(r) <= mp.mpf("1e4"), "oversized characteristic root")
         _clear_of_nonpositive_integers(r, "characteristic root near a series pole")
-
-
-def _roots_usable_negated(roots) -> None:
-    for r in roots:
-        _require(abs(r) <= mp.mpf("1e4"), "oversized characteristic root")
-        _clear_of_nonpositive_integers(-r, "characteristic root near a series pole")
 
 
 def _relative(lhs: ComplexValue, rhs: ComplexValue) -> mp.mpf:
@@ -260,20 +223,6 @@ def _sample_mp1(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": b, "c": c, "f": f, "m": m, "route": "paperQ" if index % 2 == 0 else "newP"}
 
 
-def _check_mp1(case: IdentityCase, tol: mp.mpf) -> tuple:
-    p = case.params
-    spec = IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"], c=p["c"])
-    expr = apply_mp1(spec, route=p["route"])
-    lhs_fun = ipd_function(spec)
-    stol = _series_tol()
-    worst = mp.mpf(0)
-    for x in case.x_samples:
-        lhs = eval_pfq(lhs_fun, x, stol).value
-        rhs = expr.evaluate(x, stol)
-        worst = max(worst, _relative(lhs, rhs))
-    return worst, len(case.x_samples)
-
-
 def _sample_mp2(rng: random.Random, index: int) -> dict:
     a, b, c = _draw_complex(rng), _draw_complex(rng), _draw_complex(rng)
     m = _draw_m(rng)
@@ -293,20 +242,6 @@ def _sample_mp2(rng: random.Random, index: int) -> dict:
             "route": "paperQhat" if index % 2 == 0 else "newPhat"}
 
 
-def _check_mp2(case: IdentityCase, tol: mp.mpf) -> tuple:
-    p = case.params
-    spec = IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"], c=p["c"])
-    expr = apply_mp2(spec, route=p["route"])
-    lhs_fun = ipd_function(spec)
-    stol = _series_tol()
-    worst = mp.mpf(0)
-    for x in case.x_samples:
-        lhs = eval_pfq(lhs_fun, x, stol).value
-        rhs = expr.evaluate(x, stol)
-        worst = max(worst, _relative(lhs, rhs))
-    return worst, len(case.x_samples)
-
-
 def _sample_thm3(rng: random.Random, index: int) -> dict:
     a, b = _draw_complex(rng), _draw_complex(rng)
     m = _draw_m(rng)
@@ -318,23 +253,6 @@ def _sample_thm3(rng: random.Random, index: int) -> dict:
     for fi in f:
         _poch_margin(fi, mt + 1)
     return {"a": a, "b": b, "f": f, "m": m}
-
-
-def _make_check_thm3(variant: str) -> Callable:
-    def _check(case: IdentityCase, tol: mp.mpf) -> tuple:
-        p = case.params
-        spec = IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"])
-        expr = apply_degenerate_single(spec, variant=variant)
-        lhs_fun = ipd_function(spec, c=p["b"] + 1)
-        stol = _series_tol()
-        worst = mp.mpf(0)
-        for x in case.x_samples:
-            lhs = eval_pfq(lhs_fun, x, stol).value
-            rhs = expr.evaluate(x, stol)
-            worst = max(worst, _relative(lhs, rhs))
-        return worst, len(case.x_samples)
-
-    return _check
 
 
 def _sample_thm4(rng: random.Random, index: int) -> dict:
@@ -352,28 +270,9 @@ def _sample_thm4(rng: random.Random, index: int) -> dict:
     for fi in f:
         _poch_margin(fi, mt + 1)
     if p_shift > 1:
-        _roots_usable_negated(find_roots(build_T(b, p_shift, f, m, variant="T")))
-        _roots_usable_negated(
-            find_roots(build_T(b, p_shift, f, m, variant="Tstar", a=a))
-        )
+        _roots_usable(-find_roots(build_T(b, p_shift, f, m, variant="T")).roots)
+        _roots_usable(-find_roots(build_T(b, p_shift, f, m, variant="Tstar", a=a)).roots)
     return {"a": a, "b": b, "f": f, "m": m, "p": p_shift}
-
-
-def _make_check_thm4(variant: str) -> Callable:
-    def _check(case: IdentityCase, tol: mp.mpf) -> tuple:
-        p = case.params
-        spec = IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"])
-        expr = apply_degenerate_p(spec, p["p"], variant=variant)
-        lhs_fun = ipd_function(spec, c=p["b"] + p["p"])
-        stol = _series_tol()
-        worst = mp.mpf(0)
-        for x in case.x_samples:
-            lhs = eval_pfq(lhs_fun, x, stol).value
-            rhs = expr.evaluate(x, stol)
-            worst = max(worst, _relative(lhs, rhs))
-        return worst, len(case.x_samples)
-
-    return _check
 
 
 _P_POOL = ((1, 1), (2, 1), (1, 2), (2, 2))
@@ -402,24 +301,6 @@ def _sample_vec(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": bvec, "p": pvec, "f": f, "m": m}
 
 
-def _make_check_vec(variant: str) -> Callable:
-    def _check(case: IdentityCase, tol: mp.mpf) -> tuple:
-        p = case.params
-        expr = apply_degenerate_vector(
-            p["b"], p["p"], p["a"], p["f"], p["m"], variant=variant
-        )
-        lhs_fun = vector_function(p["a"], p["b"], p["p"], p["f"], p["m"])
-        stol = _series_tol()
-        worst = mp.mpf(0)
-        for x in case.x_samples:
-            lhs = eval_pfq(lhs_fun, x, stol).value
-            rhs = expr.evaluate(x, stol)
-            worst = max(worst, _relative(lhs, rhs))
-        return worst, len(case.x_samples)
-
-    return _check
-
-
 def _sample_thm5(rng: random.Random, index: int) -> dict:
     a, d, e, b = (_draw_complex(rng) for _ in range(4))
     m = _draw_m(rng)
@@ -440,24 +321,6 @@ def _sample_thm5(rng: random.Random, index: int) -> dict:
     return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
 
 
-def _make_check_thm5(variant: str) -> Callable:
-    def _check(case: IdentityCase, tol: mp.mpf) -> tuple:
-        p = case.params
-        expr = apply_two_free(
-            p["a"], p["d"], p["e"], p["b"], p["f"], p["m"], variant=variant
-        )
-        lhs_fun = two_free_function(p["a"], p["d"], p["e"], p["b"], p["f"], p["m"])
-        stol = _series_tol()
-        worst = mp.mpf(0)
-        for x in case.x_samples:
-            lhs = eval_pfq(lhs_fun, x, stol).value
-            rhs = expr.evaluate(x, stol)
-            worst = max(worst, _relative(lhs, rhs))
-        return worst, len(case.x_samples)
-
-    return _check
-
-
 def _sample_lemma1(rng: random.Random, index: int) -> dict:
     b, c = _draw_complex(rng), _draw_complex(rng)
     m = _draw_m(rng)
@@ -465,20 +328,12 @@ def _sample_lemma1(rng: random.Random, index: int) -> dict:
     mt = m.total
     _clear_of_nonpositive_integers(c - b, "gamma pole at c-b")
     for i, fi in enumerate(f):
-        diff = fi - c
-        _require(
-            abs(diff.imag) >= MARGIN
-            or abs(diff.real - mp.floor(diff.real + mp.mpf("0.5"))) >= MARGIN,
-            "f_i - c nearly integral",
-        )
+        # near an integer of either sign; the j loop sees both fi-fj and fj-fi
+        _clear_of_nonpositive_integers(fi - c, "f_i - c nearly integral")
+        _clear_of_nonpositive_integers(c - fi, "f_i - c nearly integral")
         for j, fj in enumerate(f):
             if i != j:
-                diff = fi - fj
-                _require(
-                    abs(diff.imag) >= MARGIN
-                    or abs(diff.real - mp.floor(diff.real + mp.mpf("0.5"))) >= MARGIN,
-                    "f_i - f_j nearly integral",
-                )
+                _clear_of_nonpositive_integers(fi - fj, "f_i - f_j nearly integral")
         _clear_of_nonpositive_integers(1 - fi - m[i] + b, "series bottom near a pole")
         _poch_margin(fi, mt + 1)
     return {"b": b, "c": c, "f": f, "m": m}
@@ -488,7 +343,7 @@ def _lemma1_t_samples(rng: random.Random, n: int = 8) -> list:
     return [mp.mpf("0.05") + mp.mpf(rng.random()) * mp.mpf("0.9") for _ in range(n)]
 
 
-def _check_lemma1(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_lemma1(case: IdentityCase) -> tuple:
     p = case.params
     stol = _series_tol()
     worst = mp.mpf(0)
@@ -513,20 +368,6 @@ def _sample_cor1(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": b, "c": c, "f": f, "m": m}
 
 
-def _check_cor1(case: IdentityCase, tol: mp.mpf) -> tuple:
-    p = case.params
-    spec = IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"], c=p["c"])
-    expr = expand_to_gauss(spec)
-    lhs_fun = ipd_function(spec)
-    stol = _series_tol()
-    worst = mp.mpf(0)
-    for x in case.x_samples:
-        lhs = eval_pfq(lhs_fun, x, stol).value
-        rhs = expr.evaluate(x, stol)
-        worst = max(worst, _relative(lhs, rhs))
-    return worst, len(case.x_samples)
-
-
 def _sample_lemma2(rng: random.Random, index: int) -> dict:
     b, c = _draw_complex(rng), _draw_complex(rng)
     m = _draw_m(rng)
@@ -539,7 +380,7 @@ def _sample_lemma2(rng: random.Random, index: int) -> dict:
     return {"b": b, "c": c, "f": f, "m": m}
 
 
-def _check_lemma2(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_lemma2(case: IdentityCase) -> tuple:
     p = case.params
     q_poly = build_Q(p["b"], p["c"], p["f"], p["m"])
     p_poly = build_P(p["b"], p["c"], p["f"], p["m"])
@@ -560,7 +401,7 @@ def _sample_cor2(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": b, "c": c, "f": f, "m": m}
 
 
-def _check_cor2(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_cor2(case: IdentityCase) -> tuple:
     p = case.params
     qhat = build_Qhat(p["a"], p["b"], p["c"], p["f"], p["m"])
     phat = build_Phat(p["a"], p["b"], p["c"], p["f"], p["m"])
@@ -575,7 +416,7 @@ def _sample_lemma3(rng: random.Random, index: int) -> dict:
     return {"alpha": alpha, "m_max": m_max}
 
 
-def _check_lemma3(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_lemma3(case: IdentityCase) -> tuple:
     alpha = case.params["alpha"]
     m_max = case.params["m_max"]
     worst = mp.mpf(0)
@@ -620,7 +461,7 @@ def _sample_lemma4(rng: random.Random, index: int) -> dict:
     return {"b": b, "f_by_m": fs}
 
 
-def _check_lemma4(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_lemma4(case: IdentityCase) -> tuple:
     b = case.params["b"]
     worst = mp.mpf(0)
     n_checked = 0
@@ -662,7 +503,7 @@ def _sample_minton(rng: random.Random, index: int) -> dict:
     return {"b": b, "f": f, "m": m, "k": k}
 
 
-def _check_minton(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_minton(case: IdentityCase) -> tuple:
     p = case.params
     b, f, m, k = p["b"], p["f"], p["m"], p["k"]
     fun = HypFunction(
@@ -696,7 +537,7 @@ def _sample_karlsson(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": b, "f": f, "m": m}
 
 
-def _check_karlsson(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_karlsson(case: IdentityCase) -> tuple:
     p = case.params
     a, b, f, m = p["a"], p["b"], p["f"], p["m"]
     fun = HypFunction(
@@ -730,7 +571,7 @@ def _sample_cor3(rng: random.Random, index: int) -> dict:
     return {"a": a, "b": b, "f": f, "m": m}
 
 
-def _check_cor3(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_cor3(case: IdentityCase) -> tuple:
     p = case.params
     a, b, f, m = p["a"], p["b"], p["f"], p["m"]
     fb = pochhammer_vec(f - b, m)
@@ -759,7 +600,7 @@ def _sample_cor4(rng: random.Random, index: int) -> dict:
     return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
 
 
-def _check_cor4(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_cor4(case: IdentityCase) -> tuple:
     p = case.params
     a, d, e, b, f, m = p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]
     f0 = f[0]
@@ -795,7 +636,7 @@ def _sample_cor5(rng: random.Random, index: int) -> dict:
     return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
 
 
-def _check_cor5(case: IdentityCase, tol: mp.mpf) -> tuple:
+def _check_cor5(case: IdentityCase) -> tuple:
     p = case.params
     a, d, e, b, f, m = p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]
     s = f[0] + f[1] - b
@@ -810,36 +651,136 @@ def _check_cor5(case: IdentityCase, tol: mp.mpf) -> tuple:
     return res, 2
 
 
+# --------------------------------------------------------------------------
+# the identity table
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TwoSided:
+    """Check of a transformation: engine right side against the oracle.
+
+    ``rhs`` maps a case's params to the transformed HypExpression and
+    ``lhs`` to the input HypFunction, which the oracle sums directly.
+    ``keys`` gives the type of every params entry the two sides read and
+    ``defaults`` the value of the optional ones; ``ipdhyp transform`` reads
+    params files by them.  Engine functions are looked up by module-level
+    name at call time, so a caller may replace them.
+    """
+
+    rhs: Callable
+    lhs: Callable
+    keys: dict
+    defaults: dict = field(default_factory=dict)
+
+    def __call__(self, case: IdentityCase) -> tuple:
+        expr = self.rhs(case.params)
+        fun = self.lhs(case.params)
+        stol = _series_tol()
+        worst = mp.mpf(0)
+        for x in case.x_samples:
+            lhs = eval_pfq(fun, x, stol).value
+            rhs = expr.evaluate(x, stol)
+            worst = max(worst, _relative(lhs, rhs))
+        return worst, len(case.x_samples)
+
+
+def _spec(p: dict) -> IpdSpec:
+    return IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"], c=p.get("c"))
+
+
+_IPD_KEYS = {"a": ComplexValue, "b": ComplexValue, "f": ParamVector, "m": IntVector}
+_GENERAL_KEYS = dict(_IPD_KEYS, c=ComplexValue)
+
+
+def _degenerate_single(variant: str) -> TwoSided:
+    return TwoSided(
+        lambda p: apply_degenerate_single(_spec(p), variant=variant),
+        lambda p: ipd_function(_spec(p), c=p["b"] + 1),
+        _IPD_KEYS,
+    )
+
+
+def _degenerate_p(variant: str) -> TwoSided:
+    return TwoSided(
+        lambda p: apply_degenerate_p(_spec(p), p["p"], variant=variant),
+        lambda p: ipd_function(_spec(p), c=p["b"] + p["p"]),
+        dict(_IPD_KEYS, p=int),
+        {"p": 1},
+    )
+
+
+def _degenerate_vector(variant: str) -> TwoSided:
+    return TwoSided(
+        lambda p: apply_degenerate_vector(p["b"], p["p"], p["a"], p["f"], p["m"], variant=variant),
+        lambda p: vector_function(p["a"], p["b"], p["p"], p["f"], p["m"]),
+        dict(_IPD_KEYS, b=ParamVector, p=IntVector),
+    )
+
+
+def _two_free(variant: str) -> TwoSided:
+    return TwoSided(
+        lambda p: apply_two_free(p["a"], p["d"], p["e"], p["b"], p["f"], p["m"], variant=variant),
+        lambda p: two_free_function(p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]),
+        dict(_IPD_KEYS, d=ComplexValue, e=ComplexValue),
+    )
+
+
+def _unit_x_samples(rng: random.Random) -> list:
+    return [mp.mpf(1)]
+
+
+def _no_x_samples(rng: random.Random) -> list:
+    return []
+
+
 @dataclass(frozen=True)
 class _Identity:
-    sample: Callable
-    check: Callable
-    x_kind: str = "disk"  # "disk" | "unit" | "t" | "none"
+    sample: Callable  # (rng, index) -> params
+    check: Callable  # case -> (worst residual, samples checked)
+    x_samples: Callable = _default_x_samples  # rng -> arguments
 
 
-_REGISTRY = {
-    "MP1": _Identity(_sample_mp1, _check_mp1),
-    "MP2": _Identity(_sample_mp2, _check_mp2),
-    "THM3_EQ19": _Identity(_sample_thm3, _make_check_thm3("eq19")),
-    "THM3_EQ20": _Identity(_sample_thm3, _make_check_thm3("eq20")),
-    "THM4_EQ29": _Identity(_sample_thm4, _make_check_thm4("eq29")),
-    "THM4_EQ31": _Identity(_sample_thm4, _make_check_thm4("eq31")),
-    "VEC_EQ27": _Identity(_sample_vec, _make_check_vec("eq27")),
-    "VEC_EQ28": _Identity(_sample_vec, _make_check_vec("eq28")),
-    "THM5_FIRST": _Identity(_sample_thm5, _make_check_thm5("first")),
-    "THM5_SECOND": _Identity(_sample_thm5, _make_check_thm5("second")),
-    "LEMMA1": _Identity(_sample_lemma1, _check_lemma1, x_kind="t"),
-    "COR1": _Identity(_sample_cor1, _check_cor1),
-    "LEMMA2": _Identity(_sample_lemma2, _check_lemma2, x_kind="none"),
-    "COR2": _Identity(_sample_cor2, _check_cor2, x_kind="none"),
-    "LEMMA3": _Identity(_sample_lemma3, _check_lemma3, x_kind="none"),
-    "LEMMA4": _Identity(_sample_lemma4, _check_lemma4, x_kind="none"),
-    "MINTON": _Identity(_sample_minton, _check_minton, x_kind="unit"),
-    "KARLSSON": _Identity(_sample_karlsson, _check_karlsson, x_kind="unit"),
-    "COR3": _Identity(_sample_cor3, _check_cor3, x_kind="none"),
-    "COR4": _Identity(_sample_cor4, _check_cor4, x_kind="none"),
-    "COR5": _Identity(_sample_cor5, _check_cor5, x_kind="none"),
+#: Identity catalog, in report order.
+IDENTITIES = {
+    "MP1": _Identity(_sample_mp1, TwoSided(
+        lambda p: apply_mp1(_spec(p), route=p["route"]),
+        lambda p: ipd_function(_spec(p)),
+        dict(_GENERAL_KEYS, route=str),
+        {"route": "paperQ"},
+    )),
+    "MP2": _Identity(_sample_mp2, TwoSided(
+        lambda p: apply_mp2(_spec(p), route=p["route"]),
+        lambda p: ipd_function(_spec(p)),
+        dict(_GENERAL_KEYS, route=str),
+        {"route": "paperQhat"},
+    )),
+    "THM3_EQ19": _Identity(_sample_thm3, _degenerate_single("eq19")),
+    "THM3_EQ20": _Identity(_sample_thm3, _degenerate_single("eq20")),
+    "THM4_EQ29": _Identity(_sample_thm4, _degenerate_p("eq29")),
+    "THM4_EQ31": _Identity(_sample_thm4, _degenerate_p("eq31")),
+    "VEC_EQ27": _Identity(_sample_vec, _degenerate_vector("eq27")),
+    "VEC_EQ28": _Identity(_sample_vec, _degenerate_vector("eq28")),
+    "THM5_FIRST": _Identity(_sample_thm5, _two_free("first")),
+    "THM5_SECOND": _Identity(_sample_thm5, _two_free("second")),
+    "LEMMA1": _Identity(_sample_lemma1, _check_lemma1, _lemma1_t_samples),
+    "COR1": _Identity(_sample_cor1, TwoSided(
+        lambda p: expand_to_gauss(_spec(p)),
+        lambda p: ipd_function(_spec(p)),
+        _GENERAL_KEYS,
+    )),
+    "LEMMA2": _Identity(_sample_lemma2, _check_lemma2, _no_x_samples),
+    "COR2": _Identity(_sample_cor2, _check_cor2, _no_x_samples),
+    "LEMMA3": _Identity(_sample_lemma3, _check_lemma3, _no_x_samples),
+    "LEMMA4": _Identity(_sample_lemma4, _check_lemma4, _no_x_samples),
+    "MINTON": _Identity(_sample_minton, _check_minton, _unit_x_samples),
+    "KARLSSON": _Identity(_sample_karlsson, _check_karlsson, _unit_x_samples),
+    "COR3": _Identity(_sample_cor3, _check_cor3, _no_x_samples),
+    "COR4": _Identity(_sample_cor4, _check_cor4, _no_x_samples),
+    "COR5": _Identity(_sample_cor5, _check_cor5, _no_x_samples),
 }
+
+IDENTITY_IDS = tuple(IDENTITIES)
 
 
 def sample_params(identity_id: str, seed: int, count: int) -> list:
@@ -851,11 +792,11 @@ def sample_params(identity_id: str, seed: int, count: int) -> list:
     characteristic roots).  Raises RejectionExhaustedError after 10^4
     failed draws for a single case.
     """
-    if identity_id not in _REGISTRY:
+    if identity_id not in IDENTITIES:
         raise KeyError(f"unknown identity id {identity_id!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    entry = _REGISTRY[identity_id]
+    entry = IDENTITIES[identity_id]
     cases = []
     for index in range(count):
         rng = _case_rng(seed, identity_id, index)
@@ -870,26 +811,21 @@ def sample_params(identity_id: str, seed: int, count: int) -> list:
             raise RejectionExhaustedError(
                 f"{identity_id}: no admissible draw in {MAX_REJECTIONS} attempts"
             )
-        if entry.x_kind == "disk":
-            xs = _default_x_samples(rng)
-        elif entry.x_kind == "unit":
-            xs = [mp.mpf(1)]
-        elif entry.x_kind == "t":
-            xs = _lemma1_t_samples(rng)
-        else:
-            xs = []
-        cases.append(IdentityCase(identity_id, params, xs))
+        cases.append(IdentityCase(identity_id, params, entry.x_samples(rng)))
     return cases
 
 
 def evaluate_case(case: IdentityCase, tol: mp.mpf, index: int = 0) -> CaseResult:
-    """Run one case; evaluation errors become a skipped status, never an abort."""
-    entry = _REGISTRY[case.identity_id]
+    """Run one case; a domain error (IpdHypError) becomes a skipped status.
+
+    Any other exception is a fault of the program and propagates.
+    """
+    check = IDENTITIES[case.identity_id].check
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RootWarning)
-            residual, samples = entry.check(case, tol)
-    except (IpdHypError, ZeroDivisionError, ValueError) as exc:
+            residual, samples = check(case)
+    except IpdHypError as exc:
         return CaseResult(
             case.identity_id, index, "skipped", None, 0,
             f"{type(exc).__name__}: {exc}",
@@ -913,7 +849,7 @@ def run_suite(
     if ids is None:
         ids = IDENTITY_IDS
     for identity_id in ids:
-        if identity_id not in _REGISTRY:
+        if identity_id not in IDENTITIES:
             raise KeyError(f"unknown identity id {identity_id!r}")
     if tol is None:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 12))

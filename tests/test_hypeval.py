@@ -114,6 +114,19 @@ class TestEvalPfq:
         with pytest.raises(DivergentSeriesError):
             pfq([1.0, 0.8], [1.3], 1)
 
+    def test_unit_circle_off_one_fails_fast(self):
+        # converges (sigma = 2) but far too slowly for direct summation
+        import time
+
+        started = time.perf_counter()
+        with pytest.raises(SlowConvergenceError):
+            pfq([0.5, 0.5], [2], -1)
+        assert time.perf_counter() - started < 1
+
+    def test_unit_circle_off_one_checks_divergence_first(self):
+        with pytest.raises(DivergentSeriesError):
+            pfq([1.0, 0.8], [1.3], -1)
+
     def test_denominator_pole_before_termination(self):
         with pytest.raises(DenominatorPoleError):
             eval_pfq(_fun([-5, 0.5], [-2]), 0.3)

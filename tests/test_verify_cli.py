@@ -1,15 +1,17 @@
 import json
 import re
+import warnings
 
 import mpmath as mp
 import pytest
 
 from ipdhyp.cli import cli_dispatch, parse_complex
-from ipdhyp.errors import RejectionExhaustedError
-from ipdhyp.kernel import cplx, pochhammer, set_precision
+from ipdhyp.errors import RejectionExhaustedError, RootWarning
+from ipdhyp.kernel import IntVector, ParamVector, cplx, pochhammer, set_precision
 from ipdhyp.verify import (
+    IDENTITIES,
     IDENTITY_IDS,
-    _REGISTRY,
+    TwoSided,
     report_to_json,
     run_suite,
     sample_params,
@@ -67,7 +69,7 @@ class TestSampler:
             sample_params("MP1", seed=1, count=1)
 
     def test_every_identity_id_registered(self):
-        assert set(IDENTITY_IDS) == set(_REGISTRY)
+        assert set(IDENTITY_IDS) == set(IDENTITIES)
 
 
 class TestRunSuite:
@@ -109,6 +111,29 @@ class TestRunSuite:
             assert proc.returncode == 0, proc.stderr
             outputs.append(_strip_wall_time(path.read_text()))
         assert outputs[0] == outputs[1]
+
+    def test_program_error_is_not_a_skip(self, monkeypatch):
+        import ipdhyp.verify as verify_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug in a transform")
+
+        monkeypatch.setattr(verify_mod, "apply_mp1", broken)
+        with pytest.raises(ValueError):
+            run_suite(ids=["MP1"], count=2)
+
+    def test_domain_error_skips_and_fails_the_exit_code(self, monkeypatch):
+        import ipdhyp.verify as verify_mod
+        from ipdhyp.errors import DegenerateCaseError
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateCaseError("degenerate draw")
+
+        monkeypatch.setattr(verify_mod, "apply_mp1", degenerate)
+        report = run_suite(ids=["MP1"], count=2)
+        assert report.n_skipped == 2
+        assert report.n_failed == 0
+        assert report.exit_code == 1
 
     def test_precision_increase_keeps_passing(self):
         report40 = run_suite(ids=["MP1"], seed=3, count=1)
@@ -219,6 +244,47 @@ class TestCli:
         got = cplx(mp.mpf(doc["value"][0]), mp.mpf(doc["value"][1]))
         assert abs(got - lhs) < mp.mpf("1e-28")
 
+    @pytest.mark.parametrize(
+        "theorem",
+        [i for i, entry in IDENTITIES.items() if isinstance(entry.check, TwoSided)],
+    )
+    def test_transform_covers_every_theorem(self, theorem, tmp_path, capsys):
+        # case 1 reads the non-default MP1/MP2 routes and THM4 with p = 2
+        case = sample_params(theorem, seed=3, count=2)[1]
+
+        def encode(value):
+            if isinstance(value, mp.mpc):
+                return [mp.nstr(value.real, 45), mp.nstr(value.imag, 45)]
+            if isinstance(value, ParamVector):
+                return [encode(v) for v in value]
+            if isinstance(value, IntVector):
+                return list(value)
+            return value
+
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({k: encode(v) for k, v in case.params.items()}))
+        x = case.x_samples[1]
+        code = cli_dispatch(
+            ["transform", "--theorem", theorem, "--params", str(path),
+             f"--x={mp.nstr(x.real, 45)},{mp.nstr(x.imag, 45)}"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        doc = json.loads(out)
+        got = cplx(mp.mpf(doc["value"][0]), mp.mpf(doc["value"][1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RootWarning)
+            expect = IDENTITIES[theorem].check.rhs(case.params).evaluate(x)
+        assert abs(got - expect) <= mp.mpf("1e-28") * max(1, abs(expect))
+
+    def test_transform_names_a_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"a": "0.7", "b": "0.4", "f": ["1.5"], "m": [2]}))
+        code = cli_dispatch(["transform", "--theorem", "MP2", "--params", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'c'" in err
+
     def test_malformed_params_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -247,6 +313,21 @@ class TestCli:
         from ipdhyp.kernel import get_precision
 
         assert get_precision() == 50
+
+    def test_digits_flag_after_verify(self, capsys):
+        from ipdhyp.kernel import get_precision
+
+        code = cli_dispatch(["verify", "--only", "LEMMA3", "--count", "1", "--digits", "45"])
+        capsys.readouterr()
+        assert code == 0
+        assert get_precision() == 45
+        # given on both sides of the subcommand, the later one wins
+        code = cli_dispatch(
+            ["--digits", "50", "verify", "--only", "LEMMA3", "--count", "1", "--digits", "44"]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert get_precision() == 44
 
     def test_env_var_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("IPDHYP_DIGITS", "48")
