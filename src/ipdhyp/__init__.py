@@ -27,7 +27,7 @@ from .charpoly import (
     w_poly,
 )
 from .errors import IpdHypError, RootWarning
-from .hypeval import EvalResult, HypFunction, eval_pfq, eval_prefactor, mobius_arg, pfq
+from .hypeval import EvalResult, HypFunction, eval_pfq, eval_pfq_many, eval_prefactor, mobius_arg, pfq
 from .kernel import (
     ComplexValue,
     IntVector,
@@ -92,6 +92,7 @@ __all__ = [
     "coeff_D",
     "coeff_Y",
     "eval_pfq",
+    "eval_pfq_many",
     "eval_prefactor",
     "expand_to_gauss",
     "find_roots",

@@ -103,10 +103,25 @@ def _get_vector(doc: dict, key: str) -> ParamVector:
     return ParamVector([parse_complex(v) for v in doc[key]])
 
 
+def _integral(value, key: str) -> int:
+    """A JSON number with an integral value, such as 2 or 2.0."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"params entry {key!r} must hold integers, got {value!r}")
+
+
+def _get_int(doc: dict, key: str) -> int:
+    if key not in doc:
+        raise ValueError(f"params file is missing {key!r}")
+    return _integral(doc[key], key)
+
+
 def _get_mults(doc: dict, key: str = "m") -> IntVector:
     if key not in doc or not isinstance(doc[key], list):
         raise ValueError(f"params file needs a list under {key!r}")
-    return IntVector(int(v) for v in doc[key])
+    return IntVector(_integral(v, key) for v in doc[key])
 
 
 def _expression_doc(expr: HypExpression) -> dict:
@@ -133,7 +148,7 @@ _READERS = {
     ComplexValue: _get_complex,
     ParamVector: _get_vector,
     IntVector: _get_mults,
-    int: lambda doc, key: int(doc[key]),
+    int: _get_int,
     str: lambda doc, key: str(doc[key]),
 }
 
@@ -193,7 +208,7 @@ def _cmd_charpoly(args) -> int:
     elif which in ("T", "Tstar"):
         poly = build_T(
             b,
-            int(doc.get("p", 1)),
+            _integral(doc.get("p", 1), "p"),
             f,
             m,
             variant=which,

@@ -8,11 +8,27 @@ Three regimes:
 
 * terminating series (a nonpositive-integer top parameter): summed exactly
   to the terminal index, any argument.
-* |x| < 1 (or p <= q): geometric regime; the running tail estimate
-  |t_{n+1}| / (1 - qhat) with a safety factor drives the stopping rule.
-  On |x| = 1 away from x = 1 that estimate never falls below its
-  tolerance, so such a p = q+1 series is refused at once with
-  SlowConvergenceError (after the DivergentSeriesError check on sigma).
+* |x| < 1 (or p <= q): geometric regime, summed in fixed point.
+  Parameters, points, terms and partial sums are complex integer
+  mantissas scaled by 2^wp, with wp = max(prec, bits of tol) + guard and
+  guard = 2 log2 N + 20 + log2 max|t_n| for N terms (a rise of the terms
+  after a dip counts like growth).  The first pass assumes a guard; a
+  point whose pass finds more terms or larger terms than assumed is
+  summed again with the guard it needs, so cancellation among large
+  terms costs no digits.  The term ratio prod(u+n) / (prod(v+n) (n+1)) is
+  computed once per n and shared by every point summed together
+  (:func:`eval_pfq_many`); each point then multiplies its term by the
+  ratio and by its x.  A point stops once the tail estimate
+  2 |t_n| qhat / (1 - qhat), with qhat the backward term ratio (floored
+  at |x| for p = q+1), is at most tol * max(1, |S|) twice in a row, at
+  n >= 8.  The rule reads magnitudes as doubles, the term's and the
+  ratio's rounded up and |S| rounded down, so it is never weaker than in
+  exact arithmetic.  qhat = |t_n / t_{n-1}| is taken from the shared
+  ratio times |x|, not from two rounded terms, so it stays valid when
+  the terms fall below the fixed-point resolution.  On |x| = 1 away from x = 1 the estimate never
+  falls below its tolerance, so such a p = q+1 series is refused at once
+  with SlowConvergenceError (after the DivergentSeriesError check on
+  sigma).
 * x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like
   a power n^-sigma, so naive truncation cannot reach tight tolerances.
   The partial sum over n < N is completed with the power-law tail
@@ -21,7 +37,10 @@ Three regimes:
   normalized tail T(N)/t_N is expanded as A*N + sum_k b_k N^-k, whose
   coefficients follow from a triangular recursion on the series expansion
   of r.  This is the p-series-style tail that makes the classical x = 1
-  summation identities verifiable at full precision.
+  summation identities verifiable at full precision.  The expansion is
+  summed until its terms start to grow; when its bound then misses tol,
+  the direct head N is doubled, up to UNIT_RETRIES times, before
+  SlowConvergenceError is raised.
 
 Prefactors (1-x)^mu use the principal logarithm and are continuous on the
 plane cut along [1, oo).
@@ -29,10 +48,13 @@ plane cut along [1, oo).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
     DenominatorPoleError,
@@ -58,6 +80,19 @@ UNIT_DIRECT_TERMS = 64
 
 #: Minimum order of the tail expansion at x = 1 (scales with precision).
 UNIT_TAIL_ORDER = 44
+
+#: Times the direct head at x = 1 is doubled when the tail misses tol.
+UNIT_RETRIES = 5
+
+#: Guard bits of the geometric regime beyond 2 log2 N + log2 max|t_n|.
+GUARD_EXTRA_BITS = 20
+
+#: Guard bits of the first geometric pass: room for 4095 terms up to 2^20.
+FIRST_GUARD_BITS = 64
+
+#: Factors that round a double up and down by more than its rounding error.
+_UP = 1 + 2.0**-48
+_DOWN = 1 - 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -125,39 +160,190 @@ def _sum_terminating(fun: HypFunction, x: ComplexValue, k: int) -> EvalResult:
     return EvalResult(total, k + 1, mp.mpf(0))
 
 
-def _sum_geometric(fun: HypFunction, x: ComplexValue, tol: mp.mpf) -> EvalResult:
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    absx = abs(x)
-    prev_mag = mp.mpf(1)
-    small_streak = 0
-    for n in range(TERM_CAP):
-        for u in fun.num:
-            term *= u + n
-        for v in fun.den:
-            term /= v + n
-        term *= x
-        term /= n + 1
-        mag = abs(term)
-        total += term
-        # backward term ratio; for p = q+1 the limiting ratio is |x|, so the
-        # estimate never trusts a transient dip below it
-        ratio = mag / prev_mag if prev_mag > 0 else mp.mpf(1)
-        qhat = max(ratio, absx) if fun.p == fun.q + 1 else ratio
-        if qhat < 1 and n >= 8:
-            tail = 2 * mag * qhat / (1 - qhat)
-            if tail <= tol * max(1, abs(total)):
-                small_streak += 1
-                if small_streak >= 2:
-                    return EvalResult(total, n + 2, tail)
-            else:
-                small_streak = 0
-        else:
-            small_streak = 0
-        prev_mag = mag
-    raise SlowConvergenceError(
-        f"series did not meet tolerance within {TERM_CAP} terms"
+def _to_fixed(z: ComplexValue, wp: int) -> tuple:
+    return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+
+
+def _ratio_maker(fun: HypFunction, wp: int):
+    """t_{n+1} / (x t_n) = prod(u+n) / (prod(v+n) (n+1)) as a function of n.
+
+    The ratio comes back as (re, im, shift) with value (re + i im) 2^-shift,
+    rounded to at least ``wp`` significant bits whatever its size, so a
+    parameter close to a nonpositive integer costs no absolute accuracy.
+    """
+    nums = [_to_fixed(u, wp) for u in fun.num]
+    dens = [_to_fixed(v, wp) for v in fun.den]
+    # the products carry 2^(p wp) and 2^(q wp); p <= q+1, so lift >= -wp
+    lift = (fun.q - fun.p) * wp
+
+    def ratio(n: int) -> tuple:
+        k = n << wp
+        nr, ni = 1, 0
+        for ur, ui in nums:
+            ur += k
+            nr, ni = nr * ur - ni * ui, nr * ui + ni * ur
+        dr, di = n + 1, 0
+        for vr, vi in dens:
+            vr += k
+            dr, di = dr * vr - di * vi, dr * vi + di * vr
+        norm = dr * dr + di * di
+        ar = nr * dr + ni * di
+        ai = ni * dr - nr * di
+        shift = wp + max(0, norm.bit_length() - max(abs(ar), abs(ai)).bit_length() - lift)
+        return (ar << (shift + lift)) // norm, (ai << (shift + lift)) // norm, shift
+
+    return ratio
+
+
+class _Point:
+    """One point's running state in a geometric pass."""
+
+    __slots__ = (
+        "index", "xr", "xi", "absx", "tr", "ti", "sr", "si", "streak", "lo", "hi", "rise", "huge"
     )
+
+    def __init__(self, index: int, x: ComplexValue, wp: int):
+        self.index = index
+        self.xr, self.xi = _to_fixed(x, wp)
+        self.absx = math.nextafter(float(abs(x)), math.inf)  # |x| rounded up
+        self.tr = self.sr = 1 << wp  # term and partial sum
+        self.ti = self.si = 0
+        self.streak = 0  # tail tests passed in a row
+        self.lo, self.hi = math.inf, 0.0  # smallest and largest term magnitude
+        self.rise = 1.0  # largest rise of a term over the smallest earlier one
+        self.huge = 0  # bits of a term magnitude too large for a double
+
+
+def _geometric_pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int) -> list:
+    """One fixed-point pass over the points ``xs``; see :func:`_sum_geometric`.
+
+    Returns (EvalResult or None, guard bits the pass turned out to need)
+    per point; None means the point did not stop within TERM_CAP terms.
+    """
+    _, _, exp, bc = tol._mpf_
+    tol_bits = max(0, 1 - exp - bc)  # 2^-tol_bits <= tol
+    prec = mp.mp.prec
+    wp = max(prec, tol_bits) + guard
+    # magnitudes go to doubles in units of 2^-unit, 48 bits below the
+    # tolerance: term mantissas are shifted right by `drop` bits first
+    drop = max(0, wp - tol_bits - 48)
+    unit = wp - drop
+    tol_units = float(mp.ldexp(tol, unit)) * _DOWN
+    # |S| goes to a double in true units through mantissas of 64 fraction bits
+    sum_drop = max(0, wp - 64)
+    sum_unit = math.ldexp(1.0, sum_drop - wp)
+    floor_at_x = fun.p == fun.q + 1
+    ratio = _ratio_maker(fun, wp)
+    live = [_Point(index, x, wp) for index, x in enumerate(xs)]
+    out = [(None, 0)] * len(xs)
+    for n in range(TERM_CAP):
+        if not live:
+            break
+        rr, ri, rs = ratio(n)
+        # the backward ratio |t_{n+1} / t_n| is |ratio(n) x|: taken from the
+        # ratio itself, it holds where the terms fall below the resolution
+        rmag = _abs_up(rr, ri, rs)
+        for pt in live:
+            ar = (pt.tr * rr - pt.ti * ri) >> rs
+            ai = (pt.tr * ri + pt.ti * rr) >> rs
+            tr = pt.tr = (ar * pt.xr - ai * pt.xi) >> wp
+            ti = pt.ti = (ar * pt.xi + ai * pt.xr) >> wp
+            pt.sr += tr
+            pt.si += ti
+            try:
+                raw = math.hypot(tr >> drop, ti >> drop)
+            except OverflowError:
+                raw = math.inf
+                pt.huge = max(pt.huge, max(abs(tr), abs(ti)).bit_length() + 1 - wp)
+            # the shifted mantissas are off by < 1 each, so by < 1.5 in all
+            mag = raw * _UP + 1.5
+            if mag < pt.lo:
+                pt.lo = mag
+            elif mag > pt.rise * pt.lo:
+                pt.rise = mag / pt.lo
+            if mag > pt.hi:
+                pt.hi = mag
+            passed = False
+            if n >= 8 and mag < math.inf:
+                # for p = q+1 the limiting ratio is |x|, so the estimate
+                # never trusts a transient dip below it
+                qhat = rmag * pt.absx * _UP
+                if floor_at_x and qhat < pt.absx:
+                    qhat = pt.absx
+                if qhat < 1:
+                    tail = 2 * mag * qhat / (1 - qhat) * _UP
+                    passed = tail <= tol_units or tail <= tol_units * _abs_down(
+                        pt.sr, pt.si, sum_drop, sum_unit
+                    )
+            if not passed:
+                pt.streak = 0
+                continue
+            pt.streak += 1
+            if pt.streak == 2:
+                value = mp.make_mpc(
+                    (from_man_exp(pt.sr, -wp, prec, "n"), from_man_exp(pt.si, -wp, prec, "n"))
+                )
+                terms = n + 2
+                need = (
+                    2 * terms.bit_length()
+                    + GUARD_EXTRA_BITS
+                    + _growth_bits(pt.hi, pt.rise, unit, pt.huge)
+                )
+                out[pt.index] = (EvalResult(value, terms, mp.ldexp(mp.mpf(tail), -unit)), need)
+        live = [pt for pt in live if pt.streak < 2]
+    return out
+
+
+def _growth_bits(hi: float, rise: float, unit: int, huge: int) -> int:
+    """log2 of the largest term (at least 1) or rise after a dip, rounded up."""
+    bits = [0, huge]
+    if hi < math.inf:
+        bits += [math.ceil(math.log2(hi)) - unit, math.ceil(math.log2(rise))]
+    return max(bits)
+
+
+def _abs_up(re: int, im: int, shift: int) -> float:
+    """|re + i im| 2^-shift as a double rounded up; inf when out of range."""
+    drop = max(0, max(abs(re), abs(im)).bit_length() - 53)
+    try:
+        return math.ldexp((math.hypot(re >> drop, im >> drop) + 1.5) * _UP, drop - shift)
+    except OverflowError:
+        return math.inf
+
+
+def _abs_down(re: int, im: int, drop: int, unit: float) -> float:
+    """|re + i im| 2^-wp as a double rounded down, from mantissas shifted by ``drop``."""
+    try:
+        return (math.hypot(re >> drop, im >> drop) * _DOWN - 1.5) * unit
+    except OverflowError:
+        return sys.float_info.max
+
+
+def _sum_geometric(fun: HypFunction, xs: Sequence[ComplexValue], tol: mp.mpf) -> list:
+    """Sum ``fun`` at every point of ``xs`` in fixed point; one result per point.
+
+    A point's entry is None when its series did not meet ``tol`` within
+    TERM_CAP terms.  Each point is summed at wp = max(prec, bits of tol) +
+    guard bits; a pass that finds more terms, or larger terms, than its
+    guard assumed is repeated for those points with the guard it found
+    needed.  A point's guard history depends on that point alone, so a
+    point gives the same bits alone or in a batch.
+    """
+    tol = mp.mpf(tol)
+    if not tol > 0:
+        raise ValueError("series tolerance must be positive")
+    results = [None] * len(xs)
+    todo = {FIRST_GUARD_BITS: list(range(len(xs)))}
+    while todo:
+        guard = min(todo)
+        indices = todo.pop(guard)
+        outcomes = _geometric_pass(fun, [xs[i] for i in indices], tol, guard)
+        for index, (result, need) in zip(indices, outcomes):
+            if need > guard:
+                todo.setdefault(need, []).append(index)
+            else:
+                results[index] = result
+    return results
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -192,7 +378,9 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     t_n ~ n^-sigma.  The divisors sigma+m-1 stay away from zero because
     convergence requires Re(sigma) > 1.  The coefficient recursion is exact;
     only the evaluation of W at N is asymptotic, and it stops at the
-    smallest term, which is reported inside the tail bound.
+    smallest term, which is reported inside the tail bound.  When that
+    bound misses ``tol``, the head is doubled, up to UNIT_RETRIES times:
+    the expansion in 1/N gains accuracy as N grows.
     """
     sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
     if not sigma.real > 1:
@@ -205,15 +393,6 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     order = max(UNIT_TAIL_ORDER, (13 * mp.mp.dps) // 10)
     rounding_floor = mp.mpf(10) ** (-(mp.mp.dps + 8))
     with mp.extradps(10):
-        total = mp.mpc(0)
-        term = mp.mpc(1)
-        for n in range(N):
-            total += term
-            for u in fun.num:
-                term *= u + n
-            for v in fun.den:
-                term /= v + n
-            term /= n + 1
         # r as a power series in u = 1/n:
         # r(1/u) = prod(1 + a_i u) / (prod(1 + b_j u) * (1 + u))
         length = order + 3
@@ -240,27 +419,79 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
                 if j < len(rows[k]):
                     acc -= b_coef[k] * rows[k][j]
             b_coef[m - 1] = acc / (sigma + m - 1)
-        # evaluate W(N), stopping at the smallest term of the expansion
-        tail_norm = A * N
-        npow = mp.mpf(1)
-        smallest = mp.inf
-        for k in range(order + 1):
-            piece = b_coef[k] * npow
-            mag = abs(piece)
-            if k > 6 and mag > smallest:
+        total = mp.mpc(0)
+        term = mp.mpc(1)
+        n = 0
+        for _ in range(UNIT_RETRIES + 1):
+            while n < N:
+                total += term
+                for u in fun.num:
+                    term *= u + n
+                for v in fun.den:
+                    term /= v + n
+                term /= n + 1
+                n += 1
+            # evaluate W(N), stopping at the smallest term of the expansion
+            tail_norm = A * N
+            npow = mp.mpf(1)
+            smallest = mp.inf
+            for k in range(order + 1):
+                piece = b_coef[k] * npow
+                mag = abs(piece)
+                if k > 6 and mag > smallest:
+                    break
+                tail_norm += piece
+                smallest = min(smallest, mag)
+                npow /= N
+                if mag < tol * abs(tail_norm) / 10:
+                    break
+            value = total + term * tail_norm
+            bound = abs(term) * smallest + abs(value) * rounding_floor
+            if bound <= tol * max(1, abs(value)):
                 break
-            tail_norm += piece
-            smallest = min(smallest, mag)
-            npow /= N
-            if mag < tol * abs(tail_norm) / 10:
-                break
-        value = total + term * tail_norm
-        bound = abs(term) * smallest + abs(value) * rounding_floor
-    if bound > tol * max(1, abs(value)):
-        raise SlowConvergenceError(
-            "asymptotic tail at x = 1 cannot reach the requested tolerance"
-        )
+            N *= 2
+        else:
+            raise SlowConvergenceError(
+                "asymptotic tail at x = 1 cannot reach the requested tolerance"
+            )
     return EvalResult(mp.mpc(value), N, mp.mpf(bound))
+
+
+def _regime(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]) -> str:
+    """The summation that applies at x; raises where none converges usably."""
+    if x == 0:
+        return "zero"
+    if n_terminal is not None:
+        return "terminating"
+    if fun.p > fun.q + 1:
+        raise DivergentSeriesError(
+            f"{fun.p}F{fun.q} does not converge for x != 0 unless terminating"
+        )
+    if fun.p == fun.q + 1:
+        absx = abs(x)
+        if absx > 1:
+            raise DivergentSeriesError(f"|x| = {mp.nstr(absx, 8)} > 1")
+        if absx == 1:
+            if x == 1:
+                return "unit"
+            sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
+            if not sigma.real > 1:
+                raise DivergentSeriesError(
+                    "|x| = 1 requires Re(sum(den) - sum(num)) > 0"
+                )
+            raise SlowConvergenceError(
+                "|x| = 1 with x != 1: the terms decay only like a power of n, "
+                "too slowly for direct summation"
+            )
+    return "geometric"
+
+
+def _converged(result: Optional[EvalResult]) -> EvalResult:
+    if result is None:
+        raise SlowConvergenceError(
+            f"series did not meet tolerance within {TERM_CAP} terms"
+        )
+    return result
 
 
 def eval_pfq(
@@ -277,36 +508,50 @@ def eval_pfq(
     x != 1 and Re(sum(den) - sum(num)) > 0: it converges, too slowly for
     direct summation, and raises SlowConvergenceError at once.
     """
-    x = cplx(x)
+    return eval_pfq_many(fun, [x], tol)[0]
+
+
+def eval_pfq_many(
+    fun: HypFunction,
+    xs: Sequence[ComplexLike],
+    tol: mp.mpf | None = None,
+) -> list:
+    """:func:`eval_pfq` at every point of ``xs``, one EvalResult per point.
+
+    The geometric-regime points are summed together, sharing each term
+    ratio.  Each result equals ``eval_pfq(fun, x, tol)``, and the error
+    raised is the one that evaluating the points one at a time, in order,
+    raises first.
+    """
+    xs = [cplx(x) for x in xs]
     if tol is None:
         tol = default_series_tolerance()
     n_terminal = fun.terminal_index()
     _check_denominator_poles(fun, n_terminal)
-    if x == 0:
-        return EvalResult(mp.mpc(1), 1, mp.mpf(0))
-    if n_terminal is not None:
-        return _sum_terminating(fun, x, n_terminal)
-    if fun.p > fun.q + 1:
-        raise DivergentSeriesError(
-            f"{fun.p}F{fun.q} does not converge for x != 0 unless terminating"
-        )
-    if fun.p == fun.q + 1:
-        absx = abs(x)
-        if absx > 1:
-            raise DivergentSeriesError(f"|x| = {mp.nstr(absx, 8)} > 1")
-        if absx == 1:
-            if x == 1:
-                return _sum_at_unit(fun, tol)
-            sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
-            if not sigma.real > 1:
-                raise DivergentSeriesError(
-                    "|x| = 1 requires Re(sum(den) - sum(num)) > 0"
-                )
-            raise SlowConvergenceError(
-                "|x| = 1 with x != 1: the terms decay only like a power of n, "
-                "too slowly for direct summation"
-            )
-    return _sum_geometric(fun, x, tol)
+    regimes, failure = [], None
+    for x in xs:
+        try:
+            regimes.append(_regime(fun, x, n_terminal))
+        except (DivergentSeriesError, SlowConvergenceError) as exc:
+            failure = exc
+            break
+    geometric = [i for i, regime in enumerate(regimes) if regime == "geometric"]
+    sums = {}
+    if geometric:
+        sums = dict(zip(geometric, _sum_geometric(fun, [xs[i] for i in geometric], tol)))
+    results = []
+    for index, regime in enumerate(regimes):
+        if regime == "zero":
+            results.append(EvalResult(mp.mpc(1), 1, mp.mpf(0)))
+        elif regime == "terminating":
+            results.append(_sum_terminating(fun, xs[index], n_terminal))
+        elif regime == "unit":
+            results.append(_sum_at_unit(fun, tol))
+        else:
+            results.append(_converged(sums[index]))
+    if failure is not None:
+        raise failure
+    return results
 
 
 def eval_prefactor(x: ComplexLike, mu: ComplexLike) -> ComplexValue:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import mpmath as mp
 
@@ -51,7 +51,7 @@ from .errors import (
     TrivialSplitError,
     ZeroDenominatorError,
 )
-from .hypeval import HypFunction, eval_pfq, eval_prefactor, mobius_arg
+from .hypeval import HypFunction, eval_pfq, eval_pfq_many, eval_prefactor, mobius_arg
 from .kernel import (
     ComplexLike,
     ComplexValue,
@@ -87,18 +87,23 @@ class HypTerm:
             raise ValueError(f"unknown arg_map {self.arg_map!r}")
 
     def evaluate(self, x: ComplexLike, tol=None) -> ComplexValue:
-        x = cplx(x)
-        value = self.coeff
-        if value == 0:
-            return mp.mpc(0)
+        return self.evaluate_many([x], tol)[0]
+
+    def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
+        """The term at every point of ``xs``; its series is summed once for all."""
+        xs = [cplx(x) for x in xs]
+        if self.coeff == 0:
+            return [mp.mpc(0)] * len(xs)
+        values = [self.coeff] * len(xs)
         if self.x_power:
-            value *= x**self.x_power
+            values = [v * x**self.x_power for v, x in zip(values, xs)]
         if self.prefactor_exponent != 0:
-            value *= eval_prefactor(x, self.prefactor_exponent)
+            values = [v * eval_prefactor(x, self.prefactor_exponent) for v, x in zip(values, xs)]
         if self.fun is not None:
-            arg = mobius_arg(x) if self.arg_map == ARG_MOBIUS else x
-            value *= eval_pfq(self.fun, arg, tol).value
-        return value
+            args = [mobius_arg(x) for x in xs] if self.arg_map == ARG_MOBIUS else xs
+            sums = eval_pfq_many(self.fun, args, tol)
+            values = [v * s.value for v, s in zip(values, sums)]
+        return values
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,14 @@ class HypExpression:
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def evaluate(self, x: ComplexLike, tol=None) -> ComplexValue:
-        x = cplx(x)
-        return sum((t.evaluate(x, tol) for t in self.terms), mp.mpc(0))
+        return self.evaluate_many([x], tol)[0]
+
+    def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
+        """The expression at every point of ``xs``, each term evaluated once for all."""
+        totals = [mp.mpc(0)] * len(xs)
+        for term in self.terms:
+            totals = [t + v for t, v in zip(totals, term.evaluate_many(xs, tol))]
+        return totals
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -34,7 +34,7 @@ import mpmath as mp
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots
 from .coeffs import IpdSpec
 from .errors import IpdHypError, RejectionExhaustedError, RootWarning
-from .hypeval import HypFunction, eval_pfq
+from .hypeval import HypFunction, eval_pfq, eval_pfq_many
 from .kernel import (
     ComplexValue,
     IntVector,
@@ -677,11 +677,11 @@ class TwoSided:
         expr = self.rhs(case.params)
         fun = self.lhs(case.params)
         stol = _series_tol()
+        lhs = eval_pfq_many(fun, case.x_samples, stol)
+        rhs = expr.evaluate_many(case.x_samples, stol)
         worst = mp.mpf(0)
-        for x in case.x_samples:
-            lhs = eval_pfq(fun, x, stol).value
-            rhs = expr.evaluate(x, stol)
-            worst = max(worst, _relative(lhs, rhs))
+        for left, right in zip(lhs, rhs):
+            worst = max(worst, _relative(left.value, right))
         return worst, len(case.x_samples)
 
 

@@ -14,11 +14,12 @@ from ipdhyp.errors import (
 from ipdhyp.hypeval import (
     HypFunction,
     eval_pfq,
+    eval_pfq_many,
     eval_prefactor,
     mobius_arg,
     pfq,
 )
-from ipdhyp.kernel import ParamVector, cplx, gamma, pochhammer
+from ipdhyp.kernel import ParamVector, cplx, gamma, pochhammer, set_precision
 
 
 def _rng(seed=311):
@@ -180,6 +181,109 @@ class TestEvalPfq:
         monkeypatch.setattr(hypeval, "TERM_CAP", 60)
         with pytest.raises(SlowConvergenceError):
             pfq([0.5, 0.7], [1.3], 0.995)
+        with pytest.raises(SlowConvergenceError):
+            eval_pfq_many(_fun([0.5, 0.7], [1.3]), [0.3, 0.995])
+
+    def test_unit_tail_retries_a_longer_head(self):
+        # with the first head of 64 terms the tail expansion stops at
+        # k = 11, where its terms rise again, short of the tolerance
+        a, b = cplx("-1.51003", "0.159707"), cplx("0.230329", "-0.345141")
+        c = cplx("2.15209", "0.382712")
+        got = pfq([a, b], [c], 1)
+        with mp.workdps(60):
+            expect = mp.hyper([a, b], [c], 1)
+        assert abs(got - expect) <= mp.mpf("1e-30") * abs(expect)
+
+    def test_gauss_sweep_at_unit(self):
+        rng = _rng(353)
+        drawn = 0
+        while drawn < 100:
+            a, b, c = (mp.mpf(rng.uniform(-2, 3)) for _ in range(3))
+            if c - a - b < 0.05 or (c < 0.5 and abs(c - mp.nint(c)) < 1e-3):
+                continue
+            drawn += 1
+            expect = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+            got = pfq([a, b], [c], 1)
+            assert abs(got - expect) <= mp.mpf("1e-30") * max(1, abs(expect)), (a, b, c)
+
+
+class TestCancellation:
+    def test_exponential_series_keeps_its_digits(self):
+        # 1F1(1; 2; x) = (1 - e^x) / (-x): terms near 1e16 cancel to 1/40
+        for x in (-40, -60):
+            expect = (1 - mp.exp(x)) / (-x)
+            got = pfq([1], [2], x)
+            assert abs(got - expect) <= mp.mpf("1e-30") * abs(expect), x
+
+    def test_terms_beyond_double_range_of_the_tolerance(self):
+        # at 320 digits a term of 1e16 is past 2^1024 units of the tolerance
+        set_precision(320)
+        expect = (1 - mp.exp(-40)) / 40
+        assert abs(pfq([1], [2], -40) - expect) <= mp.mpf(10) ** -310 * expect
+
+    @pytest.mark.parametrize(
+        "num, den, x, tol",
+        [
+            # t_6 of 1F1(1; 2; 1e-8) is near 1e-49, below the fixed-point
+            # resolution at 40 digits two terms before the tail test starts
+            ([1], [2], mp.mpf("1e-8"), None),
+            ([cplx(0.3, 0.2), cplx(-1.4, 0.5)], [cplx(2.6, -0.3)], cplx("1e-12", "-3e-13"), None),
+            # at tol = 1e-20 the resolution is near 1e-35, reached by t_7
+            ([0.5, 1.5], [2.5], mp.mpf("1e-5"), mp.mpf("1e-20")),
+        ],
+    )
+    def test_terms_below_resolution_early(self, num, den, x, tol):
+        result = eval_pfq(_fun(num, den), x, tol)
+        with mp.workdps(60):
+            expect = mp.hyper(num, den, x)
+        assert abs(result.value - expect) <= (tol or mp.mpf("1e-38")) * abs(expect)
+        assert result.terms_used <= 12
+
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    def test_matches_mpmath_hyper(self, digits):
+        set_precision(digits)
+        rng = _rng(359 + digits)
+        for q in (2, 3, 4):
+            for radius in (0.3, 0.7, 0.95):
+                num = [_rc(rng) for _ in range(q + 1)]
+                den = [_rc(rng) + 2 for _ in range(q)]
+                x = radius * mp.expjpi(2 * mp.mpf(rng.random()))
+                got = pfq(num, den, x)
+                with mp.workdps(digits + 20):
+                    expect = mp.hyper(num, den, x)
+                assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
+
+
+class TestEvalPfqMany:
+    def _assert_pointwise(self, fun, xs):
+        results = eval_pfq_many(fun, xs)
+        assert len(results) == len(xs)
+        for x, result in zip(xs, results):
+            single = eval_pfq(fun, x)
+            assert result.terms_used == single.terms_used
+            scale = max(1, abs(single.value))
+            assert abs(result.value - single.value) <= mp.mpf("1e-36") * scale
+
+    def test_mixed_points_match_pointwise(self):
+        fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5), 1.7], [cplx(2.6, -0.3), 2.2])
+        xs = [0, cplx(0.3, 0.1), 1, mp.mpf("-0.9"), cplx(0, "0.45"), 0]
+        self._assert_pointwise(fun, xs)
+
+    def test_terminating_function_matches_pointwise(self):
+        fun = _fun([-4, cplx(0.5, 0.3), 1.2], [cplx(1.5, 0.2), 2])
+        self._assert_pointwise(fun, [0, 1, cplx(0.4, 0.2), 2.5, -3])
+
+    def test_empty(self):
+        assert eval_pfq_many(_fun([0.5, 0.7], [1.3]), []) == []
+
+    def test_raises_what_pointwise_raises_first(self):
+        fun = _fun([0.5, 0.5], [2])
+        with pytest.raises(DivergentSeriesError):
+            eval_pfq_many(fun, [0.3, 1.2, -1])
+        with pytest.raises(SlowConvergenceError):
+            eval_pfq_many(fun, [0.3, -1, 1.2])
+        with pytest.raises(SlowConvergenceError):
+            eval_pfq_many(fun, [cplx(0, 1)])
 
 
 class TestPrefactor:

@@ -144,6 +144,14 @@ class TestRunSuite:
         assert report60.exit_code == 0
         assert report60.cases[0].max_residual <= max(res40, mp.mpf("1e-40"))
 
+    @pytest.mark.parametrize("digits", [60, 100])
+    def test_precision_scaling(self, digits):
+        # the oracle's guard bits must keep up with the context
+        set_precision(digits)
+        report = run_suite(ids=["MP1", "VEC_EQ28", "THM5_SECOND"], count=2)
+        assert report.exit_code == 0
+        assert report.n_skipped == 0
+
 
 class TestParseComplex:
     def test_plain_real(self):
@@ -223,6 +231,33 @@ class TestCli:
         root = cplx(mp.mpf(doc["roots"][0][0]), mp.mpf(doc["roots"][0][1]))
         f1, b, c = mp.mpf("1.5"), mp.mpf("0.4"), mp.mpf("2.3")
         assert abs(root - f1 * (c - b - 1) / (f1 - b)) < mp.mpf("1e-28")
+
+    @pytest.mark.parametrize("m", [[1.9], [True], ["2"]])
+    def test_charpoly_rejects_nonintegral_multiplicities(self, m, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"b": "0.4", "c": "2.3", "f": ["1.5"], "m": m}))
+        code = cli_dispatch(["charpoly", "--which", "Q", "--params", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'m'" in err
+
+    def test_charpoly_accepts_integral_floats(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"b": "0.4", "c": "2.3", "f": ["1.5"], "m": [2.0]}))
+        code = cli_dispatch(["charpoly", "--which", "Q", "--params", str(path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == 2
+
+    @pytest.mark.parametrize("p, code", [(2, 0), (2.0, 0), (1.5, 2), (True, 2), ("2", 2)])
+    def test_transform_reads_integral_p(self, p, code, tmp_path, capsys):
+        params = {"a": "0.7", "b": "0.4", "f": ["1.5"], "m": [2], "p": p}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        got = cli_dispatch(["transform", "--theorem", "THM4_EQ29", "--params", str(path)])
+        err = capsys.readouterr().err
+        assert got == code
+        if code:
+            assert "'p'" in err
 
     def test_transform_value_matches_library(self, tmp_path, capsys):
         params = {"a": "0.7", "b": "0.4", "c": "2.3", "f": ["1.5"], "m": [2]}
