@@ -151,21 +151,28 @@ class CPoly:
         return f"CPoly(degree={self.degree})"
 
 
-def rising_basis(k: int) -> CPoly:
-    """(t)_k = t(t+1)...(t+k-1) as a polynomial in t."""
-    poly = CPoly([mp.mpc(1)], trim=False)
-    for j in range(k):
-        poly = poly * CPoly([mp.mpc(j), mp.mpc(1)], trim=False)
-    return poly
+def _products(factors) -> list:
+    """Running products [1, l_0, l_0 l_1, ...] of the linear polynomials
+    l_j(t) = u_j + v_j t, given as pairs (u_j, v_j)."""
+    out = [CPoly([mp.mpc(1)], trim=False)]
+    for u, v in factors:
+        out.append(out[-1] * CPoly([u, v], trim=False))
+    return out
 
 
-def shifted_reversed_basis(c0: ComplexLike, n: int) -> CPoly:
-    """(c0 - t)_n = (c0-t)(c0-t+1)...(c0-t+n-1) as a polynomial in t."""
-    c0 = cplx(c0)
-    poly = CPoly([mp.mpc(1)], trim=False)
-    for j in range(n):
-        poly = poly * CPoly([c0 + j, mp.mpc(-1)], trim=False)
-    return poly
+def _split_basis(c0: ComplexValue, n: int) -> list:
+    """(t)_k (c0 - t)_{n-k} for k = 0..n: the basis of Q, P-hat and L."""
+    rising = _products((j, 1) for j in range(n))
+    rev = _products((c0 + j, -1) for j in range(n))
+    return [rising[k] * rev[n - k] for k in range(n + 1)]
+
+
+def _weighted_sum(weights, basis) -> CPoly:
+    """sum_k weights[k] * basis[k]."""
+    out = CPoly([mp.mpc(0)], trim=False)
+    for w, poly in zip(weights, basis):
+        out = out + w * poly
+    return CPoly(out.coeffs)
 
 
 @dataclass
@@ -280,11 +287,8 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     if norm == 0:
         raise DegenerateCaseError("(c-b-m)_m = 0: degenerate regime")
     if route == "eq5":
-        out = CPoly([mp.mpc(0)], trim=False)
-        for k in range(mt + 1):
-            weight = pochhammer(b, k) * coeff_C(k, f, m) / norm
-            out = out + weight * (rising_basis(k) * shifted_reversed_basis(c - b - mt, mt - k))
-        return CPoly(out.coeffs)
+        weights = [pochhammer(b, k) * coeff_C(k, f, m) / norm for k in range(mt + 1)]
+        return _weighted_sum(weights, _split_basis(c - b - mt, mt))
     if route == "eq7":
         fmvals = [
             terminating_pfq(list(f.shifted_by(m)) + [mp.mpc(-k)], list(f), k)
@@ -346,13 +350,12 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     norm = pochhammer(c - b - mt, mt)
     if norm == 0:
         raise DegenerateCaseError("(c-b-m)_m = 0: degenerate regime")
-    out = CPoly([mp.mpc(0)], trim=False)
-    for k in range(mt + 1):
-        weight = (
-            pochhammer(b, k) * pochhammer(1 - c + b, k) * coeff_D(k, f, m, b) / norm
-        )
-        out = out + weight * shifted_reversed_basis(c - b - mt, mt - k)
-    return CPoly(out.coeffs)
+    weights = [
+        pochhammer(b, k) * pochhammer(1 - c + b, k) * coeff_D(k, f, m, b) / norm
+        for k in range(mt + 1)
+    ]
+    # basis (c-b-m-t)_{m-k}, k = 0..m
+    return _weighted_sum(weights, _products((c - b - mt + j, -1) for j in range(mt))[::-1])
 
 
 def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -396,10 +399,7 @@ def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
                 (alpha + k + s) * (beta + k + s) * (s + 1)
             )
             rise[k + s + 1] += weight * term
-    out = CPoly([mp.mpc(0)], trim=False)
-    for j, cj in enumerate(rise):
-        out = out + cj * rising_basis(j)
-    return CPoly(out.coeffs)
+    return _weighted_sum(rise, _products((j, 1) for j in range(n)))
 
 
 def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -415,23 +415,16 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     norm = pochhammer(c - a - mt, mt)
     if norm == 0 or pochhammer(c - b - mt, mt) == 0:
         raise DegenerateCaseError("(c-a-m)_m or (c-b-m)_m vanishes")
-    out = CPoly([mp.mpc(0)], trim=False)
     fm_shift = list(f.shifted_by(m))
-    for k in range(mt + 1):
-        hyp = terminating_pfq(
-            [mp.mpc(-k), b] + fm_shift, [b + mt - k + 1] + list(f), k
-        )
-        weight = (
-            (-1) ** k
-            * pochhammer(a, k)
-            * pochhammer(-b - mt, k)
-            * hyp
-            / (norm * pochhammer(c - b - mt, k) * mp.factorial(k))
-        )
-        out = out + weight * (
-            rising_basis(k) * shifted_reversed_basis(c - a - mt, mt - k)
-        )
-    return CPoly(out.coeffs)
+    weights = [
+        (-1) ** k
+        * pochhammer(a, k)
+        * pochhammer(-b - mt, k)
+        * terminating_pfq([mp.mpc(-k), b] + fm_shift, [b + mt - k + 1] + list(f), k)
+        / (norm * pochhammer(c - b - mt, k) * mp.factorial(k))
+        for k in range(mt + 1)
+    ]
+    return _weighted_sum(weights, _split_basis(c - a - mt, mt))
 
 
 def _gamma_or_pole(z: ComplexValue, context: str) -> ComplexValue:
@@ -465,7 +458,7 @@ def build_T(
         if a is None:
             raise ValueError("variant Tstar requires the parameter a")
         a = cplx(a)
-    out = CPoly([mp.mpc(0)], trim=False)
+    weights, basis = [], []
     for q in range(1, p + 1):
         weight = (
             (-1) ** (q - 1)
@@ -473,15 +466,13 @@ def build_T(
             * _gamma_or_pole(b + q - 1, "T build")
             / (mp.factorial(q - 1) * mp.factorial(p - q))
         )
-        term = CPoly([mp.mpc(1)], trim=False)
-        for j in range(p - q):
-            term = term * CPoly([b + q + j, mp.mpc(1)], trim=False)
+        factors = [(b + q + j, 1) for j in range(p - q)]
         if variant == "Tstar":
             weight /= _gamma_or_pole(b + q - a, "Tstar build")
-            for j in range(q - 1):
-                term = term * CPoly([b + 1 - a + j, mp.mpc(1)], trim=False)
-        out = out + weight * term
-    result = CPoly(out.coeffs)
+            factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
+        weights.append(weight)
+        basis.append(_products(factors)[-1])
+    result = _weighted_sum(weights, basis)
     if result.is_zero:
         raise DegenerateCaseError("characteristic polynomial is identically zero")
     return result
@@ -513,13 +504,8 @@ def build_L(
         raise DegenerateCaseError("(e-d-m+1)_{m-1} = 0")
     yk = [coeff_Y(k, b, f, m) for k in range(mt)]
     if variant == "L":
-        out = CPoly([mp.mpc(0)], trim=False)
-        for k in range(mt):
-            weight = pochhammer(d, k) * yk[k]
-            out = out + weight * (
-                rising_basis(k) * shifted_reversed_basis(e - d - mt + 1, mt - 1 - k)
-            )
-        result = CPoly(out.coeffs)
+        weights = [pochhammer(d, k) * yk[k] for k in range(mt)]
+        result = _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
     elif variant == "Lhat":
         if pochhammer(e - a - mt + 1, mt - 1) == 0:
             raise DegenerateCaseError("(e-a-m+1)_{m-1} = 0")

@@ -24,7 +24,7 @@ from . import verify as verify_mod
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots, w_poly
 from .errors import IpdHypError
 from .hypeval import HypFunction, eval_pfq
-from .kernel import ComplexValue, IntVector, ParamVector, cplx, set_precision
+from .kernel import MIN_DIGITS, ComplexValue, IntVector, ParamVector, cplx, set_precision
 from .transforms import HypExpression
 
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
@@ -316,10 +316,14 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     digits = args.digits
-    if digits is None:
-        env = os.environ.get("IPDHYP_DIGITS")
-        digits = int(env) if env else None
     try:
+        env = os.environ.get("IPDHYP_DIGITS")
+        if digits is None and env:
+            if not re.fullmatch(r"\s*[+-]?\d+\s*", env) or int(env) < MIN_DIGITS:
+                raise ValueError(
+                    f"IPDHYP_DIGITS must be an integer >= {MIN_DIGITS}, got {env!r}"
+                )
+            digits = int(env)
         if digits is not None:
             set_precision(digits)
         return args.func(args)

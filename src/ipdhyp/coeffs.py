@@ -117,6 +117,14 @@ class NorlundArgs:
         return NorlundArgs(self.a + alpha, self.b + alpha)
 
 
+def _stirling_sum(seq: list, k: int) -> ComplexValue:
+    """sum_{j>=k} seq_j S(j, k), S the Stirling numbers of the second kind."""
+    total = mp.mpc(0)
+    for j in range(k, len(seq)):
+        total += seq[j] * stirling2(j, k)
+    return total
+
+
 def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
     """C_{k,r}(f, m) for 0 <= k <= m_total.
 
@@ -138,11 +146,7 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
         fm = pochhammer_vec(f, m)
         if fm == 0:
             raise ZeroDenominatorError("(f)_m = 0")
-        sigma = genfunc_coeffs(f, m)
-        total = mp.mpc(0)
-        for j in range(k, mt + 1):
-            total += sigma[j] * stirling2(j, k)
-        return total / fm
+        return _stirling_sum(genfunc_coeffs(f, m), k) / fm
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -168,11 +172,7 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
         val = terminating_pfq(num, den, k)
         return (-1) ** k * fbm * val / mp.factorial(k)
     if route == "stirling":
-        alpha = genfunc_coeffs(f, m, shift=b, sign=-1)
-        total = mp.mpc(0)
-        for j in range(k, mt + 1):
-            total += alpha[j] * stirling2(j, k)
-        return total
+        return _stirling_sum(genfunc_coeffs(f, m, shift=b, sign=-1), k)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -232,11 +232,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
         sgn = (-1) ** l
         return sgn * val / mp.factorial(l) - sgn * fbm / (pochhammer(b + 1, l) * fm)
     if route == "stirling":
-        delta = w_poly_coeffs(b, f, m)
-        total = mp.mpc(0)
-        for kk in range(l, mt):
-            total += delta[kk] * stirling2(kk, l)
-        return total
+        return _stirling_sum(w_poly_coeffs(b, f, m), l)
     if route == "norlund":
         a_vec = ParamVector([-fi for fi in f])
         b_vec = ParamVector([-fi - mi for fi, mi in zip(f, m)] + [mp.mpc(l)])

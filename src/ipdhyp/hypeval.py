@@ -329,9 +329,6 @@ def _sum_geometric(fun: HypFunction, xs: Sequence[ComplexValue], tol: mp.mpf) ->
     needed.  A point's guard history depends on that point alone, so a
     point gives the same bits alone or in a batch.
     """
-    tol = mp.mpf(tol)
-    if not tol > 0:
-        raise ValueError("series tolerance must be positive")
     results = [None] * len(xs)
     todo = {FIRST_GUARD_BITS: list(range(len(xs)))}
     while todo:
@@ -404,13 +401,18 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
             pden = _poly_mul(pden, [mp.mpc(1), v])
         r = _series_div(pnum, pden, length)
         A = 1 / (sigma - 1)
-        # rows H_k from G_k = r * (u/(1+u))^k: H_k[j] = -G_k[k+1+j]
+        # rows H_k from G_k = r * (u/(1+u))^k: H_k[j] = -G_k[k+1+j]; the
+        # coefficients of G_k/(1+u) are the running differences g - acc
         rows = []
         G = list(r)
         for k in range(order + 1):
             rows.append([-G[k + 1 + j] for j in range(length - k - 1)])
-            G = _series_div(G, [mp.mpc(1), mp.mpc(1)], length)
-            G = [mp.mpc(0)] + G[:-1]
+            acc = mp.mpc(0)
+            shifted = [acc]
+            for g in G[:-1]:
+                acc = g - acc
+                shifted.append(acc)
+            G = shifted
         b_coef = [mp.mpc(0)] * (order + 1)
         for m in range(1, order + 2):
             acc = A * ((r[m + 1] if m + 1 < length else mp.mpc(0)) + r[m])
@@ -524,8 +526,9 @@ def eval_pfq_many(
     raises first.
     """
     xs = [cplx(x) for x in xs]
-    if tol is None:
-        tol = default_series_tolerance()
+    tol = default_series_tolerance() if tol is None else mp.mpf(tol)
+    if not tol > 0:
+        raise ValueError("series tolerance must be positive")
     n_terminal = fun.terminal_index()
     _check_denominator_poles(fun, n_terminal)
     regimes, failure = [], None

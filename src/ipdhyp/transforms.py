@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .charpoly import POLE_RISK_TOL, RootSet, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
+from .charpoly import POLE_RISK_TOL, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
 from .coeffs import IpdSpec, coeff_D, coeff_Y
 from .errors import (
     DegenerateCaseError,
@@ -141,14 +141,18 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
     return HypFunction(ParamVector(num), ParamVector(den))
 
 
-def _root_pair_params(roots: RootSet, what: str, negate: bool = False):
-    """Top/bottom parameter lists (rho+1; rho), optionally with rho = -root.
+def _collapsed(num, den, poly, what: str, root_seed: int, negate: bool = False) -> HypFunction:
+    """HypFunction(num + (rho+1); den + rho), rho the roots of ``poly``.
 
+    With ``negate`` rho = -root; with no ``poly`` there are no pairs.
     Warns (RootWarning) when a bottom parameter rho lies at a nonpositive
     integer, where the series is ill-defined unless it terminates first.
     """
-    vals = [-r for r in roots.roots] if negate else list(roots.roots)
-    bad = [mp.nstr(v, 8) for v in vals if near_nonpositive_integer(v, POLE_RISK_TOL)]
+    rho = []
+    if poly is not None:
+        roots = find_roots(poly, seed=root_seed).roots
+        rho = [-r for r in roots] if negate else list(roots)
+    bad = [mp.nstr(v, 8) for v in rho if near_nonpositive_integer(v, POLE_RISK_TOL)]
     if bad:
         warnings.warn(
             f"{what} has shifted parameters at nonpositive integers: {bad}; "
@@ -156,7 +160,7 @@ def _root_pair_params(roots: RootSet, what: str, negate: bool = False):
             RootWarning,
             stacklevel=3,
         )
-    return [v + 1 for v in vals], vals
+    return HypFunction(ParamVector(num + [v + 1 for v in rho]), ParamVector(den + rho))
 
 
 def apply_mp1(spec: IpdSpec, route: str = "paperQ", root_seed: int = 0) -> HypExpression:
@@ -177,14 +181,8 @@ def apply_mp1(spec: IpdSpec, route: str = "paperQ", root_seed: int = 0) -> HypEx
         poly = build_P(b, c, spec.f, spec.m)
     else:
         raise ValueError(f"unknown route {route!r}")
-    roots = find_roots(poly, seed=root_seed)
-    top, bottom = _root_pair_params(roots, "first transformation")
-    fun = HypFunction(
-        ParamVector([a, c - b - mt] + top), ParamVector([c] + bottom)
-    )
-    return HypExpression(
-        [HypTerm(mp.mpc(1), 0, -a, ARG_MOBIUS, fun)]
-    )
+    fun = _collapsed([a, c - b - mt], [c], poly, "first transformation", root_seed)
+    return HypExpression([HypTerm(mp.mpc(1), 0, -a, ARG_MOBIUS, fun)])
 
 
 def apply_mp2(spec: IpdSpec, route: str = "paperQhat", root_seed: int = 0) -> HypExpression:
@@ -206,14 +204,10 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat", root_seed: int = 0) -> Hy
         poly = build_Phat(a, b, c, spec.f, spec.m)
     else:
         raise ValueError(f"unknown route {route!r}")
-    roots = find_roots(poly, seed=root_seed)
-    top, bottom = _root_pair_params(roots, "second transformation")
-    fun = HypFunction(
-        ParamVector([c - a - mt, c - b - mt] + top), ParamVector([c] + bottom)
+    fun = _collapsed(
+        [c - a - mt, c - b - mt], [c], poly, "second transformation", root_seed
     )
-    return HypExpression(
-        [HypTerm(mp.mpc(1), 0, c - a - b - mt, ARG_IDENTITY, fun)]
-    )
+    return HypExpression([HypTerm(mp.mpc(1), 0, c - a - b - mt, ARG_IDENTITY, fun)])
 
 
 def expand_to_gauss(spec: IpdSpec) -> HypExpression:
@@ -262,33 +256,17 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     fm = pochhammer_vec(spec.f, spec.m)
     if fm == 0:
         raise ZeroDenominatorError("(f)_m = 0")
-    fbm = pochhammer_vec(spec.f - b, spec.m)
     if variant == "eq19":
-        gauss = HypTerm(
-            fbm / fm,
-            0,
-            -a,
-            ARG_MOBIUS,
-            HypFunction(ParamVector([mp.mpc(1), a]), ParamVector([b + 1])),
-        )
+        mu, arg, num = -a, ARG_MOBIUS, [mp.mpc(1), a]
     elif variant == "eq20":
-        gauss = HypTerm(
-            fbm / fm,
-            0,
-            1 - a,
-            ARG_IDENTITY,
-            HypFunction(ParamVector([mp.mpc(1), b + 1 - a]), ParamVector([b + 1])),
-        )
+        mu, arg, num = 1 - a, ARG_IDENTITY, [mp.mpc(1), b + 1 - a]
     elif variant == "eq26":
-        gauss = HypTerm(
-            fbm / fm,
-            0,
-            mp.mpc(0),
-            ARG_IDENTITY,
-            HypFunction(ParamVector([a, b]), ParamVector([b + 1])),
-        )
+        mu, arg, num = mp.mpc(0), ARG_IDENTITY, [a, b]
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    fbm = pochhammer_vec(spec.f - b, spec.m)
+    fun = HypFunction(ParamVector(num), ParamVector([b + 1]))
+    gauss = HypTerm(fbm / fm, 0, mu, arg, fun)
     return HypExpression([gauss] + _algebraic_tail(a, b, spec.f, spec.m, mp.mpc(1)))
 
 
@@ -331,12 +309,10 @@ def apply_degenerate_p(
         mu = 1 - a
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if p > 1:
-        roots = find_roots(poly, seed=root_seed)
-        top, bottom = _root_pair_params(roots, "degenerate transformation", negate=True)
-    else:
-        top, bottom = [], []
-    fun = HypFunction(ParamVector(head_num + top), ParamVector([b + p] + bottom))
+    fun = _collapsed(
+        head_num, [b + p], poly if p > 1 else None, "degenerate transformation",
+        root_seed, negate=True,
+    )
     terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
     for q in range(1, p + 1):
@@ -439,34 +415,19 @@ def apply_two_free(
         ARG_IDENTITY,
         HypFunction(ParamVector([a, d, b]), ParamVector([e, b + 1])),
     )
-    weight = (fm - fbm) / fm
     if variant == "first":
-        if mt > 1:
-            poly = build_L(a, d, e, b, f, m, variant="L")
-            roots = find_roots(poly, seed=root_seed)
-            top, bottom = _root_pair_params(roots, "two-free-parameter transformation")
-        else:
-            top, bottom = [], []
-        fun = HypFunction(
-            ParamVector([a, e - d - mt + 1] + top), ParamVector([e] + bottom)
-        )
-        tail = HypTerm(weight, 0, -a, ARG_MOBIUS, fun)
+        num, mu, arg, which = [a, e - d - mt + 1], -a, ARG_MOBIUS, "L"
     elif variant == "second":
         if pochhammer(1 + a + d - e, mt - 1) == 0:
             raise DegenerateCaseError("(1+a+d-e)_{m-1} = 0")
-        if mt > 1:
-            poly = build_L(a, d, e, b, f, m, variant="Lhat")
-            roots = find_roots(poly, seed=root_seed)
-            top, bottom = _root_pair_params(roots, "two-free-parameter transformation")
-        else:
-            top, bottom = [], []
-        fun = HypFunction(
-            ParamVector([e - a - mt + 1, e - d - mt + 1] + top),
-            ParamVector([e] + bottom),
+        num, mu, arg, which = (
+            [e - a - mt + 1, e - d - mt + 1], e - a - d - mt + 1, ARG_IDENTITY, "Lhat"
         )
-        tail = HypTerm(weight, 0, e - a - d - mt + 1, ARG_IDENTITY, fun)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    poly = build_L(a, d, e, b, f, m, variant=which) if mt > 1 else None
+    fun = _collapsed(num, [e], poly, "two-free-parameter transformation", root_seed)
+    tail = HypTerm((fm - fbm) / fm, 0, mu, arg, fun)
     return HypExpression([head, tail])
 
 

@@ -34,7 +34,7 @@ import mpmath as mp
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots
 from .coeffs import IpdSpec
 from .errors import IpdHypError, RejectionExhaustedError, RootWarning
-from .hypeval import HypFunction, eval_pfq, eval_pfq_many
+from .hypeval import eval_pfq, eval_pfq_many
 from .kernel import (
     ComplexValue,
     IntVector,
@@ -439,7 +439,7 @@ def _check_lemma3(case: IdentityCase) -> tuple:
                     * pochhammer(alpha - mt, mt)
                     / (pochhammer(-mt, i) * pochhammer(alpha - mt, k))
                 )
-                worst = max(worst, abs(lhs - rhs) / max(1, abs(rhs)))
+                worst = max(worst, _relative(rhs, lhs))
                 n_checked += 1
     return worst, n_checked
 
@@ -485,7 +485,7 @@ def _check_lemma4(case: IdentityCase) -> tuple:
                 [mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k
             )
             rhs = pochhammer(-b - mt, k) / pochhammer(-mt, k) * outer
-            worst = max(worst, abs(lhs - rhs) / max(1, abs(rhs)))
+            worst = max(worst, _relative(rhs, lhs))
             n_checked += 1
     return worst, n_checked
 
@@ -503,21 +503,20 @@ def _sample_minton(rng: random.Random, index: int) -> dict:
     return {"b": b, "f": f, "m": m, "k": k}
 
 
+def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> tuple:
+    """The c = b+1 IPD function with top parameter a, summed at x = 1,
+    against the Gauss value times (f-b)_m/(f)_m."""
+    b, f, m = p["b"], p["f"], p["m"]
+    fun = ipd_function(IpdSpec(b=b, f=f, m=m, a=a), c=b + 1)
+    lhs = eval_pfq(fun, 1, _series_tol()).value
+    rhs = gauss * pochhammer_vec(f - b, m) / pochhammer_vec(f, m)
+    return _relative(lhs, rhs), 1
+
+
 def _check_minton(case: IdentityCase) -> tuple:
     p = case.params
-    b, f, m, k = p["b"], p["f"], p["m"], p["k"]
-    fun = HypFunction(
-        ParamVector([mp.mpc(-k), b] + list(f.shifted_by(m))),
-        ParamVector([b + 1] + list(f)),
-    )
-    lhs = eval_pfq(fun, 1, _series_tol()).value
-    rhs = (
-        mp.factorial(k)
-        / pochhammer(b + 1, k)
-        * pochhammer_vec(f - b, m)
-        / pochhammer_vec(f, m)
-    )
-    return _relative(lhs, rhs), 1
+    k = p["k"]
+    return _unit_check(p, mp.mpc(-k), mp.factorial(k) / pochhammer(p["b"] + 1, k))
 
 
 def _sample_karlsson(rng: random.Random, index: int) -> dict:
@@ -539,20 +538,8 @@ def _sample_karlsson(rng: random.Random, index: int) -> dict:
 
 def _check_karlsson(case: IdentityCase) -> tuple:
     p = case.params
-    a, b, f, m = p["a"], p["b"], p["f"], p["m"]
-    fun = HypFunction(
-        ParamVector([a, b] + list(f.shifted_by(m))),
-        ParamVector([b + 1] + list(f)),
-    )
-    lhs = eval_pfq(fun, 1, _series_tol()).value
-    rhs = (
-        gamma(b + 1)
-        * gamma(1 - a)
-        / gamma(b + 1 - a)
-        * pochhammer_vec(f - b, m)
-        / pochhammer_vec(f, m)
-    )
-    return _relative(lhs, rhs), 1
+    a, b = p["a"], p["b"]
+    return _unit_check(p, a, gamma(b + 1) * gamma(1 - a) / gamma(b + 1 - a))
 
 
 def _sample_cor3(rng: random.Random, index: int) -> dict:
@@ -579,7 +566,16 @@ def _check_cor3(case: IdentityCase) -> tuple:
     lam_star = (b - a + 1) * ((b + 1) * fb - b * fb1) / ((b - a + 1) * fb - b * fb1)
     poly = build_T(b, 2, f, m, variant="Tstar", a=a)
     root = find_roots(poly).roots[0]
-    return abs(lam_star + root) / max(1, abs(lam_star)), 1
+    # the root keeps find_roots' guard digits; negating it would round them off
+    return _relative(-lam_star, root), 1
+
+
+def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> tuple:
+    """Closed-form roots lam and lam* against find_roots of the degree-1 L and L-hat."""
+    args = (p["a"], p["d"], p["e"], p["b"], p["f"], p["m"])
+    root = find_roots(build_L(*args, variant="L")).roots[0]
+    root_star = find_roots(build_L(*args, variant="Lhat")).roots[0]
+    return max(_relative(lam, root), _relative(lam_star, root_star)), 2
 
 
 def _sample_cor4(rng: random.Random, index: int) -> dict:
@@ -602,8 +598,8 @@ def _sample_cor4(rng: random.Random, index: int) -> dict:
 
 def _check_cor4(case: IdentityCase) -> tuple:
     p = case.params
-    a, d, e, b, f, m = p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]
-    f0 = f[0]
+    a, d, e, b = p["a"], p["d"], p["e"], p["b"]
+    f0 = p["f"][0]
     lam = (2 * f0 - b + 1) * (e - d - 1) / (2 * f0 - b - d + 1)
     lam_star = (
         (2 * f0 - b + 1)
@@ -611,13 +607,7 @@ def _check_cor4(case: IdentityCase) -> tuple:
         * (e - d - 1)
         / (a * d + (2 * f0 - b + 1) * (e - a - d - 1))
     )
-    root = find_roots(build_L(a, d, e, b, f, m, variant="L")).roots[0]
-    root_star = find_roots(build_L(a, d, e, b, f, m, variant="Lhat")).roots[0]
-    res = max(
-        abs(lam - root) / max(1, abs(lam)),
-        abs(lam_star - root_star) / max(1, abs(lam_star)),
-    )
-    return res, 2
+    return _single_roots(p, lam, lam_star)
 
 
 def _sample_cor5(rng: random.Random, index: int) -> dict:
@@ -638,17 +628,11 @@ def _sample_cor5(rng: random.Random, index: int) -> dict:
 
 def _check_cor5(case: IdentityCase) -> tuple:
     p = case.params
-    a, d, e, b, f, m = p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]
-    s = f[0] + f[1] - b
+    a, d, e, f = p["a"], p["d"], p["e"], p["f"]
+    s = f[0] + f[1] - p["b"]
     lam = s * (e - d - 1) / (s - d)
     lam_star = s * (e - a - 1) * (e - d - 1) / (a * d + s * (e - a - d - 1))
-    root = find_roots(build_L(a, d, e, b, f, m, variant="L")).roots[0]
-    root_star = find_roots(build_L(a, d, e, b, f, m, variant="Lhat")).roots[0]
-    res = max(
-        abs(lam - root) / max(1, abs(lam)),
-        abs(lam_star - root_star) / max(1, abs(lam_star)),
-    )
-    return res, 2
+    return _single_roots(p, lam, lam_star)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ipdhyp.charpoly import (
     find_roots,
     w_poly,
 )
+from ipdhyp.coeffs import coeff_Y
 from ipdhyp.errors import (
     DegenerateCaseError,
     GammaPoleError,
@@ -27,6 +28,7 @@ from ipdhyp.kernel import (
     gamma,
     pochhammer,
     pochhammer_vec,
+    terminating_pfq,
 )
 
 M_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
@@ -295,6 +297,35 @@ class TestBuildL:
         lam_star = s * (e - a - 1) * (e - d - 1) / (a * d + s * (e - a - d - 1))
         root_star = find_roots(build_L(a, d, e, b, f, m, variant="Lhat")).roots[0]
         assert abs(lam_star - root_star) <= mp.mpf("1e-28") * max(1, abs(lam_star))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_matches_defining_sum(self, shape):
+        # pointwise re-evaluation of the L and L-hat sums above degree 1
+        rng = _rng(277 + len(shape))
+        f, m = _sample(rng, shape)
+        a, d, e, b = (_rc(rng) for _ in range(4))
+        n = m.total - 1
+        y = [coeff_Y(k, b, f, m) for k in range(n + 1)]
+        alpha, beta, gam = e - a - n, e - d - n, e - a - d - n
+        low = build_L(a, d, e, b, f, m, variant="L")
+        hat = build_L(a, d, e, b, f, m, variant="Lhat")
+        assert low.degree == hat.degree == n
+        for t in (cplx(0.3, 0.7), cplx(-1.2, 0.1), cplx(2.0, -0.5)):
+            direct = mp.mpc(0)
+            direct_hat = mp.mpc(0)
+            for k in range(n + 1):
+                direct += pochhammer(d, k) * y[k] * pochhammer(t, k) * pochhammer(beta - t, n - k)
+                direct_hat += (
+                    (-1) ** k
+                    * y[k]
+                    * pochhammer(a, k)
+                    * pochhammer(d, k)
+                    / (pochhammer(alpha, k) * pochhammer(beta, k))
+                    * pochhammer(t, k)
+                    * terminating_pfq([k - n, gam, t + k], [alpha + k, beta + k], n - k)
+                )
+            assert abs(low(t) - direct) <= mp.mpf("1e-30") * max(1, abs(direct))
+            assert abs(hat(t) - direct_hat) <= mp.mpf("1e-30") * max(1, abs(direct_hat))
 
     def test_degenerate_condition(self):
         a, d, b = cplx(0.3), cplx(0.6), cplx(0.45)

@@ -184,6 +184,15 @@ class TestEvalPfq:
         with pytest.raises(SlowConvergenceError):
             eval_pfq_many(_fun([0.5, 0.7], [1.3]), [0.3, 0.995])
 
+    @pytest.mark.parametrize(
+        "num, den, x",
+        [([0.5, 0.5], [2], 0.5), ([0.5, 0.5], [2], 1), ([-3, 0.5], [2], 0.5)],
+        ids=["geometric", "unit", "terminating"],
+    )
+    def test_tolerance_must_be_positive(self, num, den, x):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            pfq(num, den, x, tol=0)
+
     def test_unit_tail_retries_a_longer_head(self):
         # with the first head of 64 terms the tail expansion stops at
         # k = 11, where its terms rise again, short of the tolerance

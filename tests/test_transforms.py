@@ -109,8 +109,9 @@ class TestApplyMp1:
         # input function, which is exactly what the warning flags
         spec = IpdSpec(b=mp.mpf("0.5"), f=[mp.mpf(2)], m=[1], a=cplx(0.31, 0.1),
                        c=mp.mpf("0.75"))
-        with pytest.warns(RootWarning):
+        with pytest.warns(RootWarning) as caught:
             expr = apply_mp1(spec)
+        assert caught[0].filename == __file__
         x = mp.mpf("0.2")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

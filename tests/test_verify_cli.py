@@ -372,3 +372,10 @@ class TestCli:
         from ipdhyp.kernel import get_precision
 
         assert get_precision() == 48
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "8"])
+    def test_env_var_precision_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("IPDHYP_DIGITS", value)
+        code = cli_dispatch(["eval", "--num", "1", "--den", "2", "--x", "0.5"])
+        assert code == 2
+        assert "IPDHYP_DIGITS" in capsys.readouterr().err
