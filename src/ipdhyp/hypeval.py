@@ -4,43 +4,45 @@ Everything downstream is checked against this module, so it deliberately
 shares no code with the transformation engine: a pFq value is a truncated
 partial sum with term-ratio recursion, full stop.
 
-Three regimes:
+One term loop sums every series, in fixed point.  Parameters, points,
+terms and partial sums are complex integer mantissas scaled by 2^wp, with
+wp = max(prec, bits of tol) + guard and guard = 2 log2 N + 20 +
+log2 max|t_n| for N terms (a rise of the terms after a dip counts like
+growth).  The first pass assumes a guard; a point whose pass finds more
+terms or larger terms than assumed is summed again with the guard it
+needs, so cancellation among large terms costs no digits.  The term ratio
+prod(u+n) / (prod(v+n) (n+1)) is computed once per n and shared by every
+point summed together (:func:`eval_pfq_many`); each point then multiplies
+its term by the ratio and by its x.  A pass ends in one of two ways:
 
-* terminating series (a nonpositive-integer top parameter): summed exactly
-  to the terminal index, any argument.
-* |x| < 1 (or p <= q): geometric regime, summed in fixed point.
-  Parameters, points, terms and partial sums are complex integer
-  mantissas scaled by 2^wp, with wp = max(prec, bits of tol) + guard and
-  guard = 2 log2 N + 20 + log2 max|t_n| for N terms (a rise of the terms
-  after a dip counts like growth).  The first pass assumes a guard; a
-  point whose pass finds more terms or larger terms than assumed is
-  summed again with the guard it needs, so cancellation among large
-  terms costs no digits.  The term ratio prod(u+n) / (prod(v+n) (n+1)) is
-  computed once per n and shared by every point summed together
-  (:func:`eval_pfq_many`); each point then multiplies its term by the
-  ratio and by its x.  A point stops once the tail estimate
-  2 |t_n| qhat / (1 - qhat), with qhat the backward term ratio (floored
-  at |x| for p = q+1), is at most tol * max(1, |S|) twice in a row, at
-  n >= 8.  The rule reads magnitudes as doubles, the term's and the
-  ratio's rounded up and |S| rounded down, so it is never weaker than in
-  exact arithmetic.  qhat = |t_n / t_{n-1}| is taken from the shared
-  ratio times |x|, not from two rounded terms, so it stays valid when
-  the terms fall below the fixed-point resolution.  On |x| = 1 away from x = 1 the estimate never
-  falls below its tolerance, so such a p = q+1 series is refused at once
-  with SlowConvergenceError (after the DivergentSeriesError check on
-  sigma).
-* x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like
-  a power n^-sigma, so naive truncation cannot reach tight tolerances.
-  The partial sum over n < N is completed with the power-law tail
-  T(N) = sum_{n>=N} t_n, computed from the functional equation
-  T(N) = t_N + r(N) T(N+1) with r the exact rational term ratio: the
-  normalized tail T(N)/t_N is expanded as A*N + sum_k b_k N^-k, whose
-  coefficients follow from a triangular recursion on the series expansion
-  of r.  This is the p-series-style tail that makes the classical x = 1
-  summation identities verifiable at full precision.  The expansion is
-  summed until its terms start to grow; when its bound then misses tol,
-  the direct head N is doubled, up to UNIT_RETRIES times, before
-  SlowConvergenceError is raised.
+* a fixed stop k: the pass sums t_0 .. t_k, with no tail.  A terminating
+  series (top parameter -k) stops at its terminal index k, for any
+  argument; x = 0 stops at 0; the head of the x = 1 summation below stops
+  at N.
+* the tail test, for |x| < 1 (or p <= q): a point stops once the tail
+  estimate 2 |t_n| qhat / (1 - qhat), with qhat the backward term ratio
+  (floored at |x| for p = q+1), is at most tol * max(1, |S|) twice in a
+  row, at n >= 8.  The rule reads magnitudes as doubles, the term's and
+  the ratio's rounded up and |S| rounded down, so it is never weaker than
+  in exact arithmetic.  qhat = |t_n / t_{n-1}| is taken from the shared
+  ratio times |x|, not from two rounded terms, so it stays valid when the
+  terms fall below the fixed-point resolution.  On |x| = 1 away from
+  x = 1 the estimate never falls below its tolerance, so such a p = q+1
+  series is refused at once with SlowConvergenceError (after the
+  DivergentSeriesError check on sigma).
+
+x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like a
+power n^-sigma, so naive truncation cannot reach tight tolerances.  The
+partial sum over n < N, from a pass with a fixed stop at N that also gives
+t_N, is completed with the power-law tail T(N) = sum_{n>=N} t_n, computed
+from the functional equation T(N) = t_N + r(N) T(N+1) with r the exact
+rational term ratio: the normalized tail T(N)/t_N is expanded as
+A*N + sum_k b_k N^-k, whose coefficients follow from a triangular
+recursion on the series expansion of r.  This is the p-series-style tail
+that makes the classical x = 1 summation identities verifiable at full
+precision.  The expansion is summed until its terms start to grow; when
+its bound then misses tol, the direct head N is doubled and summed again,
+up to UNIT_RETRIES times, before SlowConvergenceError is raised.
 
 Prefactors (1-x)^mu use the principal logarithm and are continuous on the
 plane cut along [1, oo).
@@ -84,10 +86,13 @@ UNIT_TAIL_ORDER = 44
 #: Times the direct head at x = 1 is doubled when the tail misses tol.
 UNIT_RETRIES = 5
 
-#: Guard bits of the geometric regime beyond 2 log2 N + log2 max|t_n|.
+#: Stop of a point at x = 1, where the power-law tail completes the head.
+_UNIT = "unit"
+
+#: Guard bits of a pass beyond 2 log2 N + log2 max|t_n|.
 GUARD_EXTRA_BITS = 20
 
-#: Guard bits of the first geometric pass: room for 4095 terms up to 2^20.
+#: Guard bits of the first pass: room for 4095 terms up to 2^20.
 FIRST_GUARD_BITS = 64
 
 #: Factors that round a double up and down by more than its rounding error.
@@ -146,20 +151,6 @@ def _check_denominator_poles(fun: HypFunction, n_terminal: Optional[int]) -> Non
             )
 
 
-def _sum_terminating(fun: HypFunction, x: ComplexValue, k: int) -> EvalResult:
-    total = mp.mpc(1)
-    term = mp.mpc(1)
-    for n in range(k):
-        for u in fun.num:
-            term *= u + n
-        for v in fun.den:
-            term /= v + n
-        term *= x
-        term /= n + 1
-        total += term
-    return EvalResult(total, k + 1, mp.mpf(0))
-
-
 def _to_fixed(z: ComplexValue, wp: int) -> tuple:
     return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
@@ -171,13 +162,18 @@ def _ratio_maker(fun: HypFunction, wp: int):
     rounded to at least ``wp`` significant bits whatever its size, so a
     parameter close to a nonpositive integer costs no absolute accuracy.
     """
-    nums = [_to_fixed(u, wp) for u in fun.num]
-    dens = [_to_fixed(v, wp) for v in fun.den]
-    # the products carry 2^(p wp) and 2^(q wp); p <= q+1, so lift >= -wp
-    lift = (fun.q - fun.p) * wp
+    # parameters are scaled by 2^pw: a bottom one's part under 2^-prec keeps
+    # wp - prec bits there, so no nonzero v + n reads as a pole
+    low = min((exp + bc for v in fun.den for _, man, exp, bc in v._mpc_ if man), default=0)
+    pw = wp + max(0, -mp.mp.prec - low)
+    nums = [_to_fixed(u, pw) for u in fun.num]
+    dens = [_to_fixed(v, pw) for v in fun.den]
+    # the products carry 2^(p pw) and 2^(q pw); lift is below -wp for p > q+1,
+    # which only a terminating series reaches, or for pw > wp
+    lift = (fun.q - fun.p) * pw
 
     def ratio(n: int) -> tuple:
-        k = n << wp
+        k = n << pw
         nr, ni = 1, 0
         for ur, ui in nums:
             ur += k
@@ -190,13 +186,17 @@ def _ratio_maker(fun: HypFunction, wp: int):
         ar = nr * dr + ni * di
         ai = ni * dr - nr * di
         shift = wp + max(0, norm.bit_length() - max(abs(ar), abs(ai)).bit_length() - lift)
-        return (ar << (shift + lift)) // norm, (ai << (shift + lift)) // norm, shift
+        up = shift + lift
+        if up < 0:
+            norm <<= -up
+            return ar // norm, ai // norm, shift
+        return (ar << up) // norm, (ai << up) // norm, shift
 
     return ratio
 
 
 class _Point:
-    """One point's running state in a geometric pass."""
+    """One point's running state in a pass."""
 
     __slots__ = (
         "index", "xr", "xi", "absx", "tr", "ti", "sr", "si", "streak", "lo", "hi", "rise", "huge"
@@ -214,11 +214,12 @@ class _Point:
         self.huge = 0  # bits of a term magnitude too large for a double
 
 
-def _geometric_pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int) -> list:
-    """One fixed-point pass over the points ``xs``; see :func:`_sum_geometric`.
+def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[int]) -> list:
+    """One fixed-point pass over the points ``xs``; see :func:`_sum_series`.
 
-    Returns (EvalResult or None, guard bits the pass turned out to need)
-    per point; None means the point did not stop within TERM_CAP terms.
+    Returns (outcome, guard bits the pass turned out to need) per point.
+    The outcome is (EvalResult, last term summed), or None when the point
+    did not stop within TERM_CAP terms.
     """
     _, _, exp, bc = tol._mpf_
     tol_bits = max(0, 1 - exp - bc)  # 2^-tol_bits <= tol
@@ -236,7 +237,19 @@ def _geometric_pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int) -> list
     ratio = _ratio_maker(fun, wp)
     live = [_Point(index, x, wp) for index, x in enumerate(xs)]
     out = [(None, 0)] * len(xs)
-    for n in range(TERM_CAP):
+    first_test = 8 if stop is None else stop  # a fixed stop skips the tail test
+
+    def finish(pt: _Point, terms: int, tail: mp.mpf) -> None:
+        need = 2 * terms.bit_length() + GUARD_EXTRA_BITS + _growth_bits(
+            pt.hi, pt.rise, unit, pt.huge
+        )
+        value, term = (
+            mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
+            for re, im in ((pt.sr, pt.si), (pt.tr, pt.ti))
+        )
+        out[pt.index] = ((EvalResult(value, terms, tail), term), need)
+
+    for n in range(TERM_CAP if stop is None else stop):
         if not live:
             break
         rr, ri, rs = ratio(n)
@@ -264,7 +277,7 @@ def _geometric_pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int) -> list
             if mag > pt.hi:
                 pt.hi = mag
             passed = False
-            if n >= 8 and mag < math.inf:
+            if n >= first_test and mag < math.inf:
                 # for p = q+1 the limiting ratio is |x|, so the estimate
                 # never trusts a transient dip below it
                 qhat = rmag * pt.absx * _UP
@@ -280,24 +293,18 @@ def _geometric_pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int) -> list
                 continue
             pt.streak += 1
             if pt.streak == 2:
-                value = mp.make_mpc(
-                    (from_man_exp(pt.sr, -wp, prec, "n"), from_man_exp(pt.si, -wp, prec, "n"))
-                )
-                terms = n + 2
-                need = (
-                    2 * terms.bit_length()
-                    + GUARD_EXTRA_BITS
-                    + _growth_bits(pt.hi, pt.rise, unit, pt.huge)
-                )
-                out[pt.index] = (EvalResult(value, terms, mp.ldexp(mp.mpf(tail), -unit)), need)
+                finish(pt, n + 2, mp.ldexp(mp.mpf(tail), -unit))
         live = [pt for pt in live if pt.streak < 2]
+    if stop is not None:
+        for pt in live:
+            finish(pt, stop + 1, mp.mpf(0))
     return out
 
 
 def _growth_bits(hi: float, rise: float, unit: int, huge: int) -> int:
     """log2 of the largest term (at least 1) or rise after a dip, rounded up."""
     bits = [0, huge]
-    if hi < math.inf:
+    if 0 < hi < math.inf:  # hi = 0: no term after t_0 = 1 was summed
         bits += [math.ceil(math.log2(hi)) - unit, math.ceil(math.log2(rise))]
     return max(bits)
 
@@ -319,28 +326,30 @@ def _abs_down(re: int, im: int, drop: int, unit: float) -> float:
         return sys.float_info.max
 
 
-def _sum_geometric(fun: HypFunction, xs: Sequence[ComplexValue], tol: mp.mpf) -> list:
-    """Sum ``fun`` at every point of ``xs`` in fixed point; one result per point.
+def _sum_series(
+    fun: HypFunction, xs: Sequence[ComplexValue], tol: mp.mpf, stop: Optional[int] = None
+) -> list:
+    """Sum ``fun`` at every point of ``xs``; one (EvalResult, last term) per point.
 
-    A point's entry is None when its series did not meet ``tol`` within
-    TERM_CAP terms.  Each point is summed at wp = max(prec, bits of tol) +
-    guard bits; a pass that finds more terms, or larger terms, than its
-    guard assumed is repeated for those points with the guard it found
-    needed.  A point's guard history depends on that point alone, so a
-    point gives the same bits alone or in a batch.
+    With ``stop`` None each point ends at the tail test, and its entry is
+    None when the series did not meet ``tol`` within TERM_CAP terms; with a
+    ``stop`` every point sums t_0 .. t_stop and reports a zero tail.  A
+    point that needs more guard bits than its pass had is summed again with
+    them; its guard history depends on that point alone, so a point gives
+    the same bits alone or in a batch.
     """
-    results = [None] * len(xs)
+    outcomes = [None] * len(xs)
     todo = {FIRST_GUARD_BITS: list(range(len(xs)))}
     while todo:
         guard = min(todo)
         indices = todo.pop(guard)
-        outcomes = _geometric_pass(fun, [xs[i] for i in indices], tol, guard)
-        for index, (result, need) in zip(indices, outcomes):
+        found = _pass(fun, [xs[i] for i in indices], tol, guard, stop)
+        for index, (outcome, need) in zip(indices, found):
             if need > guard:
                 todo.setdefault(need, []).append(index)
             else:
-                results[index] = result
-    return results
+                outcomes[index] = outcome
+    return outcomes
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -376,8 +385,8 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     convergence requires Re(sigma) > 1.  The coefficient recursion is exact;
     only the evaluation of W at N is asymptotic, and it stops at the
     smallest term, which is reported inside the tail bound.  When that
-    bound misses ``tol``, the head is doubled, up to UNIT_RETRIES times:
-    the expansion in 1/N gains accuracy as N grows.
+    bound misses ``tol``, the head is doubled and summed again, up to
+    UNIT_RETRIES times: the expansion in 1/N gains accuracy as N grows.
     """
     sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
     if not sigma.real > 1:
@@ -421,18 +430,9 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
                 if j < len(rows[k]):
                     acc -= b_coef[k] * rows[k][j]
             b_coef[m - 1] = acc / (sigma + m - 1)
-        total = mp.mpc(0)
-        term = mp.mpc(1)
-        n = 0
         for _ in range(UNIT_RETRIES + 1):
-            while n < N:
-                total += term
-                for u in fun.num:
-                    term *= u + n
-                for v in fun.den:
-                    term /= v + n
-                term /= n + 1
-                n += 1
+            # the head S_N and its last term t_N, from n = 0 on every try
+            [(head, term)] = _sum_series(fun, [mp.mpc(1)], tol, N)
             # evaluate W(N), stopping at the smallest term of the expansion
             tail_norm = A * N
             npow = mp.mpf(1)
@@ -447,7 +447,7 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
                 npow /= N
                 if mag < tol * abs(tail_norm) / 10:
                     break
-            value = total + term * tail_norm
+            value = head.value + term * (tail_norm - 1)  # S_{N-1} + t_N W(N)
             bound = abs(term) * smallest + abs(value) * rounding_floor
             if bound <= tol * max(1, abs(value)):
                 break
@@ -459,12 +459,13 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     return EvalResult(mp.mpc(value), N, mp.mpf(bound))
 
 
-def _regime(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]) -> str:
-    """The summation that applies at x; raises where none converges usably."""
+def _stop(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]):
+    """Where the term loop stops at x: a fixed index, None for the tail test,
+    or _UNIT for the x = 1 tail; raises where no summation converges usably."""
     if x == 0:
-        return "zero"
+        return 0
     if n_terminal is not None:
-        return "terminating"
+        return n_terminal
     if fun.p > fun.q + 1:
         raise DivergentSeriesError(
             f"{fun.p}F{fun.q} does not converge for x != 0 unless terminating"
@@ -475,7 +476,7 @@ def _regime(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]) -> str
             raise DivergentSeriesError(f"|x| = {mp.nstr(absx, 8)} > 1")
         if absx == 1:
             if x == 1:
-                return "unit"
+                return _UNIT
             sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
             if not sigma.real > 1:
                 raise DivergentSeriesError(
@@ -485,15 +486,15 @@ def _regime(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]) -> str
                 "|x| = 1 with x != 1: the terms decay only like a power of n, "
                 "too slowly for direct summation"
             )
-    return "geometric"
+    return None
 
 
-def _converged(result: Optional[EvalResult]) -> EvalResult:
-    if result is None:
+def _converged(outcome: Optional[tuple]) -> EvalResult:
+    if outcome is None:
         raise SlowConvergenceError(
             f"series did not meet tolerance within {TERM_CAP} terms"
         )
-    return result
+    return outcome[0]
 
 
 def eval_pfq(
@@ -520,10 +521,10 @@ def eval_pfq_many(
 ) -> list:
     """:func:`eval_pfq` at every point of ``xs``, one EvalResult per point.
 
-    The geometric-regime points are summed together, sharing each term
-    ratio.  Each result equals ``eval_pfq(fun, x, tol)``, and the error
-    raised is the one that evaluating the points one at a time, in order,
-    raises first.
+    The points that stop alike (at the tail test, or at x = 0 or at the
+    terminal index) are summed together, sharing each term ratio.  Each
+    result equals ``eval_pfq(fun, x, tol)``, and the error raised is the
+    one that evaluating the points one at a time, in order, raises first.
     """
     xs = [cplx(x) for x in xs]
     tol = default_series_tolerance() if tol is None else mp.mpf(tol)
@@ -531,27 +532,24 @@ def eval_pfq_many(
         raise ValueError("series tolerance must be positive")
     n_terminal = fun.terminal_index()
     _check_denominator_poles(fun, n_terminal)
-    regimes, failure = [], None
+    stops, failure = [], None
     for x in xs:
         try:
-            regimes.append(_regime(fun, x, n_terminal))
+            stops.append(_stop(fun, x, n_terminal))
         except (DivergentSeriesError, SlowConvergenceError) as exc:
             failure = exc
             break
-    geometric = [i for i, regime in enumerate(regimes) if regime == "geometric"]
+    groups = {}
+    for index, stop in enumerate(stops):
+        if stop != _UNIT:
+            groups.setdefault(stop, []).append(index)
     sums = {}
-    if geometric:
-        sums = dict(zip(geometric, _sum_geometric(fun, [xs[i] for i in geometric], tol)))
-    results = []
-    for index, regime in enumerate(regimes):
-        if regime == "zero":
-            results.append(EvalResult(mp.mpc(1), 1, mp.mpf(0)))
-        elif regime == "terminating":
-            results.append(_sum_terminating(fun, xs[index], n_terminal))
-        elif regime == "unit":
-            results.append(_sum_at_unit(fun, tol))
-        else:
-            results.append(_converged(sums[index]))
+    for stop, indices in groups.items():
+        sums.update(zip(indices, _sum_series(fun, [xs[i] for i in indices], tol, stop)))
+    results = [
+        _sum_at_unit(fun, tol) if stop == _UNIT else _converged(sums[index])
+        for index, stop in enumerate(stops)
+    ]
     if failure is not None:
         raise failure
     return results

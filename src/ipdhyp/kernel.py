@@ -41,9 +41,13 @@ mp.mp.dps = DEFAULT_DIGITS
 def set_precision(digits: int) -> None:
     """Set the global precision context, in significant decimal digits.
 
-    The context never drops below 16 digits.
+    The context never drops below 16 digits.  ``digits`` must be a whole
+    number (40 or 40.0); a fraction or a bool raises ValueError.
     """
-    digits = int(digits)
+    value = mp.mpf(digits)
+    if isinstance(digits, bool) or not mp.isint(value):
+        raise ValueError(f"precision must be a whole number of digits, got {digits!r}")
+    digits = int(value)
     if digits < MIN_DIGITS:
         raise ValueError(f"precision below {MIN_DIGITS} digits is not supported: {digits}")
     mp.mp.dps = digits

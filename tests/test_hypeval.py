@@ -90,6 +90,26 @@ class TestEvalPfq:
             got = pfq([-n, b], [c], 1)
             expect = pochhammer(c - b, n) / pochhammer(c, n)
             assert abs(got - expect) <= mp.mpf("1e-33") * max(1, abs(expect))
+        # terms up to 7e27 cancel to |F| = 6e-14
+        n, b, c = 44, mp.mpf("31.5"), mp.mpf("1.25")
+        for digits in (40, 60, 100):
+            set_precision(digits)
+            got = pfq([-n, b], [c], 1)
+            expect = pochhammer(c - b, n) / pochhammer(c, n)
+            assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect)), digits
+
+    def test_saalschutz_sum(self):
+        # 3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n),
+        # here with terms up to 1e9 and |F| = 1.9e-5
+        n, a, b, c = 30, mp.mpf("12.5"), mp.mpf("-20.25"), mp.mpf("1.75")
+        for digits in (40, 60, 100):
+            set_precision(digits)
+            got = pfq([-n, a, b], [c, 1 + a + b - c - n], 1)
+            expect = (
+                pochhammer(c - a, n) * pochhammer(c - b, n)
+                / (pochhammer(c, n) * pochhammer(c - a - b, n))
+            )
+            assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect)), digits
 
     def test_gauss_summation_at_unit(self):
         rng = _rng(331)
@@ -261,6 +281,38 @@ class TestCancellation:
                 with mp.workdps(digits + 20):
                     expect = mp.hyper(num, den, x)
                 assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
+
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    @pytest.mark.parametrize(
+        "num, den, x",
+        [
+            ([-20, 1.5, 2.5], [], mp.mpf("-0.01")),
+            ([-12, cplx(0.5, 0.3), 1.7, -3.4], [2.2, cplx(-0.6, 0.1), 1.3], mp.mpf("2.5")),
+        ],
+        ids=["p-above-q-plus-one", "growing-terms"],
+    )
+    def test_terminating_matches_mpmath_hyper(self, num, den, x, digits):
+        set_precision(digits)
+        got = pfq(num, den, x)
+        with mp.workdps(digits + 20):
+            expect = mp.hyper(num, den, x)
+        assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            ([1], [mp.mpf("1e-300")]),
+            ([-2, 1], [mp.mpf("1e-300")]),
+            ([1, 0.5], [cplx(-3, "1e-300")]),
+            ([-6, 0.5], [cplx(-3, "1e-300")]),
+        ],
+    )
+    def test_bottom_parameter_below_resolution(self, num, den):
+        # v + n of size 1e-300 must not read as a pole in fixed point
+        got = pfq(num, den, mp.mpf("0.5"))
+        with mp.workdps(60):
+            expect = mp.hyper(num, den, mp.mpf("0.5"))
+        assert abs(got - expect) <= mp.mpf("1e-32") * abs(expect)
 
 
 class TestEvalPfqMany:

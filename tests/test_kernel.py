@@ -36,6 +36,16 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             set_precision(12)
 
+    @pytest.mark.parametrize("digits", [40.7, mp.mpf("60.5"), True, "50.5"])
+    def test_rejects_what_is_not_a_whole_number(self, digits):
+        with pytest.raises(ValueError, match="whole number"):
+            set_precision(digits)
+        assert get_precision() == 40
+
+    def test_accepts_a_whole_float(self):
+        set_precision(60.0)
+        assert get_precision() == 60
+
     def test_division_by_exact_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             cplx(1) / cplx(0)

@@ -148,7 +148,7 @@ class TestRunSuite:
     def test_precision_scaling(self, digits):
         # the oracle's guard bits must keep up with the context
         set_precision(digits)
-        report = run_suite(ids=["MP1", "VEC_EQ28", "THM5_SECOND"], count=2)
+        report = run_suite(ids=["MP1", "VEC_EQ28", "THM5_SECOND", "MINTON", "KARLSSON"], count=2)
         assert report.exit_code == 0
         assert report.n_skipped == 0
 
