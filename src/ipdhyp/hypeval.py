@@ -32,17 +32,18 @@ its term by the ratio and by its x.  A pass ends in one of two ways:
   DivergentSeriesError check on sigma).
 
 x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like a
-power n^-sigma, so naive truncation cannot reach tight tolerances.  The
-partial sum over n < N, from a pass with a fixed stop at N that also gives
-t_N, is completed with the power-law tail T(N) = sum_{n>=N} t_n, computed
-from the functional equation T(N) = t_N + r(N) T(N+1) with r the exact
-rational term ratio: the normalized tail T(N)/t_N is expanded as
-A*N + sum_k b_k N^-k, whose coefficients follow from a triangular
-recursion on the series expansion of r.  This is the p-series-style tail
-that makes the classical x = 1 summation identities verifiable at full
-precision.  The expansion is summed until its terms start to grow; when
-its bound then misses tol, the direct head N is doubled and summed again,
-up to UNIT_RETRIES times, before SlowConvergenceError is raised.
+power n^-sigma, so naive truncation cannot reach tight tolerances.  A pass
+with a fixed stop at N gives the partial sum and t_N; the power-law tail
+T(N) = sum_{n>=N} t_n follows from T(N) = t_N + r(N) T(N+1), r the exact
+rational term ratio, by expanding T(N)/t_N as A*N + sum_k b_k N^-k, with
+coefficients from a triangular recursion on the series expansion of r.
+The expansion is summed until its terms grow, and its coefficients are
+built only as far as that sum reads them; UNIT_TAIL_ORDER (scaled with the
+digits) caps how far it may read.  The smallest term summed, plus a
+rounding floor, is the tail bound: an estimate, not a proved bound.  When
+it misses tol, the head N is doubled and summed again, up to UNIT_RETRIES
+times, before SlowConvergenceError.  A tol finer than the context raises
+the digits of the whole x = 1 summation, as it raises the kernel's wp.
 
 Prefactors (1-x)^mu use the principal logarithm and are continuous on the
 plane cut along [1, oo).
@@ -80,7 +81,7 @@ TERM_CAP = 10**6
 #: Terms summed directly before the power-law tail takes over at x = 1.
 UNIT_DIRECT_TERMS = 64
 
-#: Minimum order of the tail expansion at x = 1 (scales with precision).
+#: Least order to which the tail expansion at x = 1 may be read (scales with precision).
 UNIT_TAIL_ORDER = 44
 
 #: Times the direct head at x = 1 is doubled when the tail misses tol.
@@ -149,6 +150,12 @@ def _check_denominator_poles(fun: HypFunction, n_terminal: Optional[int]) -> Non
             raise DenominatorPoleError(
                 f"bottom parameter {v} poles the series at term {pole_index}"
             )
+
+
+def _tol_bits(tol: mp.mpf) -> int:
+    """Smallest n >= 0 with 2^-n <= tol, read off the exponent of ``tol``."""
+    _, _, exp, bc = tol._mpf_
+    return max(0, 1 - exp - bc)
 
 
 def _to_fixed(z: ComplexValue, wp: int) -> tuple:
@@ -221,8 +228,7 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
     The outcome is (EvalResult, last term summed), or None when the point
     did not stop within TERM_CAP terms.
     """
-    _, _, exp, bc = tol._mpf_
-    tol_bits = max(0, 1 - exp - bc)  # 2^-tol_bits <= tol
+    tol_bits = _tol_bits(tol)
     prec = mp.mp.prec
     wp = max(prec, tol_bits) + guard
     # magnitudes go to doubles in units of 2^-unit, 48 bits below the
@@ -352,11 +358,11 @@ def _sum_series(
     return outcomes
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+def _linear_product(params: Sequence) -> list:
+    """Coefficients of prod(1 + p u) over ``params``, in powers of u."""
+    out = [mp.mpc(1)]
+    for p in params:
+        out = [a + b * p for a, b in zip(out + [0], [0] + out)]
     return out
 
 
@@ -381,55 +387,48 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     W = A*N + sum_k b_k N^-k and matching powers gives A = 1/(sigma-1) and
     a triangular recursion b_{m-1} = [...]/(sigma+m-1), where
     sigma = 1 + sum(den) - sum(num) governs the power-law decay
-    t_n ~ n^-sigma.  The divisors sigma+m-1 stay away from zero because
-    convergence requires Re(sigma) > 1.  The coefficient recursion is exact;
-    only the evaluation of W at N is asymptotic, and it stops at the
-    smallest term, which is reported inside the tail bound.  When that
-    bound misses ``tol``, the head is doubled and summed again, up to
-    UNIT_RETRIES times: the expansion in 1/N gains accuracy as N grows.
+    t_n ~ n^-sigma; :func:`_stop` has checked Re(sigma) > 1, which keeps
+    the divisors away from zero.  The recursion is exact and runs only as
+    far as the evaluation of W at N reads it, at most to b_order.  That
+    evaluation is asymptotic and stops at its smallest term; the tail bound,
+    |t_N| times that term plus a rounding floor, is an estimate and not a
+    proved bound.  When it misses ``tol``, the head is doubled and summed
+    again, up to UNIT_RETRIES times, as the expansion gains with N.
     """
     sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
-    if not sigma.real > 1:
-        raise DivergentSeriesError(
-            "x = 1 requires Re(sum(den) - sum(num)) > 0"
-        )
-    N = max(UNIT_DIRECT_TERMS, mp.mp.dps)
-    # expansion order scales with the context so the asymptotic floor of
-    # the W series stays below the working tolerance
-    order = max(UNIT_TAIL_ORDER, (13 * mp.mp.dps) // 10)
-    rounding_floor = mp.mpf(10) ** (-(mp.mp.dps + 8))
-    with mp.extradps(10):
+    # like the kernel's wp, the digits cover a tol finer than the context
+    digits = max(mp.mp.dps, math.ceil(_tol_bits(tol) * math.log10(2)))
+    N = max(UNIT_DIRECT_TERMS, digits)
+    # the expansion may be read up to an order that scales with the digits,
+    # so the asymptotic floor of the W series stays below the tolerance
+    order = max(UNIT_TAIL_ORDER, (13 * digits) // 10)
+    rounding_floor = mp.mpf(10) ** (-(digits + 8))
+    with mp.workdps(digits + 10):
         # r as a power series in u = 1/n:
         # r(1/u) = prod(1 + a_i u) / (prod(1 + b_j u) * (1 + u))
-        length = order + 3
-        pnum = [mp.mpc(1)]
-        for u in fun.num:
-            pnum = _poly_mul(pnum, [mp.mpc(1), u])
-        pden = [mp.mpc(1)]
-        for v in list(fun.den) + [mp.mpc(1)]:
-            pden = _poly_mul(pden, [mp.mpc(1), v])
-        r = _series_div(pnum, pden, length)
+        pden = _linear_product(list(fun.den) + [mp.mpc(1)])
+        r = _series_div(_linear_product(fun.num), pden, order + 3)
         A = 1 / (sigma - 1)
-        # rows H_k from G_k = r * (u/(1+u))^k: H_k[j] = -G_k[k+1+j]; the
-        # coefficients of G_k/(1+u) are the running differences g - acc
-        rows = []
-        G = list(r)
-        for k in range(order + 1):
-            rows.append([-G[k + 1 + j] for j in range(length - k - 1)])
-            acc = mp.mpc(0)
-            shifted = [acc]
-            for g in G[:-1]:
-                acc = g - acc
-                shifted.append(acc)
-            G = shifted
-        b_coef = [mp.mpc(0)] * (order + 1)
-        for m in range(1, order + 2):
-            acc = A * ((r[m + 1] if m + 1 < length else mp.mpc(0)) + r[m])
-            for k in range(m - 1):
-                j = m - 1 - k
-                if j < len(rows[k]):
-                    acc -= b_coef[k] * rows[k][j]
-            b_coef[m - 1] = acc / (sigma + m - 1)
+        # G_k = r * (u/(1+u))^k has the running differences
+        # G_{k+1}[i] = G_k[i-1] - G_{k+1}[i-1] as coefficients, and b_{m-1}
+        # reads G_k[m] for k < m-1: both triangles grow only as far as W(N)
+        # reads b, and are kept across the retries
+        G, b_coef = [r], []
+
+        def coef(k: int) -> mp.mpc:
+            while len(b_coef) <= k:
+                m = len(b_coef) + 1
+                if m > 2:
+                    G.append([mp.mpc(0)])
+                for prev, row in zip(G, G[1:]):
+                    while len(row) <= m:
+                        row.append(prev[len(row) - 1] - row[-1])
+                acc = A * (r[m + 1] + r[m])
+                for j in range(m - 1):
+                    acc -= b_coef[j] * -G[j][m]
+                b_coef.append(acc / (sigma + m - 1))
+            return b_coef[k]
+
         for _ in range(UNIT_RETRIES + 1):
             # the head S_N and its last term t_N, from n = 0 on every try
             [(head, term)] = _sum_series(fun, [mp.mpc(1)], tol, N)
@@ -438,7 +437,7 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
             npow = mp.mpf(1)
             smallest = mp.inf
             for k in range(order + 1):
-                piece = b_coef[k] * npow
+                piece = coef(k) * npow
                 mag = abs(piece)
                 if k > 6 and mag > smallest:
                     break
@@ -475,26 +474,18 @@ def _stop(fun: HypFunction, x: ComplexValue, n_terminal: Optional[int]):
         if absx > 1:
             raise DivergentSeriesError(f"|x| = {mp.nstr(absx, 8)} > 1")
         if absx == 1:
-            if x == 1:
-                return _UNIT
             sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
             if not sigma.real > 1:
                 raise DivergentSeriesError(
                     "|x| = 1 requires Re(sum(den) - sum(num)) > 0"
                 )
+            if x == 1:
+                return _UNIT
             raise SlowConvergenceError(
                 "|x| = 1 with x != 1: the terms decay only like a power of n, "
                 "too slowly for direct summation"
             )
     return None
-
-
-def _converged(outcome: Optional[tuple]) -> EvalResult:
-    if outcome is None:
-        raise SlowConvergenceError(
-            f"series did not meet tolerance within {TERM_CAP} terms"
-        )
-    return outcome[0]
 
 
 def eval_pfq(
@@ -546,10 +537,19 @@ def eval_pfq_many(
     sums = {}
     for stop, indices in groups.items():
         sums.update(zip(indices, _sum_series(fun, [xs[i] for i in indices], tol, stop)))
-    results = [
-        _sum_at_unit(fun, tol) if stop == _UNIT else _converged(sums[index])
-        for index, stop in enumerate(stops)
-    ]
+    results, unit = [], None
+    for index, stop in enumerate(stops):
+        if stop == _UNIT:
+            # one x = 1 sum serves every x = 1 point; it is made where the
+            # first one falls, so the errors keep their order
+            unit = unit or _sum_at_unit(fun, tol)
+            results.append(unit)
+        elif sums[index] is None:
+            raise SlowConvergenceError(
+                f"series did not meet tolerance within {TERM_CAP} terms"
+            )
+        else:
+            results.append(sums[index][0])
     if failure is not None:
         raise failure
     return results

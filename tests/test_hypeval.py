@@ -30,6 +30,11 @@ def _rc(rng):
     return cplx(mp.mpf(rng.uniform(-2, 3)), mp.mpf(rng.uniform(-1, 1)))
 
 
+def _clear(z, margin=0.05):
+    """z is at least ``margin`` from every nonpositive integer."""
+    return not (z.real < margin and abs(z - mp.nint(z.real)) < margin)
+
+
 def _fun(num, den):
     return HypFunction(ParamVector(num), ParamVector(den))
 
@@ -213,15 +218,63 @@ class TestEvalPfq:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             pfq(num, den, x, tol=0)
 
-    def test_unit_tail_retries_a_longer_head(self):
-        # with the first head of 64 terms the tail expansion stops at
-        # k = 11, where its terms rise again, short of the tolerance
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    def test_unit_tail_retries_a_longer_head(self, digits):
+        # with the first head the tail expansion stops where its terms rise
+        # again (k = 11 of N = 64 at 40 digits), short of the tolerance
+        set_precision(digits)
         a, b = cplx("-1.51003", "0.159707"), cplx("0.230329", "-0.345141")
         c = cplx("2.15209", "0.382712")
-        got = pfq([a, b], [c], 1)
-        with mp.workdps(60):
+        got = eval_pfq(_fun([a, b], [c]), 1)
+        assert got.terms_used == 2 * max(hypeval.UNIT_DIRECT_TERMS, digits)
+        with mp.workdps(digits + 20):
             expect = mp.hyper([a, b], [c], 1)
-        assert abs(got - expect) <= mp.mpf("1e-30") * abs(expect)
+        assert abs(got.value - expect) <= mp.mpf(10) ** (8 - digits) * abs(expect)
+
+    @pytest.mark.parametrize("tol", ["1e-50", "1e-70"])
+    def test_unit_tolerance_finer_than_digits(self, tol):
+        # like the kernel, the x = 1 tail works to the digits of tol
+        res = eval_pfq(_fun([0.3, 0.4], [2.1]), 1, tol=mp.mpf(tol))
+        assert res.tail_bound <= mp.mpf(tol)
+        with mp.workdps(100):
+            expect = mp.hyper([0.3, 0.4], [2.1], 1)
+        assert abs(res.value - expect) <= mp.mpf("1e-40") * abs(expect)
+
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    def test_dixon_at_unit(self, digits):
+        set_precision(digits)
+        rng, drawn = _rng(367), 0
+        while drawn < 8:
+            a, b, c = _rc(rng), _rc(rng), _rc(rng)
+            args = [1 + a / 2, 1 + a - b, 1 + a - c, 1 + a / 2 - b - c]
+            args += [1 + a, 1 + a / 2 - b, 1 + a / 2 - c, 1 + a - b - c]
+            if (2 + a - 2 * b - 2 * c).real < 0.05 or not all(_clear(z) for z in args):
+                continue
+            drawn += 1
+            got = pfq([a, b, c], [1 + a - b, 1 + a - c], 1)
+            with mp.workdps(digits + 20):
+                expect = mp.fprod(gamma(z) for z in args[:4]) / mp.fprod(
+                    gamma(z) for z in args[4:]
+                )
+            assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
+
+    @pytest.mark.parametrize("digits", [40, 60, 100])
+    @pytest.mark.parametrize("m", [(1,), (2,), (1, 1)], ids=["1", "2", "1-1"])
+    def test_karlsson_minton_at_unit(self, m, digits):
+        set_precision(digits)
+        rng, drawn = _rng(373 + len(m) * sum(m)), 0
+        while drawn < 3:
+            a, b, f = _rc(rng), _rc(rng), [_rc(rng) for _ in m]
+            args = [b + 1, 1 - a, b + 1 - a] + f
+            if (1 - a - sum(m)).real < 0.05 or not all(_clear(z) for z in args):
+                continue
+            drawn += 1
+            got = pfq([a, b] + [fi + mi for fi, mi in zip(f, m)], [b + 1] + f, 1)
+            with mp.workdps(digits + 20):
+                expect = gamma(b + 1) * gamma(1 - a) / gamma(b + 1 - a)
+                for fi, mi in zip(f, m):
+                    expect *= pochhammer(fi - b, mi) / pochhammer(fi, mi)
+            assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
 
     def test_gauss_sweep_at_unit(self):
         rng = _rng(353)
@@ -336,6 +389,17 @@ class TestEvalPfqMany:
 
     def test_empty(self):
         assert eval_pfq_many(_fun([0.5, 0.7], [1.3]), []) == []
+
+    def test_one_unit_sum_per_call(self, monkeypatch):
+        fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5)], [cplx(2.6, -0.3)])
+        xs = [1, mp.mpf("0.5"), 1]
+        calls = []
+        unit = hypeval._sum_at_unit
+        monkeypatch.setattr(hypeval, "_sum_at_unit", lambda *a: calls.append(a) or unit(*a))
+        results = eval_pfq_many(fun, xs)
+        assert len(calls) == 1
+        for x, result in zip(xs, results):
+            assert result == eval_pfq(fun, x)
 
     def test_raises_what_pointwise_raises_first(self):
         fun = _fun([0.5, 0.5], [2])

@@ -213,6 +213,14 @@ class TestCli:
         assert abs(mp.mpf(doc["value"][0]) - mp.mpf("0.4")) < mp.mpf("1e-35")
         assert doc["terms_used"] == 3
 
+    def test_eval_unit_tolerance_finer_than_digits(self, capsys):
+        code = cli_dispatch(
+            ["eval", "--num", "0.3,0.4", "--den", "2.1", "--x", "1", "--tol", "1e-50"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert mp.mpf(json.loads(out)["tail_bound"]) <= mp.mpf("1e-50")
+
     def test_eval_divergent_is_config_error(self, capsys):
         code = cli_dispatch(["eval", "--num", "0.5,0.7", "--den", "1.3", "--x", "1.5"])
         err = capsys.readouterr().err
