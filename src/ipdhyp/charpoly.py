@@ -43,10 +43,10 @@ from .kernel import (
     ComplexValue,
     ParamVector,
     as_int_vector,
+    as_nonpositive_integer,
     as_param_vector,
     cplx,
     gamma,
-    is_nonpositive_integer,
     near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
@@ -200,20 +200,18 @@ def find_roots(
     poly: CPoly,
     seed: int = 0,
     max_iterations: int = 200,
-    target: mp.mpf | None = None,
 ) -> RootSet:
     """All complex roots of ``poly`` by simultaneous Ehrlich-Aberth iteration.
 
     Initial guesses sit on a circle of Cauchy-bound radius at seeded random
     angles, so the result is deterministic for a given seed.  Iteration runs
     at 15 guard digits and stops when the scaled residual
-    max|p(root)| / |lead| falls below ``target`` (default 10^-(dps-10));
+    max|p(root)| / |lead| falls below 10^-(dps-10);
     raises NonConvergenceError after ``max_iterations`` sweeps.
     """
     if poly.is_zero:
         raise ZeroPolynomialError("zero polynomial has no well-defined roots")
-    if target is None:
-        target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
     n = poly.degree
     if n == 0:
         return RootSet(ParamVector([]), mp.mpf(0), ())
@@ -428,7 +426,7 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
 
 
 def _gamma_or_pole(z: ComplexValue, context: str) -> ComplexValue:
-    if is_nonpositive_integer(z):
+    if as_nonpositive_integer(z) is not None:
         raise GammaPoleError(f"gamma argument {z} is a nonpositive integer in {context}")
     return gamma(z)
 

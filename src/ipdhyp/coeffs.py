@@ -342,6 +342,6 @@ def norlund_g(n: int, args: NorlundArgs, route: str = "recurrence") -> ComplexVa
         return _norlund_recurrence(n, a, b)
     if route == "explicit":
         return _norlund_explicit(n, a, b)
-    if route in ("closed", "closed-form"):
+    if route == "closed":
         return _norlund_closed(n, a, b)
     raise ValueError(f"unknown route {route!r}")

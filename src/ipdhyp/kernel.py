@@ -75,15 +75,6 @@ def near_nonpositive_integer(z: ComplexValue, tol: mp.mpf) -> bool:
     return nearest <= 0 and abs(z.real - nearest) <= tol
 
 
-def is_nonpositive_integer(z: ComplexLike) -> bool:
-    """True when z is exactly a nonpositive integer (0, -1, -2, ...)."""
-    z = cplx(z)
-    if z.imag != 0:
-        return False
-    re = z.real
-    return re <= 0 and re == mp.floor(re)
-
-
 def as_nonpositive_integer(z: ComplexLike) -> int | None:
     """Return -n when z is exactly the nonpositive integer -n, else None."""
     z = cplx(z)
@@ -234,7 +225,7 @@ def log_gamma(z: ComplexLike) -> ComplexValue:
     Raises PoleAtNonpositiveIntegerError on the poles z = 0, -1, -2, ...
     """
     z = cplx(z)
-    if is_nonpositive_integer(z):
+    if as_nonpositive_integer(z) is not None:
         raise PoleAtNonpositiveIntegerError(f"log_gamma pole at z = {z}")
     return mp.mpc(mp.loggamma(z))
 
@@ -242,7 +233,7 @@ def log_gamma(z: ComplexLike) -> ComplexValue:
 def gamma(z: ComplexLike) -> ComplexValue:
     """Gamma(z), rejecting the poles explicitly."""
     z = cplx(z)
-    if is_nonpositive_integer(z):
+    if as_nonpositive_integer(z) is not None:
         raise PoleAtNonpositiveIntegerError(f"gamma pole at z = {z}")
     return mp.mpc(mp.gamma(z))
 
@@ -319,9 +310,8 @@ def terminating_pfq(
     num: Sequence[ComplexLike],
     den: Sequence[ComplexLike],
     terms: int,
-    x: ComplexLike = 1,
 ) -> ComplexValue:
-    """Sum the first ``terms``+1 terms of a pFq by exact term recursion.
+    """Sum the first ``terms``+1 terms of a pFq at x = 1 by exact term recursion.
 
     Used for terminating series (a nonpositive-integer top parameter -k with
     ``terms`` = k): successive terms are built from the ratio of consecutive
@@ -331,7 +321,6 @@ def terminating_pfq(
     """
     nums = [cplx(u) for u in num]
     dens = [cplx(v) for v in den]
-    x = cplx(x)
     total = mp.mpc(1)
     term = mp.mpc(1)
     for n in range(terms):
@@ -344,7 +333,6 @@ def terminating_pfq(
                     f"bottom parameter {v} hits a pole at term {n + 1}"
                 )
             term /= d
-        term *= x
         term /= n + 1
         total += term
     return total

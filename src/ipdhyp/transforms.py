@@ -4,8 +4,8 @@ Every transformation maps the input function
 
     F(x) = r+2_F_r+1(a, b, f+m; c, f | x)
 
-(or its variants with extra parameters) to a finite sum of closed-form
-terms, each of the shape
+(or its variants with extra parameters) to a finite sum of terms in
+closed form, each of the shape
 
     coeff * x^j * (1-x)^mu * pFq(num; den; arg(x)),
 
@@ -72,7 +72,7 @@ ARG_MOBIUS = "mobius"
 
 @dataclass(frozen=True)
 class HypTerm:
-    """One closed-form term: coeff * x^j * (1-x)^mu * pFq(...; arg(x))."""
+    """One term in closed form: coeff * x^j * (1-x)^mu * pFq(...; arg(x))."""
 
     coeff: ComplexValue
     x_power: int = 0
@@ -141,7 +141,7 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
     return HypFunction(ParamVector(num), ParamVector(den))
 
 
-def _collapsed(num, den, poly, what: str, root_seed: int, negate: bool = False) -> HypFunction:
+def _collapsed(num, den, poly, what: str, negate: bool = False) -> HypFunction:
     """HypFunction(num + (rho+1); den + rho), rho the roots of ``poly``.
 
     With ``negate`` rho = -root; with no ``poly`` there are no pairs.
@@ -150,7 +150,7 @@ def _collapsed(num, den, poly, what: str, root_seed: int, negate: bool = False) 
     """
     rho = []
     if poly is not None:
-        roots = find_roots(poly, seed=root_seed).roots
+        roots = find_roots(poly).roots
         rho = [-r for r in roots] if negate else list(roots)
     bad = [mp.nstr(v, 8) for v in rho if near_nonpositive_integer(v, POLE_RISK_TOL)]
     if bad:
@@ -163,7 +163,7 @@ def _collapsed(num, den, poly, what: str, root_seed: int, negate: bool = False) 
     return HypFunction(ParamVector(num + [v + 1 for v in rho]), ParamVector(den + rho))
 
 
-def apply_mp1(spec: IpdSpec, route: str = "paperQ", root_seed: int = 0) -> HypExpression:
+def apply_mp1(spec: IpdSpec, route: str = "paperQ") -> HypExpression:
     """First transformation: F = (1-x)^-a * m+2_F_m+1(...; x/(x-1)).
 
     The transformed function carries a, c-b-m and the pairs (zeta+1; zeta)
@@ -181,11 +181,11 @@ def apply_mp1(spec: IpdSpec, route: str = "paperQ", root_seed: int = 0) -> HypEx
         poly = build_P(b, c, spec.f, spec.m)
     else:
         raise ValueError(f"unknown route {route!r}")
-    fun = _collapsed([a, c - b - mt], [c], poly, "first transformation", root_seed)
+    fun = _collapsed([a, c - b - mt], [c], poly, "first transformation")
     return HypExpression([HypTerm(mp.mpc(1), 0, -a, ARG_MOBIUS, fun)])
 
 
-def apply_mp2(spec: IpdSpec, route: str = "paperQhat", root_seed: int = 0) -> HypExpression:
+def apply_mp2(spec: IpdSpec, route: str = "paperQhat") -> HypExpression:
     """Second transformation: F = (1-x)^(c-a-b-m) * m+2_F_m+1(...; x).
 
     Parameters c-a-m, c-b-m and pairs (eta+1; eta) over c, eta the roots of
@@ -204,9 +204,7 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat", root_seed: int = 0) -> Hy
         poly = build_Phat(a, b, c, spec.f, spec.m)
     else:
         raise ValueError(f"unknown route {route!r}")
-    fun = _collapsed(
-        [c - a - mt, c - b - mt], [c], poly, "second transformation", root_seed
-    )
+    fun = _collapsed([c - a - mt, c - b - mt], [c], poly, "second transformation")
     return HypExpression([HypTerm(mp.mpc(1), 0, c - a - b - mt, ARG_IDENTITY, fun)])
 
 
@@ -274,7 +272,6 @@ def apply_degenerate_p(
     spec: IpdSpec,
     p: int,
     variant: str = "eq29",
-    root_seed: int = 0,
 ) -> HypExpression:
     """Transformation for c = b+p with any positive integer p.
 
@@ -310,8 +307,7 @@ def apply_degenerate_p(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     fun = _collapsed(
-        head_num, [b + p], poly if p > 1 else None, "degenerate transformation",
-        root_seed, negate=True,
+        head_num, [b + p], poly if p > 1 else None, "degenerate transformation", negate=True
     )
     terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
@@ -390,7 +386,6 @@ def apply_two_free(
     f: ParamVector,
     m: IntVector,
     variant: str = "first",
-    root_seed: int = 0,
 ) -> HypExpression:
     """Free parameter pair (d; e) on top of the c = b+1 structure.
 
@@ -426,7 +421,7 @@ def apply_two_free(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     poly = build_L(a, d, e, b, f, m, variant=which) if mt > 1 else None
-    fun = _collapsed(num, [e], poly, "two-free-parameter transformation", root_seed)
+    fun = _collapsed(num, [e], poly, "two-free-parameter transformation")
     tail = HypTerm((fm - fbm) / fm, 0, mu, arg, fun)
     return HypExpression([head, tail])
 

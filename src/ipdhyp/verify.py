@@ -10,7 +10,7 @@ independent series oracle.  Residuals are relative:
 
 Coefficient-level identities (the P = (f)_m Q and Q-hat = P-hat
 cross-checks) compare coefficient vectors normwise instead; the root-level
-corollaries compare closed-form shifted parameters against the general
+corollaries compare shifted parameters in closed form against the general
 root extraction.
 
 The whole harness is deterministic: parameter and sample draws derive from
@@ -27,6 +27,7 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -144,45 +145,56 @@ def _draw_complex(rng: random.Random) -> ComplexValue:
     return cplx(mp.mpf(rng.uniform(-2, 3)), mp.mpf(rng.uniform(-1, 1)))
 
 
-def _draw_m(rng: random.Random) -> IntVector:
-    return IntVector(rng.choice(M_POOL))
+def _draw(rng: random.Random, names: str, pool=M_POOL) -> dict:
+    """Draw the complex parameters named by the letters of ``names`` in
+    order, then m from ``pool`` (a pool of one is taken without a draw) and
+    one f_i per entry of m."""
+    params = {name: _draw_complex(rng) for name in names}
+    m = IntVector(pool[0] if len(pool) == 1 else rng.choice(pool))
+    params["f"] = ParamVector([_draw_complex(rng) for _ in m])
+    params["m"] = m
+    return params
 
 
-def _draw_f(rng: random.Random, m: IntVector) -> ParamVector:
-    return ParamVector([_draw_complex(rng) for _ in m])
-
-
-def _default_x_samples(rng: random.Random, n: int = 8) -> list:
+def _default_x_samples(rng: random.Random) -> list:
     """x = 0 plus points in the disk |x| <= 0.45 (so Re(x) < 1/2)."""
     xs = [mp.mpc(0)]
-    while len(xs) < n:
+    while len(xs) < 8:
         r = mp.mpf("0.05") + mp.mpf(rng.random()) * mp.mpf("0.4")
         theta = 2 * mp.pi * mp.mpf(rng.random())
         xs.append(r * mp.exp(mp.mpc(0, theta)))
     return xs
 
 
-def _require(condition: bool, why: str) -> None:
+def _require(condition: bool) -> None:
     if not condition:
-        raise _Reject(why)
+        raise _Reject
 
 
-def _poch_margin(z: ComplexValue, n: int) -> None:
-    """Require every factor of (z)_n to clear the margin."""
-    for j in range(n):
-        _require(abs(z + j) >= MARGIN, f"|({mp.nstr(z, 6)})_{n}| factor below margin")
+def _away(z: ComplexValue) -> bool:
+    """|z| clears the margin."""
+    return abs(z) >= MARGIN
 
 
-def _clear_of_nonpositive_integers(z: ComplexValue, why: str) -> None:
-    _require(not near_nonpositive_integer(z, MARGIN), why)
+def _clear(*zs: ComplexValue) -> bool:
+    """Every z clears the margin around the nonpositive integers."""
+    return not any(near_nonpositive_integer(z, MARGIN) for z in zs)
 
 
-def _roots_usable(params) -> None:
-    """Require the series parameters built from characteristic roots (the
-    roots themselves, or their negatives) to be moderate and off the poles."""
-    for r in params:
-        _require(abs(r) <= mp.mpf("1e4"), "oversized characteristic root")
-        _clear_of_nonpositive_integers(r, "characteristic root near a series pole")
+def _poch_margin(z: ComplexValue, n: int) -> bool:
+    """Every factor of (z)_n clears the margin."""
+    return all(_away(z + j) for j in range(n))
+
+
+def _f_margin(p: dict) -> bool:
+    """Every (f_i)_{|m|+1} clears the margin, |m| the total multiplicity."""
+    return all(_poch_margin(fi, p["m"].total + 1) for fi in p["f"])
+
+
+def _roots_usable(params) -> bool:
+    """The series parameters built from characteristic roots (the roots
+    themselves, or their negatives) are moderate and off the poles."""
+    return all(abs(r) <= mp.mpf("1e4") and _clear(r) for r in params)
 
 
 def _relative(lhs: ComplexValue, rhs: ComplexValue) -> mp.mpf:
@@ -208,71 +220,47 @@ def _series_tol() -> mp.mpf:
 
 
 def _sample_mp1(rng: random.Random, index: int) -> dict:
-    a, b, c = _draw_complex(rng), _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _poch_margin(c - b - mt, mt)
-    _clear_of_nonpositive_integers(c, "c near a pole")
-    for fi, mi in zip(f, m):
-        _poch_margin(fi, mt + 1)
-        _poch_margin(1 - fi + b - mi, mt)
-    poly = build_Q(b, c, f, m)
-    roots = find_roots(poly)
-    _roots_usable(roots)
-    return {"a": a, "b": b, "c": c, "f": f, "m": m, "route": "paperQ" if index % 2 == 0 else "newP"}
+    p = _sample_cor1(rng, index)
+    b, c, f, m = p["b"], p["c"], p["f"], p["m"]
+    _require(_poch_margin(c - b - m.total, m.total))
+    _require(_roots_usable(find_roots(build_Q(b, c, f, m))))
+    p["route"] = "paperQ" if index % 2 == 0 else "newP"
+    return p
 
 
 def _sample_mp2(rng: random.Random, index: int) -> dict:
-    a, b, c = _draw_complex(rng), _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _poch_margin(c - a - mt, mt)
-    _poch_margin(c - b - mt, mt)
-    _poch_margin(1 + a + b - c, mt)
-    _clear_of_nonpositive_integers(c, "c near a pole")
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-    # margins for the terminating sums inside the hatted polynomials
-    _poch_margin(b + 1, mt + 1)
-    roots = find_roots(build_Qhat(a, b, c, f, m))
-    _roots_usable(roots)
-    return {"a": a, "b": b, "c": c, "f": f, "m": m,
-            "route": "paperQhat" if index % 2 == 0 else "newPhat"}
+    p = _sample_cor2(rng, index)
+    a, b, c, f, m = p["a"], p["b"], p["c"], p["f"], p["m"]
+    _require(_poch_margin(1 + a + b - c, m.total) and _clear(c))
+    _require(_roots_usable(find_roots(build_Qhat(a, b, c, f, m))))
+    p["route"] = "paperQhat" if index % 2 == 0 else "newPhat"
+    return p
 
 
 def _sample_thm3(rng: random.Random, index: int) -> dict:
-    a, b = _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _require(abs(b) >= MARGIN, "b too close to 0")
-    _clear_of_nonpositive_integers(b + 1, "b+1 near a pole")
-    _poch_margin(b + 1, mt)
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-    return {"a": a, "b": b, "f": f, "m": m}
+    p = _draw(rng, "ab")
+    b = p["b"]
+    _require(_away(b) and _clear(b + 1) and _poch_margin(b + 1, p["m"].total) and _f_margin(p))
+    return p
 
 
 def _sample_thm4(rng: random.Random, index: int) -> dict:
     p_shift = index % 4 + 1
-    a, b = _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    for q in range(1, p_shift + 1):
-        _clear_of_nonpositive_integers(b + q - 1, "gamma pole in T")
-        _clear_of_nonpositive_integers(b + q - cplx(a), "gamma pole in Tstar")
-        _require(abs(b + q - 1) >= MARGIN, "beta_q too close to 0")
-    _clear_of_nonpositive_integers(b + p_shift, "bottom parameter near a pole")
-    _poch_margin(b + 1, mt + p_shift)
-    for fi in f:
-        _poch_margin(fi, mt + 1)
+    p = _draw(rng, "ab")
+    a, b, f, m = p["a"], p["b"], p["f"], p["m"]
+    shifts = range(1, p_shift + 1)
+    _require(
+        all(_away(b + q - 1) for q in shifts)
+        and _clear(*(b + q - 1 for q in shifts), *(b + q - a for q in shifts), b + p_shift)
+        and _poch_margin(b + 1, m.total + p_shift)
+        and _f_margin(p)
+    )
     if p_shift > 1:
-        _roots_usable(-find_roots(build_T(b, p_shift, f, m, variant="T")).roots)
-        _roots_usable(-find_roots(build_T(b, p_shift, f, m, variant="Tstar", a=a)).roots)
-    return {"a": a, "b": b, "f": f, "m": m, "p": p_shift}
+        for variant in ("T", "Tstar"):
+            roots = find_roots(build_T(b, p_shift, f, m, variant=variant, a=a)).roots
+            _require(_roots_usable(-roots))
+    p["p"] = p_shift
+    return p
 
 
 _P_POOL = ((1, 1), (2, 1), (1, 2), (2, 2))
@@ -281,66 +269,52 @@ _P_POOL = ((1, 1), (2, 1), (1, 2), (2, 2))
 def _sample_vec(rng: random.Random, index: int) -> dict:
     pvec = IntVector(rng.choice(_P_POOL))
     bvec = ParamVector([_draw_complex(rng) for _ in pvec])
-    a = _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    beta = []
-    for bj, pj in zip(bvec, pvec):
-        beta.extend(bj + i for i in range(pj))
-    for i in range(len(beta)):
-        _require(abs(beta[i]) >= MARGIN, "beta too close to 0")
-        _clear_of_nonpositive_integers(beta[i] + 1, "beta+1 near a pole")
-        _poch_margin(beta[i] + 1, mt)
-        for j in range(i + 1, len(beta)):
-            _require(abs(beta[i] - beta[j]) >= MARGIN, "beta grid not distinct")
-    for bj, pj in zip(bvec, pvec):
-        _clear_of_nonpositive_integers(bj + pj, "bottom parameter near a pole")
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-    return {"a": a, "b": bvec, "p": pvec, "f": f, "m": m}
+    p = _draw(rng, "a")
+    mt = p["m"].total
+    beta = [bj + i for bj, pj in zip(bvec, pvec) for i in range(pj)]
+    _require(
+        all(_away(z) and _clear(z + 1) and _poch_margin(z + 1, mt) for z in beta)
+        and all(_away(y - z) for y, z in combinations(beta, 2))
+        and _clear(*(bj + pj for bj, pj in zip(bvec, pvec)))
+        and _f_margin(p)
+    )
+    p.update(b=bvec, p=pvec)
+    return p
 
 
 def _sample_thm5(rng: random.Random, index: int) -> dict:
-    a, d, e, b = (_draw_complex(rng) for _ in range(4))
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
+    p = _draw(rng, "adeb")
+    a, d, e, b, f, m = p["a"], p["d"], p["e"], p["b"], p["f"], p["m"]
     mt = m.total
-    _require(abs(b) >= MARGIN, "b too close to 0")
-    _poch_margin(e - d - mt + 1, mt - 1)
-    _poch_margin(e - a - mt + 1, mt - 1)
-    _poch_margin(1 + a + d - e, mt - 1)
-    _clear_of_nonpositive_integers(e, "e near a pole")
-    _clear_of_nonpositive_integers(b + 1, "b+1 near a pole")
-    _poch_margin(b + 1, mt)
-    for fi in f:
-        _poch_margin(fi, mt + 1)
+    _require(
+        _away(b)
+        and _poch_margin(e - d - mt + 1, mt - 1)
+        and _poch_margin(e - a - mt + 1, mt - 1)
+        and _poch_margin(1 + a + d - e, mt - 1)
+        and _clear(e, b + 1)
+        and _poch_margin(b + 1, mt)
+        and _f_margin(p)
+    )
     if mt > 1:
-        _roots_usable(find_roots(build_L(a, d, e, b, f, m, variant="L")))
-        _roots_usable(find_roots(build_L(a, d, e, b, f, m, variant="Lhat")))
-    return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
+        for variant in ("L", "Lhat"):
+            _require(_roots_usable(find_roots(build_L(a, d, e, b, f, m, variant=variant))))
+    return p
 
 
 def _sample_lemma1(rng: random.Random, index: int) -> dict:
-    b, c = _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _clear_of_nonpositive_integers(c - b, "gamma pole at c-b")
-    for i, fi in enumerate(f):
-        # near an integer of either sign; the j loop sees both fi-fj and fj-fi
-        _clear_of_nonpositive_integers(fi - c, "f_i - c nearly integral")
-        _clear_of_nonpositive_integers(c - fi, "f_i - c nearly integral")
-        for j, fj in enumerate(f):
-            if i != j:
-                _clear_of_nonpositive_integers(fi - fj, "f_i - f_j nearly integral")
-        _clear_of_nonpositive_integers(1 - fi - m[i] + b, "series bottom near a pole")
-        _poch_margin(fi, mt + 1)
-    return {"b": b, "c": c, "f": f, "m": m}
+    p = _draw(rng, "bc")
+    b, c, f, m = p["b"], p["c"], p["f"], p["m"]
+    # f_i - c and f_i - f_j must be clear of the integers of either sign
+    _require(
+        _clear(c - b, *(fi - fj for fi, fj in permutations(f, 2)))
+        and _clear(*(z for fi, mi in zip(f, m) for z in (fi - c, c - fi, 1 - fi - mi + b)))
+        and _f_margin(p)
+    )
+    return p
 
 
-def _lemma1_t_samples(rng: random.Random, n: int = 8) -> list:
-    return [mp.mpf("0.05") + mp.mpf(rng.random()) * mp.mpf("0.9") for _ in range(n)]
+def _lemma1_t_samples(rng: random.Random) -> list:
+    return [mp.mpf("0.05") + mp.mpf(rng.random()) * mp.mpf("0.9") for _ in range(8)]
 
 
 def _check_lemma1(case: IdentityCase) -> tuple:
@@ -357,27 +331,26 @@ def _check_lemma1(case: IdentityCase) -> tuple:
 
 
 def _sample_cor1(rng: random.Random, index: int) -> dict:
-    a, b, c = _draw_complex(rng), _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _clear_of_nonpositive_integers(c, "c near a pole")
-    for fi, mi in zip(f, m):
-        _poch_margin(fi, mt + 1)
-        _poch_margin(1 - fi + b - mi, mt)
-    return {"a": a, "b": b, "c": c, "f": f, "m": m}
+    p = _draw(rng, "abc")
+    b, f, m = p["b"], p["f"], p["m"]
+    _require(
+        _clear(p["c"])
+        and _f_margin(p)
+        and all(_poch_margin(1 - fi + b - mi, m.total) for fi, mi in zip(f, m))
+    )
+    return p
 
 
 def _sample_lemma2(rng: random.Random, index: int) -> dict:
-    b, c = _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
+    p = _draw(rng, "bc")
+    b, c, f, m = p["b"], p["c"], p["f"], p["m"]
     mt = m.total
-    _poch_margin(c - b - mt, mt)
-    for fi, mi in zip(f, m):
-        _poch_margin(fi, mt + 1)
-        _poch_margin(1 - fi + b - mi, mt)
-    return {"b": b, "c": c, "f": f, "m": m}
+    _require(
+        _poch_margin(c - b - mt, mt)
+        and _f_margin(p)
+        and all(_poch_margin(1 - fi + b - mi, mt) for fi, mi in zip(f, m))
+    )
+    return p
 
 
 def _check_lemma2(case: IdentityCase) -> tuple:
@@ -389,16 +362,16 @@ def _check_lemma2(case: IdentityCase) -> tuple:
 
 
 def _sample_cor2(rng: random.Random, index: int) -> dict:
-    a, b, c = _draw_complex(rng), _draw_complex(rng), _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    _poch_margin(c - a - mt, mt)
-    _poch_margin(c - b - mt, mt)
-    _poch_margin(b + 1, mt + 1)
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-    return {"a": a, "b": b, "c": c, "f": f, "m": m}
+    p = _draw(rng, "abc")
+    a, b, c, mt = p["a"], p["b"], p["c"], p["m"].total
+    # (b+1)_{m+1}: the terminating sums inside the hatted polynomials
+    _require(
+        _poch_margin(c - a - mt, mt)
+        and _poch_margin(c - b - mt, mt)
+        and _poch_margin(b + 1, mt + 1)
+        and _f_margin(p)
+    )
+    return p
 
 
 def _check_cor2(case: IdentityCase) -> tuple:
@@ -410,10 +383,8 @@ def _check_cor2(case: IdentityCase) -> tuple:
 
 def _sample_lemma3(rng: random.Random, index: int) -> dict:
     alpha = _draw_complex(rng)
-    m_max = 6
-    for j in range(m_max):
-        _require(abs(alpha - m_max + j) >= MARGIN, "(alpha-m)_m factor below margin")
-    return {"alpha": alpha, "m_max": m_max}
+    _require(_poch_margin(alpha - 6, 6))
+    return {"alpha": alpha, "m_max": 6}
 
 
 def _check_lemma3(case: IdentityCase) -> tuple:
@@ -452,12 +423,9 @@ def _sample_lemma4(rng: random.Random, index: int) -> dict:
     b = _draw_complex(rng)
     fs = {}
     for pool_m in _LEMMA4_M_POOL:
-        m = IntVector(pool_m)
-        f = _draw_f(rng, m)
-        for fi in f:
-            _poch_margin(fi, m.total + 1)
-        _poch_margin(b + 1, 2 * m.total + 1)
-        fs[pool_m] = f
+        p = _draw(rng, "", (pool_m,))
+        _require(_f_margin(p) and _poch_margin(b + 1, 2 * p["m"].total + 1))
+        fs[pool_m] = p["f"]
     return {"b": b, "f_by_m": fs}
 
 
@@ -468,8 +436,6 @@ def _check_lemma4(case: IdentityCase) -> tuple:
     for pool_m, f in case.params["f_by_m"].items():
         m = IntVector(pool_m)
         mt = m.total
-        if mt > 5:
-            continue
         f_shift = list(f.shifted_by(m))
         for k in range(mt + 1):
             lhs = mp.mpc(0)
@@ -491,16 +457,14 @@ def _check_lemma4(case: IdentityCase) -> tuple:
 
 
 def _sample_minton(rng: random.Random, index: int) -> dict:
-    b = _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    k = mt + rng.randint(0, 4)
-    _poch_margin(b + 1, k)
-    for fi in f:
-        _poch_margin(fi, max(mt, k) + 1)
-        _poch_margin(fi - b, mt)
-    return {"b": b, "f": f, "m": m, "k": k}
+    p = _draw(rng, "b")
+    b, f, mt = p["b"], p["f"], p["m"].total
+    k = p["k"] = mt + rng.randint(0, 4)
+    _require(
+        _poch_margin(b + 1, k)
+        and all(_poch_margin(fi, k + 1) and _poch_margin(fi - b, mt) for fi in f)
+    )
+    return p
 
 
 def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> tuple:
@@ -520,20 +484,16 @@ def _check_minton(case: IdentityCase) -> tuple:
 
 
 def _sample_karlsson(rng: random.Random, index: int) -> dict:
-    b = _draw_complex(rng)
-    m = _draw_m(rng)
-    f = _draw_f(rng, m)
-    mt = m.total
-    a = _draw_complex(rng)
-    _require((1 - a - mt).real >= mp.mpf("0.05"), "Re(1-a-m) margin")
-    _clear_of_nonpositive_integers(b + 1, "b+1 near a pole")
-    _clear_of_nonpositive_integers(1 - a, "gamma pole at 1-a")
-    _clear_of_nonpositive_integers(b + 1 - a, "gamma pole at b+1-a")
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-        _clear_of_nonpositive_integers(fi, "bottom parameter near a pole")
-        _poch_margin(fi - b, mt)
-    return {"a": a, "b": b, "f": f, "m": m}
+    p = _draw(rng, "b")
+    b, f, mt = p["b"], p["f"], p["m"].total
+    a = p["a"] = _draw_complex(rng)
+    _require(
+        (1 - a - mt).real >= mp.mpf("0.05")
+        and _clear(b + 1, 1 - a, b + 1 - a, *f)
+        and _f_margin(p)
+        and all(_poch_margin(fi - b, mt) for fi in f)
+    )
+    return p
 
 
 def _check_karlsson(case: IdentityCase) -> tuple:
@@ -543,19 +503,16 @@ def _check_karlsson(case: IdentityCase) -> tuple:
 
 
 def _sample_cor3(rng: random.Random, index: int) -> dict:
-    a, b = _draw_complex(rng), _draw_complex(rng)
-    m = IntVector(rng.choice(((1,), (2,), (3,))))
-    f = _draw_f(rng, m)
-    mt = m.total
-    for q in (1, 2):
-        _clear_of_nonpositive_integers(b + q - 1, "gamma pole in Tstar")
-        _clear_of_nonpositive_integers(b + q - a, "gamma pole in Tstar")
+    p = _draw(rng, "ab", ((1,), (2,), (3,)))
+    a, b, f, m = p["a"], p["b"], p["f"], p["m"]
     fb = pochhammer_vec(f - b, m)
     fb1 = pochhammer_vec(f - b - 1, m)
-    _require(abs((b - a + 1) * fb - b * fb1) >= MARGIN, "lambda* denominator margin")
-    for fi in f:
-        _poch_margin(fi, mt + 1)
-    return {"a": a, "b": b, "f": f, "m": m}
+    _require(
+        _clear(*(z for q in (1, 2) for z in (b + q - 1, b + q - a)))
+        and _away((b - a + 1) * fb - b * fb1)
+        and _f_margin(p)
+    )
+    return p
 
 
 def _check_cor3(case: IdentityCase) -> tuple:
@@ -578,22 +535,23 @@ def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> tuple:
     return max(_relative(lam, root), _relative(lam_star, root_star)), 2
 
 
+def _sample_single_root(rng: random.Random, m: tuple) -> dict:
+    """COR4 and COR5: a, d, e, b and f at a fixed m, with their common margins."""
+    p = _draw(rng, "adeb", (m,))
+    a, d, e, b = p["a"], p["d"], p["e"], p["b"]
+    _require(_away(b) and _away(e - d - 1) and _away(e - a - 1) and _poch_margin(b + 1, 2))
+    return p
+
+
 def _sample_cor4(rng: random.Random, index: int) -> dict:
-    a, d, e, b = (_draw_complex(rng) for _ in range(4))
-    m = IntVector((2,))
-    f = _draw_f(rng, m)
-    f0 = f[0]
-    _require(abs(b) >= MARGIN, "b too close to 0")
-    _require(abs(e - d - 1) >= MARGIN, "(e-d-1) margin")
-    _require(abs(e - a - 1) >= MARGIN, "(e-a-1) margin")
-    _require(abs(2 * f0 - b - d + 1) >= MARGIN, "lambda denominator margin")
+    p = _sample_single_root(rng, (2,))
+    a, d, e, b, f0 = p["a"], p["d"], p["e"], p["b"], p["f"][0]
     _require(
-        abs(a * d + (2 * f0 - b + 1) * (e - a - d - 1)) >= MARGIN,
-        "lambda* denominator margin",
+        _away(2 * f0 - b - d + 1)
+        and _away(a * d + (2 * f0 - b + 1) * (e - a - d - 1))
+        and _f_margin(p)
     )
-    _poch_margin(b + 1, 2)
-    _poch_margin(f0, 3)
-    return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
+    return p
 
 
 def _check_cor4(case: IdentityCase) -> tuple:
@@ -611,19 +569,15 @@ def _check_cor4(case: IdentityCase) -> tuple:
 
 
 def _sample_cor5(rng: random.Random, index: int) -> dict:
-    a, d, e, b = (_draw_complex(rng) for _ in range(4))
-    m = IntVector((1, 1))
-    f = _draw_f(rng, m)
-    s = f[0] + f[1] - b
-    _require(abs(b) >= MARGIN, "b too close to 0")
-    _require(abs(e - d - 1) >= MARGIN, "(e-d-1) margin")
-    _require(abs(e - a - 1) >= MARGIN, "(e-a-1) margin")
-    _require(abs(s - d) >= MARGIN, "lambda denominator margin")
-    _require(abs(a * d + s * (e - a - d - 1)) >= MARGIN, "lambda* denominator margin")
-    _poch_margin(b + 1, 2)
-    for fi in f:
-        _poch_margin(fi, 2)
-    return {"a": a, "d": d, "e": e, "b": b, "f": f, "m": m}
+    p = _sample_single_root(rng, (1, 1))
+    a, d, e, f = p["a"], p["d"], p["e"], p["f"]
+    s = f[0] + f[1] - p["b"]
+    _require(
+        _away(s - d)
+        and _away(a * d + s * (e - a - d - 1))
+        and all(_poch_margin(fi, 2) for fi in f)
+    )
+    return p
 
 
 def _check_cor5(case: IdentityCase) -> tuple:

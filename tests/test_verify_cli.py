@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -71,6 +72,42 @@ class TestSampler:
     def test_every_identity_id_registered(self):
         assert set(IDENTITY_IDS) == set(IDENTITIES)
 
+    def test_draws_are_pinned(self):
+        # A change that alters sampling on purpose updates this digest and
+        # says so in CHANGES.md.
+        digest = hashlib.sha256()
+        for identity_id in IDENTITY_IDS:
+            for case in sample_params(identity_id, seed=1, count=3):
+                digest.update(identity_id.encode())
+                _feed(digest, case.params)
+                _feed(digest, case.x_samples)
+        assert digest.hexdigest() == _PINNED_DRAWS
+
+
+#: SHA-256 of every identity's sample_params(id, 1, 3) at 40 digits.
+_PINNED_DRAWS = "e5e9751ea12cd22745ee6fe2432d2180501262c75cc44069f7ac5946dfcefa2e"
+
+
+def _feed(digest, value) -> None:
+    """Hash a params value exactly: mantissa and exponent of every number."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            digest.update(repr(key).encode())
+            _feed(digest, value[key])
+    elif isinstance(value, (list, tuple, IntVector, ParamVector)):
+        digest.update(f"{type(value).__name__}[".encode())
+        for item in value:
+            _feed(digest, item)
+        digest.update(b"]")
+    elif isinstance(value, mp.mpc):
+        digest.update(b"c")
+        _feed(digest, value.real)
+        _feed(digest, value.imag)
+    elif isinstance(value, mp.mpf):
+        digest.update(repr(value.man_exp).encode())
+    else:
+        digest.update(repr(value).encode())
+
 
 class TestRunSuite:
     def test_empty_ids_passes(self):
@@ -99,9 +136,14 @@ class TestRunSuite:
         import subprocess
         import sys
 
+        import ipdhyp
+
+        # the children import ipdhyp from where this process found it
+        package_root = os.path.dirname(os.path.dirname(ipdhyp.__file__))
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         outputs = []
         for hash_seed, name in (("1", "a.json"), ("99", "b.json")):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
             path = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "ipdhyp", "verify", "--only", "COR3,MINTON",
