@@ -17,6 +17,11 @@ form:
   two-free-parameter extensions, assembled from the Y coefficients.
 * ``w_poly``: the degree-(m-1) weight polynomial behind the Y family.
 
+The builders work on plain ascending coefficient lists: running products
+of linear factors come from ``kernel.linear_products``, and a weighted sum
+of basis polynomials (or a Lagrange interpolation) accumulates into one
+list, which is wrapped in ``CPoly`` once, so each result is trimmed once.
+
 ``find_roots`` extracts all roots simultaneously (Ehrlich-Aberth iteration
 with seeded random-circle initialization).  Root multiplicity is not
 classified: repeated roots come back as near-coincident values, which is
@@ -47,6 +52,7 @@ from .kernel import (
     as_param_vector,
     cplx,
     gamma,
+    linear_products,
     near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
@@ -59,6 +65,10 @@ TRIM_GUARD_DIGITS = 6
 #: Distance from a nonpositive integer at which a root is flagged as a pole risk.
 POLE_RISK_TOL = mp.mpf("1e-6")
 
+#: Seed of find_roots' initial angles, and its budget of Ehrlich-Aberth sweeps.
+ROOT_SEED = 0
+MAX_SWEEPS = 200
+
 
 class CPoly:
     """Dense univariate polynomial, ascending complex coefficients.
@@ -66,23 +76,21 @@ class CPoly:
     Trailing (highest-degree) coefficients smaller than
     10^-(dps-6) relative to the largest coefficient are trimmed at
     construction, so ``degree`` is meaningful.  The zero polynomial is
-    explicitly representable (``is_zero``).
+    explicitly representable (``is_zero``).  There is no arithmetic on
+    CPoly: builders work on plain coefficient lists and wrap the result.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, trim: bool = True):
-        cs = [cplx(c) for c in coeffs]
-        if not cs:
+    def __init__(self, coeffs):
+        cs = [cplx(c) for c in coeffs] or [mp.mpc(0)]
+        top = max(abs(c) for c in cs)
+        if top == 0:
             cs = [mp.mpc(0)]
-        if trim:
-            top = max(abs(c) for c in cs)
-            if top == 0:
-                cs = [mp.mpc(0)]
-            else:
-                tol = mp.mpf(10) ** (-(mp.mp.dps - TRIM_GUARD_DIGITS)) * top
-                while len(cs) > 1 and abs(cs[-1]) <= tol:
-                    cs.pop()
+        else:
+            tol = mp.mpf(10) ** (-(mp.mp.dps - TRIM_GUARD_DIGITS)) * top
+            while len(cs) > 1 and abs(cs[-1]) <= tol:
+                cs.pop()
         self.coeffs = cs
 
     @property
@@ -98,81 +106,45 @@ class CPoly:
         return self.coeffs[-1]
 
     def __call__(self, z: ComplexLike) -> ComplexValue:
-        z = cplx(z)
-        acc = mp.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def __add__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [mp.mpc(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return CPoly(out)
-
-    def __mul__(self, other) -> "CPoly":
-        if isinstance(other, CPoly):
-            out = [mp.mpc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return CPoly(out)
-        s = cplx(other)
-        return CPoly([c * s for c in self.coeffs], trim=False)
-
-    __rmul__ = __mul__
-
-    def monic(self) -> "CPoly":
-        lead = self.leading
-        if lead == 0:
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        return CPoly([c / lead for c in self.coeffs], trim=False)
-
-    def derivative(self) -> "CPoly":
-        if len(self.coeffs) == 1:
-            return CPoly([mp.mpc(0)], trim=False)
-        return CPoly(
-            [i * c for i, c in enumerate(self.coeffs) if i > 0], trim=False
-        )
+        return _horner(self.coeffs, cplx(z))
 
     @classmethod
     def from_roots(cls, roots, lead: ComplexLike = 1) -> "CPoly":
-        poly = cls([cplx(lead)], trim=False)
-        for r in roots:
-            poly = poly * cls([-cplx(r), mp.mpc(1)], trim=False)
-        return poly
+        lead = cplx(lead)
+        return cls([c * lead for c in linear_products((-cplx(r), 1) for r in roots)[-1]])
 
     def __repr__(self) -> str:
         return f"CPoly(degree={self.degree})"
 
 
-def _products(factors) -> list:
-    """Running products [1, l_0, l_0 l_1, ...] of the linear polynomials
-    l_j(t) = u_j + v_j t, given as pairs (u_j, v_j)."""
-    out = [CPoly([mp.mpc(1)], trim=False)]
-    for u, v in factors:
-        out.append(out[-1] * CPoly([u, v], trim=False))
-    return out
+def _horner(coeffs: list, z: ComplexValue) -> ComplexValue:
+    acc = mp.mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _split_basis(c0: ComplexValue, n: int) -> list:
     """(t)_k (c0 - t)_{n-k} for k = 0..n: the basis of Q, P-hat and L."""
-    rising = _products((j, 1) for j in range(n))
-    rev = _products((c0 + j, -1) for j in range(n))
-    return [rising[k] * rev[n - k] for k in range(n + 1)]
+    rising = linear_products((j, 1) for j in range(n))
+    rev = linear_products((c0 + j, -1) for j in range(n))
+    basis = []
+    for k in range(n + 1):
+        prod = [mp.mpc(0)] * (n + 1)
+        for i, u in enumerate(rising[k]):
+            for j, v in enumerate(rev[n - k]):
+                prod[i + j] += u * v
+        basis.append(prod)
+    return basis
 
 
 def _weighted_sum(weights, basis) -> CPoly:
-    """sum_k weights[k] * basis[k]."""
-    out = CPoly([mp.mpc(0)], trim=False)
+    """sum_k weights[k] * basis[k], trimmed once."""
+    out = [mp.mpc(0)] * max(len(poly) for poly in basis)
     for w, poly in zip(weights, basis):
-        out = out + w * poly
-    return CPoly(out.coeffs)
+        for i, c in enumerate(poly):
+            out[i] += c * w
+    return CPoly(out)
 
 
 @dataclass
@@ -196,18 +168,20 @@ class RootSet:
         return len(self.roots)
 
 
-def find_roots(
-    poly: CPoly,
-    seed: int = 0,
-    max_iterations: int = 200,
-) -> RootSet:
+def find_roots(poly: CPoly) -> RootSet:
     """All complex roots of ``poly`` by simultaneous Ehrlich-Aberth iteration.
 
-    Initial guesses sit on a circle of Cauchy-bound radius at seeded random
-    angles, so the result is deterministic for a given seed.  Iteration runs
-    at 15 guard digits and stops when the scaled residual
-    max|p(root)| / |lead| falls below 10^-(dps-10);
-    raises NonConvergenceError after ``max_iterations`` sweeps.
+    Initial guesses sit on a circle of Cauchy-bound radius at angles drawn
+    from ``random.Random(ROOT_SEED)``, so the result is deterministic.
+    Iteration runs at 15 guard digits and stops when the scaled residual
+    max|p(root)| / |lead| falls below 10^-(dps-10); raises
+    NonConvergenceError after ``MAX_SWEEPS`` sweeps.
+
+    The two degrees return roots at different precisions.  A degree-1 root
+    is returned from inside the guard-digit block and keeps its guard digits
+    (186 bits at 40 digits); closed-form checks of a single root rely on
+    that.  Roots of higher degree are rounded to the working precision
+    (136 bits at 40 digits).
     """
     if poly.is_zero:
         raise ZeroPolynomialError("zero polynomial has no well-defined roots")
@@ -215,32 +189,32 @@ def find_roots(
     n = poly.degree
     if n == 0:
         return RootSet(ParamVector([]), mp.mpf(0), ())
-    rng = random.Random(seed)
+    rng = random.Random(ROOT_SEED)
     with mp.extradps(15):
-        monic = poly.monic()
+        lead = poly.leading
+        monic = [c / lead for c in poly.coeffs]
         if n == 1:
-            roots = [-monic.coeffs[0]]
-            res = abs(poly(roots[0])) / abs(poly.leading)
+            roots = [-monic[0]]
+            res = abs(poly(roots[0])) / abs(lead)
             flag = near_nonpositive_integer(roots[0], POLE_RISK_TOL)
             return RootSet(ParamVector(roots), res, (flag,))
-        deriv = monic.derivative()
-        radius = 1 + max(abs(c) for c in monic.coeffs[:-1])
+        deriv = [i * c for i, c in enumerate(monic) if i > 0]
+        radius = 1 + max(abs(c) for c in monic[:-1])
         z = [
             radius
             * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(rng.random()) / 2) / n + mp.mpf("0.35")))
             for k in range(n)
         ]
-        lead_mag = abs(poly.leading)
-        converged = False
+        lead_mag = abs(lead)
         residual = mp.inf
-        for _ in range(max_iterations):
+        for _ in range(MAX_SWEEPS):
             for i in range(n):
-                pv = monic(z[i])
-                dv = deriv(z[i])
+                pv = _horner(monic, z[i])
+                dv = _horner(deriv, z[i])
                 if dv == 0:
                     z[i] = z[i] * (1 + mp.mpf("1e-8")) + mp.mpf("1e-12")
-                    dv = deriv(z[i])
-                    pv = monic(z[i])
+                    dv = _horner(deriv, z[i])
+                    pv = _horner(monic, z[i])
                 newton = pv / dv
                 shifts = mp.mpc(0)
                 for j in range(n):
@@ -258,12 +232,11 @@ def find_roots(
                 z[i] = z[i] - step
             residual = max(abs(poly(zi)) for zi in z) / lead_mag
             if residual <= target:
-                converged = True
                 break
-        if not converged:
+        else:
             raise NonConvergenceError(
                 f"root iteration failed to reach residual {mp.nstr(target, 5)} "
-                f"within {max_iterations} sweeps (got {mp.nstr(residual, 5)})"
+                f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
             )
     roots = [mp.mpc(zi) for zi in z]
     flags = tuple(near_nonpositive_integer(zi, POLE_RISK_TOL) for zi in roots)
@@ -323,16 +296,17 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
 
 def _interpolate(nodes, values) -> CPoly:
     """Lagrange interpolation through (node, value) pairs."""
-    total = CPoly([mp.mpc(0)], trim=False)
+    total = [mp.mpc(0)] * len(nodes)
     for i, (xi, yi) in enumerate(zip(nodes, values)):
-        basis = CPoly([yi], trim=False)
+        basis = [yi]
         for j, xj in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * CPoly([-xj, mp.mpc(1)], trim=False)
-            basis = basis * (1 / (xi - xj))
-        total = total + basis
-    return CPoly(total.coeffs)
+            if j != i:
+                # times (t - xj), then divided by (xi - xj)
+                scale = 1 / (xi - xj)
+                basis = [(lo * -xj + hi) * scale for lo, hi in zip(basis + [0], [0] + basis)]
+        for k, c in enumerate(basis):
+            total[k] += c
+    return CPoly(total)
 
 
 def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -353,7 +327,7 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
         for k in range(mt + 1)
     ]
     # basis (c-b-m-t)_{m-k}, k = 0..m
-    return _weighted_sum(weights, _products((c - b - mt + j, -1) for j in range(mt))[::-1])
+    return _weighted_sum(weights, linear_products((c - b - mt + j, -1) for j in range(mt))[::-1])
 
 
 def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -397,7 +371,7 @@ def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
                 (alpha + k + s) * (beta + k + s) * (s + 1)
             )
             rise[k + s + 1] += weight * term
-    return _weighted_sum(rise, _products((j, 1) for j in range(n)))
+    return _weighted_sum(rise, linear_products((j, 1) for j in range(n)))
 
 
 def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -469,7 +443,7 @@ def build_T(
             weight /= _gamma_or_pole(b + q - a, "Tstar build")
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
-        basis.append(_products(factors)[-1])
+        basis.append(linear_products(factors)[-1])
     result = _weighted_sum(weights, basis)
     if result.is_zero:
         raise DegenerateCaseError("characteristic polynomial is identically zero")

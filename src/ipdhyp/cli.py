@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from typing import Sequence
 
 import mpmath as mp
@@ -81,28 +82,6 @@ def format_complex(z) -> list:
     return [mp.nstr(z.real, mp.mp.dps), mp.nstr(z.imag, mp.mp.dps)]
 
 
-def _load_params(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict):
-        raise ValueError("params file must hold a JSON object")
-    return doc
-
-
-def _get_complex(doc: dict, key: str, required: bool = True):
-    if key not in doc:
-        if required:
-            raise ValueError(f"params file is missing {key!r}")
-        return None
-    return parse_complex(doc[key])
-
-
-def _get_vector(doc: dict, key: str) -> ParamVector:
-    if key not in doc or not isinstance(doc[key], list):
-        raise ValueError(f"params file needs a list under {key!r}")
-    return ParamVector([parse_complex(v) for v in doc[key]])
-
-
 def _integral(value, key: str) -> int:
     """A JSON number with an integral value, such as 2 or 2.0."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -112,16 +91,10 @@ def _integral(value, key: str) -> int:
     raise ValueError(f"params entry {key!r} must hold integers, got {value!r}")
 
 
-def _get_int(doc: dict, key: str) -> int:
-    if key not in doc:
-        raise ValueError(f"params file is missing {key!r}")
-    return _integral(doc[key], key)
-
-
-def _get_mults(doc: dict, key: str = "m") -> IntVector:
-    if key not in doc or not isinstance(doc[key], list):
+def _listed(value, key: str) -> list:
+    if not isinstance(value, list):
         raise ValueError(f"params file needs a list under {key!r}")
-    return IntVector(_integral(v, key) for v in doc[key])
+    return value
 
 
 def _expression_doc(expr: HypExpression) -> dict:
@@ -143,21 +116,33 @@ def _expression_doc(expr: HypExpression) -> dict:
     return {"terms": terms}
 
 
-#: Readers of the params entry types that the theorem table declares.
+#: Readers, (value, key) -> parameter, of the params entry types that the
+#: theorem table and the polynomial table declare.
 _READERS = {
-    ComplexValue: _get_complex,
-    ParamVector: _get_vector,
-    IntVector: _get_mults,
-    int: _get_int,
-    str: lambda doc, key: str(doc[key]),
+    ComplexValue: lambda value, key: parse_complex(value),
+    ParamVector: lambda value, key: ParamVector(parse_complex(v) for v in _listed(value, key)),
+    IntVector: lambda value, key: IntVector(_integral(v, key) for v in _listed(value, key)),
+    int: _integral,
+    str: lambda value, key: str(value),
 }
+
+
+def _read_params(path: str, keys: dict, defaults: dict) -> dict:
+    """The entries ``keys`` names, read by type, with ``defaults`` for missing ones."""
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError("params file must hold a JSON object")
+    doc = dict(defaults, **doc)
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"params file is missing {key!r}")
+    return {key: _READERS[kind](doc[key], key) for key, kind in keys.items()}
 
 
 def _cmd_transform(args) -> int:
     check = verify_mod.IDENTITIES[args.theorem].check
-    doc = dict(check.defaults, **_load_params(args.params))
-    params = {key: _READERS[kind](doc, key) for key, kind in check.keys.items()}
-    expr = check.rhs(params)
+    expr = check.rhs(_read_params(args.params, check.keys, check.defaults))
     out = {"theorem": args.theorem, "expression": _expression_doc(expr)}
     if args.x is not None:
         x = parse_complex(args.x)
@@ -186,46 +171,28 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_POLY_BUILDERS = ("Q", "P", "Qhat", "Phat", "W", "T", "Tstar", "L", "Lhat")
+_C = ComplexValue
+_FM = {"f": ParamVector, "m": IntVector}
+
+#: ``charpoly --which`` -> (builder, params keys by type, defaults).
+_POLYNOMIALS = {
+    "Q": (build_Q, dict(_FM, b=_C, c=_C, route=str), {"route": "eq5"}),
+    "P": (build_P, dict(_FM, b=_C, c=_C), {}),
+    "Qhat": (build_Qhat, dict(_FM, a=_C, b=_C, c=_C), {}),
+    "Phat": (build_Phat, dict(_FM, a=_C, b=_C, c=_C), {}),
+    "W": (w_poly, dict(_FM, b=_C), {}),
+    "T": (partial(build_T, variant="T"), dict(_FM, b=_C, p=int), {"p": 1}),
+    "Tstar": (partial(build_T, variant="Tstar"), dict(_FM, a=_C, b=_C, p=int), {"p": 1}),
+    "L": (partial(build_L, variant="L"), dict(_FM, a=_C, d=_C, e=_C, b=_C), {}),
+    "Lhat": (partial(build_L, variant="Lhat"), dict(_FM, a=_C, d=_C, e=_C, b=_C), {}),
+}
 
 
 def _cmd_charpoly(args) -> int:
-    doc = _load_params(args.params)
-    which = args.which
-    f = _get_vector(doc, "f")
-    m = _get_mults(doc)
-    b = _get_complex(doc, "b")
-    if which == "Q":
-        poly = build_Q(b, _get_complex(doc, "c"), f, m, route=doc.get("route", "eq5"))
-    elif which == "P":
-        poly = build_P(b, _get_complex(doc, "c"), f, m)
-    elif which == "Qhat":
-        poly = build_Qhat(_get_complex(doc, "a"), b, _get_complex(doc, "c"), f, m)
-    elif which == "Phat":
-        poly = build_Phat(_get_complex(doc, "a"), b, _get_complex(doc, "c"), f, m)
-    elif which == "W":
-        poly = w_poly(b, f, m)
-    elif which in ("T", "Tstar"):
-        poly = build_T(
-            b,
-            _integral(doc.get("p", 1), "p"),
-            f,
-            m,
-            variant=which,
-            a=_get_complex(doc, "a", required=which == "Tstar"),
-        )
-    else:  # L, Lhat
-        poly = build_L(
-            _get_complex(doc, "a"),
-            _get_complex(doc, "d"),
-            _get_complex(doc, "e"),
-            b,
-            f,
-            m,
-            variant=which,
-        )
+    build, keys, defaults = _POLYNOMIALS[args.which]
+    poly = build(**_read_params(args.params, keys, defaults))
     out = {
-        "which": which,
+        "which": args.which,
         "degree": poly.degree,
         "coeffs": [format_complex(c) for c in poly.coeffs],
     }
@@ -291,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     p_charpoly = sub.add_parser("charpoly", help="print characteristic polynomial and roots")
-    p_charpoly.add_argument("--which", required=True, choices=_POLY_BUILDERS)
+    p_charpoly.add_argument("--which", required=True, choices=list(_POLYNOMIALS))
     p_charpoly.add_argument("--params", required=True, help="JSON parameter file")
     p_charpoly.set_defaults(func=_cmd_charpoly)
 

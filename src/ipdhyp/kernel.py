@@ -9,9 +9,10 @@ raised but never drops below 16 digits.
 The rising factorial (a)_n = a(a+1)...(a+n-1) and its vector form
 (f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The module
 also provides Stirling numbers of the second kind (exact integers, cached),
-coefficient extraction for products of shifted linear factors such as
-(f_1+x)_{m_1}...(f_r+x)_{m_r}, and exact summation of terminating
-hypergeometric series by term-ratio recursion.
+running products of linear factors as coefficient lists (behind every
+characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}), and
+exact summation of terminating hypergeometric series by term-ratio
+recursion.
 """
 
 from __future__ import annotations
@@ -274,6 +275,21 @@ def falling_factorial(n: ComplexLike, k: int) -> ComplexValue:
     return result
 
 
+def linear_products(factors) -> list:
+    """Running products [1, l_0, l_0 l_1, ...] of the linear polynomials
+    l_j(x) = u_j + v_j x, given as pairs (u_j, v_j), as ascending coefficient
+    lists."""
+    out = [[mp.mpc(1)]]
+    for u, v in factors:
+        prev = out[-1]
+        nxt = [mp.mpc(0)] * (len(prev) + 1)
+        for i, c in enumerate(prev):
+            nxt[i] += c * u
+            nxt[i + 1] += c * v
+        out.append(nxt)
+    return out
+
+
 def genfunc_coeffs(
     f: VectorLike,
     m: MultLike,
@@ -294,16 +310,9 @@ def genfunc_coeffs(
     if len(fs) != len(ms):
         raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
     shift = cplx(shift)
-    coeffs = [mp.mpc(1)]
-    for fi, mi in zip(fs, ms):
-        for j in range(mi):
-            const = fi - shift + j
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for i, ci in enumerate(coeffs):
-                nxt[i] += ci * const
-                nxt[i + 1] += ci * sign
-            coeffs = nxt
-    return coeffs
+    return linear_products(
+        (fi - shift + j, sign) for fi, mi in zip(fs, ms) for j in range(mi)
+    )[-1]
 
 
 def terminating_pfq(

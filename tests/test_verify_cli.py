@@ -6,7 +6,8 @@ import warnings
 import mpmath as mp
 import pytest
 
-from ipdhyp.cli import cli_dispatch, parse_complex
+from ipdhyp.charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, w_poly
+from ipdhyp.cli import cli_dispatch, format_complex, parse_complex
 from ipdhyp.errors import RejectionExhaustedError, RootWarning
 from ipdhyp.kernel import IntVector, ParamVector, cplx, pochhammer, set_precision
 from ipdhyp.verify import (
@@ -17,6 +18,13 @@ from ipdhyp.verify import (
     run_suite,
     sample_params,
 )
+
+
+#: A params file that every ``charpoly --which`` can read.
+_CHARPOLY_PARAMS = {
+    "a": "0.7+0.1i", "b": "0.4-0.2i", "c": "2.3+0.3i", "d": "0.9", "e": "3.1-0.4i",
+    "f": ["1.5+0.2i", "0.8"], "m": [2, 1],
+}
 
 
 def _strip_wall_time(rendered: str) -> str:
@@ -281,6 +289,58 @@ class TestCli:
         root = cplx(mp.mpf(doc["roots"][0][0]), mp.mpf(doc["roots"][0][1]))
         f1, b, c = mp.mpf("1.5"), mp.mpf("0.4"), mp.mpf("2.3")
         assert abs(root - f1 * (c - b - 1) / (f1 - b)) < mp.mpf("1e-28")
+
+    @pytest.mark.parametrize(
+        "which, build",
+        [
+            ("Q", lambda p: build_Q(p["b"], p["c"], p["f"], p["m"])),
+            ("P", lambda p: build_P(p["b"], p["c"], p["f"], p["m"])),
+            ("Qhat", lambda p: build_Qhat(p["a"], p["b"], p["c"], p["f"], p["m"])),
+            ("Phat", lambda p: build_Phat(p["a"], p["b"], p["c"], p["f"], p["m"])),
+            ("W", lambda p: w_poly(p["b"], p["f"], p["m"])),
+            ("T", lambda p: build_T(p["b"], 3, p["f"], p["m"], variant="T")),
+            ("Tstar", lambda p: build_T(p["b"], 3, p["f"], p["m"], variant="Tstar", a=p["a"])),
+            ("L", lambda p: build_L(p["a"], p["d"], p["e"], p["b"], p["f"], p["m"], variant="L")),
+            ("Lhat", lambda p: build_L(p["a"], p["d"], p["e"], p["b"], p["f"], p["m"], variant="Lhat")),
+        ],
+    )
+    def test_charpoly_covers_every_which(self, which, build, tmp_path, capsys):
+        raw = dict(_CHARPOLY_PARAMS, p=3)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(raw))
+        code = cli_dispatch(["charpoly", "--which", which, "--params", str(path)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        params = {
+            "f": ParamVector([parse_complex(v) for v in raw["f"]]),
+            "m": IntVector(raw["m"]),
+            **{k: parse_complex(raw[k]) for k in "abcde"},
+        }
+        poly = build(params)
+        assert doc["which"] == which
+        assert doc["degree"] == poly.degree > 0
+        assert doc["coeffs"] == [format_complex(c) for c in poly.coeffs]
+        assert len(doc["roots"]) == poly.degree
+
+    def test_charpoly_t_defaults_to_p_1(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(_CHARPOLY_PARAMS))
+        code = cli_dispatch(["charpoly", "--which", "T", "--params", str(path)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        b = parse_complex(_CHARPOLY_PARAMS["b"])
+        f = [parse_complex(v) for v in _CHARPOLY_PARAMS["f"]]
+        poly = build_T(b, 1, f, _CHARPOLY_PARAMS["m"], variant="T")
+        assert doc["degree"] == 0
+        assert doc["coeffs"] == [format_complex(c) for c in poly.coeffs]
+
+    def test_charpoly_tstar_names_a_missing_a(self, tmp_path, capsys):
+        params = {k: v for k, v in _CHARPOLY_PARAMS.items() if k != "a"}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code = cli_dispatch(["charpoly", "--which", "Tstar", "--params", str(path)])
+        assert code == 2
+        assert "'a'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", [[1.9], [True], ["2"]])
     def test_charpoly_rejects_nonintegral_multiplicities(self, m, tmp_path, capsys):
