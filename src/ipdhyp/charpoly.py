@@ -37,23 +37,18 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .coeffs import coeff_C, coeff_D, coeff_Y, w_poly_coeffs
-from .errors import (
-    DegenerateCaseError,
-    GammaPoleError,
-    NonConvergenceError,
-    ZeroPolynomialError,
-)
+from .errors import DegenerateCaseError, NonConvergenceError, ZeroPolynomialError
 from .kernel import (
     ComplexLike,
     ComplexValue,
     ParamVector,
     as_int_vector,
-    as_nonpositive_integer,
     as_param_vector,
     cplx,
     gamma,
     linear_products,
     near_nonpositive_integer,
+    nonzero,
     pochhammer,
     pochhammer_vec,
     terminating_pfq,
@@ -254,9 +249,7 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     b, c = cplx(b), cplx(c)
     f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
-    norm = pochhammer(c - b - mt, mt)
-    if norm == 0:
-        raise DegenerateCaseError("(c-b-m)_m = 0: degenerate regime")
+    norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     if route == "eq5":
         weights = [pochhammer(b, k) * coeff_C(k, f, m) / norm for k in range(mt + 1)]
         return _weighted_sum(weights, _split_basis(c - b - mt, mt))
@@ -319,9 +312,7 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     b, c = cplx(b), cplx(c)
     f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
-    norm = pochhammer(c - b - mt, mt)
-    if norm == 0:
-        raise DegenerateCaseError("(c-b-m)_m = 0: degenerate regime")
+    norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     weights = [
         pochhammer(b, k) * pochhammer(1 - c + b, k) * coeff_D(k, f, m, b) / norm
         for k in range(mt + 1)
@@ -341,8 +332,8 @@ def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     a, b, c = cplx(a), cplx(b), cplx(c)
     f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
-    if pochhammer(c - a - mt, mt) == 0 or pochhammer(c - b - mt, mt) == 0:
-        raise DegenerateCaseError("(c-a-m)_m or (c-b-m)_m vanishes")
+    nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
+    nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     coef = [coeff_C(k, f, m) for k in range(mt + 1)]
     return _hatted(mt, coef, a, b, c - a - mt, c - b - mt, c - a - b - mt)
 
@@ -384,9 +375,8 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     a, b, c = cplx(a), cplx(b), cplx(c)
     f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
-    norm = pochhammer(c - a - mt, mt)
-    if norm == 0 or pochhammer(c - b - mt, mt) == 0:
-        raise DegenerateCaseError("(c-a-m)_m or (c-b-m)_m vanishes")
+    norm = nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
+    nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     fm_shift = list(f.shifted_by(m))
     weights = [
         (-1) ** k
@@ -397,12 +387,6 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
         for k in range(mt + 1)
     ]
     return _weighted_sum(weights, _split_basis(c - a - mt, mt))
-
-
-def _gamma_or_pole(z: ComplexValue, context: str) -> ComplexValue:
-    if as_nonpositive_integer(z) is not None:
-        raise GammaPoleError(f"gamma argument {z} is a nonpositive integer in {context}")
-    return gamma(z)
 
 
 def build_T(
@@ -435,12 +419,12 @@ def build_T(
         weight = (
             (-1) ** (q - 1)
             * pochhammer_vec(f - (b + q - 1), m)
-            * _gamma_or_pole(b + q - 1, "T build")
+            * gamma(b + q - 1)
             / (mp.factorial(q - 1) * mp.factorial(p - q))
         )
         factors = [(b + q + j, 1) for j in range(p - q)]
         if variant == "Tstar":
-            weight /= _gamma_or_pole(b + q - a, "Tstar build")
+            weight /= gamma(b + q - a)
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
         basis.append(linear_products(factors)[-1])
@@ -472,15 +456,13 @@ def build_L(
     mt = m.total
     if mt < 1:
         raise ValueError("need m_total >= 1")
-    if pochhammer(e - d - mt + 1, mt - 1) == 0:
-        raise DegenerateCaseError("(e-d-m+1)_{m-1} = 0")
+    nonzero(pochhammer(e - d - mt + 1, mt - 1), "(e-d-m+1)_{m-1}")
     yk = [coeff_Y(k, b, f, m) for k in range(mt)]
     if variant == "L":
         weights = [pochhammer(d, k) * yk[k] for k in range(mt)]
         result = _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
     elif variant == "Lhat":
-        if pochhammer(e - a - mt + 1, mt - 1) == 0:
-            raise DegenerateCaseError("(e-a-m+1)_{m-1} = 0")
+        nonzero(pochhammer(e - a - mt + 1, mt - 1), "(e-a-m+1)_{m-1}")
         result = _hatted(
             mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1
         )

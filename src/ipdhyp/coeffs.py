@@ -32,12 +32,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .errors import (
-    IndexOutOfRangeError,
-    LengthMismatchError,
-    UnsupportedPError,
-    ZeroDenominatorError,
-)
+from .errors import IndexOutOfRangeError, LengthMismatchError, UnsupportedPError
 from .kernel import (
     ComplexLike,
     ComplexValue,
@@ -47,6 +42,7 @@ from .kernel import (
     as_param_vector,
     cplx,
     genfunc_coeffs,
+    nonzero,
     pochhammer,
     pochhammer_vec,
     stirling2,
@@ -143,9 +139,7 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
         val = terminating_pfq(num, list(f), k)
         return (-1) ** k * val / mp.factorial(k)
     if route == "stirling":
-        fm = pochhammer_vec(f, m)
-        if fm == 0:
-            raise ZeroDenominatorError("(f)_m = 0")
+        fm = nonzero(pochhammer_vec(f, m), "(f)_m")
         return _stirling_sum(genfunc_coeffs(f, m), k) / fm
     raise ValueError(f"unknown route {route!r}")
 
@@ -188,14 +182,9 @@ def w_poly_coeffs(b: ComplexLike, f, m) -> list:
     b = cplx(b)
     mt = m.total
     if mt < 1:
-        raise IndexOutOfRangeError("need m_total >= 1")
-    fm = pochhammer_vec(f, m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
-    if b == 0:
-        from .errors import DegenerateLeadingError
-
-        raise DegenerateLeadingError("b = 0 collapses W to the zero polynomial")
+        raise ValueError("need m_total >= 1")
+    fm = nonzero(pochhammer_vec(f, m), "(f)_m")
+    nonzero(b, "b")
     numerator = genfunc_coeffs(f, m)
     numerator[0] -= pochhammer_vec(f - b, m)
     # divide by (x + b); remainder is analytically zero and is dropped
@@ -221,9 +210,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     mt = m.total
     if not 0 <= l <= mt - 1:
         raise IndexOutOfRangeError(f"need 0 <= l <= {mt - 1}, got {l}")
-    fm = pochhammer_vec(f, m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
+    fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     if route == "hyp":
         fbm = pochhammer_vec(f - b, m)
         num = [b] + list(f.shifted_by(m)) + [mp.mpc(-l)]

@@ -1,9 +1,23 @@
 """Exception hierarchy and warning categories for ipdhyp.
 
 Every domain error raised by this package derives from :class:`IpdHypError`,
-so callers can catch one base class.  Warnings (non-fatal conditions such as
-a shifted parameter landing on a series pole that may still terminate first)
-use :class:`RootWarning`.
+so callers can catch one base class.  One condition, one type:
+
+* a quantity a transformation needs nonzero vanishes ((f)_m, (c-b-m)_m,
+  (1+a+b-c)_m, b, ...), or a characteristic polynomial is identically
+  zero: :class:`DegenerateCaseError`, raised through ``kernel.nonzero``;
+* gamma or log-gamma at a nonpositive integer:
+  :class:`PoleAtNonpositiveIntegerError`;
+* vectors of different lengths: :class:`LengthMismatchError`;
+* a coefficient index outside its range: :class:`IndexOutOfRangeError`;
+* the series oracle outside its convergence region, at a bottom-parameter
+  pole or past its term cap: :class:`DivergentSeriesError`,
+  :class:`DenominatorPoleError`, :class:`SlowConvergenceError`.
+
+Usage errors (a missing parameter, an unknown route or variant, a
+multiplicity total below one) are plain ``ValueError``.  Warnings
+(non-fatal conditions such as a shifted parameter landing on a series pole
+that may still terminate first) use :class:`RootWarning`.
 """
 
 
@@ -23,24 +37,12 @@ class IndexOutOfRangeError(IpdHypError):
     """Coefficient index outside its admissible range."""
 
 
-class ZeroDenominatorError(IpdHypError):
-    """A normalizing Pochhammer product vanishes."""
-
-
-class DegenerateLeadingError(IpdHypError):
-    """The weight parameter is zero, collapsing a polynomial to zero."""
-
-
 class UnsupportedPError(IpdHypError):
     """Closed-form coefficient route requested outside its parameter range."""
 
 
 class DegenerateCaseError(IpdHypError):
-    """A Pochhammer non-vanishing condition of a transformation fails."""
-
-
-class GammaPoleError(IpdHypError):
-    """A gamma-function argument hits a nonpositive integer."""
+    """A quantity that must not vanish is zero, so the transformation degenerates."""
 
 
 class NonConvergenceError(IpdHypError):
@@ -77,10 +79,6 @@ class IntegerDifferenceError(IpdHypError):
 
 class DistinctnessViolationError(IpdHypError):
     """Shifted denominator-parameter grid contains coincident entries."""
-
-
-class TrivialSplitError(IpdHypError):
-    """Two-free-parameter split requested with zero weight parameter."""
 
 
 class RejectionExhaustedError(IpdHypError):

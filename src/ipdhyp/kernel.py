@@ -10,9 +10,10 @@ The rising factorial (a)_n = a(a+1)...(a+n-1) and its vector form
 (f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The module
 also provides Stirling numbers of the second kind (exact integers, cached),
 running products of linear factors as coefficient lists (behind every
-characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}), and
+characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}),
 exact summation of terminating hypergeometric series by term-ratio
-recursion.
+recursion, and ``nonzero``, the one guard behind every quantity a
+transformation needs nonzero.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import mpmath as mp
 
 from .errors import (
+    DegenerateCaseError,
     DenominatorPoleError,
     LengthMismatchError,
     PoleAtNonpositiveIntegerError,
@@ -66,6 +68,17 @@ def cplx(value: ComplexLike, imag: ComplexLike | None = None) -> ComplexValue:
     if isinstance(value, mp.mpc):
         return value
     return mp.mpc(mp.mpmathify(value))
+
+
+def nonzero(value: ComplexValue, what: str) -> ComplexValue:
+    """Return ``value``; raise DegenerateCaseError when it is exactly zero.
+
+    The one guard behind every quantity a transformation must not let
+    vanish, such as (c-b-m)_m, (f)_m or b.
+    """
+    if value == 0:
+        raise DegenerateCaseError(f"{what} = 0")
+    return value
 
 
 def near_nonpositive_integer(z: ComplexValue, tol: mp.mpf) -> bool:

@@ -44,12 +44,10 @@ import mpmath as mp
 from .charpoly import POLE_RISK_TOL, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
 from .coeffs import IpdSpec, coeff_D, coeff_Y
 from .errors import (
-    DegenerateCaseError,
     DistinctnessViolationError,
     IntegerDifferenceError,
+    LengthMismatchError,
     RootWarning,
-    TrivialSplitError,
-    ZeroDenominatorError,
 )
 from .hypeval import HypFunction, eval_pfq, eval_pfq_many, eval_prefactor, mobius_arg
 from .kernel import (
@@ -62,6 +60,7 @@ from .kernel import (
     cplx,
     gamma,
     near_nonpositive_integer,
+    nonzero,
     pochhammer,
     pochhammer_vec,
 )
@@ -196,8 +195,7 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat") -> HypExpression:
     if a is None or c is None:
         raise ValueError("apply_mp2 needs both a and c set on the IpdSpec")
     mt = spec.m_total
-    if pochhammer(1 + a + b - c, mt) == 0:
-        raise DegenerateCaseError("(1+a+b-c)_m = 0")
+    nonzero(pochhammer(1 + a + b - c, mt), "(1+a+b-c)_m")
     if route == "paperQhat":
         poly = build_Qhat(a, b, c, spec.f, spec.m)
     elif route == "newPhat":
@@ -213,9 +211,7 @@ def expand_to_gauss(spec: IpdSpec) -> HypExpression:
     a, b, c = spec.a, spec.b, spec.c
     if a is None or c is None:
         raise ValueError("expand_to_gauss needs both a and c set on the IpdSpec")
-    fm = pochhammer_vec(spec.f, spec.m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
+    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
     terms = []
     for k in range(spec.m_total + 1):
         weight = (-1) ** k * coeff_D(k, spec.f, spec.m, b) * pochhammer(b, k) / fm
@@ -251,9 +247,7 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
         raise ValueError("degenerate transformation needs a set on the IpdSpec")
     if spec.c is not None and spec.c != b + 1:
         raise ValueError("spec.c must be exactly b+1 (or omitted) here")
-    fm = pochhammer_vec(spec.f, spec.m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
+    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
     if variant == "eq19":
         mu, arg, num = -a, ARG_MOBIUS, [mp.mpc(1), a]
     elif variant == "eq20":
@@ -289,9 +283,7 @@ def apply_degenerate_p(
         raise ValueError(f"need p >= 1, got {p}")
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
-    fm = pochhammer_vec(spec.f, spec.m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
+    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
     if variant == "eq29":
         poly = build_T(b, p, spec.f, spec.m, variant="T")
         head_coeff = poly(0) / (gamma(b) * fm)
@@ -312,9 +304,7 @@ def apply_degenerate_p(
     terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
     for q in range(1, p + 1):
-        beta_q = b + q - 1
-        if beta_q == 0:
-            raise DegenerateCaseError("b + q - 1 = 0 in the algebraic part")
+        beta_q = nonzero(b + q - 1, "b+q-1")
         weight = (
             (-1) ** (q - 1)
             * bp
@@ -342,7 +332,7 @@ def apply_degenerate_vector(
     """
     b, p = as_param_vector(b), as_int_vector(p)
     if len(b) != len(p):
-        raise DistinctnessViolationError("b and p must have matching lengths")
+        raise LengthMismatchError(f"b and p lengths differ: {len(b)} vs {len(p)}")
     a = cplx(a)
     beta = []
     for bj, pj in zip(b, p):
@@ -365,9 +355,7 @@ def apply_degenerate_vector(
         for v in range(ptot):
             if v != q:
                 B_q *= beta[v] - beta[q]
-        if beta[q] == 0:
-            raise DegenerateCaseError("a shifted parameter beta_q vanishes")
-        weight = bp / (beta[q] * B_q)
+        weight = bp / (nonzero(beta[q], "beta_q") * B_q)
         sub = apply_degenerate_single(
             IpdSpec(b=beta[q], f=f, m=m, a=a), variant=single_variant
         )
@@ -396,12 +384,9 @@ def apply_two_free(
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
     f, m = as_param_vector(f), as_int_vector(m)
-    if b == 0:
-        raise TrivialSplitError("b = 0 makes the weight polynomial vanish")
+    nonzero(b, "b")
     mt = m.total
-    fm = pochhammer_vec(f, m)
-    if fm == 0:
-        raise ZeroDenominatorError("(f)_m = 0")
+    fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     fbm = pochhammer_vec(f - b, m)
     head = HypTerm(
         fbm / fm,
@@ -413,8 +398,7 @@ def apply_two_free(
     if variant == "first":
         num, mu, arg, which = [a, e - d - mt + 1], -a, ARG_MOBIUS, "L"
     elif variant == "second":
-        if pochhammer(1 + a + d - e, mt - 1) == 0:
-            raise DegenerateCaseError("(1+a+d-e)_{m-1} = 0")
+        nonzero(pochhammer(1 + a + d - e, mt - 1), "(1+a+d-e)_{m-1}")
         num, mu, arg, which = (
             [e - a - mt + 1, e - d - mt + 1], e - a - d - mt + 1, ARG_IDENTITY, "Lhat"
         )

@@ -25,7 +25,6 @@ import hashlib
 import json
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
@@ -34,7 +33,7 @@ import mpmath as mp
 
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots
 from .coeffs import IpdSpec
-from .errors import IpdHypError, RejectionExhaustedError, RootWarning
+from .errors import IpdHypError, RejectionExhaustedError
 from .hypeval import eval_pfq, eval_pfq_many
 from .kernel import (
     ComplexValue,
@@ -79,6 +78,10 @@ class IdentityCase:
     x_samples: list
 
 
+#: Case statuses from least to most severe.
+_STATUS_ORDER = ("pass", "skipped", "fail")
+
+
 @dataclass
 class CaseResult:
     identity_id: str
@@ -111,7 +114,8 @@ class VerificationReport:
         return 1 if self.n_failed or self.n_skipped else 0
 
     def identity_summary(self) -> dict:
-        """Per-identity aggregation: worst residual and combined status."""
+        """Per-identity aggregation: worst residual, every skip reason, and
+        the combined status (fail over skipped over pass)."""
         out: dict = {}
         for c in self.cases:
             slot = out.setdefault(
@@ -124,11 +128,9 @@ class VerificationReport:
             if c.max_residual is not None:
                 if slot["max_residual"] is None or c.max_residual > slot["max_residual"]:
                     slot["max_residual"] = c.max_residual
-            if c.status == "fail":
-                slot["status"] = "fail"
-            elif c.status == "skipped" and slot["status"] != "fail":
-                slot["status"] = "skipped"
+            if c.status == "skipped":
                 slot["skip_reasons"].append(c.skip_reason)
+            slot["status"] = max(slot["status"], c.status, key=_STATUS_ORDER.index)
         return out
 
 
@@ -317,17 +319,17 @@ def _lemma1_t_samples(rng: random.Random) -> list:
     return [mp.mpf("0.05") + mp.mpf(rng.random()) * mp.mpf("0.9") for _ in range(8)]
 
 
-def _check_lemma1(case: IdentityCase) -> tuple:
+def _check_lemma1(case: IdentityCase) -> list:
     p = case.params
+    args = (p["b"], p["c"], p["f"], p["m"])
     stol = _series_tol()
-    worst = mp.mpf(0)
-    for t in case.x_samples:
-        closed = meijer_norlund_ipd(t, p["b"], p["c"], p["f"], p["m"], route="closed")
-        series = meijer_norlund_ipd(
-            t, p["b"], p["c"], p["f"], p["m"], route="series", tol=stol
+    return [
+        _relative(
+            meijer_norlund_ipd(t, *args, route="closed"),
+            meijer_norlund_ipd(t, *args, route="series", tol=stol),
         )
-        worst = max(worst, _relative(closed, series))
-    return worst, len(case.x_samples)
+        for t in case.x_samples
+    ]
 
 
 def _sample_cor1(rng: random.Random, index: int) -> dict:
@@ -353,12 +355,12 @@ def _sample_lemma2(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_lemma2(case: IdentityCase) -> tuple:
+def _check_lemma2(case: IdentityCase) -> list:
     p = case.params
     q_poly = build_Q(p["b"], p["c"], p["f"], p["m"])
     p_poly = build_P(p["b"], p["c"], p["f"], p["m"])
     fm = pochhammer_vec(p["f"], p["m"])
-    return _coeff_deviation(p_poly.coeffs, [c * fm for c in q_poly.coeffs]), 1
+    return [_coeff_deviation(p_poly.coeffs, [c * fm for c in q_poly.coeffs])]
 
 
 def _sample_cor2(rng: random.Random, index: int) -> dict:
@@ -374,11 +376,11 @@ def _sample_cor2(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_cor2(case: IdentityCase) -> tuple:
+def _check_cor2(case: IdentityCase) -> list:
     p = case.params
     qhat = build_Qhat(p["a"], p["b"], p["c"], p["f"], p["m"])
     phat = build_Phat(p["a"], p["b"], p["c"], p["f"], p["m"])
-    return _coeff_deviation(qhat.coeffs, phat.coeffs), 1
+    return [_coeff_deviation(qhat.coeffs, phat.coeffs)]
 
 
 def _sample_lemma3(rng: random.Random, index: int) -> dict:
@@ -387,11 +389,10 @@ def _sample_lemma3(rng: random.Random, index: int) -> dict:
     return {"alpha": alpha, "m_max": 6}
 
 
-def _check_lemma3(case: IdentityCase) -> tuple:
+def _check_lemma3(case: IdentityCase) -> list:
     alpha = case.params["alpha"]
     m_max = case.params["m_max"]
-    worst = mp.mpf(0)
-    n_checked = 0
+    residuals = []
     for mt in range(m_max + 1):
         for k in range(mt + 1):
             for i in range(k + 1):
@@ -410,9 +411,8 @@ def _check_lemma3(case: IdentityCase) -> tuple:
                     * pochhammer(alpha - mt, mt)
                     / (pochhammer(-mt, i) * pochhammer(alpha - mt, k))
                 )
-                worst = max(worst, _relative(rhs, lhs))
-                n_checked += 1
-    return worst, n_checked
+                residuals.append(_relative(rhs, lhs))
+    return residuals
 
 
 _LEMMA4_M_POOL = ((1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1),
@@ -429,31 +429,29 @@ def _sample_lemma4(rng: random.Random, index: int) -> dict:
     return {"b": b, "f_by_m": fs}
 
 
-def _check_lemma4(case: IdentityCase) -> tuple:
+def _check_lemma4(case: IdentityCase) -> list:
     b = case.params["b"]
-    worst = mp.mpf(0)
-    n_checked = 0
+    residuals = []
     for pool_m, f in case.params["f_by_m"].items():
         m = IntVector(pool_m)
         mt = m.total
         f_shift = list(f.shifted_by(m))
+        inner = [terminating_pfq(f_shift + [mp.mpc(-i)], list(f), i) for i in range(mt + 1)]
         for k in range(mt + 1):
             lhs = mp.mpc(0)
             for i in range(k + 1):
-                inner = terminating_pfq(f_shift + [mp.mpc(-i)], list(f), i)
                 lhs += (
                     pochhammer(-k, i)
                     * pochhammer(b, i)
                     / (pochhammer(-mt, i) * mp.factorial(i))
-                    * inner
+                    * inner[i]
                 )
             outer = terminating_pfq(
                 [mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k
             )
             rhs = pochhammer(-b - mt, k) / pochhammer(-mt, k) * outer
-            worst = max(worst, _relative(rhs, lhs))
-            n_checked += 1
-    return worst, n_checked
+            residuals.append(_relative(rhs, lhs))
+    return residuals
 
 
 def _sample_minton(rng: random.Random, index: int) -> dict:
@@ -467,17 +465,17 @@ def _sample_minton(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> tuple:
+def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> list:
     """The c = b+1 IPD function with top parameter a, summed at x = 1,
     against the Gauss value times (f-b)_m/(f)_m."""
     b, f, m = p["b"], p["f"], p["m"]
     fun = ipd_function(IpdSpec(b=b, f=f, m=m, a=a), c=b + 1)
     lhs = eval_pfq(fun, 1, _series_tol()).value
     rhs = gauss * pochhammer_vec(f - b, m) / pochhammer_vec(f, m)
-    return _relative(lhs, rhs), 1
+    return [_relative(lhs, rhs)]
 
 
-def _check_minton(case: IdentityCase) -> tuple:
+def _check_minton(case: IdentityCase) -> list:
     p = case.params
     k = p["k"]
     return _unit_check(p, mp.mpc(-k), mp.factorial(k) / pochhammer(p["b"] + 1, k))
@@ -496,7 +494,7 @@ def _sample_karlsson(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_karlsson(case: IdentityCase) -> tuple:
+def _check_karlsson(case: IdentityCase) -> list:
     p = case.params
     a, b = p["a"], p["b"]
     return _unit_check(p, a, gamma(b + 1) * gamma(1 - a) / gamma(b + 1 - a))
@@ -515,7 +513,7 @@ def _sample_cor3(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_cor3(case: IdentityCase) -> tuple:
+def _check_cor3(case: IdentityCase) -> list:
     p = case.params
     a, b, f, m = p["a"], p["b"], p["f"], p["m"]
     fb = pochhammer_vec(f - b, m)
@@ -524,15 +522,15 @@ def _check_cor3(case: IdentityCase) -> tuple:
     poly = build_T(b, 2, f, m, variant="Tstar", a=a)
     root = find_roots(poly).roots[0]
     # the root keeps find_roots' guard digits; negating it would round them off
-    return _relative(-lam_star, root), 1
+    return [_relative(-lam_star, root)]
 
 
-def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> tuple:
+def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> list:
     """Closed-form roots lam and lam* against find_roots of the degree-1 L and L-hat."""
     args = (p["a"], p["d"], p["e"], p["b"], p["f"], p["m"])
     root = find_roots(build_L(*args, variant="L")).roots[0]
     root_star = find_roots(build_L(*args, variant="Lhat")).roots[0]
-    return max(_relative(lam, root), _relative(lam_star, root_star)), 2
+    return [_relative(lam, root), _relative(lam_star, root_star)]
 
 
 def _sample_single_root(rng: random.Random, m: tuple) -> dict:
@@ -554,7 +552,7 @@ def _sample_cor4(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_cor4(case: IdentityCase) -> tuple:
+def _check_cor4(case: IdentityCase) -> list:
     p = case.params
     a, d, e, b = p["a"], p["d"], p["e"], p["b"]
     f0 = p["f"][0]
@@ -580,7 +578,7 @@ def _sample_cor5(rng: random.Random, index: int) -> dict:
     return p
 
 
-def _check_cor5(case: IdentityCase) -> tuple:
+def _check_cor5(case: IdentityCase) -> list:
     p = case.params
     a, d, e, f = p["a"], p["d"], p["e"], p["f"]
     s = f[0] + f[1] - p["b"]
@@ -611,16 +609,13 @@ class TwoSided:
     keys: dict
     defaults: dict = field(default_factory=dict)
 
-    def __call__(self, case: IdentityCase) -> tuple:
+    def __call__(self, case: IdentityCase) -> list:
         expr = self.rhs(case.params)
         fun = self.lhs(case.params)
         stol = _series_tol()
         lhs = eval_pfq_many(fun, case.x_samples, stol)
         rhs = expr.evaluate_many(case.x_samples, stol)
-        worst = mp.mpf(0)
-        for left, right in zip(lhs, rhs):
-            worst = max(worst, _relative(left.value, right))
-        return worst, len(case.x_samples)
+        return [_relative(left.value, right) for left, right in zip(lhs, rhs)]
 
 
 def _spec(p: dict) -> IpdSpec:
@@ -675,7 +670,7 @@ def _no_x_samples(rng: random.Random) -> list:
 @dataclass(frozen=True)
 class _Identity:
     sample: Callable  # (rng, index) -> params
-    check: Callable  # case -> (worst residual, samples checked)
+    check: Callable  # case -> residuals, one per sample checked
     x_samples: Callable = _default_x_samples  # rng -> arguments
 
 
@@ -756,20 +751,20 @@ def sample_params(identity_id: str, seed: int, count: int) -> list:
 def evaluate_case(case: IdentityCase, tol: mp.mpf, index: int = 0) -> CaseResult:
     """Run one case; a domain error (IpdHypError) becomes a skipped status.
 
-    Any other exception is a fault of the program and propagates.
+    The case passes when every residual is at most ``tol`` (a NaN residual
+    fails).  Any other exception is a fault of the program and propagates,
+    and a RootWarning is left to the caller's warning filters.
     """
     check = IDENTITIES[case.identity_id].check
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RootWarning)
-            residual, samples = check(case)
+        residuals = check(case)
     except IpdHypError as exc:
         return CaseResult(
             case.identity_id, index, "skipped", None, 0,
             f"{type(exc).__name__}: {exc}",
         )
-    status = "pass" if residual <= tol else "fail"
-    return CaseResult(case.identity_id, index, status, residual, samples)
+    status = "pass" if all(r <= tol for r in residuals) else "fail"
+    return CaseResult(case.identity_id, index, status, max(residuals), len(residuals))
 
 
 def run_suite(

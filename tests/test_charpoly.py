@@ -19,8 +19,8 @@ from ipdhyp.charpoly import (
 from ipdhyp.coeffs import coeff_Y
 from ipdhyp.errors import (
     DegenerateCaseError,
-    GammaPoleError,
     NonConvergenceError,
+    PoleAtNonpositiveIntegerError,
     ZeroPolynomialError,
 )
 from ipdhyp.kernel import (
@@ -274,7 +274,7 @@ class TestBuildT:
         assert abs(lam_star + root) <= mp.mpf("1e-28") * max(1, abs(lam_star))
 
     def test_gamma_pole_rejected(self):
-        with pytest.raises(GammaPoleError):
+        with pytest.raises(PoleAtNonpositiveIntegerError):
             build_T(cplx(-1), 2, [cplx(1.5)], [1], variant="T")
 
 

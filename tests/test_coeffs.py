@@ -13,11 +13,10 @@ from ipdhyp.coeffs import (
     w_poly_coeffs,
 )
 from ipdhyp.errors import (
-    DegenerateLeadingError,
+    DegenerateCaseError,
     IndexOutOfRangeError,
     LengthMismatchError,
     UnsupportedPError,
-    ZeroDenominatorError,
 )
 from ipdhyp.kernel import (
     IntVector,
@@ -80,7 +79,7 @@ class TestCoeffC:
             coeff_C(4, [cplx(1.5)], [2])
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(DegenerateCaseError):
             coeff_C(1, [0], [1], route="stirling")
 
 
@@ -169,12 +168,16 @@ class TestWPoly:
         assert abs(delta[0] - b / f1) < mp.mpf("1e-36")
 
     def test_b_zero_flagged(self):
-        with pytest.raises(DegenerateLeadingError):
+        with pytest.raises(DegenerateCaseError):
             w_poly_coeffs(0, [cplx(1.5)], [2])
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominatorError):
+        with pytest.raises(DegenerateCaseError):
             w_poly_coeffs(0.3, [0], [1])
+
+    def test_empty_m_is_a_usage_error(self):
+        with pytest.raises(ValueError):
+            w_poly_coeffs(0.3, [], [])
 
     def test_matches_rational_form_at_integers(self):
         # W(n) = b((f+n)_m - (f-b)_m) / ((b+n)(f)_m) pointwise

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipdhyp.errors import LengthMismatchError, PoleAtNonpositiveIntegerError
+from ipdhyp.errors import DegenerateCaseError, LengthMismatchError, PoleAtNonpositiveIntegerError
 from ipdhyp.kernel import (
     IntVector,
     ParamVector,
@@ -11,6 +11,7 @@ from ipdhyp.kernel import (
     genfunc_coeffs,
     get_precision,
     log_gamma,
+    nonzero,
     pochhammer,
     pochhammer_vec,
     set_precision,
@@ -88,6 +89,16 @@ class TestPochhammerVec:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             pochhammer_vec([1, 2], [1])
+
+
+class TestNonzero:
+    def test_returns_the_value_it_checked(self):
+        value = cplx(0, 1e-300)
+        assert nonzero(value, "b") is value
+
+    def test_exact_zero_raises_with_its_name(self):
+        with pytest.raises(DegenerateCaseError, match=r"^\(f\)_m = 0$"):
+            nonzero(pochhammer(-1, 2), "(f)_m")
 
 
 class TestLogGamma:

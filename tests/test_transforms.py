@@ -9,8 +9,8 @@ from ipdhyp.errors import (
     DegenerateCaseError,
     DistinctnessViolationError,
     IntegerDifferenceError,
+    LengthMismatchError,
     RootWarning,
-    TrivialSplitError,
 )
 from ipdhyp.hypeval import eval_pfq, eval_prefactor
 from ipdhyp.kernel import (
@@ -312,6 +312,16 @@ class TestDegenerateVector:
                 IntVector([1]),
             )
 
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            apply_degenerate_vector(
+                ParamVector([cplx(0.3, 0.45), cplx(1.7, -0.2)]),
+                IntVector([2]),
+                cplx(0.4),
+                ParamVector([cplx(1.5)]),
+                IntVector([1]),
+            )
+
 
 class TestTwoFree:
     def test_worked_sample_residual(self):
@@ -333,7 +343,7 @@ class TestTwoFree:
             assert _resid(lhs, rhs) < mp.mpf("1e-29")
 
     def test_trivial_split_rejected(self):
-        with pytest.raises(TrivialSplitError):
+        with pytest.raises(DegenerateCaseError):
             apply_two_free(0.3, 0.6, 2.1, 0, [1.4], [2])
 
     def test_trivial_anchor(self):

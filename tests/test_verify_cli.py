@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -117,6 +118,16 @@ def _feed(digest, value) -> None:
         digest.update(repr(value).encode())
 
 
+#: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
+_PINNED_REPORT = "2138a99bc03a63aabeeeb728d06a14c0e6a98641dfeb7f4779c92896f3de2836"
+
+
+def _patch_check(monkeypatch, identity_id, check) -> None:
+    """Replace one identity's check for the duration of a test."""
+    entry = IDENTITIES[identity_id]
+    monkeypatch.setitem(IDENTITIES, identity_id, dataclasses.replace(entry, check=check))
+
+
 class TestRunSuite:
     def test_empty_ids_passes(self):
         report = run_suite(ids=[], seed=1, count=1)
@@ -184,6 +195,47 @@ class TestRunSuite:
         assert report.n_skipped == 2
         assert report.n_failed == 0
         assert report.exit_code == 1
+
+    def test_skip_after_fail_keeps_its_reason(self, monkeypatch):
+        from ipdhyp.errors import DegenerateCaseError
+
+        calls = []
+
+        def fail_then_skip(case):
+            calls.append(case)
+            if len(calls) == 1:
+                return [mp.mpf(1)]
+            raise DegenerateCaseError("degenerate draw")
+
+        _patch_check(monkeypatch, "LEMMA3", fail_then_skip)
+        report = run_suite(ids=["LEMMA3"], count=2)
+        summary = report.identity_summary()["LEMMA3"]
+        assert (report.n_failed, report.n_skipped) == (1, 1)
+        assert summary["status"] == "fail"
+        assert summary["skip_reasons"] == ["DegenerateCaseError: degenerate draw"]
+
+    def test_nan_residual_fails(self, monkeypatch):
+        _patch_check(monkeypatch, "LEMMA3", lambda case: [mp.mpf(0), mp.nan])
+        assert run_suite(ids=["LEMMA3"], count=1).n_failed == 1
+
+    def test_root_warning_is_not_silenced(self, monkeypatch):
+        def warns(case):
+            warnings.warn("pole risk", RootWarning)
+            return [mp.mpf(0)]
+
+        _patch_check(monkeypatch, "LEMMA3", warns)
+        with pytest.warns(RootWarning):
+            run_suite(ids=["LEMMA3"], count=1)
+
+    def test_report_is_pinned(self):
+        # Every case's status, exact worst residual and sample count.  A
+        # change that alters a residual on purpose updates this digest and
+        # says so in CHANGES.md.
+        digest = hashlib.sha256()
+        for c in run_suite(seed=1, count=2).cases:
+            residual = None if c.max_residual is None else c.max_residual.man_exp
+            digest.update(repr((c.identity_id, c.index, c.status, residual, c.samples)).encode())
+        assert digest.hexdigest() == _PINNED_REPORT
 
     def test_precision_increase_keeps_passing(self):
         report40 = run_suite(ids=["MP1"], seed=3, count=1)
