@@ -22,16 +22,20 @@ of linear factors come from ``kernel.linear_products``, and a weighted sum
 of basis polynomials (or a Lagrange interpolation) accumulates into one
 list, which is wrapped in ``CPoly`` once, so each result is trimmed once.
 
-``find_roots`` extracts all roots simultaneously (Ehrlich-Aberth iteration
-with seeded random-circle initialization).  Root multiplicity is not
-classified: repeated roots come back as near-coincident values, which is
-harmless downstream because (root+1, root) parameter pairs cancel formally
-in series term ratios.
+``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
+iteration from a seeded random circle: in double precision first (from the
+circle itself when a double overflows), then at full precision until the
+residual target holds on two consecutive sweeps, the second a polish sweep.
+Root multiplicity is not classified: repeated roots come back as
+near-coincident values, which is harmless downstream because (root+1, root)
+parameter pairs cancel formally in series term ratios.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
+import sys
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -113,7 +117,7 @@ class CPoly:
 
 
 def _horner(coeffs: list, z: ComplexValue) -> ComplexValue:
-    acc = mp.mpc(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -149,12 +153,15 @@ class RootSet:
     ``residual`` is max |poly(root)| over the roots, scaled by the leading
     coefficient.  ``pole_risk`` marks roots lying at (or within 1e-6 of) a
     nonpositive integer; used as a bottom parameter such a root makes the
-    transformed series ill-defined unless it terminates first.
+    transformed series ill-defined unless it terminates first.  ``sweeps``
+    is the number of full-precision sweeps ``find_roots`` took (0 at degree
+    1 and below).
     """
 
     roots: ParamVector
     residual: mp.mpf
     pole_risk: tuple = field(default_factory=tuple)
+    sweeps: int = 0
 
     def __iter__(self):
         return iter(self.roots)
@@ -167,10 +174,19 @@ def find_roots(poly: CPoly) -> RootSet:
     """All complex roots of ``poly`` by simultaneous Ehrlich-Aberth iteration.
 
     Initial guesses sit on a circle of Cauchy-bound radius at angles drawn
-    from ``random.Random(ROOT_SEED)``, so the result is deterministic.
-    Iteration runs at 15 guard digits and stops when the scaled residual
-    max|p(root)| / |lead| falls below 10^-(dps-10); raises
-    NonConvergenceError after ``MAX_SWEEPS`` sweeps.
+    from ``random.Random(ROOT_SEED)``, so the result is deterministic.  From
+    degree 2 on the iteration runs in two phases, both built on ``_sweep``:
+
+    1. double precision (``_double_start``): sweeps on ``complex`` copies of
+       the monic coefficients and the circle, until the largest relative
+       step is a few ulp or after ``MAX_SWEEPS`` sweeps.  It only supplies
+       the start of phase 2 and never raises; if a coefficient or an iterate
+       is not finite in double, phase 2 starts from the circle instead.
+    2. full precision, at 15 guard digits: sweeps until the scaled residual
+       max|p(root)| / |lead| is at most 10^-(dps-10) on two consecutive
+       sweeps, so the first sweep under that target is followed by one
+       polish sweep.  Raises NonConvergenceError after ``MAX_SWEEPS``
+       sweeps.  ``RootSet.sweeps`` counts the sweeps of this phase.
 
     The two degrees return roots at different precisions.  A degree-1 root
     is returned from inside the guard-digit block and keeps its guard digits
@@ -195,39 +211,21 @@ def find_roots(poly: CPoly) -> RootSet:
             return RootSet(ParamVector(roots), res, (flag,))
         deriv = [i * c for i, c in enumerate(monic) if i > 0]
         radius = 1 + max(abs(c) for c in monic[:-1])
-        z = [
+        circle = [
             radius
             * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(rng.random()) / 2) / n + mp.mpf("0.35")))
             for k in range(n)
         ]
+        z = [mp.mpc(zi) for zi in _double_start(monic, deriv, circle)]
+        tiny = mp.mpf(10) ** (-mp.mp.dps)
         lead_mag = abs(lead)
-        residual = mp.inf
-        for _ in range(MAX_SWEEPS):
-            for i in range(n):
-                pv = _horner(monic, z[i])
-                dv = _horner(deriv, z[i])
-                if dv == 0:
-                    z[i] = z[i] * (1 + mp.mpf("1e-8")) + mp.mpf("1e-12")
-                    dv = _horner(deriv, z[i])
-                    pv = _horner(monic, z[i])
-                newton = pv / dv
-                shifts = mp.mpc(0)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = z[i] - z[j]
-                    if diff == 0:
-                        diff = mp.mpf(10) ** (-mp.mp.dps)
-                    shifts += 1 / diff
-                denom = 1 - newton * shifts
-                if denom == 0:
-                    step = newton
-                else:
-                    step = newton / denom
-                z[i] = z[i] - step
+        met = False
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            _sweep(monic, deriv, z, tiny)
             residual = max(abs(poly(zi)) for zi in z) / lead_mag
-            if residual <= target:
+            if residual <= target and met:
                 break
+            met = residual <= target
         else:
             raise NonConvergenceError(
                 f"root iteration failed to reach residual {mp.nstr(target, 5)} "
@@ -235,7 +233,59 @@ def find_roots(poly: CPoly) -> RootSet:
             )
     roots = [mp.mpc(zi) for zi in z]
     flags = tuple(near_nonpositive_integer(zi, POLE_RISK_TOL) for zi in roots)
-    return RootSet(ParamVector(roots), residual, flags)
+    return RootSet(ParamVector(roots), residual, flags, sweeps)
+
+
+def _sweep(monic: list, deriv: list, z: list, tiny) -> None:
+    """One Gauss-Seidel Ehrlich-Aberth sweep over the iterates ``z``, in place.
+
+    Works alike on ``complex`` and ``mpc`` values; ``tiny`` replaces a
+    difference of two iterates that vanishes.
+    """
+    n = len(z)
+    for i in range(n):
+        pv = _horner(monic, z[i])
+        dv = _horner(deriv, z[i])
+        if dv == 0:
+            z[i] = z[i] * (1 + 1e-8) + 1e-12
+            dv = _horner(deriv, z[i])
+            pv = _horner(monic, z[i])
+        newton = pv / dv
+        shifts = 0
+        for j in range(n):
+            if j == i:
+                continue
+            diff = z[i] - z[j]
+            if diff == 0:
+                diff = tiny
+            shifts += 1 / diff
+        denom = 1 - newton * shifts
+        step = newton if denom == 0 else newton / denom
+        z[i] = z[i] - step
+
+
+def _double_start(monic: list, deriv: list, circle: list) -> list:
+    """Phase 1 of find_roots: sweeps in double precision from ``circle``.
+
+    Stops once no iterate moves by more than four ulp, or after
+    ``MAX_SWEEPS`` sweeps.  Never raises: returns ``circle`` itself when a
+    coefficient or an iterate is not finite in double.
+    """
+    eps = sys.float_info.epsilon
+    md, dd, z = ([complex(c) for c in cs] for cs in (monic, deriv, circle))
+    if not all(map(cmath.isfinite, md + dd + z)):
+        return circle
+    try:
+        for _ in range(MAX_SWEEPS):
+            old = list(z)
+            _sweep(md, dd, z, eps)
+            if not all(map(cmath.isfinite, z)):
+                return circle
+            if all(abs(new - prev) <= 4 * eps * abs(new) for new, prev in zip(z, old)):
+                break
+    except (OverflowError, ZeroDivisionError):
+        return circle
+    return z
 
 
 def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:

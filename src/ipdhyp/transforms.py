@@ -284,6 +284,8 @@ def apply_degenerate_p(
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
     fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
+    # before build_T, whose gamma(b+q-1) would report a vanishing b+q-1 as a pole
+    betas = [nonzero(b + q - 1, "b+q-1") for q in range(1, p + 1)]
     if variant == "eq29":
         poly = build_T(b, p, spec.f, spec.m, variant="T")
         head_coeff = poly(0) / (gamma(b) * fm)
@@ -303,8 +305,7 @@ def apply_degenerate_p(
     )
     terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
-    for q in range(1, p + 1):
-        beta_q = nonzero(b + q - 1, "b+q-1")
+    for q, beta_q in enumerate(betas, start=1):
         weight = (
             (-1) ** (q - 1)
             * bp

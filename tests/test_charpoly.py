@@ -33,6 +33,7 @@ from ipdhyp.kernel import (
     pochhammer_vec,
     terminating_pfq,
 )
+from ipdhyp.verify import sample_params
 
 M_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
 
@@ -112,6 +113,55 @@ class TestFindRoots:
         poly = CPoly.from_roots([1, 2, 3, 4])
         with pytest.raises(NonConvergenceError):
             find_roots(poly)
+
+    def test_simple_roots_take_at_most_three_sweeps(self):
+        # the double-precision start leaves the sweep that meets the target
+        # and its polish sweep, with one to spare
+        rng = _rng(229)
+        target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+        for degree in range(2, 7):
+            for _ in range(4):
+                poly = CPoly.from_roots([_rc(rng) for _ in range(degree)], lead=_rc(rng))
+                roots = find_roots(poly)
+                assert roots.residual <= target
+                assert 2 <= roots.sweeps <= 3
+
+    def test_degree_one_takes_no_sweeps(self):
+        assert find_roots(CPoly([cplx(0.3, 1), 2])).sweeps == 0
+
+    def test_circle_start_when_double_overflows(self):
+        # (t - 1e350)(t - 1): its coefficients are not finite in double, so
+        # the full-precision sweeps start from the circle
+        mp.mp.dps = 400
+        big = mp.mpf("1e350")
+        roots = find_roots(CPoly([big, -(big + 1), 1]))
+        assert roots.residual <= mp.mpf(10) ** (-(mp.mp.dps - 10))
+        got = sorted(roots.roots, key=abs)
+        assert abs(got[0] - 1) < mp.mpf("1e-380")
+        assert abs(got[1] / big - 1) < mp.mpf("1e-380")
+
+    def test_cluster_meets_target(self):
+        # (t-1)^4 (t-2): the double phase stalls near the cluster, and the
+        # full-precision sweeps still reach the target
+        roots = find_roots(CPoly.from_roots([1, 1, 1, 1, 2]))
+        assert roots.residual <= mp.mpf(10) ** (-(mp.mp.dps - 10))
+        assert sum(1 for r in roots.roots if abs(r - 1) < mp.mpf("1e-6")) == 4
+        assert sum(1 for r in roots.roots if abs(r - 2) < mp.mpf("1e-25")) == 1
+
+    def test_polish_sweep_reaches_full_precision(self):
+        # Without the sweep that follows the first residual under target,
+        # this Q-hat (MP2, seed 1, case 11) kept a root error of 6e-51 at
+        # 60 digits.  Reference: the quadratic formula at 120 digits.
+        mp.mp.dps = 60
+        p = sample_params("MP2", 1, 20)[11].params
+        args = (p["a"], p["b"], p["c"], p["f"], p["m"])
+        roots = find_roots(build_Qhat(*args))
+        with mp.workdps(120):
+            c0, c1, c2 = build_Qhat(*args).coeffs
+            disc = mp.sqrt(c1 * c1 - 4 * c2 * c0)
+            ref = [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
+            for r in roots.roots:
+                assert min(abs(r - x) for x in ref) < mp.mpf("1e-60")
 
     def test_reconstruction_from_roots(self):
         rng = _rng(223)
@@ -407,4 +457,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "80a3adc1c1cefb253250ffafee1c398a5d4123c5fe408c9765293e25b6e415b8"
+_PINNED_BUILDS = "c330cdf7352a039070fe7855277012f68955b298356fd205e4098ebd60033477"

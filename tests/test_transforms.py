@@ -251,6 +251,15 @@ class TestDegenerateP:
             expr = apply_degenerate_p(spec, 2, variant=variant)
             assert abs(expr.evaluate(0) - 1) < mp.mpf("1e-33")
 
+    def test_vanishing_b_plus_q_minus_1_is_degenerate(self):
+        # b+q-1 = 0 for some q in 1..p: reported as degenerate, not as the
+        # gamma pole that build_T would hit at the same argument
+        for b, p in ((0, 1), (-1, 3)):
+            spec = IpdSpec(b=b, f=[cplx(1.5, 0.2)], m=[1], a=0.7)
+            for variant in ("eq29", "eq31"):
+                with pytest.raises(DegenerateCaseError, match="b\\+q-1"):
+                    apply_degenerate_p(spec, p, variant=variant)
+
 
 class TestDegenerateVector:
     def test_trivial_anchor(self):

@@ -119,7 +119,7 @@ def _feed(digest, value) -> None:
 
 
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
-_PINNED_REPORT = "2138a99bc03a63aabeeeb728d06a14c0e6a98641dfeb7f4779c92896f3de2836"
+_PINNED_REPORT = "1f77c0bc30dc8c0db9f4db725101eabc62927be982024be225847264e636f46e"
 
 
 def _patch_check(monkeypatch, identity_id, check) -> None:
