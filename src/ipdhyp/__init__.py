@@ -53,6 +53,7 @@ from .transforms import (
     expand_to_gauss,
     ipd_function,
     meijer_norlund_ipd,
+    meijer_norlund_ipd_many,
 )
 from .verify import IDENTITY_IDS, IdentityCase, VerificationReport, run_suite, sample_params
 
@@ -101,6 +102,7 @@ __all__ = [
     "ipd_function",
     "log_gamma",
     "meijer_norlund_ipd",
+    "meijer_norlund_ipd_many",
     "mobius_arg",
     "norlund_g",
     "pfq",

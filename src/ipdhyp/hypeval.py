@@ -562,19 +562,26 @@ def eval_pfq_many(
     return results
 
 
+def log_one_minus(x: ComplexLike) -> ComplexValue:
+    """Principal Log(1-x), continuous on the plane cut along the real ray
+    [1, oo); arguments on the cut raise OnBranchCutError."""
+    x = cplx(x)
+    if x.imag == 0 and x.real >= 1:
+        raise OnBranchCutError(f"prefactor undefined on the cut: x = {x}")
+    return mp.log(1 - x)
+
+
 def eval_prefactor(x: ComplexLike, mu: ComplexLike) -> ComplexValue:
     """Principal-branch power (1-x)^mu = exp(mu Log(1-x)).
 
     Continuous on the plane cut along the real ray [1, oo); arguments on
     the cut raise OnBranchCutError.
     """
-    x = cplx(x)
     mu = cplx(mu)
-    if x.imag == 0 and x.real >= 1:
-        raise OnBranchCutError(f"prefactor undefined on the cut: x = {x}")
+    log = log_one_minus(x)
     if mu == 0:
         return mp.mpc(1)
-    return mp.exp(mu * mp.log(1 - x))
+    return mp.exp(mu * log)
 
 
 def mobius_arg(x: ComplexLike) -> ComplexValue:

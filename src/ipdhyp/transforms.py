@@ -28,9 +28,10 @@ test-suite and harness):
   (several shifted denominator parameters): the degenerate family, which
   covers exactly the region where the general transformations fail.
 * ``apply_two_free``: adds a free top/bottom parameter pair (d; e).
-* ``meijer_norlund_ipd``: closed evaluation of the associated
-  Meijer-Norlund kernel (beta density times a rational function), with an
-  independent series route.
+* ``meijer_norlund_ipd`` / ``meijer_norlund_ipd_many``: closed
+  evaluation of the associated Meijer-Norlund kernel (beta density times a
+  rational function), with an independent series route, at one t or at
+  several.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     LengthMismatchError,
     RootWarning,
 )
-from .hypeval import HypFunction, eval_pfq, eval_pfq_many, eval_prefactor, mobius_arg
+from .hypeval import HypFunction, eval_pfq_many, log_one_minus, mobius_arg
 from .kernel import (
     ComplexLike,
     ComplexValue,
@@ -67,6 +68,26 @@ from .kernel import (
 
 ARG_IDENTITY = "identity"
 ARG_MOBIUS = "mobius"
+
+
+class _Points:
+    """The points of one evaluation.  Log(1-x) and x/(x-1) are made once
+    per point, when the first term that needs them asks, so they raise
+    where a term evaluated on its own would."""
+
+    def __init__(self, xs: Sequence[ComplexLike]):
+        self.xs = [cplx(x) for x in xs]
+        self._logs = self._mobius = None
+
+    def logs(self) -> list:
+        if self._logs is None:
+            self._logs = [log_one_minus(x) for x in self.xs]
+        return self._logs
+
+    def mobius(self) -> list:
+        if self._mobius is None:
+            self._mobius = [mobius_arg(x) for x in self.xs]
+        return self._mobius
 
 
 @dataclass(frozen=True)
@@ -90,16 +111,20 @@ class HypTerm:
 
     def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
         """The term at every point of ``xs``; its series is summed once for all."""
-        xs = [cplx(x) for x in xs]
+        return self._at(_Points(xs), tol)
+
+    def _at(self, points: _Points, tol) -> list:
+        xs = points.xs
         if self.coeff == 0:
             return [mp.mpc(0)] * len(xs)
         values = [self.coeff] * len(xs)
         if self.x_power:
             values = [v * x**self.x_power for v, x in zip(values, xs)]
         if self.prefactor_exponent != 0:
-            values = [v * eval_prefactor(x, self.prefactor_exponent) for v, x in zip(values, xs)]
+            mu = self.prefactor_exponent
+            values = [v * mp.exp(mu * log) for v, log in zip(values, points.logs())]
         if self.fun is not None:
-            args = [mobius_arg(x) for x in xs] if self.arg_map == ARG_MOBIUS else xs
+            args = points.mobius() if self.arg_map == ARG_MOBIUS else xs
             sums = eval_pfq_many(self.fun, args, tol)
             values = [v * s.value for v, s in zip(values, sums)]
         return values
@@ -118,10 +143,12 @@ class HypExpression:
         return self.evaluate_many([x], tol)[0]
 
     def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
-        """The expression at every point of ``xs``, each term evaluated once for all."""
-        totals = [mp.mpc(0)] * len(xs)
+        """The expression at every point of ``xs``, each term evaluated once
+        for all; the terms share each point's Log(1-x) and x/(x-1)."""
+        points = _Points(xs)
+        totals = [mp.mpc(0)] * len(points.xs)
         for term in self.terms:
-            totals = [t + v for t, v in zip(totals, term.evaluate_many(xs, tol))]
+            totals = [t + v for t, v in zip(totals, term._at(points, tol))]
         return totals
 
     def __len__(self) -> int:
@@ -447,22 +474,40 @@ def meijer_norlund_ipd(
                     genericity conditions f_i - f_j and f_i - c not integral
                     (otherwise raises IntegerDifferenceError).
     """
-    t = cplx(t)
-    if not (t.imag == 0 and 0 < t.real < 1):
+    return meijer_norlund_ipd_many([t], b, c, f, m, route, tol)[0]
+
+
+def meijer_norlund_ipd_many(
+    ts: Sequence[ComplexLike],
+    b: ComplexLike,
+    c: ComplexLike,
+    f,
+    m,
+    route: str = "closed",
+    tol=None,
+) -> list:
+    """:func:`meijer_norlund_ipd` at every t of ``ts``, each value equal to it.
+
+    Every t is checked to lie in (0, 1) before anything is summed.  The
+    closed route makes the weights D_k (c-b-k)_k and Gamma(c-b) once; the
+    series route sums its one series at all the t together.
+    """
+    ts = [cplx(t) for t in ts]
+    if not all(t.imag == 0 and 0 < t.real < 1 for t in ts):
         raise ValueError("t must be real in (0, 1)")
     b, c = cplx(b), cplx(c)
     f, m = as_param_vector(f), as_int_vector(m)
     mt = m.total
     if route == "closed":
-        acc = mp.mpc(0)
-        for k in range(mt + 1):
-            acc += (
-                coeff_D(k, f, m, b)
-                * pochhammer(c - b - k, k)
-                * t**k
-                / (t - 1) ** k
-            )
-        return t**b * (1 - t) ** (c - b - 1) / gamma(c - b) * acc
+        weights = [coeff_D(k, f, m, b) * pochhammer(c - b - k, k) for k in range(mt + 1)]
+        exponent, scale = c - b - 1, gamma(c - b)
+        values = []
+        for t in ts:
+            acc = mp.mpc(0)
+            for k, weight in enumerate(weights):
+                acc += weight * t**k / (t - 1) ** k
+            values.append(t**b * (1 - t) ** exponent / scale * acc)
+        return values
     if route == "series":
         def _integral(z: ComplexValue) -> bool:
             return z.imag == 0 and z.real == mp.floor(z.real)
@@ -474,9 +519,11 @@ def meijer_norlund_ipd(
                 if i != j and _integral(fi - fj):
                     raise IntegerDifferenceError(f"f[{i}] - f[{j}] is an integer")
         fbm = pochhammer_vec(f - b, m)
+        scale = gamma(c - b)
         fun = HypFunction(
             ParamVector([1 - c + b] + [1 - fi + b for fi in f]),
             ParamVector([1 - fi - mi + b for fi, mi in zip(f, m)]),
         )
-        return t**b * fbm / gamma(c - b) * eval_pfq(fun, t, tol).value
+        sums = eval_pfq_many(fun, ts, tol)
+        return [t**b * fbm / scale * s.value for t, s in zip(ts, sums)]
     raise ValueError(f"unknown route {route!r}")

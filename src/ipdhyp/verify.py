@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -55,7 +56,7 @@ from .transforms import (
     apply_two_free,
     expand_to_gauss,
     ipd_function,
-    meijer_norlund_ipd,
+    meijer_norlund_ipd_many,
     two_free_function,
     vector_function,
 )
@@ -321,15 +322,10 @@ def _lemma1_t_samples(rng: random.Random) -> list:
 
 def _check_lemma1(case: IdentityCase) -> list:
     p = case.params
-    args = (p["b"], p["c"], p["f"], p["m"])
-    stol = _series_tol()
-    return [
-        _relative(
-            meijer_norlund_ipd(t, *args, route="closed"),
-            meijer_norlund_ipd(t, *args, route="series", tol=stol),
-        )
-        for t in case.x_samples
-    ]
+    args = (case.x_samples, p["b"], p["c"], p["f"], p["m"])
+    closed = meijer_norlund_ipd_many(*args, route="closed")
+    series = meijer_norlund_ipd_many(*args, route="series", tol=_series_tol())
+    return [_relative(left, right) for left, right in zip(closed, series)]
 
 
 def _sample_cor1(rng: random.Random, index: int) -> dict:
@@ -390,26 +386,35 @@ def _sample_lemma3(rng: random.Random, index: int) -> dict:
 
 
 def _check_lemma3(case: IdentityCase) -> list:
+    # (-n)_j = (-1)^j n!/(n-j)! and j! are exact ints: an mpc times an int
+    # rounds as it does times the same value held as an mpc, and dividing by
+    # an int rounds as dividing by an mpf.  The complex Pochhammers are made
+    # once per mt, each from alpha - mt + j (alpha + (j - mt) can round
+    # differently).
     alpha = case.params["alpha"]
     m_max = case.params["m_max"]
     residuals = []
     for mt in range(m_max + 1):
+        base = [pochhammer(alpha - mt, k) for k in range(mt + 1)]
+        shifted = {
+            (j, n): pochhammer(alpha - mt + j, n)
+            for j in range(mt + 1) for n in range(mt - j, mt + 1)
+        }
         for k in range(mt + 1):
             for i in range(k + 1):
                 lhs = mp.mpc(0)
                 for j in range(i, k + 1):
                     lhs += (
-                        pochhammer(-k, j)
-                        * pochhammer(alpha - mt + j, mt - i)
-                        * pochhammer(-j, i)
-                        / mp.factorial(j)
+                        (-1) ** j * math.perm(k, j)
+                        * shifted[j, mt - i]
+                        * ((-1) ** i * math.perm(j, i))
+                        / math.factorial(j)
                     )
+                # (-1)^i (-k)_i (-mt)_k = (-1)^k k!/(k-i)! mt!/(mt-k)!
                 rhs = (
-                    (-1) ** i
-                    * pochhammer(-k, i)
-                    * pochhammer(-mt, k)
-                    * pochhammer(alpha - mt, mt)
-                    / (pochhammer(-mt, i) * pochhammer(alpha - mt, k))
+                    (-1) ** k * math.perm(k, i) * math.perm(mt, k)
+                    * base[mt]
+                    / ((-1) ** i * math.perm(mt, i) * base[k])
                 )
                 residuals.append(_relative(rhs, lhs))
     return residuals
@@ -430,6 +435,8 @@ def _sample_lemma4(rng: random.Random, index: int) -> dict:
 
 
 def _check_lemma4(case: IdentityCase) -> list:
+    # Integer Pochhammers as exact ints, as in _check_lemma3; a divisor stays
+    # an mpc, since dividing by an mpc rounds unlike dividing by an int.
     b = case.params["b"]
     residuals = []
     for pool_m, f in case.params["f_by_m"].items():
@@ -437,15 +444,14 @@ def _check_lemma4(case: IdentityCase) -> list:
         mt = m.total
         f_shift = list(f.shifted_by(m))
         inner = [terminating_pfq(f_shift + [mp.mpc(-i)], list(f), i) for i in range(mt + 1)]
+        pb = [pochhammer(b, i) for i in range(mt + 1)]
+        denominators = [
+            mp.mpc((-1) ** i * math.perm(mt, i) * math.factorial(i)) for i in range(mt + 1)
+        ]
         for k in range(mt + 1):
             lhs = mp.mpc(0)
             for i in range(k + 1):
-                lhs += (
-                    pochhammer(-k, i)
-                    * pochhammer(b, i)
-                    / (pochhammer(-mt, i) * mp.factorial(i))
-                    * inner[i]
-                )
+                lhs += (-1) ** i * math.perm(k, i) * pb[i] / denominators[i] * inner[i]
             outer = terminating_pfq(
                 [mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k
             )

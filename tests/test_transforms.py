@@ -10,9 +10,11 @@ from ipdhyp.errors import (
     DistinctnessViolationError,
     IntegerDifferenceError,
     LengthMismatchError,
+    OnBranchCutError,
     RootWarning,
 )
-from ipdhyp.hypeval import eval_pfq, eval_prefactor
+from ipdhyp import transforms
+from ipdhyp.hypeval import HypFunction, eval_pfq, eval_prefactor
 from ipdhyp.kernel import (
     IntVector,
     ParamVector,
@@ -22,6 +24,10 @@ from ipdhyp.kernel import (
     pochhammer_vec,
 )
 from ipdhyp.transforms import (
+    ARG_IDENTITY,
+    ARG_MOBIUS,
+    HypExpression,
+    HypTerm,
     apply_degenerate_p,
     apply_degenerate_single,
     apply_degenerate_vector,
@@ -31,6 +37,7 @@ from ipdhyp.transforms import (
     expand_to_gauss,
     ipd_function,
     meijer_norlund_ipd,
+    meijer_norlund_ipd_many,
     two_free_function,
     vector_function,
 )
@@ -48,6 +55,11 @@ def _rc(rng):
 
 def _resid(lhs, rhs):
     return abs(lhs - rhs) / max(1, abs(lhs))
+
+
+def _bits(values):
+    """The exact mantissas and exponents of a list of mpc values."""
+    return [cplx(v)._mpc_ for v in values]
 
 
 def _spec_sample():
@@ -360,7 +372,116 @@ class TestTwoFree:
         assert abs(expr.evaluate(0) - 1) < mp.mpf("1e-33")
 
 
+class TestSharedLogs:
+    XS = [mp.mpf("0.2"), cplx(0.21, 0.13), cplx(-0.35, -0.2)]
+
+    def _expressions(self):
+        spec = _spec_sample()
+        degenerate = IpdSpec(b=mp.mpf("0.4"), f=[mp.mpf("1.5")], m=[2], a=mp.mpf("0.3"))
+        vector = apply_degenerate_vector(
+            ParamVector([cplx(0.3, 0.1), cplx(1.7, -0.2)]),
+            IntVector([2, 1]),
+            cplx(0.42, -0.15),
+            ParamVector([cplx(1.4, 0.25)]),
+            IntVector([2]),
+            variant="eq28",
+        )
+        return [apply_mp1(spec), apply_degenerate_p(degenerate, 2, variant="eq29"), vector]
+
+    def test_many_equals_pointwise(self):
+        # Moebius (mp1, eq29), prefactor (all three) and x_power (the
+        # algebraic tails of eq29 and eq28) terms
+        for expr in self._expressions():
+            many = expr.evaluate_many(self.XS, STOL)
+            assert _bits(many) == _bits(expr.evaluate(x, STOL) for x in self.XS)
+
+    def test_one_log_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return mp.log(1 - x)
+
+        monkeypatch.setattr(transforms, "log_one_minus", counted)
+        for expr in self._expressions()[1:]:
+            assert sum(t.prefactor_exponent != 0 for t in expr.terms) > 1
+            calls.clear()
+            expr.evaluate_many(self.XS, STOL)
+            assert len(calls) == len(self.XS)
+
+    def test_nonzero_exponent_raises_on_the_cut(self):
+        fun = HypFunction(ParamVector([mp.mpf("0.5")]), ParamVector([mp.mpf("1.5")]))
+        expr = HypExpression([
+            HypTerm(1, 0, 0, ARG_IDENTITY, fun),
+            HypTerm(1, 0, mp.mpf("0.3"), ARG_IDENTITY, fun),
+        ])
+        with pytest.raises(OnBranchCutError):
+            expr.evaluate_many([mp.mpf("0.2"), mp.mpf("1.5")], STOL)
+
+    def test_zero_exponents_never_check_the_cut(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("Log(1-x) taken for a term with exponent 0")
+
+        monkeypatch.setattr(transforms, "log_one_minus", refuse)
+        fun = HypFunction(ParamVector([mp.mpf("0.5")]), ParamVector([mp.mpf("1.5")]))
+        expr = HypExpression([HypTerm(1, 0, 0, ARG_IDENTITY, fun), HypTerm(2, 1)])
+        x = mp.mpf("1.5")
+        (value,) = expr.evaluate_many([x], STOL)
+        assert value == eval_pfq(fun, x, STOL).value + 2 * x
+
+    def test_mobius_made_once_per_point(self, monkeypatch):
+        calls = []
+        mobius = transforms.mobius_arg
+
+        def counted(x):
+            calls.append(x)
+            return mobius(x)
+
+        monkeypatch.setattr(transforms, "mobius_arg", counted)
+        fun = HypFunction(ParamVector([mp.mpf("0.5")]), ParamVector([mp.mpf("1.5")]))
+        expr = HypExpression([HypTerm(1, 0, 0, ARG_MOBIUS, fun)] * 3)
+        expr.evaluate_many(self.XS, STOL)
+        assert len(calls) == len(self.XS)
+
+
 class TestMeijerNorlund:
+    TS = [mp.mpf("0.07"), mp.mpf("0.4"), mp.mpf("0.93")]
+
+    @pytest.mark.parametrize("route", ["closed", "series"])
+    def test_many_equals_scalar(self, route):
+        b, c = cplx(0.4, 0.15), cplx(2.3, -0.2)
+        f, m = [cplx(1.5, 0.3), cplx(0.8, -0.2)], [2, 1]
+        many = meijer_norlund_ipd_many(self.TS, b, c, f, m, route=route, tol=STOL)
+        scalar = [meijer_norlund_ipd(t, b, c, f, m, route=route, tol=STOL) for t in self.TS]
+        assert _bits(many) == _bits(scalar)
+
+    @pytest.mark.parametrize("route", ["closed", "series"])
+    def test_many_checks_every_t_before_summing(self, monkeypatch, route):
+        def refuse(*args, **kwargs):
+            raise AssertionError("summed before every t was checked")
+
+        monkeypatch.setattr(transforms, "eval_pfq_many", refuse)
+        monkeypatch.setattr(transforms, "coeff_D", refuse)
+        for bad in (mp.mpf("1.2"), mp.mpf(0), cplx(0.5, 0.1)):
+            with pytest.raises(ValueError, match="t must be real"):
+                meijer_norlund_ipd_many(
+                    [mp.mpf("0.4"), bad], 0.4, 2.3, [1.5], [1], route=route
+                )
+
+    def test_many_is_exported(self):
+        import ipdhyp
+
+        assert ipdhyp.meijer_norlund_ipd_many is meijer_norlund_ipd_many
+        assert "meijer_norlund_ipd_many" in ipdhyp.__all__
+
+    def test_many_integer_difference_rejected(self):
+        b, c = cplx(0.4, 0.15), cplx(2.3, -0.2)
+        f, m = [cplx(1.5, 0.3), cplx(2.5, 0.3)], [1, 1]  # f2 - f1 = 1
+        with pytest.raises(IntegerDifferenceError):
+            meijer_norlund_ipd_many(self.TS, b, c, f, m, route="series")
+        closed = meijer_norlund_ipd_many(self.TS, b, c, f, m, route="closed")
+        assert all(mp.isfinite(v.real) for v in closed)
+
     def test_route_agreement(self):
         b, c = cplx(0.4, 0.15), cplx(2.3, -0.2)
         f, m = [cplx(1.5, 0.3)], [1]

@@ -121,6 +121,9 @@ def _feed(digest, value) -> None:
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
 _PINNED_REPORT = "1f77c0bc30dc8c0db9f4db725101eabc62927be982024be225847264e636f46e"
 
+#: SHA-256 of every residual the checks return for sample_params(id, 1, 2) at 40 digits.
+_PINNED_RESIDUALS = "70f907e77be7f07c3933d2bf3c93df15cba2ed26b87a7e9a95ef409c44c79e43"
+
 
 def _patch_check(monkeypatch, identity_id, check) -> None:
     """Replace one identity's check for the duration of a test."""
@@ -236,6 +239,17 @@ class TestRunSuite:
             residual = None if c.max_residual is None else c.max_residual.man_exp
             digest.update(repr((c.identity_id, c.index, c.status, residual, c.samples)).encode())
         assert digest.hexdigest() == _PINNED_REPORT
+
+    def test_residuals_are_pinned(self):
+        # Every residual of every sample, not only each case's worst.  A
+        # change that alters a residual on purpose updates this digest and
+        # says so in CHANGES.md.
+        digest = hashlib.sha256()
+        for identity_id in IDENTITY_IDS:
+            for case in sample_params(identity_id, seed=1, count=2):
+                residuals = IDENTITIES[identity_id].check(case)
+                digest.update(repr((identity_id, [r.man_exp for r in residuals])).encode())
+        assert digest.hexdigest() == _PINNED_RESIDUALS
 
     def test_precision_increase_keeps_passing(self):
         report40 = run_suite(ids=["MP1"], seed=3, count=1)
