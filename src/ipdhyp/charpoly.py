@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .coeffs import coeff_C, coeff_D, coeff_Y, w_poly_coeffs
-from .errors import DegenerateCaseError, NonConvergenceError, ZeroPolynomialError
+from .errors import DegenerateCaseError, NonConvergenceError
 from .kernel import (
     ComplexLike,
     ComplexValue,
@@ -195,7 +195,7 @@ def find_roots(poly: CPoly) -> RootSet:
     (136 bits at 40 digits).
     """
     if poly.is_zero:
-        raise ZeroPolynomialError("zero polynomial has no well-defined roots")
+        raise DegenerateCaseError("zero polynomial has no well-defined roots")
     target = mp.mpf(10) ** (-(mp.mp.dps - 10))
     n = poly.degree
     if n == 0:

@@ -4,8 +4,8 @@ Every domain error raised by this package derives from :class:`IpdHypError`,
 so callers can catch one base class.  One condition, one type:
 
 * a quantity a transformation needs nonzero vanishes ((f)_m, (c-b-m)_m,
-  (1+a+b-c)_m, b, ...), or a characteristic polynomial is identically
-  zero: :class:`DegenerateCaseError`, raised through ``kernel.nonzero``;
+  (1+a+b-c)_m, b, ..., through ``kernel.nonzero``), or a polynomial is
+  identically zero (builders and ``find_roots``): :class:`DegenerateCaseError`;
 * gamma or log-gamma at a nonpositive integer:
   :class:`PoleAtNonpositiveIntegerError`;
 * vectors of different lengths: :class:`LengthMismatchError`;
@@ -47,10 +47,6 @@ class DegenerateCaseError(IpdHypError):
 
 class NonConvergenceError(IpdHypError):
     """Iterative root solver exceeded its iteration budget."""
-
-
-class ZeroPolynomialError(IpdHypError):
-    """Root extraction requested for the zero polynomial."""
 
 
 class DivergentSeriesError(IpdHypError):

@@ -106,14 +106,8 @@ class HypTerm:
         if self.arg_map not in (ARG_IDENTITY, ARG_MOBIUS):
             raise ValueError(f"unknown arg_map {self.arg_map!r}")
 
-    def evaluate(self, x: ComplexLike, tol=None) -> ComplexValue:
-        return self.evaluate_many([x], tol)[0]
-
-    def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
-        """The term at every point of ``xs``; its series is summed once for all."""
-        return self._at(_Points(xs), tol)
-
     def _at(self, points: _Points, tol) -> list:
+        """The term at every point; its series is summed once for all."""
         xs = points.xs
         if self.coeff == 0:
             return [mp.mpc(0)] * len(xs)

@@ -21,7 +21,6 @@ from ipdhyp.errors import (
     DegenerateCaseError,
     NonConvergenceError,
     PoleAtNonpositiveIntegerError,
-    ZeroPolynomialError,
 )
 from ipdhyp.kernel import (
     IntVector,
@@ -105,7 +104,7 @@ class TestFindRoots:
         assert all(a == b for a, b in zip(first.roots, second.roots))
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ZeroPolynomialError):
+        with pytest.raises(DegenerateCaseError):
             find_roots(CPoly([0]))
 
     def test_nonconvergence_budget(self, monkeypatch):

@@ -7,9 +7,23 @@ import warnings
 import mpmath as mp
 import pytest
 
-from ipdhyp.charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, w_poly
+from ipdhyp.charpoly import (
+    build_L,
+    build_P,
+    build_Phat,
+    build_Q,
+    build_Qhat,
+    build_T,
+    find_roots,
+    w_poly,
+)
 from ipdhyp.cli import cli_dispatch, format_complex, parse_complex
-from ipdhyp.errors import RejectionExhaustedError, RootWarning
+from ipdhyp.errors import (
+    DegenerateCaseError,
+    NonConvergenceError,
+    RejectionExhaustedError,
+    RootWarning,
+)
 from ipdhyp.kernel import IntVector, ParamVector, cplx, pochhammer, set_precision
 from ipdhyp.verify import (
     IDENTITIES,
@@ -77,6 +91,53 @@ class TestSampler:
         monkeypatch.setattr(verify_mod, "MAX_REJECTIONS", 0)
         with pytest.raises(RejectionExhaustedError):
             sample_params("MP1", seed=1, count=1)
+
+    def test_roots_found_once_per_case(self, monkeypatch):
+        # sampling builds each right side once and the check reuses it, so
+        # a case whose right side has characteristic roots finds them once
+        import ipdhyp.transforms as transforms_mod
+        import ipdhyp.verify as verify_mod
+
+        calls = []
+
+        def counted(poly):
+            calls.append(poly.degree)
+            return find_roots(poly)
+
+        for module in (transforms_mod, verify_mod):
+            monkeypatch.setattr(module, "find_roots", counted)
+        has_roots = {
+            "MP1": lambda p: True,
+            "MP2": lambda p: True,
+            "THM4_EQ29": lambda p: p["p"] > 1,
+            "THM5_SECOND": lambda p: p["m"].total > 1,
+        }
+        report = run_suite(ids=list(has_roots), seed=1, count=4)
+        assert report.exit_code == 0
+        run_calls = len(calls)
+        expected = sum(
+            has_roots[identity_id](case.params)
+            for identity_id in has_roots
+            for case in sample_params(identity_id, seed=1, count=4)
+        )
+        assert expected >= 12
+        assert run_calls == expected
+        assert len(calls) == 2 * expected
+        assert all(degree > 0 for degree in calls)
+
+    def test_check_evaluates_the_sampled_right_side(self, monkeypatch):
+        import ipdhyp.verify as verify_mod
+
+        cases = sample_params("MP1", seed=1, count=2)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the check rebuilt the right side")
+
+        monkeypatch.setattr(verify_mod, "apply_mp1", rebuilt)
+        for case in cases:
+            residuals = IDENTITIES["MP1"].check(case)
+            assert len(residuals) == len(case.x_samples)
+            assert max(residuals) <= mp.mpf("1e-28")
 
     def test_every_identity_id_registered(self):
         assert set(IDENTITY_IDS) == set(IDENTITIES)
@@ -187,17 +248,24 @@ class TestRunSuite:
             run_suite(ids=["MP1"], count=2)
 
     def test_domain_error_skips_and_fails_the_exit_code(self, monkeypatch):
-        import ipdhyp.verify as verify_mod
-        from ipdhyp.errors import DegenerateCaseError
+        # an engine error on an admissible draw is a skip with its reason,
+        # never a redraw; of THM4_EQ29's two cases only p = 2 finds roots
+        inputs = [
+            ("MP1", "ipdhyp.verify.apply_mp1", DegenerateCaseError, 2),
+            ("THM4_EQ29", "ipdhyp.transforms.find_roots", NonConvergenceError, 1),
+        ]
+        for identity_id, target, error, skips in inputs:
+            def raises(*args, **kwargs):
+                raise error("degenerate draw")
 
-        def degenerate(*args, **kwargs):
-            raise DegenerateCaseError("degenerate draw")
-
-        monkeypatch.setattr(verify_mod, "apply_mp1", degenerate)
-        report = run_suite(ids=["MP1"], count=2)
-        assert report.n_skipped == 2
-        assert report.n_failed == 0
-        assert report.exit_code == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(target, raises)
+                report = run_suite(ids=[identity_id], count=2)
+            assert report.n_skipped == skips
+            assert report.n_failed == 0
+            assert report.exit_code == 1
+            reasons = report.identity_summary()[identity_id]["skip_reasons"]
+            assert reasons == [f"{error.__name__}: degenerate draw"] * skips
 
     def test_skip_after_fail_keeps_its_reason(self, monkeypatch):
         from ipdhyp.errors import DegenerateCaseError
@@ -308,6 +376,13 @@ class TestCli:
         code = cli_dispatch(["verify", "--only", "MINTON", "--count", "1", "--tol", "0"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-30"])
+    def test_verify_rejects_a_tolerance_that_bounds_nothing(self, tol, capsys):
+        # such a tol bounds nothing: inf would pass every case, nan fail every one
+        code = cli_dispatch(["verify", "--only", "MINTON", "--count", "1", f"--tol={tol}"])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
 
     def test_verify_writes_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
