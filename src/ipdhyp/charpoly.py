@@ -163,74 +163,61 @@ class RootSet:
     pole_risk: tuple = field(default_factory=tuple)
     sweeps: int = 0
 
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
-
 
 def find_roots(poly: CPoly) -> RootSet:
-    """All complex roots of ``poly`` by simultaneous Ehrlich-Aberth iteration.
+    """All complex roots of ``poly``, each rounded to the working precision.
 
-    Initial guesses sit on a circle of Cauchy-bound radius at angles drawn
-    from ``random.Random(ROOT_SEED)``, so the result is deterministic.  From
-    degree 2 on the iteration runs in two phases, both built on ``_sweep``:
+    Everything runs at 15 guard digits.  Degree 0 has no roots and degree 1
+    the closed form -c_0/c_1.  From degree 2 on, Ehrlich-Aberth iteration
+    starts from a circle of Fujiwara-bound radius 2 max_k |c_{n-k}/c_n|^{1/k}
+    at angles drawn from ``random.Random(ROOT_SEED)``, so the result is
+    deterministic, and runs in two phases, both built on ``_sweep``:
 
     1. double precision (``_double_start``): sweeps on ``complex`` copies of
        the monic coefficients and the circle, until the largest relative
        step is a few ulp or after ``MAX_SWEEPS`` sweeps.  It only supplies
        the start of phase 2 and never raises; if a coefficient or an iterate
        is not finite in double, phase 2 starts from the circle instead.
-    2. full precision, at 15 guard digits: sweeps until the scaled residual
-       max|p(root)| / |lead| is at most 10^-(dps-10) on two consecutive
-       sweeps, so the first sweep under that target is followed by one
-       polish sweep.  Raises NonConvergenceError after ``MAX_SWEEPS``
-       sweeps.  ``RootSet.sweeps`` counts the sweeps of this phase.
-
-    The two degrees return roots at different precisions.  A degree-1 root
-    is returned from inside the guard-digit block and keeps its guard digits
-    (186 bits at 40 digits); closed-form checks of a single root rely on
-    that.  Roots of higher degree are rounded to the working precision
-    (136 bits at 40 digits).
+    2. full precision: sweeps until the scaled residual max|p(root)| / |lead|
+       is at most 10^-(dps-10) on two consecutive sweeps, so the first sweep
+       under that target is followed by one polish sweep.  Raises
+       NonConvergenceError after ``MAX_SWEEPS`` sweeps.  ``RootSet.sweeps``
+       counts the sweeps of this phase.
     """
     if poly.is_zero:
         raise DegenerateCaseError("zero polynomial has no well-defined roots")
     target = mp.mpf(10) ** (-(mp.mp.dps - 10))
     n = poly.degree
-    if n == 0:
-        return RootSet(ParamVector([]), mp.mpf(0), ())
-    rng = random.Random(ROOT_SEED)
     with mp.extradps(15):
         lead = poly.leading
-        monic = [c / lead for c in poly.coeffs]
-        if n == 1:
-            roots = [-monic[0]]
-            res = abs(poly(roots[0])) / abs(lead)
-            flag = near_nonpositive_integer(roots[0], POLE_RISK_TOL)
-            return RootSet(ParamVector(roots), res, (flag,))
-        deriv = [i * c for i, c in enumerate(monic) if i > 0]
-        radius = 1 + max(abs(c) for c in monic[:-1])
-        circle = [
-            radius
-            * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(rng.random()) / 2) / n + mp.mpf("0.35")))
-            for k in range(n)
-        ]
-        z = [mp.mpc(zi) for zi in _double_start(monic, deriv, circle)]
-        tiny = mp.mpf(10) ** (-mp.mp.dps)
         lead_mag = abs(lead)
-        met = False
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            _sweep(monic, deriv, z, tiny)
-            residual = max(abs(poly(zi)) for zi in z) / lead_mag
-            if residual <= target and met:
-                break
-            met = residual <= target
+        monic = [c / lead for c in poly.coeffs]
+        if n < 2:
+            z, sweeps = ([-monic[0]] if n == 1 else []), 0
+            residual = max((abs(poly(zi)) for zi in z), default=mp.mpf(0)) / lead_mag
         else:
-            raise NonConvergenceError(
-                f"root iteration failed to reach residual {mp.nstr(target, 5)} "
-                f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
-            )
+            deriv = [i * c for i, c in enumerate(monic) if i > 0]
+            radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
+            rng = random.Random(ROOT_SEED)
+            circle = [
+                radius
+                * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(rng.random()) / 2) / n + mp.mpf("0.35")))
+                for k in range(n)
+            ]
+            z = [mp.mpc(zi) for zi in _double_start(monic, deriv, circle)]
+            tiny = mp.mpf(10) ** (-mp.mp.dps)
+            met = False
+            for sweeps in range(1, MAX_SWEEPS + 1):
+                _sweep(monic, deriv, z, tiny)
+                residual = max(abs(poly(zi)) for zi in z) / lead_mag
+                if residual <= target and met:
+                    break
+                met = residual <= target
+            else:
+                raise NonConvergenceError(
+                    f"root iteration failed to reach residual {mp.nstr(target, 5)} "
+                    f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
+                )
     roots = [mp.mpc(zi) for zi in z]
     flags = tuple(near_nonpositive_integer(zi, POLE_RISK_TOL) for zi in roots)
     return RootSet(ParamVector(roots), residual, flags, sweeps)

@@ -191,18 +191,14 @@ _POLYNOMIALS = {
 def _cmd_charpoly(args) -> int:
     build, keys, defaults = _POLYNOMIALS[args.which]
     poly = build(**_read_params(args.params, keys, defaults))
+    roots = find_roots(poly)
     out = {
         "which": args.which,
         "degree": poly.degree,
         "coeffs": [format_complex(c) for c in poly.coeffs],
+        "roots": [format_complex(r) for r in roots.roots],
+        "root_residual": mp.nstr(roots.residual, 8),
     }
-    if poly.degree > 0:
-        roots = find_roots(poly)
-        out["roots"] = [format_complex(r) for r in roots.roots]
-        out["root_residual"] = mp.nstr(roots.residual, 8)
-    else:
-        out["roots"] = []
-        out["root_residual"] = "0.0"
     print(json.dumps(out, indent=2))
     return 0
 

@@ -279,15 +279,6 @@ def stirling2(j: int, k: int) -> int:
     return _stirling_rows[j][k]
 
 
-def falling_factorial(n: ComplexLike, k: int) -> ComplexValue:
-    """Falling factorial n(n-1)...(n-k+1)."""
-    n = cplx(n)
-    result = mp.mpc(1)
-    for j in range(k):
-        result *= n - j
-    return result
-
-
 def linear_products(factors) -> list:
     """Running products [1, l_0, l_0 l_1, ...] of the linear polynomials
     l_j(x) = u_j + v_j x, given as pairs (u_j, v_j), as ascending coefficient

@@ -164,14 +164,12 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
 def _collapsed(num, den, poly, what: str, negate: bool = False) -> HypFunction:
     """HypFunction(num + (rho+1); den + rho), rho the roots of ``poly``.
 
-    With ``negate`` rho = -root; with no ``poly`` there are no pairs.
+    With ``negate`` rho = -root; a degree-0 ``poly`` gives no pairs.
     Warns (RootWarning) when a bottom parameter rho lies at a nonpositive
     integer, where the series is ill-defined unless it terminates first.
     """
-    rho = []
-    if poly is not None:
-        roots = find_roots(poly).roots
-        rho = [-r for r in roots] if negate else list(roots)
+    roots = find_roots(poly).roots
+    rho = [-r for r in roots] if negate else list(roots)
     bad = [mp.nstr(v, 8) for v in rho if near_nonpositive_integer(v, POLE_RISK_TOL)]
     if bad:
         warnings.warn(
@@ -321,9 +319,7 @@ def apply_degenerate_p(
         mu = 1 - a
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    fun = _collapsed(
-        head_num, [b + p], poly if p > 1 else None, "degenerate transformation", negate=True
-    )
+    fun = _collapsed(head_num, [b + p], poly, "degenerate transformation", negate=True)
     terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
     for q, beta_q in enumerate(betas, start=1):
@@ -402,7 +398,8 @@ def apply_two_free(
     Splits r+3_F_r+2(a, d, b, f+m; e, b+1, f) into a 3F2 with weight
     (f-b)_m/(f)_m plus, with the complementary weight, a first- (variant
     "first") or second- (variant "second") transformed m+1_F_m whose
-    parameter pairs come from the roots of L or L-hat.
+    parameter pairs come from the roots of L or L-hat.  Requires
+    m_total >= 1, as ``build_L`` does.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
     f, m = as_param_vector(f), as_int_vector(m)
@@ -426,7 +423,7 @@ def apply_two_free(
         )
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    poly = build_L(a, d, e, b, f, m, variant=which) if mt > 1 else None
+    poly = build_L(a, d, e, b, f, m, variant=which)
     fun = _collapsed(num, [e], poly, "two-free-parameter transformation")
     tail = HypTerm((fm - fbm) / fm, 0, mu, arg, fun)
     return HypExpression([head, tail])

@@ -521,9 +521,7 @@ def _check_cor3(case: IdentityCase) -> list:
     fb1 = pochhammer_vec(f - b - 1, m)
     lam_star = (b - a + 1) * ((b + 1) * fb - b * fb1) / ((b - a + 1) * fb - b * fb1)
     poly = build_T(b, 2, f, m, variant="Tstar", a=a)
-    root = find_roots(poly).roots[0]
-    # the root keeps find_roots' guard digits; negating it would round them off
-    return [_relative(-lam_star, root)]
+    return [_relative(-lam_star, find_roots(poly).roots[0])]
 
 
 def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> list:

@@ -128,6 +128,30 @@ class TestFindRoots:
     def test_degree_one_takes_no_sweeps(self):
         assert find_roots(CPoly([cplx(0.3, 1), 2])).sweeps == 0
 
+    def test_degree_one_root_is_rounded_to_working_precision(self):
+        root = find_roots(CPoly([cplx(1, 3), 3])).roots[0]
+        for part in (root.real, root.imag):
+            assert part._mpf_[1].bit_length() <= mp.mp.prec
+
+    def test_far_roots_from_fujiwara_radius(self):
+        # t^2 + 1e350: the roots have modulus 1e175; a start circle of the
+        # Cauchy radius 1 + max|c_i| = 1e350 needs about 300 sweeps to reach
+        # them, one of Fujiwara radius 2e175 a few
+        mp.mp.dps = 400
+        roots = find_roots(CPoly([mp.mpf("1e350"), 0, 1]))
+        assert roots.sweeps <= 10
+        for r in roots.roots:
+            assert abs(abs(r.imag) / mp.mpf("1e175") - 1) < mp.mpf("1e-380")
+            assert abs(r.real) < mp.mpf("1e-200")
+
+    def test_zero_radius_start(self):
+        # t^2 and t^3: Fujiwara's radius is 0, so every iterate starts on
+        # the multiple root 0, where the derivative vanishes too
+        for degree in (2, 3):
+            roots = find_roots(CPoly([0] * degree + [1]))
+            assert roots.residual <= mp.mpf(10) ** (-(mp.mp.dps - 10))
+            assert roots.sweeps == 2
+
     def test_circle_start_when_double_overflows(self):
         # (t - 1e350)(t - 1): its coefficients are not finite in double, so
         # the full-precision sweeps start from the circle
@@ -456,4 +480,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "c330cdf7352a039070fe7855277012f68955b298356fd205e4098ebd60033477"
+_PINNED_BUILDS = "795eb60adab41cf2b3998b539247df7aa36410b5c4100a4e27d9d950fc2d9757"

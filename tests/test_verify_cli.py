@@ -94,7 +94,7 @@ class TestSampler:
 
     def test_roots_found_once_per_case(self, monkeypatch):
         # sampling builds each right side once and the check reuses it, so
-        # a case whose right side has characteristic roots finds them once
+        # every case finds its characteristic roots once, degree 0 included
         import ipdhyp.transforms as transforms_mod
         import ipdhyp.verify as verify_mod
 
@@ -106,24 +106,13 @@ class TestSampler:
 
         for module in (transforms_mod, verify_mod):
             monkeypatch.setattr(module, "find_roots", counted)
-        has_roots = {
-            "MP1": lambda p: True,
-            "MP2": lambda p: True,
-            "THM4_EQ29": lambda p: p["p"] > 1,
-            "THM5_SECOND": lambda p: p["m"].total > 1,
-        }
-        report = run_suite(ids=list(has_roots), seed=1, count=4)
+        ids = ["MP1", "MP2", "THM4_EQ29", "THM5_SECOND"]
+        report = run_suite(ids=ids, seed=1, count=4)
         assert report.exit_code == 0
         run_calls = len(calls)
-        expected = sum(
-            has_roots[identity_id](case.params)
-            for identity_id in has_roots
-            for case in sample_params(identity_id, seed=1, count=4)
-        )
-        assert expected >= 12
-        assert run_calls == expected
-        assert len(calls) == 2 * expected
-        assert all(degree > 0 for degree in calls)
+        cases = [case for identity_id in ids for case in sample_params(identity_id, seed=1, count=4)]
+        assert run_calls == len(cases) == 16
+        assert len(calls) == 2 * run_calls
 
     def test_check_evaluates_the_sampled_right_side(self, monkeypatch):
         import ipdhyp.verify as verify_mod
@@ -180,10 +169,10 @@ def _feed(digest, value) -> None:
 
 
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
-_PINNED_REPORT = "1f77c0bc30dc8c0db9f4db725101eabc62927be982024be225847264e636f46e"
+_PINNED_REPORT = "d8f45c004fe243cd4cf29f94ba7dab351024c00e888d471808001f41f3dcdd89"
 
 #: SHA-256 of every residual the checks return for sample_params(id, 1, 2) at 40 digits.
-_PINNED_RESIDUALS = "70f907e77be7f07c3933d2bf3c93df15cba2ed26b87a7e9a95ef409c44c79e43"
+_PINNED_RESIDUALS = "347e99eb79b88e71b1057bbdb3de4e2ca3cd0c9a7c27ee2ead5292abd86ff06c"
 
 
 def _patch_check(monkeypatch, identity_id, check) -> None:
@@ -249,10 +238,10 @@ class TestRunSuite:
 
     def test_domain_error_skips_and_fails_the_exit_code(self, monkeypatch):
         # an engine error on an admissible draw is a skip with its reason,
-        # never a redraw; of THM4_EQ29's two cases only p = 2 finds roots
+        # never a redraw; both THM4_EQ29 cases find roots, p = 1 included
         inputs = [
             ("MP1", "ipdhyp.verify.apply_mp1", DegenerateCaseError, 2),
-            ("THM4_EQ29", "ipdhyp.transforms.find_roots", NonConvergenceError, 1),
+            ("THM4_EQ29", "ipdhyp.transforms.find_roots", NonConvergenceError, 2),
         ]
         for identity_id, target, error, skips in inputs:
             def raises(*args, **kwargs):
@@ -474,6 +463,7 @@ class TestCli:
         poly = build_T(b, 1, f, _CHARPOLY_PARAMS["m"], variant="T")
         assert doc["degree"] == 0
         assert doc["coeffs"] == [format_complex(c) for c in poly.coeffs]
+        assert doc["roots"] == [] and doc["root_residual"] == "0.0"
 
     def test_charpoly_tstar_names_a_missing_a(self, tmp_path, capsys):
         params = {k: v for k, v in _CHARPOLY_PARAMS.items() if k != "a"}
