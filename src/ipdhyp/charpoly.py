@@ -152,10 +152,11 @@ class RootSet:
 
     ``residual`` is max |poly(root)| over the roots, scaled by the leading
     coefficient.  ``pole_risk`` marks roots lying at (or within 1e-6 of) a
-    nonpositive integer; used as a bottom parameter such a root makes the
-    transformed series ill-defined unless it terminates first.  ``sweeps``
-    is the number of full-precision sweeps ``find_roots`` took (0 at degree
-    1 and below).
+    nonpositive integer.  It tests the roots themselves, not -root, which
+    T and T* hand to their series as bottom parameters; ``_collapsed`` in
+    ``transforms`` tests the values it actually uses, so take pole flags
+    from there.  ``sweeps`` is the number of full-precision sweeps
+    ``find_roots`` took (0 at degree 1 and below).
     """
 
     roots: ParamVector
@@ -439,6 +440,8 @@ def build_T(
     T(z)  = sum_q (-1)^{q-1} (f-b-q+1)_m Gamma(b+q-1)
             / ((q-1)!(p-q)!) * (b+q+z)_{p-q}
     T*(z) adds the factor (b+1-a+z)_{q-1} / Gamma(b+q-a) per summand.
+    A result with every coefficient zero comes back as the zero polynomial
+    (``is_zero``), which ``find_roots`` rejects.
     """
     b = cplx(b)
     f, m = as_param_vector(f), as_int_vector(m)
@@ -465,10 +468,7 @@ def build_T(
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
         basis.append(linear_products(factors)[-1])
-    result = _weighted_sum(weights, basis)
-    if result.is_zero:
-        raise DegenerateCaseError("characteristic polynomial is identically zero")
-    return result
+    return _weighted_sum(weights, basis)
 
 
 def build_L(
@@ -486,7 +486,8 @@ def build_L(
     L-hat(t) couples (t)_k with a terminating 3F2, expanded in the
     rising-factorial basis exactly as for Q-hat.
     Requires (e-d-m+1)_{m-1} != 0, and for L-hat also
-    (e-a-m+1)_{m-1} != 0.
+    (e-a-m+1)_{m-1} != 0.  A result with every coefficient zero comes back
+    as the zero polynomial (``is_zero``), which ``find_roots`` rejects.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
     f, m = as_param_vector(f), as_int_vector(m)
@@ -497,17 +498,11 @@ def build_L(
     yk = [coeff_Y(k, b, f, m) for k in range(mt)]
     if variant == "L":
         weights = [pochhammer(d, k) * yk[k] for k in range(mt)]
-        result = _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
-    elif variant == "Lhat":
+        return _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
+    if variant == "Lhat":
         nonzero(pochhammer(e - a - mt + 1, mt - 1), "(e-a-m+1)_{m-1}")
-        result = _hatted(
-            mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if result.is_zero:
-        raise DegenerateCaseError("characteristic polynomial is identically zero")
-    return result
+        return _hatted(mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def w_poly(b: ComplexLike, f, m) -> CPoly:

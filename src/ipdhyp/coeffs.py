@@ -55,24 +55,22 @@ class IpdSpec:
     """Parameter tuple of an IPD hypergeometric function.
 
     Describes r+2_F_r+1(a, b, f+m; c, f | x): the free top parameters ``a``
-    (optional, absent for coefficient-only uses) and ``b``, the free bottom
-    parameter ``c``, and the IPD pairs f_i + m_i over f_i.  ``c`` may be
-    omitted for the degenerate constructions, where it is implied
-    structurally as b + p.
+    and ``b``, the free bottom parameter ``c``, and the IPD pairs f_i + m_i
+    over f_i.  ``c`` may be omitted for the degenerate constructions, where
+    it is implied structurally as b + p.
     """
 
     b: ComplexValue
     f: ParamVector
     m: IntVector
-    a: Optional[ComplexValue] = None
+    a: ComplexValue
     c: Optional[ComplexValue] = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", cplx(self.b))
         object.__setattr__(self, "f", as_param_vector(self.f))
         object.__setattr__(self, "m", as_int_vector(self.m))
-        if self.a is not None:
-            object.__setattr__(self, "a", cplx(self.a))
+        object.__setattr__(self, "a", cplx(self.a))
         if self.c is not None:
             object.__setattr__(self, "c", cplx(self.c))
         if len(self.f) != len(self.m):

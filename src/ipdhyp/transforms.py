@@ -154,8 +154,6 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
     cc = cplx(c) if c is not None else spec.c
     if cc is None:
         raise ValueError("spec carries no bottom parameter c")
-    if spec.a is None:
-        raise ValueError("spec carries no top parameter a")
     num = [spec.a, spec.b] + list(spec.f.shifted_by(spec.m))
     den = [cc] + list(spec.f)
     return HypFunction(ParamVector(num), ParamVector(den))
@@ -190,8 +188,8 @@ def apply_mp1(spec: IpdSpec, route: str = "paperQ") -> HypExpression:
     the equivalent P).  Requires (c-b-m)_m != 0.
     """
     a, b, c = spec.a, spec.b, spec.c
-    if a is None or c is None:
-        raise ValueError("apply_mp1 needs both a and c set on the IpdSpec")
+    if c is None:
+        raise ValueError("apply_mp1 needs c set on the IpdSpec")
     mt = spec.m_total
     if route == "paperQ":
         poly = build_Q(b, c, spec.f, spec.m)
@@ -211,8 +209,8 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat") -> HypExpression:
     Requires (c-a-m)_m, (c-b-m)_m and (1+a+b-c)_m all nonzero.
     """
     a, b, c = spec.a, spec.b, spec.c
-    if a is None or c is None:
-        raise ValueError("apply_mp2 needs both a and c set on the IpdSpec")
+    if c is None:
+        raise ValueError("apply_mp2 needs c set on the IpdSpec")
     mt = spec.m_total
     nonzero(pochhammer(1 + a + b - c, mt), "(1+a+b-c)_m")
     if route == "paperQhat":
@@ -228,8 +226,8 @@ def apply_mp2(spec: IpdSpec, route: str = "paperQhat") -> HypExpression:
 def expand_to_gauss(spec: IpdSpec) -> HypExpression:
     """Expansion F = (1/(f)_m) sum_k (-1)^k D_k (b)_k 2F1(a, b+k; c | x)."""
     a, b, c = spec.a, spec.b, spec.c
-    if a is None or c is None:
-        raise ValueError("expand_to_gauss needs both a and c set on the IpdSpec")
+    if c is None:
+        raise ValueError("expand_to_gauss needs c set on the IpdSpec")
     fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
     terms = []
     for k in range(spec.m_total + 1):
@@ -262,8 +260,6 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     2F1(a, b; b+1 | x) with no prefactor.
     """
     a, b = spec.a, spec.b
-    if a is None:
-        raise ValueError("degenerate transformation needs a set on the IpdSpec")
     if spec.c is not None and spec.c != b + 1:
         raise ValueError("spec.c must be exactly b+1 (or omitted) here")
     fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
@@ -295,11 +291,7 @@ def apply_degenerate_p(
     algebraic part is the double sum over q = 1..p and l = 0..m-1.
     """
     a, b = spec.a, spec.b
-    if a is None:
-        raise ValueError("degenerate transformation needs a set on the IpdSpec")
     p = int(p)
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
     fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")

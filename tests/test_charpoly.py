@@ -350,6 +350,14 @@ class TestBuildT:
         with pytest.raises(PoleAtNonpositiveIntegerError):
             build_T(cplx(-1), 2, [cplx(1.5)], [1], variant="T")
 
+    def test_zero_polynomial_left_to_find_roots(self):
+        # f = b makes (f-b)_m, the one weight of T at p = 1, vanish
+        b = cplx(0.4, 0.2)
+        poly = build_T(b, 1, [b], [1], variant="T")
+        assert poly.is_zero
+        with pytest.raises(DegenerateCaseError):
+            find_roots(poly)
+
 
 class TestBuildL:
     def test_cor4_closed_roots(self):

@@ -399,11 +399,15 @@ class TestNorlundG:
 class TestSpecTypes:
     def test_ipd_spec_validates_lengths(self):
         with pytest.raises(LengthMismatchError):
-            IpdSpec(b=0.3, f=[1.0, 2.0], m=[1])
+            IpdSpec(b=0.3, f=[1.0, 2.0], m=[1], a=0.7)
 
     def test_ipd_spec_m_total(self):
-        spec = IpdSpec(b=0.3, f=[1.0, 2.0], m=[2, 1])
+        spec = IpdSpec(b=0.3, f=[1.0, 2.0], m=[2, 1], a=0.7)
         assert spec.m_total == 3
+
+    def test_ipd_spec_requires_a(self):
+        with pytest.raises(TypeError):
+            IpdSpec(b=0.3, f=[1.0], m=[1])
 
     def test_norlund_args_validates_lengths(self):
         with pytest.raises(LengthMismatchError):

@@ -263,6 +263,16 @@ class TestDegenerateP:
             expr = apply_degenerate_p(spec, 2, variant=variant)
             assert abs(expr.evaluate(0) - 1) < mp.mpf("1e-33")
 
+    def test_zero_characteristic_polynomial_is_degenerate(self):
+        b = cplx(0.4, 0.2)
+        with pytest.raises(DegenerateCaseError):
+            apply_degenerate_p(IpdSpec(b=b, f=[b], m=[1], a=0.3), 1)
+
+    def test_p_below_1_rejected(self):
+        spec = IpdSpec(b=cplx(0.4, 0.2), f=[cplx(1.5)], m=[1], a=0.3)
+        with pytest.raises(ValueError, match="need p >= 1"):
+            apply_degenerate_p(spec, 0)
+
     def test_vanishing_b_plus_q_minus_1_is_degenerate(self):
         # b+q-1 = 0 for some q in 1..p: reported as degenerate, not as the
         # gamma pole that build_T would hit at the same argument

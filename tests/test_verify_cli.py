@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 import re
 import warnings
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipdhyp.charpoly import (
     build_L,
@@ -29,6 +32,10 @@ from ipdhyp.verify import (
     IDENTITIES,
     IDENTITY_IDS,
     TwoSided,
+    _away,
+    _clear,
+    _draw_case,
+    _Reject,
     report_to_json,
     run_suite,
     sample_params,
@@ -168,6 +175,92 @@ def _feed(digest, value) -> None:
         digest.update(repr(value).encode())
 
 
+_A, _B, _D, _E = cplx(0.7, 0.1), cplx(0.4, -0.2), cplx(0.9), cplx(3.1, -0.4)
+_F, _M = ParamVector([cplx(1.5, 0.2)]), IntVector([2])
+
+
+def _general(route):
+    return lambda z: {"a": _A, "b": _B, "c": z - 1, "f": _F, "m": _M, "route": route}
+
+
+def _thm3(z):
+    return {"a": _A, "b": z - 2, "f": _F, "m": _M}
+
+
+#: Params of the samplers that leave pole clearance to the right-side
+#: screen, as a function of z: the named bottom parameter of the right
+#: side is z - 1 or z - 2, so z = 5e-4 puts it 5e-4 from a pole.
+_SCREENED = [
+    pytest.param("MP1", _general("paperQ"), id="MP1-c"),
+    pytest.param("COR1", _general(None), id="COR1-c"),
+    pytest.param("MP2", _general("paperQhat"), id="MP2-c"),
+    pytest.param("THM3_EQ19", _thm3, id="THM3_EQ19-b+1"),
+    pytest.param("THM3_EQ20", _thm3, id="THM3_EQ20-b+1"),
+    *(
+        pytest.param(identity_id, params, id=f"{identity_id}-{name}")
+        for identity_id in ("THM5_FIRST", "THM5_SECOND")
+        for name, params in (
+            ("e", lambda z: {"a": _A, "d": _D, "e": z - 1, "b": _B, "f": _F, "m": _M}),
+            ("b+1", lambda z: {"a": _A, "d": _D, "e": _E, "b": z - 2, "f": _F, "m": _M}),
+        )
+    ),
+    *(
+        pytest.param(
+            identity_id,
+            lambda z: {"a": _A, "b": ParamVector([z - 2, _B]), "p": IntVector([2, 1]),
+                       "f": _F, "m": _M},
+            id=f"{identity_id}-beta+1",
+        )
+        for identity_id in ("VEC_EQ27", "VEC_EQ28")
+    ),
+]
+
+
+class TestRightSideScreen:
+    @pytest.mark.parametrize("identity_id, params", _SCREENED)
+    def test_rejects_a_bottom_parameter_near_a_pole(self, identity_id, params):
+        # the samplers no longer test these parameters themselves
+        rng = random.Random(0)
+        for z, rejected in ((mp.mpf("5e-4"), True), (mp.mpf("0.5"), False)):
+            entry = dataclasses.replace(
+                IDENTITIES[identity_id], sample=lambda rng, index, z=z: params(z)
+            )
+            if rejected:
+                with pytest.raises(_Reject):
+                    _draw_case(identity_id, entry, rng, 0)
+            else:
+                case = _draw_case(identity_id, entry, rng, 0)
+                assert case.rhs is not None and case.rhs_error is None
+
+
+#: Real parts within 2e-3 of an integer in -8..2, and a wider box.
+_NEAR_INTEGERS = st.builds(
+    lambda n, offset: mp.mpf(n) + mp.mpf(offset),
+    st.integers(-8, 2),
+    st.floats(-2e-3, 2e-3),
+)
+_REAL_PARTS = st.one_of(_NEAR_INTEGERS, st.floats(-10, 10).map(mp.mpf))
+
+
+class TestSamplerImplications:
+    """The implications that let a sampler drop a test another one makes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=_REAL_PARTS, im=st.floats(-3e-3, 3e-3), k=st.integers(0, 8))
+    def test_clear_holds_after_a_nonnegative_shift(self, re, im, k):
+        z = cplx(re, im)
+        if _clear(z):
+            assert _clear(z + k)
+            assert _away(z + k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=_REAL_PARTS, im=st.floats(-3e-3, 3e-3), mt=st.integers(1, 6))
+    def test_karlsson_convergence_margin_clears_1_minus_a(self, re, im, mt):
+        a = cplx(re, im)
+        if (1 - a - mt).real >= mp.mpf("0.05"):
+            assert _clear(1 - a)
+
+
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
 _PINNED_REPORT = "d8f45c004fe243cd4cf29f94ba7dab351024c00e888d471808001f41f3dcdd89"
 
@@ -182,10 +275,13 @@ def _patch_check(monkeypatch, identity_id, check) -> None:
 
 
 class TestRunSuite:
-    def test_empty_ids_passes(self):
-        report = run_suite(ids=[], seed=1, count=1)
-        assert report.cases == []
-        assert report.exit_code == 0
+    def test_empty_ids_rejected(self):
+        with pytest.raises(ValueError, match="each identity once"):
+            run_suite(ids=[], seed=1, count=1)
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="each identity once"):
+            run_suite(ids=["LEMMA2", "LEMMA2"], seed=1, count=1)
 
     def test_zero_tolerance_fails(self):
         report = run_suite(ids=["MP1"], seed=1, count=1, tol=0)
@@ -361,6 +457,14 @@ class TestCli:
         assert doc["identities"][0]["id"] == "LEMMA3"
         assert doc["identities"][0]["status"] == "pass"
 
+    @pytest.mark.parametrize("only", [" , ", "LEMMA2,LEMMA2"])
+    def test_verify_only_must_name_each_identity_once(self, only, capsys):
+        code = cli_dispatch(["verify", "--only", only, "--count", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "each identity once" in captured.err
+
     def test_verify_exit_1_at_zero_tolerance(self, capsys):
         code = cli_dispatch(["verify", "--only", "MINTON", "--count", "1", "--tol", "0"])
         capsys.readouterr()
@@ -464,6 +568,15 @@ class TestCli:
         assert doc["degree"] == 0
         assert doc["coeffs"] == [format_complex(c) for c in poly.coeffs]
         assert doc["roots"] == [] and doc["root_residual"] == "0.0"
+
+    def test_charpoly_zero_polynomial_exits_2(self, tmp_path, capsys):
+        # f = b makes T at p = 1 the zero polynomial, which find_roots
+        # rejects; b is a binary fraction, so b+q-1 at q = 1 is b exactly
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"b": "0.375+0.25i", "f": ["0.375+0.25i"], "m": [1]}))
+        code = cli_dispatch(["charpoly", "--which", "T", "--params", str(path)])
+        assert code == 2
+        assert "zero polynomial" in capsys.readouterr().err
 
     def test_charpoly_tstar_names_a_missing_a(self, tmp_path, capsys):
         params = {k: v for k, v in _CHARPOLY_PARAMS.items() if k != "a"}
