@@ -13,7 +13,12 @@ terms or larger terms than assumed is summed again with the guard it
 needs, so cancellation among large terms costs no digits.  The term ratio
 prod(u+n) / (prod(v+n) (n+1)) is computed once per n and shared by every
 point summed together (:func:`eval_pfq_many`); each point then multiplies
-its term by the ratio and by its x.  A pass ends in one of two ways:
+its term by the ratio and by its x.  The ratio reads three polynomials in
+n 2^pw with exact integer coefficients, multiplied out once per pass from
+the linear factors: the real and imaginary parts of
+prod(u+n) conj(prod(v+n)), and |prod(v+n)|^2.  Horner in the small integer
+n gives the very integers the products would.  A pass ends in one of two
+ways:
 
 * a fixed stop k: the pass sums t_0 .. t_k, with no tail.  A terminating
   series (top parameter -k) stops at its terminal index k, for any
@@ -24,12 +29,13 @@ its term by the ratio and by its x.  A pass ends in one of two ways:
   (floored at |x| for p = q+1), is at most tol * max(1, |S|) twice in a
   row, at n >= 8.  The rule reads magnitudes as doubles, the term's and
   the ratio's rounded up and |S| rounded down, so it is never weaker than
-  in exact arithmetic.  qhat = |t_n / t_{n-1}| is taken from the shared
-  ratio times |x|, not from two rounded terms, so it stays valid when the
-  terms fall below the fixed-point resolution.  On |x| = 1 away from
-  x = 1 the estimate never falls below its tolerance, so such a p = q+1
-  series is refused at once with SlowConvergenceError (after the
-  DivergentSeriesError check on sigma).
+  in exact arithmetic; an estimate that overflows a double never passes.
+  qhat = |t_n / t_{n-1}| is taken from the shared ratio times |x|, not
+  from two rounded terms, so it stays valid when the terms fall below the
+  fixed-point resolution.  On |x| = 1 away from x = 1 the estimate never
+  falls below its tolerance, so such a p = q+1 series is refused at once
+  with SlowConvergenceError (after the DivergentSeriesError check on
+  sigma).
 
 x = 1 with p = q+1 and Re(sum(den) - sum(num)) > 0: the terms decay like a
 power n^-sigma, so naive truncation cannot reach tight tolerances.  A pass
@@ -168,6 +174,18 @@ def _to_fixed(z: ComplexValue, wp: int) -> tuple:
     return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
 
 
+def _fixed_linear_product(roots: list, out: list) -> list:
+    """Coefficients of ``out`` times prod(1 + r u) over the fixed-point pairs
+    ``roots``, in powers of u.  Read in X = 1/u, prod(1 + r u) gives those of
+    prod(r + X), highest power of X first."""
+    for rr, ri in roots:
+        out = [
+            (ar + br * rr - bi * ri, ai + br * ri + bi * rr)
+            for (ar, ai), (br, bi) in zip(out + [(0, 0)], [(0, 0)] + out)
+        ]
+    return out
+
+
 def _ratio_maker(fun: HypFunction, wp: int):
     """t_{n+1} / (x t_n) = prod(u+n) / (prod(v+n) (n+1)) as a function of n.
 
@@ -179,25 +197,30 @@ def _ratio_maker(fun: HypFunction, wp: int):
     # wp - prec bits there, so no nonzero v + n reads as a pole
     low = min((exp + bc for v in fun.den for _, man, exp, bc in v._mpc_ if man), default=0)
     pw = wp + max(0, -mp.mp.prec - low)
-    nums = [_to_fixed(u, pw) for u in fun.num]
+    # with X = n 2^pw real, N conj(D) = prod(u + X) prod(conj(v) + X) and
+    # |D|^2 = prod(v + X) prod(conj(v) + X) are polynomials in X with exact
+    # integer coefficients, those of |D|^2 real: Horner in the small n gives
+    # the integers that the products N and D would
     dens = [_to_fixed(v, pw) for v in fun.den]
+    conj = _fixed_linear_product([(vr, -vi) for vr, vi in dens], [(1, 0)])
+    cross = _fixed_linear_product([_to_fixed(u, pw) for u in fun.num], conj)
+    square = [c for c, _ in _fixed_linear_product(dens, conj)]
     # the products carry 2^(p pw) and 2^(q pw); lift is below -wp for p > q+1,
     # which only a terminating series reaches, or for pw > wp
     lift = (fun.q - fun.p) * pw
 
     def ratio(n: int) -> tuple:
-        k = n << pw
-        nr, ni = 1, 0
-        for ur, ui in nums:
-            ur += k
-            nr, ni = nr * ur - ni * ui, nr * ui + ni * ur
-        dr, di = n + 1, 0
-        for vr, vi in dens:
-            vr += k
-            dr, di = dr * vr - di * vi, dr * vi + di * vr
-        norm = dr * dr + di * di
-        ar = nr * dr + ni * di
-        ai = ni * dr - nr * di
+        ar = ai = norm = 0
+        for cr, ci in cross:
+            ar = ((ar * n) << pw) + cr
+            ai = ((ai * n) << pw) + ci
+        for c in square:
+            norm = ((norm * n) << pw) + c
+        # the factor n+1 of the denominator
+        m = n + 1
+        ar *= m
+        ai *= m
+        norm *= m * m
         shift = wp + max(0, norm.bit_length() - max(abs(ar), abs(ai)).bit_length() - lift)
         up = shift + lift
         if up < 0:
@@ -296,9 +319,12 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
                 if floor_at_x and qhat < pt.absx:
                     qhat = pt.absx
                 if qhat < 1:
+                    # an estimate past the double range proves nothing,
+                    # even against a bound that overflows as well
                     tail = 2 * mag * qhat / (1 - qhat) * _UP
-                    passed = tail <= tol_units or tail <= tol_units * _abs_down(
-                        pt.sr, pt.si, sum_drop, sum_unit
+                    passed = tail < math.inf and (
+                        tail <= tol_units
+                        or tail <= tol_units * _abs_down(pt.sr, pt.si, sum_drop, sum_unit)
                     )
             if not passed:
                 pt.streak = 0

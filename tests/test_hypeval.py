@@ -2,6 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ipdhyp.hypeval as hypeval
 from ipdhyp.errors import (
@@ -19,7 +21,14 @@ from ipdhyp.hypeval import (
     mobius_arg,
     pfq,
 )
-from ipdhyp.kernel import ParamVector, cplx, gamma, pochhammer, set_precision
+from ipdhyp.kernel import (
+    ParamVector,
+    as_nonpositive_integer,
+    cplx,
+    gamma,
+    pochhammer,
+    set_precision,
+)
 
 
 def _rng(seed=311):
@@ -368,15 +377,103 @@ class TestCancellation:
         assert abs(got - expect) <= mp.mpf("1e-32") * abs(expect)
 
 
+class TestHugeSums:
+    @pytest.mark.parametrize("x", [680, 700])
+    def test_tail_test_needs_a_finite_estimate(self, x):
+        # |S| near 1e300: tol |S| overflows a double, and so does the tail
+        # estimate of the terms a few steps short of the stop
+        result = eval_pfq(_fun([], []), x)
+        expect = mp.exp(x)
+        tol = hypeval.default_series_tolerance()
+        assert mp.isfinite(result.tail_bound)
+        assert result.tail_bound <= tol * abs(result.value)
+        assert abs(result.value - expect) <= tol * expect
+
+
+def _product_ratio_maker(fun, wp):
+    """Reference for ``hypeval._ratio_maker``: the ratio straight from the
+    products prod(u+n) and (n+1) prod(v+n) of the fixed-point parameters."""
+    low = min((exp + bc for v in fun.den for _, man, exp, bc in v._mpc_ if man), default=0)
+    pw = wp + max(0, -mp.mp.prec - low)
+    nums = [hypeval._to_fixed(u, pw) for u in fun.num]
+    dens = [hypeval._to_fixed(v, pw) for v in fun.den]
+    lift = (fun.q - fun.p) * pw
+
+    def ratio(n):
+        k = n << pw
+        nr, ni = 1, 0
+        for ur, ui in nums:
+            ur += k
+            nr, ni = nr * ur - ni * ui, nr * ui + ni * ur
+        dr, di = n + 1, 0
+        for vr, vi in dens:
+            vr += k
+            dr, di = dr * vr - di * vi, dr * vi + di * vr
+        norm = dr * dr + di * di
+        ar = nr * dr + ni * di
+        ai = ni * dr - nr * di
+        shift = wp + max(0, norm.bit_length() - max(abs(ar), abs(ai)).bit_length() - lift)
+        up = shift + lift
+        if up < 0:
+            norm <<= -up
+            return ar // norm, ai // norm, shift
+        return (ar << up) // norm, (ai << up) // norm, shift
+
+    return ratio
+
+
+_BOX = st.builds(
+    cplx,
+    st.floats(min_value=-2, max_value=3, allow_nan=False),
+    st.floats(min_value=-1, max_value=1, allow_nan=False),
+)
+_TOP = st.one_of(_BOX, st.builds(cplx, st.integers(-6, 6)))
+# bottom parameters: no pole, but some within 1e-300 of one, where the
+# parameters take more fixed-point bits than the ratio
+_TINY = st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False).filter(bool)
+_BOTTOM = st.one_of(
+    _BOX.filter(lambda v: as_nonpositive_integer(v) is None),
+    st.builds(cplx, st.integers(1, 6)),
+    st.builds(lambda tiny: cplx(mp.mpf(tiny)), _TINY),
+    st.builds(lambda k, tiny: cplx(-k, mp.mpf(tiny)), st.integers(0, 6), _TINY),
+)
+
+
+def _outcome(ratio, n):
+    # at wp = prec a part below 2^-prec has no bit left and reads as a pole,
+    # in both forms alike; a pass always has guard bits beyond prec
+    try:
+        return ratio(n)
+    except ZeroDivisionError:
+        return "pole"
+
+
+class TestTermRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.lists(_TOP, max_size=6),
+        den=st.lists(_BOTTOM, max_size=5),
+        extra=st.integers(0, 400),
+        ns=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+    )
+    def test_matches_the_products(self, num, den, extra, ns):
+        fun = _fun(num, den)
+        wp = mp.mp.prec + extra
+        fast, reference = hypeval._ratio_maker(fun, wp), _product_ratio_maker(fun, wp)
+        for n in [0, 1] + ns:
+            assert _outcome(fast, n) == _outcome(reference, n), n
+
+
 class TestEvalPfqMany:
     def _assert_pointwise(self, fun, xs):
         results = eval_pfq_many(fun, xs)
         assert len(results) == len(xs)
         for x, result in zip(xs, results):
             single = eval_pfq(fun, x)
-            assert result.terms_used == single.terms_used
-            scale = max(1, abs(single.value))
-            assert abs(result.value - single.value) <= mp.mpf("1e-36") * scale
+            assert (result.value, result.terms_used, result.tail_bound) == (
+                single.value, single.terms_used, single.tail_bound
+            ), x
+        return results
 
     def test_mixed_points_match_pointwise(self):
         fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5), 1.7], [cplx(2.6, -0.3), 2.2])
@@ -386,6 +483,25 @@ class TestEvalPfqMany:
     def test_terminating_function_matches_pointwise(self):
         fun = _fun([-4, cplx(0.5, 0.3), 1.2], [cplx(1.5, 0.2), 2])
         self._assert_pointwise(fun, [0, 1, cplx(0.4, 0.2), 2.5, -3])
+
+    def test_points_stopping_far_apart_match_pointwise(self):
+        # 21 to 3,569 terms: the points leave the pass one by one
+        fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5), 1.7], [cplx(2.6, -0.3), 2.2])
+        radii = ["0.05", "0.3", "0.6", "0.9", "0.97", "0.99"]
+        xs = [mp.mpf(r) * mp.expjpi(mp.mpf(k) / 5) for k, r in enumerate(radii)]
+        terms = [result.terms_used for result in self._assert_pointwise(fun, xs)]
+        assert terms[0] < 30 and terms[-1] > 3000
+
+    def test_point_summed_again_matches_pointwise(self, monkeypatch):
+        # the terms of 1F1(1; 2; -40), near 1e16, need more guard bits than
+        # the first pass has; x = 0.1 needs none
+        passes = []
+        run = hypeval._pass
+        monkeypatch.setattr(
+            hypeval, "_pass", lambda fun, xs, *rest: passes.append(len(xs)) or run(fun, xs, *rest)
+        )
+        self._assert_pointwise(_fun([1], [2]), [mp.mpf(-40), mp.mpf("0.1")])
+        assert passes == [2, 1, 1, 1, 1]
 
     def test_empty(self):
         assert eval_pfq_many(_fun([0.5, 0.7], [1.3]), []) == []
