@@ -44,8 +44,14 @@ T(N) = sum_{n>=N} t_n follows from T(N) = t_N + r(N) T(N+1), r the exact
 rational term ratio, by expanding T(N)/t_N as A*N + sum_k b_k N^-k, with
 coefficients from a triangular recursion on the series expansion of r.
 The expansion is summed until its terms grow, and its coefficients are
-built only as far as that sum reads them; UNIT_TAIL_ORDER (scaled with the
-digits) caps how far it may read.  The smallest term summed, plus a
+built only as far as that sum reads them, as are those of r; UNIT_TAIL_ORDER
+(scaled with the digits) caps how far it may read.  Like the term loop, the
+expansion runs in fixed point, at the bits of digits + 10 plus
+UNIT_GUARD_BITS.  The series of r divides one product of linear factors by
+another, both multiplied out as the term ratio's are; the divisor's
+constant coefficient is 1, so no step of it divides.  The triangle's
+differences are exact, and the stop tests read magnitudes as doubles
+rounded up.  The smallest term summed, plus a
 rounding floor, is the tail bound: an estimate, not a proved bound.  When
 it misses tol, the head N is doubled and summed again, up to UNIT_RETRIES
 times, before SlowConvergenceError.  A tol finer than the context raises
@@ -92,6 +98,9 @@ UNIT_TAIL_ORDER = 44
 
 #: Times the direct head at x = 1 is doubled when the tail misses tol.
 UNIT_RETRIES = 5
+
+#: Guard bits of the x = 1 tail's fixed point beyond the bits of digits + 10.
+UNIT_GUARD_BITS = 32
 
 #: Stop of a point at x = 1, where the power-law tail completes the head.
 _UNIT = "unit"
@@ -269,7 +278,9 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
     sum_drop = max(0, wp - 64)
     sum_unit = math.ldexp(1.0, sum_drop - wp)
     floor_at_x = fun.p == fun.q + 1
-    ratio = _ratio_maker(fun, wp)
+    steps = range(TERM_CAP if stop is None else stop)
+    # a pass that stops at t_0 (x = 0) reads no ratio
+    ratio = _ratio_maker(fun, wp) if steps else None
     live = [_Point(index, x, wp) for index, x in enumerate(xs)]
     out = [(None, 0)] * len(xs)
     first_test = 8 if stop is None else stop  # a fixed stop skips the tail test
@@ -284,7 +295,7 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
         )
         out[pt.index] = ((EvalResult(value, terms, tail), term), need)
 
-    for n in range(TERM_CAP if stop is None else stop):
+    for n in steps:
         if not live:
             break
         rr, ri, rs = ratio(n)
@@ -390,26 +401,6 @@ def _sum_series(
     return outcomes
 
 
-def _linear_product(params: Sequence) -> list:
-    """Coefficients of prod(1 + p u) over ``params``, in powers of u."""
-    out = [mp.mpc(1)]
-    for p in params:
-        out = [a + b * p for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
-def _series_div(a: list, b: list, length: int) -> list:
-    """First ``length`` coefficients of the power series a(u)/b(u), b[0] != 0."""
-    out = [mp.mpc(0)] * length
-    inv0 = 1 / b[0]
-    for m in range(length):
-        acc = a[m] if m < len(a) else mp.mpc(0)
-        for k in range(1, min(m, len(b) - 1) + 1):
-            acc -= b[k] * out[m - k]
-        out[m] = acc * inv0
-    return out
-
-
 def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     """x = 1 evaluation: direct head plus a power-law tail.
 
@@ -426,60 +417,109 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
     |t_N| times that term plus a rounding floor, is an estimate and not a
     proved bound.  When it misses ``tol``, the head is doubled and summed
     again, up to UNIT_RETRIES times, as the expansion gains with N.
+
+    The expansion runs in fixed point: complex integer mantissas scaled by
+    2^wp, with wp the bits of digits + 10 plus UNIT_GUARD_BITS.
     """
     sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
     # like the kernel's wp, the digits cover a tol finer than the context
-    digits = max(mp.mp.dps, math.ceil(_tol_bits(tol) * math.log10(2)))
+    tol_bits = _tol_bits(tol)
+    digits = max(mp.mp.dps, math.ceil(tol_bits * math.log10(2)))
     N = max(UNIT_DIRECT_TERMS, digits)
     # the expansion may be read up to an order that scales with the digits,
     # so the asymptotic floor of the W series stays below the tolerance
     order = max(UNIT_TAIL_ORDER, (13 * digits) // 10)
     rounding_floor = mp.mpf(10) ** (-(digits + 8))
     with mp.workdps(digits + 10):
+        wp = mp.mp.prec + UNIT_GUARD_BITS
+        one = 1 << wp
+
+        def product(params: list) -> list:
+            # the coefficient of u^k carries 2^(k wp), rescaled to 2^wp
+            coeffs = _fixed_linear_product([_to_fixed(v, wp) for v in params], [(1, 0)])
+            return [((cr << wp) >> (k * wp), (ci << wp) >> (k * wp))
+                    for k, (cr, ci) in enumerate(coeffs)]
+
         # r as a power series in u = 1/n:
-        # r(1/u) = prod(1 + a_i u) / (prod(1 + b_j u) * (1 + u))
-        pden = _linear_product(list(fun.den) + [mp.mpc(1)])
-        r = _series_div(_linear_product(fun.num), pden, order + 3)
-        A = 1 / (sigma - 1)
+        # r(1/u) = prod(1 + a_i u) / (prod(1 + b_j u) * (1 + u)); den[0] = 1,
+        # so each coefficient needs no division, and r grows only as far as
+        # the triangle reads it
+        num, den = product(fun.num), product(list(fun.den) + [mp.mpc(1)])
+        r = []
+
+        def extend_r(m: int) -> None:
+            for i in range(len(r), m + 1):
+                accr, acci = num[i] if i < len(num) else (0, 0)
+                accr <<= wp
+                acci <<= wp
+                for (dr, di), (xr, xi) in zip(den[1 : i + 1], reversed(r)):
+                    accr -= dr * xr - di * xi
+                    acci -= dr * xi + di * xr
+                r.append((accr >> wp, acci >> wp))
+
+        sr, si = _to_fixed(sigma, wp)
+        # A = 1/(sigma - 1) = conj(sigma - 1) / |sigma - 1|^2
+        norm = (sr - one) ** 2 + si * si
+        Ar, Ai = ((sr - one) << 2 * wp) // norm, (-si << 2 * wp) // norm
         # G_k = r * (u/(1+u))^k has the running differences
         # G_{k+1}[i] = G_k[i-1] - G_{k+1}[i-1] as coefficients, and b_{m-1}
         # reads G_k[m] for k < m-1: both triangles grow only as far as W(N)
         # reads b, and are kept across the retries
         G, b_coef = [r], []
 
-        def coef(k: int) -> mp.mpc:
+        def coef(k: int) -> tuple:
             while len(b_coef) <= k:
                 m = len(b_coef) + 1
+                extend_r(m + 1)
                 if m > 2:
-                    G.append([mp.mpc(0)])
+                    G.append([(0, 0)])
                 for prev, row in zip(G, G[1:]):
-                    while len(row) <= m:
-                        row.append(prev[len(row) - 1] - row[-1])
-                acc = A * (r[m + 1] + r[m])
-                for j in range(m - 1):
-                    acc -= b_coef[j] * -G[j][m]
-                b_coef.append(acc / (sigma + m - 1))
+                    for i in range(len(row), m + 1):
+                        (pr, pi), (qr, qi) = prev[i - 1], row[i - 1]
+                        row.append((pr - qr, pi - qi))
+                tr, ti = r[m + 1][0] + r[m][0], r[m + 1][1] + r[m][1]
+                accr, acci = Ar * tr - Ai * ti, Ar * ti + Ai * tr
+                for (br, bi), row in zip(b_coef, G):
+                    gr, gi = row[m]
+                    accr += br * gr - bi * gi
+                    acci += br * gi + bi * gr
+                # divide by d = sigma + m - 1: times conj(d), over |d|^2
+                dr = sr + ((m - 1) << wp)
+                norm = dr * dr + si * si
+                b_coef.append(((accr * dr + acci * si) // norm, (acci * dr - accr * si) // norm))
             return b_coef[k]
 
+        # magnitudes go to doubles in units of 2^-tol_bits, as in _pass; W's
+        # sum stops at a term below a tenth of tol |W|
+        tol_units = float(mp.ldexp(tol, tol_bits)) / 10 * _DOWN
+        w_drop = max(0, wp - 64)
+        w_unit = math.ldexp(1.0, w_drop - wp)
         for _ in range(UNIT_RETRIES + 1):
             # the head S_N and its last term t_N, from n = 0 on every try
             [(head, term)] = _sum_series(fun, [mp.mpc(1)], tol, N)
             # evaluate W(N), stopping at the smallest term of the expansion
-            tail_norm = A * N
-            npow = mp.mpf(1)
-            smallest = mp.inf
+            wr, wi = Ar * N, Ai * N
+            npow = 1  # N^k
+            smallest = math.inf
             for k in range(order + 1):
-                piece = coef(k) * npow
-                mag = abs(piece)
+                br, bi = coef(k)
+                pr, pi = br // npow, bi // npow
+                mag = _abs_up(pr, pi, wp - tol_bits)
                 if k > 6 and mag > smallest:
                     break
-                tail_norm += piece
+                wr += pr
+                wi += pi
                 smallest = min(smallest, mag)
-                npow /= N
-                if mag < tol * abs(tail_norm) / 10:
+                npow *= N
+                if mag < tol_units * _abs_down(wr, wi, w_drop, w_unit):
                     break
-            value = head.value + term * (tail_norm - 1)  # S_{N-1} + t_N W(N)
-            bound = abs(term) * smallest + abs(value) * rounding_floor
+            # S_{N-1} + t_N W(N) = S_N + t_N (W(N) - 1)
+            rest = mp.make_mpc(
+                (from_man_exp(wr - one, -wp, mp.mp.prec, "n"),
+                 from_man_exp(wi, -wp, mp.mp.prec, "n"))
+            )
+            value = head.value + term * rest
+            bound = abs(term) * mp.ldexp(smallest, -tol_bits) + abs(value) * rounding_floor
             if bound <= tol * max(1, abs(value)):
                 break
             N *= 2

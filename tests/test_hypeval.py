@@ -1,8 +1,9 @@
+import math
 import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ipdhyp.hypeval as hypeval
@@ -285,6 +286,16 @@ class TestEvalPfq:
                     expect *= pochhammer(fi - b, mi) / pochhammer(fi, mi)
             assert abs(got - expect) <= mp.mpf(10) ** (8 - digits) * max(1, abs(expect))
 
+    def test_gauss_at_unit_high_precision(self):
+        # at 250 digits the tail's fixed-point mantissas run to about 900 bits
+        set_precision(250)
+        a, b, c = cplx("0.3", "0.2"), cplx("-1.1", "0.4"), cplx("2.4", "-0.3")
+        res = eval_pfq(_fun([a, b], [c]), 1)
+        expect = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+        tol = hypeval.default_series_tolerance()
+        assert res.tail_bound <= tol * abs(res.value)
+        assert abs(res.value - expect) <= tol * abs(expect)
+
     def test_gauss_sweep_at_unit(self):
         rng = _rng(353)
         drawn = 0
@@ -462,6 +473,142 @@ class TestTermRatio:
         fast, reference = hypeval._ratio_maker(fun, wp), _product_ratio_maker(fun, wp)
         for n in [0, 1] + ns:
             assert _outcome(fast, n) == _outcome(reference, n), n
+
+
+def _mpc_sum_at_unit(fun, tol):
+    """Reference for ``hypeval._sum_at_unit``: the same head, tail expansion
+    and retries, with r, the G/b triangle and W(N) in mpc at digits + 10."""
+
+    def linear_product(params):
+        out = [mp.mpc(1)]
+        for p in params:
+            out = [a + b * p for a, b in zip(out + [0], [0] + out)]
+        return out
+
+    def series_div(a, b, length):
+        out = [mp.mpc(0)] * length
+        inv0 = 1 / b[0]
+        for m in range(length):
+            acc = a[m] if m < len(a) else mp.mpc(0)
+            for k in range(1, min(m, len(b) - 1) + 1):
+                acc -= b[k] * out[m - k]
+            out[m] = acc * inv0
+        return out
+
+    sigma = 1 + sum(fun.den, mp.mpc(0)) - sum(fun.num, mp.mpc(0))
+    digits = max(mp.mp.dps, math.ceil(hypeval._tol_bits(tol) * math.log10(2)))
+    N = max(hypeval.UNIT_DIRECT_TERMS, digits)
+    order = max(hypeval.UNIT_TAIL_ORDER, (13 * digits) // 10)
+    rounding_floor = mp.mpf(10) ** (-(digits + 8))
+    with mp.workdps(digits + 10):
+        pden = linear_product(list(fun.den) + [mp.mpc(1)])
+        r = series_div(linear_product(fun.num), pden, order + 3)
+        A = 1 / (sigma - 1)
+        G, b_coef = [r], []
+
+        def coef(k):
+            while len(b_coef) <= k:
+                m = len(b_coef) + 1
+                if m > 2:
+                    G.append([mp.mpc(0)])
+                for prev, row in zip(G, G[1:]):
+                    while len(row) <= m:
+                        row.append(prev[len(row) - 1] - row[-1])
+                acc = A * (r[m + 1] + r[m])
+                for j in range(m - 1):
+                    acc -= b_coef[j] * -G[j][m]
+                b_coef.append(acc / (sigma + m - 1))
+            return b_coef[k]
+
+        for _ in range(hypeval.UNIT_RETRIES + 1):
+            [(head, term)] = hypeval._sum_series(fun, [mp.mpc(1)], tol, N)
+            tail_norm = A * N
+            npow = mp.mpf(1)
+            smallest = mp.inf
+            for k in range(order + 1):
+                piece = coef(k) * npow
+                mag = abs(piece)
+                if k > 6 and mag > smallest:
+                    break
+                tail_norm += piece
+                smallest = min(smallest, mag)
+                npow /= N
+                if mag < tol * abs(tail_norm) / 10:
+                    break
+            value = head.value + term * (tail_norm - 1)
+            bound = abs(term) * smallest + abs(value) * rounding_floor
+            if bound <= tol * max(1, abs(value)):
+                break
+            N *= 2
+        else:
+            raise SlowConvergenceError("reference tail misses tol")
+    return hypeval.EvalResult(mp.mpc(value), N, mp.mpf(bound))
+
+
+# sigma - 1 = sum(den) - sum(num) at x = 1, real part at least 0.05
+_EXCESS = st.builds(
+    cplx,
+    st.floats(min_value=0.05, max_value=2, allow_nan=False),
+    st.floats(min_value=-1, max_value=1, allow_nan=False),
+)
+
+
+@st.composite
+def _unit_series(draw):
+    """A p F p-1 from 2F1 to 5F4 with parameters in the box and Re sigma >= 1.05."""
+    p = draw(st.integers(2, 5))
+    num = draw(st.lists(_BOX, min_size=p, max_size=p))
+    den = draw(st.lists(_BOX, min_size=p - 2, max_size=p - 2))
+    den = [draw(_EXCESS) + sum(num) - sum(den, mp.mpc(0))] + den
+    assume(all(as_nonpositive_integer(v) is None for v in den))
+    return _fun(num, den)
+
+
+def _unit_outcome(sum_at_unit, fun, tol):
+    try:
+        return sum_at_unit(fun, tol)
+    except SlowConvergenceError:
+        return "slow"
+
+
+class TestUnitTail:
+    @settings(max_examples=60, deadline=None)
+    @example(
+        fun=_fun([cplx(0, 1), cplx(1.91796875), cplx(0.5)], [cplx(3.41796875), cplx(0, 1)]),
+        digits=40,
+        finer=None,
+    )
+    @example(fun=_fun([cplx(0, 1), cplx(1)], [cplx(2, 1.5)]), digits=40, finer=None)
+    @given(
+        fun=_unit_series(),
+        digits=st.sampled_from([40, 60, 100]),
+        finer=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_matches_the_mpc_tail(self, fun, digits, finer):
+        set_precision(digits)
+        tol = hypeval.default_series_tolerance()
+        if finer is not None:
+            tol = mp.mpf(10) ** -(digits + finer)
+        got = _unit_outcome(hypeval._sum_at_unit, fun, tol)
+        ref = _unit_outcome(_mpc_sum_at_unit, fun, tol)
+        if ref == "slow":
+            assert got == "slow"
+            return
+        assert got.terms_used == ref.terms_used
+        # the mpc steps resolve nothing below their working precision, so a
+        # part far smaller than |value| may differ there: 3F2(i, 1.91796875,
+        # 0.5; 3.41796875, i; 1) is real, the mpc steps leave it an imaginary
+        # part of 3.6e-79 and the fixed-point ones 0.  A part above about
+        # 1e-9 |value| has a last place above that noise: it is bit-identical.
+        noise = abs(ref.value) * mp.mpf(10) ** -(digits + 10)
+        for part in ("real", "imag"):
+            mine, theirs = getattr(got.value, part), getattr(ref.value, part)
+            assert mine == theirs or abs(mine - theirs) <= noise, part
+        # the smallest term of W(N) is read as a double rounded up; where it
+        # is itself noise (the expansion of 2F1(i, 1; 2 + 1.5i; 1) ends),
+        # the two read different noise
+        slack = max(mp.mpf("1e-12") * ref.tail_bound, noise)
+        assert abs(got.tail_bound - ref.tail_bound) <= slack
 
 
 class TestEvalPfqMany:

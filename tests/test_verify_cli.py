@@ -3,7 +3,9 @@ import hashlib
 import json
 import random
 import re
+import runpy
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -733,3 +735,36 @@ class TestCli:
         code = cli_dispatch(["eval", "--num", "1", "--den", "2", "--x", "0.5"])
         assert code == 2
         assert "IPDHYP_DIGITS" in capsys.readouterr().err
+
+
+_report_diff = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
+)
+
+
+class TestReportDiff:
+    def _report(self, tmp_path, name, residual, wall_time_s):
+        run = run_suite(["LEMMA3"], seed=1, count=1)
+        run.wall_time_s = wall_time_s
+        doc = json.loads(report_to_json(run))
+        doc["identities"][0]["max_residual"] = residual
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_equal_apart_from_wall_time(self, tmp_path, capsys):
+        old = self._report(tmp_path, "old.json", "1.0e-35", 1.0)
+        new = self._report(tmp_path, "new.json", "1.0e-35", 2.0)
+        assert _report_diff["main"]([old, new]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "equal apart from wall_time_s"
+
+    def test_headroom_change(self, tmp_path, capsys):
+        # tol 1e-28: headroom 7 -> 5
+        old = self._report(tmp_path, "old.json", "1.0e-35", 1.0)
+        new = self._report(tmp_path, "new.json", "1.0e-33", 1.0)
+        assert _report_diff["main"]([old, new]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        row = ["LEMMA3", "1.0e-35", "1.0e-33", "100.0", "7.0", "5.0", "-2.0"]
+        assert lines[1].split() == row
+        assert lines[-1] == "differ in: identities"
