@@ -35,7 +35,6 @@ from .kernel import (
     cplx,
     genfunc_coeffs,
     get_precision,
-    log_gamma,
     pochhammer,
     pochhammer_vec,
     set_precision,
@@ -100,7 +99,6 @@ __all__ = [
     "genfunc_coeffs",
     "get_precision",
     "ipd_function",
-    "log_gamma",
     "meijer_norlund_ipd",
     "meijer_norlund_ipd_many",
     "mobius_arg",

@@ -36,7 +36,7 @@ from __future__ import annotations
 import cmath
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -51,7 +51,6 @@ from .kernel import (
     cplx,
     gamma,
     linear_products,
-    near_nonpositive_integer,
     nonzero,
     pochhammer,
     pochhammer_vec,
@@ -60,9 +59,6 @@ from .kernel import (
 
 #: Relative magnitude below which a leading coefficient is trimmed.
 TRIM_GUARD_DIGITS = 6
-
-#: Distance from a nonpositive integer at which a root is flagged as a pole risk.
-POLE_RISK_TOL = mp.mpf("1e-6")
 
 #: Seed of find_roots' initial angles, and its budget of Ehrlich-Aberth sweeps.
 ROOT_SEED = 0
@@ -151,17 +147,15 @@ class RootSet:
     """Roots of a characteristic polynomial plus a quality certificate.
 
     ``residual`` is max |poly(root)| over the roots, scaled by the leading
-    coefficient.  ``pole_risk`` marks roots lying at (or within 1e-6 of) a
-    nonpositive integer.  It tests the roots themselves, not -root, which
-    T and T* hand to their series as bottom parameters; ``_collapsed`` in
-    ``transforms`` tests the values it actually uses, so take pole flags
-    from there.  ``sweeps`` is the number of full-precision sweeps
-    ``find_roots`` took (0 at degree 1 and below).
+    coefficient.  ``sweeps`` is the number of full-precision sweeps
+    ``find_roots`` took (0 at degree 1 and below).  A RootSet carries no
+    pole flags: whether a root poles a series depends on the parameter the
+    transformation makes of it (root or -root), so ``_collapsed`` in
+    ``transforms`` tests the values it actually uses.
     """
 
     roots: ParamVector
     residual: mp.mpf
-    pole_risk: tuple = field(default_factory=tuple)
     sweeps: int = 0
 
 
@@ -219,9 +213,7 @@ def find_roots(poly: CPoly) -> RootSet:
                     f"root iteration failed to reach residual {mp.nstr(target, 5)} "
                     f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
                 )
-    roots = [mp.mpc(zi) for zi in z]
-    flags = tuple(near_nonpositive_integer(zi, POLE_RISK_TOL) for zi in roots)
-    return RootSet(ParamVector(roots), residual, flags, sweeps)
+    return RootSet(ParamVector(mp.mpc(zi) for zi in z), residual, sweeps)
 
 
 def _sweep(monic: list, deriv: list, z: list, tiny) -> None:

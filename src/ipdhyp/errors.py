@@ -6,7 +6,7 @@ so callers can catch one base class.  One condition, one type:
 * a quantity a transformation needs nonzero vanishes ((f)_m, (c-b-m)_m,
   (1+a+b-c)_m, b, ..., through ``kernel.nonzero``), or a polynomial is
   identically zero (``find_roots``): :class:`DegenerateCaseError`;
-* gamma or log-gamma at a nonpositive integer:
+* gamma at a nonpositive integer:
   :class:`PoleAtNonpositiveIntegerError`;
 * vectors of different lengths: :class:`LengthMismatchError`;
 * a coefficient index outside its range: :class:`IndexOutOfRangeError`;
@@ -30,7 +30,7 @@ class LengthMismatchError(IpdHypError):
 
 
 class PoleAtNonpositiveIntegerError(IpdHypError):
-    """log-gamma requested at a nonpositive integer."""
+    """gamma requested at a nonpositive integer."""
 
 
 class IndexOutOfRangeError(IpdHypError):

@@ -300,8 +300,10 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
             break
         rr, ri, rs = ratio(n)
         # the backward ratio |t_{n+1} / t_n| is |ratio(n) x|: taken from the
-        # ratio itself, it holds where the terms fall below the resolution
-        rmag = _abs_up(rr, ri, rs)
+        # ratio itself, it holds where the terms fall below the resolution;
+        # only the tail test reads it
+        if n >= first_test:
+            rmag = _abs_up(rr, ri, rs)
         for pt in live:
             ar = (pt.tr * rr - pt.ti * ri) >> rs
             ai = (pt.tr * ri + pt.ti * rr) >> rs

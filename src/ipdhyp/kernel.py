@@ -12,8 +12,9 @@ also provides Stirling numbers of the second kind (exact integers, cached),
 running products of linear factors as coefficient lists (behind every
 characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}),
 exact summation of terminating hypergeometric series by term-ratio
-recursion, and ``nonzero``, the one guard behind every quantity a
-transformation needs nonzero.
+recursion, ``nonzero``, the one guard behind every quantity a
+transformation needs nonzero, and ``as_nonpositive_integer``, the one
+predicate for "z is at, or within a tolerance of, a pole of Gamma".
 """
 
 from __future__ import annotations
@@ -81,22 +82,20 @@ def nonzero(value: ComplexValue, what: str) -> ComplexValue:
     return value
 
 
-def near_nonpositive_integer(z: ComplexValue, tol: mp.mpf) -> bool:
-    """True when z lies within ``tol`` of a nonpositive integer (0, -1, ...)."""
-    if abs(z.imag) > tol:
-        return False
-    nearest = mp.floor(z.real + mp.mpf("0.5"))
-    return nearest <= 0 and abs(z.real - nearest) <= tol
+def as_nonpositive_integer(z: ComplexLike, tol: mp.mpf | int = 0) -> int | None:
+    """Return -n when both parts of z lie within ``tol`` of the nonpositive
+    integer -n, else None; the default tol = 0 asks for z = -n exactly.
 
-
-def as_nonpositive_integer(z: ComplexLike) -> int | None:
-    """Return -n when z is exactly the nonpositive integer -n, else None."""
+    The package's one pole predicate: every test of "at or near a pole of
+    Gamma" (a terminating top parameter, a bottom parameter that poles a
+    series, a root that lands on a pole, a sampler margin) goes through it.
+    """
     z = cplx(z)
-    if z.imag != 0:
+    if abs(z.imag) > tol:
         return None
-    re = z.real
-    if re <= 0 and re == mp.floor(re):
-        return int(re)
+    n = mp.nint(z.real)
+    if n <= 0 and abs(z.real - n) <= tol:
+        return int(n)
     return None
 
 
@@ -170,11 +169,7 @@ class ParamVector:
 
     def shifted_by(self, m: IntVector) -> "ParamVector":
         """Element-wise shift f + m by an integer multiplicity vector."""
-        if len(m) != len(self.entries):
-            raise LengthMismatchError(
-                f"vector lengths differ: {len(self.entries)} vs {len(m)}"
-            )
-        return ParamVector(e + mi for e, mi in zip(self.entries, m))
+        return ParamVector(e + mi for e, mi in _paired(self, m))
 
     def __repr__(self) -> str:
         return f"ParamVector({list(self.entries)})"
@@ -194,15 +189,12 @@ def as_int_vector(m: MultLike) -> IntVector:
     return m if isinstance(m, IntVector) else IntVector(m)
 
 
-def _as_mults(m: MultLike) -> tuple:
-    # raw sequences may carry zero multiplicities ((a)_0 = 1); the IntVector
-    # type itself stays restricted to the positive IPD multiplicities
-    if isinstance(m, IntVector):
-        return m.entries
-    entries = tuple(int(e) for e in m)
-    if any(e < 0 for e in entries):
-        raise ValueError(f"multiplicities must be >= 0, got {entries}")
-    return entries
+def _paired(f: VectorLike, m: MultLike) -> Iterator[tuple[ComplexValue, int]]:
+    """The pairs (f_i, m_i) of a parameter and a multiplicity vector."""
+    fs, ms = as_param_vector(f), as_int_vector(m)
+    if len(fs) != len(ms):
+        raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
+    return zip(fs, ms)
 
 
 def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
@@ -223,25 +215,10 @@ def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
 
 def pochhammer_vec(f: VectorLike, m: MultLike) -> ComplexValue:
     """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r}."""
-    fs = as_param_vector(f).entries
-    ms = _as_mults(m)
-    if len(fs) != len(ms):
-        raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
     result = mp.mpc(1)
-    for fi, mi in zip(fs, ms):
+    for fi, mi in _paired(f, m):
         result *= pochhammer(fi, mi)
     return result
-
-
-def log_gamma(z: ComplexLike) -> ComplexValue:
-    """Principal-branch log Gamma(z).
-
-    Raises PoleAtNonpositiveIntegerError on the poles z = 0, -1, -2, ...
-    """
-    z = cplx(z)
-    if as_nonpositive_integer(z) is not None:
-        raise PoleAtNonpositiveIntegerError(f"log_gamma pole at z = {z}")
-    return mp.mpc(mp.loggamma(z))
 
 
 def gamma(z: ComplexLike) -> ComplexValue:
@@ -309,13 +286,9 @@ def genfunc_coeffs(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    fs = as_param_vector(f).entries
-    ms = _as_mults(m)
-    if len(fs) != len(ms):
-        raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
     shift = cplx(shift)
     return linear_products(
-        (fi - shift + j, sign) for fi, mi in zip(fs, ms) for j in range(mi)
+        (fi - shift + j, sign) for fi, mi in _paired(f, m) for j in range(mi)
     )[-1]
 
 

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .charpoly import POLE_RISK_TOL, build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
+from .charpoly import build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
 from .coeffs import IpdSpec, coeff_D, coeff_Y
 from .errors import (
     DistinctnessViolationError,
@@ -57,10 +57,10 @@ from .kernel import (
     IntVector,
     ParamVector,
     as_int_vector,
+    as_nonpositive_integer,
     as_param_vector,
     cplx,
     gamma,
-    near_nonpositive_integer,
     nonzero,
     pochhammer,
     pochhammer_vec,
@@ -159,6 +159,10 @@ def ipd_function(spec: IpdSpec, c: ComplexLike | None = None) -> HypFunction:
     return HypFunction(ParamVector(num), ParamVector(den))
 
 
+#: Distance from a nonpositive integer at which a root's parameter is flagged as a pole.
+POLE_RISK_TOL = mp.mpf("1e-6")
+
+
 def _collapsed(num, den, poly, what: str, negate: bool = False) -> HypFunction:
     """HypFunction(num + (rho+1); den + rho), rho the roots of ``poly``.
 
@@ -168,7 +172,7 @@ def _collapsed(num, den, poly, what: str, negate: bool = False) -> HypFunction:
     """
     roots = find_roots(poly).roots
     rho = [-r for r in roots] if negate else list(roots)
-    bad = [mp.nstr(v, 8) for v in rho if near_nonpositive_integer(v, POLE_RISK_TOL)]
+    bad = [mp.nstr(v, 8) for v in rho if as_nonpositive_integer(v, POLE_RISK_TOL) is not None]
     if bad:
         warnings.warn(
             f"{what} has shifted parameters at nonpositive integers: {bad}; "
@@ -492,14 +496,11 @@ def meijer_norlund_ipd_many(
             values.append(t**b * (1 - t) ** exponent / scale * acc)
         return values
     if route == "series":
-        def _integral(z: ComplexValue) -> bool:
-            return z.imag == 0 and z.real == mp.floor(z.real)
-
         for i, fi in enumerate(f):
-            if _integral(fi - c):
+            if mp.isint(fi - c):
                 raise IntegerDifferenceError(f"f[{i}] - c is an integer")
             for j, fj in enumerate(f):
-                if i != j and _integral(fi - fj):
+                if i != j and mp.isint(fi - fj):
                     raise IntegerDifferenceError(f"f[{i}] - f[{j}] is an integer")
         fbm = pochhammer_vec(f - b, m)
         scale = gamma(c - b)

@@ -41,9 +41,9 @@ from .kernel import (
     ComplexValue,
     IntVector,
     ParamVector,
+    as_nonpositive_integer,
     cplx,
     gamma,
-    near_nonpositive_integer,
     pochhammer,
     pochhammer_vec,
     terminating_pfq,
@@ -185,12 +185,20 @@ def _away(z: ComplexValue) -> bool:
 
 
 def _clear(*zs: ComplexValue) -> bool:
-    """Every z clears the margin around the nonpositive integers."""
-    return not any(near_nonpositive_integer(z, MARGIN) for z in zs)
+    """Every z clears the margin around the nonpositive integers.
+
+    The margin is a square box, |Re z + n| <= MARGIN and |Im z| <= MARGIN,
+    around every pole -n of Gamma; ``_poch_margin`` keeps a disc off only
+    the first n poles.  A disc here would move the pinned draws: some
+    draws land in the corners of the box, which a disc lets through.
+    """
+    return all(as_nonpositive_integer(z, MARGIN) is None for z in zs)
 
 
 def _poch_margin(z: ComplexValue, n: int) -> bool:
-    """Every factor of (z)_n clears the margin."""
+    """Every factor of (z)_n clears the margin: z keeps a disc of radius
+    MARGIN off each of the poles 0, -1, ..., -(n-1), where ``_clear`` keeps
+    a box off every pole."""
     return all(_away(z + j) for j in range(n))
 
 

@@ -25,6 +25,7 @@ from ipdhyp.errors import (
 from ipdhyp.kernel import (
     IntVector,
     ParamVector,
+    as_nonpositive_integer,
     cplx,
     gamma,
     genfunc_coeffs,
@@ -197,13 +198,6 @@ class TestFindRoots:
             rebuilt = CPoly.from_roots(list(roots.roots), lead=1)
             monic = [c / poly.leading for c in poly.coeffs]
             assert _coeff_dev(rebuilt.coeffs, monic) <= mp.mpf("1e-28")
-
-    def test_pole_risk_flags(self):
-        poly = CPoly.from_roots([-3, cplx(1.5, 0.2)])
-        roots = find_roots(poly)
-        flagged = [r for r, flag in zip(roots.roots, roots.pole_risk) if flag]
-        assert len(flagged) == 1
-        assert abs(flagged[0] + 3) < mp.mpf("1e-20")
 
 
 class TestBuildQ:
@@ -481,7 +475,8 @@ class TestPinned:
             for poly in polys:
                 feed(poly.coeffs)
                 roots = find_roots(poly)
-                feed([list(roots.roots), roots.residual, list(roots.pole_risk)])
+                flags = [as_nonpositive_integer(r, mp.mpf("1e-6")) is not None for r in roots.roots]
+                feed([list(roots.roots), roots.residual, flags])
             feed(genfunc_coeffs(f, m))
             feed(genfunc_coeffs(f, m, shift=b, sign=-1))
         assert digest.hexdigest() == _PINNED_BUILDS

@@ -7,10 +7,11 @@ from ipdhyp.errors import DegenerateCaseError, LengthMismatchError, PoleAtNonpos
 from ipdhyp.kernel import (
     IntVector,
     ParamVector,
+    as_nonpositive_integer,
     cplx,
+    gamma,
     genfunc_coeffs,
     get_precision,
-    log_gamma,
     nonzero,
     pochhammer,
     pochhammer_vec,
@@ -78,7 +79,9 @@ class TestPochhammer:
 
 class TestPochhammerVec:
     def test_zero_multiplicity(self):
-        assert pochhammer_vec([cplx(2.3, 0.4)], [0]) == 1
+        # multiplicities are positive: a raw 0 is rejected as IntVector([0]) is
+        with pytest.raises(ValueError):
+            pochhammer_vec([cplx(2.3, 0.4)], [0])
 
     def test_simple_product(self):
         assert pochhammer_vec([1, 2], [1, 1]) == 2
@@ -101,31 +104,41 @@ class TestNonzero:
             nonzero(pochhammer(-1, 2), "(f)_m")
 
 
-class TestLogGamma:
-    def test_at_one(self):
-        assert abs(log_gamma(1)) < mp.mpf("1e-38")
-
-    def test_at_five(self):
-        assert abs(log_gamma(5) - mp.log(24)) < mp.mpf("1e-38")
-
-    def test_at_half_vs_duplication(self):
-        # Gamma(1/2)^2 = pi
-        assert abs(mp.exp(2 * log_gamma(0.5)) - mp.pi) < mp.mpf("1e-38")
-        assert abs(log_gamma(0.5) - mp.log(mp.sqrt(mp.pi))) < mp.mpf("1e-38")
-
+class TestGamma:
     def test_poles(self):
         for z in (0, -1, -7):
             with pytest.raises(PoleAtNonpositiveIntegerError):
-                log_gamma(z)
+                gamma(z)
 
-    @settings(max_examples=30, deadline=None)
-    @given(z=COMPLEX_BOX)
-    def test_recurrence(self, z):
-        z = cplx(z) + cplx(0, "1e-2")  # keep clear of the pole line
-        if abs(z) < mp.mpf("1e-2"):
-            z += 1
-        lhs = mp.exp(log_gamma(z + 1) - log_gamma(z))
-        assert abs(lhs - z) <= mp.mpf("1e-32") * max(1, abs(z))
+
+class TestPolePredicate:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exact_at_tol_zero(self, data):
+        prec = mp.mp.prec
+        n = data.draw(st.integers(0, 2 ** (prec + 2)))
+        z = cplx(-n)  # -n itself up to 2^prec, an integer rounded from it beyond
+        assert as_nonpositive_integer(z) == int(z.real)
+        assert n > 2**prec or int(z.real) == -n
+        assert as_nonpositive_integer(cplx(n + 1)) is None
+        h = data.draw(st.integers(-(2 ** (prec - 2)), 2 ** (prec - 2)))
+        assert as_nonpositive_integer(cplx(mp.mpf(2 * h + 1) / 2)) is None
+        im = data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+        assert as_nonpositive_integer(cplx(-n, im)) is None
+
+    @pytest.mark.parametrize(
+        "z, expect",
+        [(cplx("-2.0004", "0.0002"), -2), (cplx("0.0004"), 0), (cplx("0.6"), None),
+         (cplx(-2, "0.0011"), None)],
+    )
+    def test_within_tol(self, z, expect):
+        assert as_nonpositive_integer(z, mp.mpf("1e-3")) == expect
+
+    def test_beyond_the_rounding_of_re_plus_half(self):
+        # floor(re + 1/2) rounds -(2^135 + 1) + 1/2 to -2^135 at 40 digits
+        n = 2**135 + 1
+        for tol in (0, mp.mpf("1e-3")):
+            assert as_nonpositive_integer(cplx(-n), tol) == -n
 
 
 def _partitions_into_k_blocks(n, k):
@@ -268,3 +281,9 @@ class TestVectors:
     def test_shifted_by_mismatch(self):
         with pytest.raises(LengthMismatchError):
             ParamVector([1, 2]).shifted_by(IntVector([1]))
+
+
+def test_every_exported_name_resolves():
+    import ipdhyp
+
+    assert [name for name in ipdhyp.__all__ if not hasattr(ipdhyp, name)] == []
