@@ -45,9 +45,8 @@ from .errors import DegenerateCaseError, NonConvergenceError
 from .kernel import (
     ComplexLike,
     ComplexValue,
+    IntVector,
     ParamVector,
-    as_int_vector,
-    as_param_vector,
     cplx,
     gamma,
     linear_products,
@@ -277,7 +276,7 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     Requires (c-b-m)_m != 0 (otherwise the transformation degenerates).
     """
     b, c = cplx(b), cplx(c)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     if route == "eq5":
@@ -340,7 +339,7 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     Coefficientwise P = (f)_m * Q, so both share the same roots.
     """
     b, c = cplx(b), cplx(c)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     weights = [
@@ -360,7 +359,7 @@ def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     Requires (c-a-m)_m != 0 and (c-b-m)_m != 0.
     """
     a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
@@ -403,7 +402,7 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     is a strong cross-check.
     """
     a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     norm = nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
@@ -436,7 +435,7 @@ def build_T(
     (``is_zero``), which ``find_roots`` rejects.
     """
     b = cplx(b)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     p = int(p)
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -482,7 +481,7 @@ def build_L(
     as the zero polynomial (``is_zero``), which ``find_roots`` rejects.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     if mt < 1:
         raise ValueError("need m_total >= 1")

@@ -21,7 +21,7 @@ routes cross-validate:
   closed forms for p = 2, 3, 4.
 
 Default route per family is the terminating-hypergeometric one (no Stirling
-table growth); the other routes are kept for the cross-check suite.
+sums); the other routes are kept for the cross-check suite.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .kernel import (
     ComplexValue,
     IntVector,
     ParamVector,
-    as_int_vector,
-    as_param_vector,
     cplx,
     genfunc_coeffs,
     nonzero,
@@ -68,8 +66,8 @@ class IpdSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "b", cplx(self.b))
-        object.__setattr__(self, "f", as_param_vector(self.f))
-        object.__setattr__(self, "m", as_int_vector(self.m))
+        object.__setattr__(self, "f", ParamVector(self.f))
+        object.__setattr__(self, "m", IntVector(self.m))
         object.__setattr__(self, "a", cplx(self.a))
         if self.c is not None:
             object.__setattr__(self, "c", cplx(self.c))
@@ -95,8 +93,8 @@ class NorlundArgs:
     b: ParamVector
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_param_vector(self.a))
-        object.__setattr__(self, "b", as_param_vector(self.b))
+        object.__setattr__(self, "a", ParamVector(self.a))
+        object.__setattr__(self, "b", ParamVector(self.b))
         if len(self.b) != len(self.a) + 1:
             raise LengthMismatchError(
                 f"need len(b) = len(a)+1, got {len(self.a)} and {len(self.b)}"
@@ -128,7 +126,7 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
 
     C_0 = 1 and C_m = 1/(f)_m always.
     """
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     if not 0 <= k <= mt:
         raise IndexOutOfRangeError(f"need 0 <= k <= {mt}, got {k}")
@@ -152,7 +150,7 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     D_0 = (f-b)_m.  Equivalently D_k is the k-th forward difference of
     t -> (f-b-t)_m at t = 0, divided by k!.
     """
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     b = cplx(b)
     mt = m.total
     if not 0 <= k <= mt:
@@ -176,7 +174,7 @@ def w_poly_coeffs(b: ComplexLike, f, m) -> list:
     ((f)_m - (f-b)_m)/(f)_m.  Computed by exact synthetic division of the
     numerator by (x + b) (the numerator vanishes at x = -b identically).
     """
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     b = cplx(b)
     mt = m.total
     if mt < 1:
@@ -203,7 +201,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     route "norlund":  (-1)^{m-l-1} b/(f)_m *
                       sum_i (-1)^i g_{m-1-l-i}(-f; -f-m, l) (1-b)_i.
     """
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     b = cplx(b)
     mt = m.total
     if not 0 <= l <= mt - 1:
@@ -321,12 +319,10 @@ def norlund_g(n: int, args: NorlundArgs, route: str = "recurrence") -> ComplexVa
     """
     if n < 0:
         raise IndexOutOfRangeError(f"need n >= 0, got {n}")
-    a = args.a.entries
-    b = args.b.entries
     if route == "recurrence":
-        return _norlund_recurrence(n, a, b)
+        return _norlund_recurrence(n, args.a, args.b)
     if route == "explicit":
-        return _norlund_explicit(n, a, b)
+        return _norlund_explicit(n, args.a, args.b)
     if route == "closed":
-        return _norlund_closed(n, a, b)
+        return _norlund_closed(n, args.a, args.b)
     raise ValueError(f"unknown route {route!r}")

@@ -83,7 +83,6 @@ from .kernel import (
     ComplexValue,
     ParamVector,
     as_nonpositive_integer,
-    as_param_vector,
     cplx,
 )
 
@@ -124,8 +123,8 @@ class HypFunction:
     den: ParamVector
 
     def __post_init__(self):
-        object.__setattr__(self, "num", as_param_vector(self.num))
-        object.__setattr__(self, "den", as_param_vector(self.den))
+        object.__setattr__(self, "num", ParamVector(self.num))
+        object.__setattr__(self, "den", ParamVector(self.den))
 
     @property
     def p(self) -> int:

@@ -7,8 +7,10 @@ cancellation, so fixed double precision is not an option; the context can be
 raised but never drops below 16 digits.
 
 The rising factorial (a)_n = a(a+1)...(a+n-1) and its vector form
-(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The module
-also provides Stirling numbers of the second kind (exact integers, cached),
+(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The vectors
+f and m are tuples, ``ParamVector`` and ``IntVector``, compared by value;
+their constructors are the one coercion of any sequence.  The module
+also provides Stirling numbers of the second kind (exact integers),
 running products of linear factors as coefficient lists (behind every
 characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}),
 exact summation of terminating hypergeometric series by term-ratio
@@ -19,7 +21,7 @@ predicate for "z is at, or within a tolerance of, a pole of Gamma".
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import Iterable, Iterator, Sequence, Union
 
 import mpmath as mp
@@ -99,99 +101,70 @@ def as_nonpositive_integer(z: ComplexLike, tol: mp.mpf | int = 0) -> int | None:
     return None
 
 
-class IntVector:
+class IntVector(tuple):
     """Vector of positive integer multiplicities m = (m_1, ..., m_r).
 
-    The component sum m_1 + ... + m_r is precomputed and available as
-    ``total``.
+    A tuple of ints, compared and hashed by value; the constructor returns
+    an IntVector argument unchanged.
     """
 
-    __slots__ = ("entries", "total")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 1 for e in entries):
-            raise ValueError(f"multiplicities must be >= 1, got {entries}")
-        self.entries = entries
-        self.total = sum(entries)
+    def __new__(cls, entries: Iterable[int]):
+        if isinstance(entries, IntVector):
+            return entries
+        self = super().__new__(cls, [int(e) for e in entries])
+        if any(e < 1 for e in self):
+            raise ValueError(f"multiplicities must be >= 1, got {tuple(self)}")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntVector) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    @property
+    def total(self) -> int:
+        """The component sum m_1 + ... + m_r."""
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"IntVector{self.entries}"
+        return f"IntVector{tuple(self)}"
 
 
-class ParamVector:
+class ParamVector(tuple):
     """Vector of complex parameters with element-wise arithmetic.
 
-    Shifting by a scalar and negation act element-wise and preserve length,
-    matching the vector conventions used throughout the transformation
-    formulas.
+    A tuple of ``cplx`` values, compared and hashed by value; the
+    constructor returns a ParamVector argument unchanged.  Shifting by a
+    scalar and negation act element-wise and preserve length, matching the
+    vector conventions used throughout the transformation formulas.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[ComplexLike]):
-        self.entries = tuple(cplx(e) for e in entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[ComplexValue]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> ComplexValue:
-        return self.entries[i]
+    def __new__(cls, entries: Iterable[ComplexLike]):
+        if isinstance(entries, ParamVector):
+            return entries
+        return super().__new__(cls, [cplx(e) for e in entries])
 
     def __add__(self, scalar: ComplexLike) -> "ParamVector":
         s = cplx(scalar)
-        return ParamVector(e + s for e in self.entries)
+        return ParamVector(e + s for e in self)
 
     def __sub__(self, scalar: ComplexLike) -> "ParamVector":
         s = cplx(scalar)
-        return ParamVector(e - s for e in self.entries)
+        return ParamVector(e - s for e in self)
 
     def __neg__(self) -> "ParamVector":
-        return ParamVector(-e for e in self.entries)
+        return ParamVector(-e for e in self)
 
     def shifted_by(self, m: IntVector) -> "ParamVector":
         """Element-wise shift f + m by an integer multiplicity vector."""
         return ParamVector(e + mi for e, mi in _paired(self, m))
 
     def __repr__(self) -> str:
-        return f"ParamVector({list(self.entries)})"
+        return f"ParamVector({list(self)})"
 
 
-VectorLike = Union[ParamVector, Sequence[ComplexLike]]
-MultLike = Union[IntVector, Sequence[int]]
-
-
-def as_param_vector(f: VectorLike) -> ParamVector:
-    """Coerce a sequence of complex-like values to a ParamVector."""
-    return f if isinstance(f, ParamVector) else ParamVector(f)
-
-
-def as_int_vector(m: MultLike) -> IntVector:
-    """Coerce a sequence of positive integers to an IntVector."""
-    return m if isinstance(m, IntVector) else IntVector(m)
-
-
-def _paired(f: VectorLike, m: MultLike) -> Iterator[tuple[ComplexValue, int]]:
+def _paired(f: Iterable[ComplexLike], m: Iterable[int]) -> Iterator[tuple[ComplexValue, int]]:
     """The pairs (f_i, m_i) of a parameter and a multiplicity vector."""
-    fs, ms = as_param_vector(f), as_int_vector(m)
+    fs, ms = ParamVector(f), IntVector(m)
     if len(fs) != len(ms):
         raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
     return zip(fs, ms)
@@ -213,7 +186,7 @@ def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
     return result
 
 
-def pochhammer_vec(f: VectorLike, m: MultLike) -> ComplexValue:
+def pochhammer_vec(f: Iterable[ComplexLike], m: Iterable[int]) -> ComplexValue:
     """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r}."""
     result = mp.mpc(1)
     for fi, mi in _paired(f, m):
@@ -229,31 +202,16 @@ def gamma(z: ComplexLike) -> ComplexValue:
     return mp.mpc(mp.gamma(z))
 
 
-_stirling_rows: list[list[int]] = [[1]]
-_stirling_lock = threading.Lock()
-
-
 def stirling2(j: int, k: int) -> int:
     """Stirling number of the second kind S(j, k), as an exact integer.
 
-    Grown on demand via the triangular recurrence
-    S(j, k) = k S(j-1, k) + S(j-1, k-1); the shared table is lock-protected.
+    The explicit sum S(j, k) = sum_i (-1)^i C(k, i) (k-i)^j / k!, whose
+    division is exact; it gives 0 for k > j.
     """
     if j < 0 or k < 0:
         raise ValueError(f"stirling2 indices must be nonnegative: ({j}, {k})")
-    if k > j:
-        return 0
-    if len(_stirling_rows) <= j:
-        with _stirling_lock:
-            while len(_stirling_rows) <= j:
-                prev = _stirling_rows[-1]
-                jj = len(_stirling_rows)
-                row = [0] * (jj + 1)
-                for kk in range(1, jj):
-                    row[kk] = kk * prev[kk] + prev[kk - 1]
-                row[jj] = 1
-                _stirling_rows.append(row)
-    return _stirling_rows[j][k]
+    total = sum((-1) ** i * math.comb(k, i) * (k - i) ** j for i in range(k + 1))
+    return total // math.factorial(k)
 
 
 def linear_products(factors) -> list:
@@ -272,8 +230,8 @@ def linear_products(factors) -> list:
 
 
 def genfunc_coeffs(
-    f: VectorLike,
-    m: MultLike,
+    f: Iterable[ComplexLike],
+    m: Iterable[int],
     shift: ComplexLike = 0,
     sign: int = 1,
 ) -> list:

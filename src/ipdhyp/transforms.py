@@ -47,7 +47,6 @@ from .coeffs import IpdSpec, coeff_D, coeff_Y
 from .errors import (
     DistinctnessViolationError,
     IntegerDifferenceError,
-    LengthMismatchError,
     RootWarning,
 )
 from .hypeval import HypFunction, eval_pfq_many, log_one_minus, mobius_arg
@@ -56,9 +55,7 @@ from .kernel import (
     ComplexValue,
     IntVector,
     ParamVector,
-    as_int_vector,
     as_nonpositive_integer,
-    as_param_vector,
     cplx,
     gamma,
     nonzero,
@@ -243,7 +240,7 @@ def expand_to_gauss(spec: IpdSpec) -> HypExpression:
 
 def _algebraic_tail(a: ComplexValue, b: ComplexValue, f, m, scale: ComplexValue):
     """Terms scale * Y_l(b, f, m) (a)_l x^l (1-x)^(-a-l), l = 0..m-1."""
-    mt = as_int_vector(m).total
+    mt = IntVector(m).total
     out = []
     for l in range(mt):
         coeff = scale * coeff_Y(l, b, f, m) * pochhammer(a, l)
@@ -344,9 +341,8 @@ def apply_degenerate_vector(
     transformation (variant "eq27" via the Moebius-argument form, "eq28"
     via the plain-argument form).
     """
-    b, p = as_param_vector(b), as_int_vector(p)
-    if len(b) != len(p):
-        raise LengthMismatchError(f"b and p lengths differ: {len(b)} vs {len(p)}")
+    b, p = ParamVector(b), IntVector(p)
+    bp = pochhammer_vec(b, p)
     a = cplx(a)
     beta = []
     for bj, pj in zip(b, p):
@@ -362,7 +358,6 @@ def apply_degenerate_vector(
     single_variant = "eq19" if variant == "eq27" else "eq20" if variant == "eq28" else None
     if single_variant is None:
         raise ValueError(f"unknown variant {variant!r}")
-    bp = pochhammer_vec(b, p)
     terms = []
     for q in range(ptot):
         B_q = mp.mpc(1)
@@ -398,7 +393,7 @@ def apply_two_free(
     m_total >= 1, as ``build_L`` does.
     """
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     nonzero(b, "b")
     mt = m.total
     fm = nonzero(pochhammer_vec(f, m), "(f)_m")
@@ -428,7 +423,7 @@ def apply_two_free(
 def two_free_function(a, d, e, b, f, m) -> HypFunction:
     """Left side of the two-free-parameter identity as a HypFunction."""
     a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     num = [a, d, b] + list(f.shifted_by(m))
     den = [e, b + 1] + list(f)
     return HypFunction(ParamVector(num), ParamVector(den))
@@ -436,8 +431,8 @@ def two_free_function(a, d, e, b, f, m) -> HypFunction:
 
 def vector_function(a, b: ParamVector, p: IntVector, f, m) -> HypFunction:
     """Left side of the vector-difference identity as a HypFunction."""
-    b, p = as_param_vector(b), as_int_vector(p)
-    f, m = as_param_vector(f), as_int_vector(m)
+    b, p = ParamVector(b), IntVector(p)
+    f, m = ParamVector(f), IntVector(m)
     num = [cplx(a)] + list(b) + list(f.shifted_by(m))
     den = [bj + pj for bj, pj in zip(b, p)] + list(f)
     return HypFunction(ParamVector(num), ParamVector(den))
@@ -483,7 +478,7 @@ def meijer_norlund_ipd_many(
     if not all(t.imag == 0 and 0 < t.real < 1 for t in ts):
         raise ValueError("t must be real in (0, 1)")
     b, c = cplx(b), cplx(c)
-    f, m = as_param_vector(f), as_int_vector(m)
+    f, m = ParamVector(f), IntVector(m)
     mt = m.total
     if route == "closed":
         weights = [coeff_D(k, f, m, b) * pochhammer(c - b - k, k) for k in range(mt + 1)]

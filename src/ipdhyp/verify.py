@@ -180,7 +180,8 @@ def _require(condition: bool) -> None:
 
 
 def _away(z: ComplexValue) -> bool:
-    """|z| clears the margin."""
+    """|z| clears the margin: for a quantity that must not vanish and is
+    not a pole of Gamma (poles go through ``_clear`` and ``_poch_margin``)."""
     return abs(z) >= MARGIN
 
 
@@ -188,18 +189,16 @@ def _clear(*zs: ComplexValue) -> bool:
     """Every z clears the margin around the nonpositive integers.
 
     The margin is a square box, |Re z + n| <= MARGIN and |Im z| <= MARGIN,
-    around every pole -n of Gamma; ``_poch_margin`` keeps a disc off only
-    the first n poles.  A disc here would move the pinned draws: some
-    draws land in the corners of the box, which a disc lets through.
+    around every pole -n of Gamma: the box of ``as_nonpositive_integer``.
     """
     return all(as_nonpositive_integer(z, MARGIN) is None for z in zs)
 
 
 def _poch_margin(z: ComplexValue, n: int) -> bool:
-    """Every factor of (z)_n clears the margin: z keeps a disc of radius
-    MARGIN off each of the poles 0, -1, ..., -(n-1), where ``_clear`` keeps
-    a box off every pole."""
-    return all(_away(z + j) for j in range(n))
+    """Every factor of (z)_n clears the margin: z keeps the box of ``_clear``
+    off each of the poles 0, -1, ..., -(n-1), and may lie near -n or below."""
+    k = as_nonpositive_integer(z, MARGIN)
+    return k is None or k <= -n
 
 
 def _f_margin(p: dict) -> bool:

@@ -302,8 +302,8 @@ class TestNorlundG:
         for p in (2, 3, 4, 5):
             args = self._args(rng, p)
             psi = [
-                sum(args.b.entries[: i + 1], mp.mpc(0))
-                - sum(args.a.entries[: i + 1], mp.mpc(0))
+                sum(args.b[: i + 1], mp.mpc(0))
+                - sum(args.a[: i + 1], mp.mpc(0))
                 for i in range(p - 1)
             ]
             expect = sum(
@@ -317,8 +317,8 @@ class TestNorlundG:
         p = 4
         args = self._args(rng, p)
         psi = [
-            sum(args.b.entries[: i + 1], mp.mpc(0))
-            - sum(args.a.entries[: i + 1], mp.mpc(0))
+            sum(args.b[: i + 1], mp.mpc(0))
+            - sum(args.a[: i + 1], mp.mpc(0))
             for i in range(p - 1)
         ]
         diff = [args.b[i + 1] - args.a[i] for i in range(p - 1)]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipdhyp.errors import DegenerateCaseError, LengthMismatchError, PoleAtNonpositiveIntegerError
+from ipdhyp.hypeval import HypFunction
 from ipdhyp.kernel import (
     IntVector,
     ParamVector,
@@ -194,6 +195,13 @@ class TestStirling2:
                     total += stirling2(j, k) * falling
                 assert total == n**j
 
+    def test_matches_triangular_recurrence(self):
+        # reference: S(j, k) = k S(j-1, k) + S(j-1, k-1), row by row
+        row = [1]
+        for j in range(61):
+            assert [stirling2(j, k) for k in range(j + 2)] == row + [0]
+            row = [1 if k == j + 1 else k * row[k] + (row[k - 1] if k else 0) for k in range(j + 2)]
+
 
 class TestGenfuncCoeffs:
     def test_single_linear(self):
@@ -234,39 +242,34 @@ class TestGenfuncCoeffs:
             genfunc_coeffs([1, 2], [1])
 
 
-class TestStirlingCacheThreadSafety:
-    def test_concurrent_growth(self):
-        import threading
-
-        import ipdhyp.kernel as kernel
-
-        # reset the shared table so the threads actually race on growth
-        kernel._stirling_rows[:] = [[1]]
-        results = {}
-
-        def worker(tag, j):
-            results[tag] = [stirling2(j, k) for k in range(j + 1)]
-
-        threads = [
-            threading.Thread(target=worker, args=(t, 40 + (t % 3))) for t in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for tag, values in results.items():
-            j = 40 + (tag % 3)
-            assert values[1] == 1 and values[j] == 1
-            assert values == [stirling2(j, k) for k in range(j + 1)]
-
-
 class TestVectors:
     def test_int_vector_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            IntVector([1, 0])
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+                IntVector([1, bad])
 
     def test_int_vector_total(self):
         assert IntVector([2, 1, 3]).total == 6
+        assert IntVector([]).total == 0
+
+    def test_constructors_return_their_own_type_unchanged(self):
+        pv, iv = ParamVector([1, cplx(2, 1)]), IntVector([2, 1])
+        assert ParamVector(pv) is pv
+        assert IntVector(iv) is iv
+
+    def test_vectors_are_value_tuples(self):
+        pv = ParamVector([1, cplx(2, 1)])
+        same = ParamVector([cplx(1), complex(2, 1)])
+        assert pv == same and hash(pv) == hash(same)
+        assert pv != ParamVector([1, cplx(2, -1)])
+        assert IntVector((2, 1)) == (2, 1) and hash(IntVector((2, 1))) == hash((2, 1))
+        assert isinstance(pv, tuple) and pv[1] == cplx(2, 1)
+
+    def test_hyp_function_compares_by_value(self):
+        first = HypFunction([1, cplx(0.5, 0.25)], [2])
+        second = HypFunction([cplx(1), cplx(0.5, 0.25)], [2])
+        assert first == second and hash(first) == hash(second)
+        assert first != HypFunction([1, cplx(0.5, 0.25)], [3])
 
     def test_param_vector_shift_preserves_length(self):
         pv = ParamVector([1, cplx(2, 1)])

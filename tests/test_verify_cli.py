@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import re
 import runpy
@@ -139,6 +140,20 @@ class TestSampler:
 
     def test_every_identity_id_registered(self):
         assert set(IDENTITY_IDS) == set(IDENTITIES)
+
+    @pytest.mark.parametrize("identity_id", IDENTITY_IDS)
+    def test_cases_survive_a_pickle_round_trip(self, identity_id):
+        # the precondition of handing cases to worker processes
+        cases = sample_params(identity_id, seed=1, count=2)
+        back = pickle.loads(pickle.dumps(cases))
+        for case, copy in zip(cases, back, strict=True):
+            assert copy.params == case.params
+            assert {k: type(v) for k, v in copy.params.items()} == {
+                k: type(v) for k, v in case.params.items()
+            }
+            assert copy.x_samples == case.x_samples
+            assert copy.rhs == case.rhs
+            assert type(copy.rhs_error) is type(case.rhs_error)
 
     def test_draws_are_pinned(self):
         # A change that alters sampling on purpose updates this digest and
