@@ -17,10 +17,11 @@ form:
   two-free-parameter extensions, assembled from the Y coefficients.
 * ``w_poly``: the degree-(m-1) weight polynomial behind the Y family.
 
-The builders work on plain ascending coefficient lists: running products
-of linear factors come from ``kernel.linear_products``, and a weighted sum
-of basis polynomials (or a Lagrange interpolation) accumulates into one
-list, which is wrapped in ``CPoly`` once, so each result is trimmed once.
+Every builder is rational in its parameters (no Gamma is evaluated) and
+works on plain ascending coefficient lists: running products of linear
+factors come from ``kernel.linear_products``, and a weighted sum of basis
+polynomials (or a Lagrange interpolation) accumulates into one list, which
+is wrapped in ``CPoly`` once, so each result is trimmed once.
 
 ``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
 iteration from a seeded random circle: in double precision first (from the
@@ -48,7 +49,6 @@ from .kernel import (
     IntVector,
     ParamVector,
     cplx,
-    gamma,
     linear_products,
     nonzero,
     pochhammer,
@@ -428,11 +428,14 @@ def build_T(
 ) -> CPoly:
     """Degree-(p-1) polynomial of the c = b+p extensions (variants T, Tstar).
 
-    T(z)  = sum_q (-1)^{q-1} (f-b-q+1)_m Gamma(b+q-1)
+    T(z)  = sum_q (-1)^{q-1} (f-b-q+1)_m (b)_{q-1}
             / ((q-1)!(p-q)!) * (b+q+z)_{p-q}
-    T*(z) adds the factor (b+1-a+z)_{q-1} / Gamma(b+q-a) per summand.
-    A result with every coefficient zero comes back as the zero polynomial
-    (``is_zero``), which ``find_roots`` rejects.
+    T*(z) adds the factor (b+1-a+z)_{q-1} / (b+1-a)_{q-1} per summand.
+    These are the paper's T / Gamma(b) and T* Gamma(b+1-a) / Gamma(b), with
+    the same roots: the Gamma factor its weights share is divided out.  T*
+    raises DegenerateCaseError where (b+1-a)_{p-1} = 0.  A result with every
+    coefficient zero comes back as the zero polynomial (``is_zero``), which
+    ``find_roots`` rejects.
     """
     b = cplx(b)
     f, m = ParamVector(f), IntVector(m)
@@ -449,13 +452,13 @@ def build_T(
     for q in range(1, p + 1):
         weight = (
             (-1) ** (q - 1)
-            * pochhammer_vec(f - (b + q - 1), m)
-            * gamma(b + q - 1)
+            * pochhammer_vec(f - (b + (q - 1)), m)
+            * pochhammer(b, q - 1)
             / (mp.factorial(q - 1) * mp.factorial(p - q))
         )
         factors = [(b + q + j, 1) for j in range(p - q)]
         if variant == "Tstar":
-            weight /= gamma(b + q - a)
+            weight /= nonzero(pochhammer(b + 1 - a, q - 1), "(b+1-a)_{q-1}")
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
         basis.append(linear_products(factors)[-1])

@@ -288,32 +288,26 @@ def apply_degenerate_p(
     The Gauss parts of the p shifted single-difference transformations
     collapse into one (p+1)_F_p with parameter pairs (-lambda+1; -lambda),
     lambda the roots of the degree-(p-1) polynomial (variant "eq29" uses T
-    with the Moebius argument, "eq31" uses T* at the plain argument).  The
-    algebraic part is the double sum over q = 1..p and l = 0..m-1.
+    with the Moebius argument, "eq31" uses T* at the plain argument) and
+    the head coefficient T(0)/(f)_m; no Gamma is evaluated.  The algebraic
+    part is the double sum over q = 1..p and l = 0..m-1.  Requires
+    b+q-1 != 0 for q = 1..p, and for eq31 (b+1-a)_{p-1} != 0.
     """
     a, b = spec.a, spec.b
     p = int(p)
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
     fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
-    # before build_T, whose gamma(b+q-1) would report a vanishing b+q-1 as a pole
-    betas = [nonzero(b + q - 1, "b+q-1") for q in range(1, p + 1)]
+    betas = [nonzero(b + (q - 1), "b+q-1") for q in range(1, p + 1)]
     if variant == "eq29":
-        poly = build_T(b, p, spec.f, spec.m, variant="T")
-        head_coeff = poly(0) / (gamma(b) * fm)
-        head_num = [a, mp.mpc(1)]
-        arg = ARG_MOBIUS
-        mu = -a
+        num, mu, arg, which = [a, mp.mpc(1)], -a, ARG_MOBIUS, "T"
     elif variant == "eq31":
-        poly = build_T(b, p, spec.f, spec.m, variant="Tstar", a=a)
-        head_coeff = gamma(b - a + 1) * poly(0) / (gamma(b) * fm)
-        head_num = [mp.mpc(1), b + 1 - a]
-        arg = ARG_IDENTITY
-        mu = 1 - a
+        num, mu, arg, which = [mp.mpc(1), b + 1 - a], 1 - a, ARG_IDENTITY, "Tstar"
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    fun = _collapsed(head_num, [b + p], poly, "degenerate transformation", negate=True)
-    terms = [HypTerm(head_coeff, 0, mu, arg, fun)]
+    poly = build_T(b, p, spec.f, spec.m, variant=which, a=a)
+    fun = _collapsed(num, [b + p], poly, "degenerate transformation", negate=True)
+    terms = [HypTerm(poly(0) / fm, 0, mu, arg, fun)]
     bp = pochhammer(b, p)
     for q, beta_q in enumerate(betas, start=1):
         weight = (

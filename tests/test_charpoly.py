@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -20,7 +21,6 @@ from ipdhyp.coeffs import coeff_Y
 from ipdhyp.errors import (
     DegenerateCaseError,
     NonConvergenceError,
-    PoleAtNonpositiveIntegerError,
 )
 from ipdhyp.kernel import (
     IntVector,
@@ -34,6 +34,7 @@ from ipdhyp.kernel import (
     terminating_pfq,
 )
 from ipdhyp.verify import sample_params
+from test_verify_cli import _feed
 
 M_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
 
@@ -302,16 +303,17 @@ class TestBuildT:
         b = _rc(rng)
         poly = build_T(b, 1, f, m, variant="T")
         assert poly.degree == 0
-        expect = pochhammer_vec([fi - b for fi in f], m) * gamma(b)
+        expect = pochhammer_vec([fi - b for fi in f], m)
         assert abs(poly.coeffs[0] - expect) <= mp.mpf("1e-30") * max(1, abs(expect))
 
     def test_matches_defining_sum(self):
-        # independent re-evaluation of the alternating q-sum at sample points
+        # the paper's Gamma-weighted q-sum, re-evaluated at sample points, is
+        # T Gamma(b) and T* Gamma(b) / Gamma(b+1-a)
         rng = _rng(263)
         f, m = _sample(rng, (2, 1))
         b, a = _rc(rng), _rc(rng)
         p = 3
-        for variant in ("T", "Tstar"):
+        for variant, scale in (("T", gamma(b)), ("Tstar", gamma(b) / gamma(b + 1 - a))):
             poly = build_T(b, p, f, m, variant=variant, a=a)
             assert poly.degree == p - 1
             for z in (cplx(0.3, 0.7), cplx(-1.2, 0.1), cplx(2.0, -0.5)):
@@ -327,7 +329,7 @@ class TestBuildT:
                     if variant == "Tstar":
                         term *= pochhammer(b + 1 - a + z, q - 1) / gamma(b + q - a)
                     direct += term
-                assert abs(poly(z) - direct) <= mp.mpf("1e-30") * max(1, abs(direct))
+                assert abs(poly(z) * scale - direct) <= mp.mpf("1e-30") * max(1, abs(direct))
 
     def test_tstar_p2_root_matches_closed_form(self):
         rng = _rng(269)
@@ -340,17 +342,36 @@ class TestBuildT:
         lam_star = (b - a + 1) * ((b + 1) * fb - b * fb1) / ((b - a + 1) * fb - b * fb1)
         assert abs(lam_star + root) <= mp.mpf("1e-28") * max(1, abs(lam_star))
 
-    def test_gamma_pole_rejected(self):
-        with pytest.raises(PoleAtNonpositiveIntegerError):
-            build_T(cplx(-1), 2, [cplx(1.5)], [1], variant="T")
+    def test_finite_where_gamma_of_b_poles(self):
+        # b = -1 is a pole of the paper's weights Gamma(b+q-1); the rational
+        # T is finite there and equals its defining sum
+        b, p, f, m = cplx(-1), 2, ParamVector([cplx(1.5)]), IntVector([1])
+        poly = build_T(b, p, f, m, variant="T")
+        for z in (cplx(0.3, 0.7), cplx(-1.2, 0.1)):
+            direct = sum(
+                (-1) ** (q - 1)
+                * pochhammer_vec([fi - b - q + 1 for fi in f], m)
+                * pochhammer(b, q - 1)
+                / (mp.factorial(q - 1) * mp.factorial(p - q))
+                * pochhammer(b + q + z, p - q)
+                for q in range(1, p + 1)
+            )
+            assert mp.isfinite(poly(z)) and abs(poly(z) - direct) <= mp.mpf("1e-30")
+
+    def test_tstar_rejects_a_vanishing_shifted_pochhammer(self):
+        # (b+1-a)_{q-1} = 0 at q = 2 when a = b+1
+        b = cplx(0.4, 0.2)
+        with pytest.raises(DegenerateCaseError, match="b\\+1-a"):
+            build_T(b, 2, [cplx(1.5)], [1], variant="Tstar", a=b + 1)
 
     def test_zero_polynomial_left_to_find_roots(self):
-        # f = b makes (f-b)_m, the one weight of T at p = 1, vanish
-        b = cplx(0.4, 0.2)
-        poly = build_T(b, 1, [b], [1], variant="T")
-        assert poly.is_zero
-        with pytest.raises(DegenerateCaseError):
-            find_roots(poly)
+        # f = b makes (f-b)_m, the one weight of T at p = 1, vanish; beta_1
+        # is b exactly, so it vanishes for a decimal b as well
+        for b in (cplx(0.4, 0.2), cplx("0.4", "0.2")):
+            poly = build_T(b, 1, [b], [1], variant="T")
+            assert poly.is_zero
+            with pytest.raises(DegenerateCaseError):
+                find_roots(poly)
 
 
 class TestBuildL:
@@ -442,20 +463,7 @@ class TestPinned:
         # hashed exactly (mantissa and exponent).  A change that alters a
         # build on purpose updates this digest and says so in CHANGES.md.
         digest = hashlib.sha256()
-
-        def feed(value):
-            if isinstance(value, (list, tuple)):
-                digest.update(b"[")
-                for item in value:
-                    feed(item)
-                digest.update(b"]")
-            elif isinstance(value, mp.mpc):
-                digest.update(repr((value.real.man_exp, value.imag.man_exp)).encode())
-            elif isinstance(value, mp.mpf):
-                digest.update(repr(value.man_exp).encode())
-            else:
-                digest.update(repr(value).encode())
-
+        feed = partial(_feed, digest)
         rng = _rng(281)
         for shape, p in [((1,), 1), ((2,), 2), ((3,), 3), ((2, 1), 2), ((1, 1, 1), 3)]:
             f, m = _sample(rng, shape)
@@ -483,4 +491,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "795eb60adab41cf2b3998b539247df7aa36410b5c4100a4e27d9d950fc2d9757"
+_PINNED_BUILDS = "754cccaf0a3dbb61d624d15800269b77401fd66b7c182b1fdc9398286384677f"

@@ -1,10 +1,21 @@
 import random
+import re
 import warnings
 
 import mpmath as mp
 import pytest
 
-from ipdhyp.coeffs import IpdSpec, coeff_D
+from ipdhyp.charpoly import (
+    build_L,
+    build_P,
+    build_Phat,
+    build_Q,
+    build_Qhat,
+    build_T,
+    find_roots,
+    w_poly,
+)
+from ipdhyp.coeffs import IpdSpec, NorlundArgs, coeff_C, coeff_D, coeff_Y, norlund_g
 from ipdhyp.errors import (
     DegenerateCaseError,
     DistinctnessViolationError,
@@ -273,9 +284,20 @@ class TestDegenerateP:
         with pytest.raises(ValueError, match="need p >= 1"):
             apply_degenerate_p(spec, 0)
 
+    def test_eq31_where_b_plus_1_minus_a_is_a_nonpositive_integer(self):
+        # b+1-a = -n is a pole of the paper's Gamma(b+1-a) and of its
+        # 1/Gamma(b+q-a) weights; for n >= p-1 the rational T* is finite and
+        # eq31 still equals the left side
+        b, f, x = cplx(0.3, 0.1), [cplx(1.6, 0.2)], mp.mpf("0.2")
+        for p, n in ((1, 0), (2, 1), (3, 2)):
+            spec = IpdSpec(b=b, f=f, m=[2], a=b + 1 + n)
+            lhs = eval_pfq(ipd_function(spec, c=b + p), x, STOL).value
+            rhs = apply_degenerate_p(spec, p, variant="eq31").evaluate(x, STOL)
+            assert _resid(lhs, rhs) < mp.mpf("1e-28")
+
     def test_vanishing_b_plus_q_minus_1_is_degenerate(self):
-        # b+q-1 = 0 for some q in 1..p: reported as degenerate, not as the
-        # gamma pole that build_T would hit at the same argument
+        # b+q-1 = 0 for some q in 1..p: the theorem's precondition, checked
+        # before build_T, whose rational T is finite there
         for b, p in ((0, 1), (-1, 3)):
             spec = IpdSpec(b=b, f=[cplx(1.5, 0.2)], m=[1], a=0.7)
             for variant in ("eq29", "eq31"):
@@ -587,3 +609,105 @@ class TestLemmas:
                 )
                 rhs = pochhammer(-b - mt, k) / pochhammer(-mt, k) * outer
                 assert abs(lhs - rhs) <= mp.mpf("1e-30") * max(1, abs(rhs))
+
+
+class TestGammaFree:
+    def test_builders_and_transforms_evaluate_no_gamma(self, monkeypatch):
+        # every characteristic polynomial is rational in its parameters, and
+        # so is every transformation's assembly: with Gamma made to raise,
+        # each builder (with its roots) and each apply_* variant still builds
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("Gamma evaluated")
+
+        monkeypatch.setattr(mp, "gamma", no_gamma)
+        rng = _rng(443)
+        f, m = ParamVector([_rc(rng), _rc(rng)]), IntVector([2, 1])
+        a, b, c, d, e = (_rc(rng) for _ in range(5))
+        polys = [
+            build_Q(b, c, f, m),
+            build_Q(b, c, f, m, route="eq7"),
+            build_P(b, c, f, m),
+            build_Qhat(a, b, c, f, m),
+            build_Phat(a, b, c, f, m),
+            build_L(a, d, e, b, f, m, variant="L"),
+            build_L(a, d, e, b, f, m, variant="Lhat"),
+            w_poly(b, f, m),
+        ]
+        polys += [
+            build_T(b, p, f, m, variant=variant, a=a)
+            for p in range(1, 5)
+            for variant in ("T", "Tstar")
+        ]
+        for poly in polys:
+            assert len(find_roots(poly).roots) == poly.degree
+        spec = IpdSpec(b=b, f=f, m=m, a=a, c=c)
+        bare = IpdSpec(b=b, f=f, m=m, a=a)
+        bvec, pvec = ParamVector([b, _rc(rng)]), IntVector([2, 1])
+        exprs = [apply_mp1(spec, route) for route in ("paperQ", "newP")]
+        exprs += [apply_mp2(spec, route) for route in ("paperQhat", "newPhat")]
+        exprs += [expand_to_gauss(spec)]
+        exprs += [apply_degenerate_single(bare, v) for v in ("eq19", "eq20", "eq26")]
+        exprs += [apply_degenerate_p(bare, p, v) for p in (1, 2, 3) for v in ("eq29", "eq31")]
+        exprs += [apply_degenerate_vector(bvec, pvec, a, f, m, v) for v in ("eq27", "eq28")]
+        exprs += [apply_two_free(a, d, e, b, f, m, v) for v in ("first", "second")]
+        assert len(polys) == 16 and len(exprs) == 18
+        assert all(len(expr) > 0 for expr in exprs)
+
+
+_SPEC = IpdSpec(
+    b=cplx(0.4, 0.1), f=[cplx(1.5, 0.2)], m=[2], a=cplx(0.7, -0.2), c=cplx(2.3, -0.1)
+)
+_BARE = IpdSpec(b=_SPEC.b, f=_SPEC.f, m=_SPEC.m, a=_SPEC.a)
+_D, _E = cplx(0.6, 0.3), cplx(2.9, 0.2)
+_FM = (_SPEC.f, _SPEC.m)
+
+
+#: Calls that misuse the API, with the ValueError message each raises.
+_MISUSE = [
+    *(
+        pytest.param(call, "unknown route 'x'", id=f"{name}-route")
+        for name, call in (
+            ("build_Q", lambda: build_Q(_SPEC.b, _SPEC.c, *_FM, route="x")),
+            ("coeff_C", lambda: coeff_C(1, *_FM, route="x")),
+            ("coeff_D", lambda: coeff_D(1, *_FM, _SPEC.b, route="x")),
+            ("coeff_Y", lambda: coeff_Y(0, _SPEC.b, *_FM, route="x")),
+            ("norlund_g", lambda: norlund_g(1, NorlundArgs([0.3], [0.5, 0.7]), route="x")),
+            ("apply_mp1", lambda: apply_mp1(_SPEC, route="x")),
+            ("apply_mp2", lambda: apply_mp2(_SPEC, route="x")),
+            ("meijer_norlund_ipd",
+             lambda: meijer_norlund_ipd(0.5, _SPEC.b, _SPEC.c, *_FM, route="x")),
+        )
+    ),
+    *(
+        pytest.param(call, "unknown variant 'x'", id=f"{name}-variant")
+        for name, call in (
+            ("build_T", lambda: build_T(_SPEC.b, 2, *_FM, variant="x")),
+            ("build_L", lambda: build_L(_SPEC.a, _D, _E, _SPEC.b, *_FM, variant="x")),
+            ("apply_degenerate_single", lambda: apply_degenerate_single(_BARE, variant="x")),
+            ("apply_degenerate_p", lambda: apply_degenerate_p(_BARE, 2, variant="x")),
+            ("apply_degenerate_vector", lambda: apply_degenerate_vector(
+                [_SPEC.b, _D], [1, 1], _SPEC.a, *_FM, variant="x")),
+            ("apply_two_free",
+             lambda: apply_two_free(_SPEC.a, _D, _E, _SPEC.b, *_FM, variant="x")),
+        )
+    ),
+    pytest.param(lambda: build_T(_SPEC.b, 2, *_FM, variant="Tstar"),
+                 "variant Tstar requires the parameter a", id="build_T-Tstar-without-a"),
+    pytest.param(lambda: ipd_function(_BARE), "spec carries no bottom parameter c",
+                 id="ipd_function-c"),
+    *(
+        pytest.param(lambda apply=apply: apply(_BARE),
+                     f"{apply.__name__} needs c set on the IpdSpec", id=f"{apply.__name__}-c")
+        for apply in (apply_mp1, apply_mp2, expand_to_gauss)
+    ),
+    pytest.param(lambda: apply_degenerate_p(_SPEC, 2), "spec.c must be exactly b+p",
+                 id="apply_degenerate_p-c"),
+    pytest.param(lambda: HypTerm(mp.mpc(1), arg_map="x"), "unknown arg_map 'x'",
+                 id="HypTerm-arg_map"),
+]
+
+
+@pytest.mark.parametrize("call, message", _MISUSE)
+def test_misuse_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

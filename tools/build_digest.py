@@ -16,9 +16,12 @@ b = 0, where the guards raise, and hashes:
 A call that raises an ``IpdHypError`` is hashed as its error type; any
 other exception stops the script.  Numbers are hashed exactly,
 by ``_feed`` of ``tests/test_verify_cli.py`` as the pins hash them.  The
-script prints the number of hashed items and the hex digest.  Run it on two
-trees with the same arguments (``ipdhyp`` is imported from ``PYTHONPATH``):
-equal digests mean equal builds.
+script prints one line per build label (``Q eq5``, ``T``, ``eq29``, ...;
+the p of a label is part of its builds, not of the label) with its number
+of builds and their digest, then the total number of hashed items and the
+digest of all of them.  Run it on two trees with the same arguments
+(``ipdhyp`` is imported from ``PYTHONPATH``): equal digests mean equal
+builds, and a diff of the two outputs names the labels that moved.
 """
 
 from __future__ import annotations
@@ -129,10 +132,18 @@ def _builds(spec: IpdSpec, d, e, bvec) -> list:
     return out
 
 
+def _group(label: str) -> str:
+    """The label without its trailing p: "T 3" -> "T", "Q eq5" stays."""
+    head, _, tail = label.rpartition(" ")
+    return head if tail.isdigit() else label
+
+
 def build_digest(seeds: range, count: int) -> tuple:
-    """(number of hashed builds, SHA-256 hex digest) over all seeds."""
+    """(number of hashed builds, SHA-256 hex digest) over all seeds, and
+    {label: (builds, digest)} per label, in the order the labels appear."""
     digest = hashlib.sha256()
     items = 0
+    groups = {}
     for seed in seeds:
         rng = random.Random(seed)
         for shape in SHAPES:
@@ -144,16 +155,20 @@ def build_digest(seeds: range, count: int) -> tuple:
                 bvec = [_draw(rng), _draw(rng)]
                 spec = IpdSpec(b=b, f=f, m=shape, a=a, c=c)
                 for label, run in _builds(spec, d, e, bvec):
-                    digest.update(label.encode())
                     try:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")
                             value = run()
                     except IpdHypError as exc:
                         value = type(exc).__name__
-                    _feed(digest, value)
+                    group = groups.setdefault(_group(label), [0, hashlib.sha256()])
+                    group[0] += 1
+                    for sink in (digest, group[1]):
+                        sink.update(label.encode())
+                        _feed(sink, value)
                     items += 1
-    return items, digest.hexdigest()
+    per_label = {name: (n, sink.hexdigest()) for name, (n, sink) in groups.items()}
+    return items, digest.hexdigest(), per_label
 
 
 def main() -> None:
@@ -163,7 +178,9 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=2)
     args = parser.parse_args()
     set_precision(args.digits)
-    items, hexdigest = build_digest(args.seeds, args.count)
+    items, hexdigest, per_label = build_digest(args.seeds, args.count)
+    for name, (n, label_digest) in per_label.items():
+        print(f"{name:<14} {n:>5} builds  sha256 {label_digest}")
     print(f"{items} builds  sha256 {hexdigest}")
 
 
