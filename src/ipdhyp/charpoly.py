@@ -21,7 +21,10 @@ Every builder is rational in its parameters (no Gamma is evaluated) and
 works on plain ascending coefficient lists: running products of linear
 factors come from ``kernel.linear_products``, and a weighted sum of basis
 polynomials (or a Lagrange interpolation) accumulates into one list, which
-is wrapped in ``CPoly`` once, so each result is trimmed once.
+is wrapped in ``CPoly`` once, so each result is trimmed once.  The weights
+read each coefficient family once per build, as a vector over k
+(``coeffs.CoeffFamilies``), and each Pochhammer weight (a)_k from one run
+``kernel.rising(a, m)``; no weight is rebuilt index by index.
 
 ``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
 iteration from a seeded random circle: in double precision first (from the
@@ -35,13 +38,14 @@ parameter pairs cancel formally in series term ratios.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 import sys
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .coeffs import coeff_C, coeff_D, coeff_Y, w_poly_coeffs
+from .coeffs import CoeffFamilies, w_poly_coeffs
 from .errors import DegenerateCaseError, NonConvergenceError
 from .kernel import (
     ComplexLike,
@@ -53,6 +57,8 @@ from .kernel import (
     nonzero,
     pochhammer,
     pochhammer_vec,
+    rising,
+    terminating_family,
     terminating_pfq,
 )
 
@@ -62,6 +68,10 @@ TRIM_GUARD_DIGITS = 6
 #: Seed of find_roots' initial angles, and its budget of Ehrlich-Aberth sweeps.
 ROOT_SEED = 0
 MAX_SWEEPS = 200
+
+#: Largest relative step at which a double sweep that no longer halves the
+#: step has reached the rounding floor of an ill-conditioned root.
+DOUBLE_STALL_STEP = 1e-11
 
 
 class CPoly:
@@ -168,10 +178,12 @@ def find_roots(poly: CPoly) -> RootSet:
     deterministic, and runs in two phases, both built on ``_sweep``:
 
     1. double precision (``_double_start``): sweeps on ``complex`` copies of
-       the monic coefficients and the circle, until the largest relative
-       step is a few ulp or after ``MAX_SWEEPS`` sweeps.  It only supplies
-       the start of phase 2 and never raises; if a coefficient or an iterate
-       is not finite in double, phase 2 starts from the circle instead.
+       the monic coefficients from the circle built in double, until the
+       largest relative step is a few ulp, or stalls at most
+       ``DOUBLE_STALL_STEP`` without halving, or after ``MAX_SWEEPS``
+       sweeps.  It only supplies the start of phase 2 and never raises; if
+       the radius, a coefficient or an iterate is not finite in double,
+       phase 2 starts from the circle built at full precision instead.
     2. full precision: sweeps until the scaled residual max|p(root)| / |lead|
        is at most 10^-(dps-10) on two consecutive sweeps, so the first sweep
        under that target is followed by one polish sweep.  Raises
@@ -193,12 +205,14 @@ def find_roots(poly: CPoly) -> RootSet:
             deriv = [i * c for i, c in enumerate(monic) if i > 0]
             radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
             rng = random.Random(ROOT_SEED)
-            circle = [
-                radius
-                * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(rng.random()) / 2) / n + mp.mpf("0.35")))
-                for k in range(n)
-            ]
-            z = [mp.mpc(zi) for zi in _double_start(monic, deriv, circle)]
+            draws = [rng.random() for _ in range(n)]
+            z = _double_start(monic, deriv, float(radius), draws)
+            if z is None:
+                z = [
+                    radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(u) / 2) / n + mp.mpf("0.35")))
+                    for k, u in enumerate(draws)
+                ]
+            z = [mp.mpc(zi) for zi in z]
             tiny = mp.mpf(10) ** (-mp.mp.dps)
             met = False
             for sweeps in range(1, MAX_SWEEPS + 1):
@@ -243,27 +257,39 @@ def _sweep(monic: list, deriv: list, z: list, tiny) -> None:
         z[i] = z[i] - step
 
 
-def _double_start(monic: list, deriv: list, circle: list) -> list:
-    """Phase 1 of find_roots: sweeps in double precision from ``circle``.
+def _double_start(monic: list, deriv: list, radius: float, draws: list):
+    """Phase 1 of find_roots: sweeps in double precision from the circle of
+    ``radius`` at the angles 2 pi (k + u_k/2)/n + 0.35, u = ``draws``.
 
-    Stops once no iterate moves by more than four ulp, or after
-    ``MAX_SWEEPS`` sweeps.  Never raises: returns ``circle`` itself when a
-    coefficient or an iterate is not finite in double.
+    Stops once no iterate moves by more than four ulp; or once the largest
+    relative step is at most ``DOUBLE_STALL_STEP`` and did not halve since
+    the sweep before, which is the rounding floor of an ill-conditioned
+    simple root; or after ``MAX_SWEEPS`` sweeps.  Never raises: returns
+    None when the radius, a coefficient or an iterate is not finite in
+    double.
     """
     eps = sys.float_info.epsilon
-    md, dd, z = ([complex(c) for c in cs] for cs in (monic, deriv, circle))
+    n = len(draws)
+    md, dd = [complex(c) for c in monic], [complex(c) for c in deriv]
+    z = [radius * cmath.exp(1j * (2 * math.pi * (k + u / 2) / n + 0.35))
+         for k, u in enumerate(draws)]
     if not all(map(cmath.isfinite, md + dd + z)):
-        return circle
+        return None
+    last = math.inf
     try:
         for _ in range(MAX_SWEEPS):
             old = list(z)
             _sweep(md, dd, z, eps)
             if not all(map(cmath.isfinite, z)):
-                return circle
+                return None
             if all(abs(new - prev) <= 4 * eps * abs(new) for new, prev in zip(z, old)):
                 break
+            step = max(abs(new - prev) / abs(new) if new else math.inf for new, prev in zip(z, old))
+            if step <= DOUBLE_STALL_STEP and 2 * step > last:
+                break
+            last = step
     except (OverflowError, ZeroDivisionError):
-        return circle
+        return None
     return z
 
 
@@ -279,26 +305,21 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     f, m = ParamVector(f), IntVector(m)
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
+    bk = rising(b, mt)
     if route == "eq5":
-        weights = [pochhammer(b, k) * coeff_C(k, f, m) / norm for k in range(mt + 1)]
+        ck = CoeffFamilies(f, m).C()
+        weights = [bk[k] * ck[k] / norm for k in range(mt + 1)]
         return _weighted_sum(weights, _split_basis(c - b - mt, mt))
     if route == "eq7":
-        fmvals = [
-            terminating_pfq(list(f.shifted_by(m)) + [mp.mpc(-k)], list(f), k)
-            for k in range(mt + 1)
-        ]
+        fmvals = terminating_family(f.shifted_by(m), f, mt)
 
         def q_at(t: ComplexValue) -> ComplexValue:
             head = pochhammer(c - b - t - mt, mt) / norm
+            shifted = rising(1 + t + b - c, mt)
             tot = mp.mpc(0)
             term_tk = mp.mpc(1)
             for k in range(mt + 1):
-                tot += (
-                    fmvals[k]
-                    * term_tk
-                    * pochhammer(b, k)
-                    / (pochhammer(1 + t + b - c, k) * mp.factorial(k))
-                )
+                tot += fmvals[k] * term_tk * bk[k] / (shifted[k] * mp.factorial(k))
                 term_tk *= t + k
             return head * tot
 
@@ -342,10 +363,8 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     f, m = ParamVector(f), IntVector(m)
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    weights = [
-        pochhammer(b, k) * pochhammer(1 - c + b, k) * coeff_D(k, f, m, b) / norm
-        for k in range(mt + 1)
-    ]
+    bk, ck, dk = rising(b, mt), rising(1 - c + b, mt), CoeffFamilies(f, m).D(b)
+    weights = [bk[k] * ck[k] * dk[k] / norm for k in range(mt + 1)]
     # basis (c-b-m-t)_{m-k}, k = 0..m
     return _weighted_sum(weights, linear_products((c - b - mt + j, -1) for j in range(mt))[::-1])
 
@@ -363,8 +382,7 @@ def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     mt = m.total
     nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    coef = [coeff_C(k, f, m) for k in range(mt + 1)]
-    return _hatted(mt, coef, a, b, c - a - mt, c - b - mt, c - a - b - mt)
+    return _hatted(mt, CoeffFamilies(f, m).C(), a, b, c - a - mt, c - b - mt, c - a - b - mt)
 
 
 def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
@@ -375,15 +393,10 @@ def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
     (t)_k (t+k)_s = (t)_{k+s} and the result converted to monomials, so
     everything stays exact.  Shared by Q-hat and L-hat.
     """
+    us, vs, alphas, betas = (rising(z, n) for z in (u, v, alpha, beta))
     rise = [mp.mpc(0)] * (n + 1)
     for k in range(n + 1):
-        weight = (
-            (-1) ** k
-            * coef[k]
-            * pochhammer(u, k)
-            * pochhammer(v, k)
-            / (pochhammer(alpha, k) * pochhammer(beta, k))
-        )
+        weight = (-1) ** k * coef[k] * us[k] * vs[k] / (alphas[k] * betas[k])
         rise[k] += weight
         term = mp.mpc(1)
         for s in range(n - k):
@@ -407,12 +420,14 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     norm = nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     fm_shift = list(f.shifted_by(m))
+    ak, bk, ck = rising(a, mt), rising(-b - mt, mt), rising(c - b - mt, mt)
+    # the bottom parameter b+m-k+1 moves with k, so each sum is its own
     weights = [
         (-1) ** k
-        * pochhammer(a, k)
-        * pochhammer(-b - mt, k)
+        * ak[k]
+        * bk[k]
         * terminating_pfq([mp.mpc(-k), b] + fm_shift, [b + mt - k + 1] + list(f), k)
-        / (norm * pochhammer(c - b - mt, k) * mp.factorial(k))
+        / (norm * ck[k] * mp.factorial(k))
         for k in range(mt + 1)
     ]
     return _weighted_sum(weights, _split_basis(c - a - mt, mt))
@@ -448,17 +463,19 @@ def build_T(
         if a is None:
             raise ValueError("variant Tstar requires the parameter a")
         a = cplx(a)
+        shifted = rising(b + 1 - a, p - 1)
+    bq = rising(b, p - 1)
     weights, basis = [], []
     for q in range(1, p + 1):
         weight = (
             (-1) ** (q - 1)
             * pochhammer_vec(f - (b + (q - 1)), m)
-            * pochhammer(b, q - 1)
+            * bq[q - 1]
             / (mp.factorial(q - 1) * mp.factorial(p - q))
         )
         factors = [(b + q + j, 1) for j in range(p - q)]
         if variant == "Tstar":
-            weight /= nonzero(pochhammer(b + 1 - a, q - 1), "(b+1-a)_{q-1}")
+            weight /= nonzero(shifted[q - 1], "(b+1-a)_{q-1}")
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
         basis.append(linear_products(factors)[-1])
@@ -489,9 +506,10 @@ def build_L(
     if mt < 1:
         raise ValueError("need m_total >= 1")
     nonzero(pochhammer(e - d - mt + 1, mt - 1), "(e-d-m+1)_{m-1}")
-    yk = [coeff_Y(k, b, f, m) for k in range(mt)]
+    yk = CoeffFamilies(f, m).Y(b)
     if variant == "L":
-        weights = [pochhammer(d, k) * yk[k] for k in range(mt)]
+        dk = rising(d, mt - 1)
+        weights = [dk[k] * yk[k] for k in range(mt)]
         return _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
     if variant == "Lhat":
         nonzero(pochhammer(e - a - mt + 1, mt - 1), "(e-a-m+1)_{m-1}")

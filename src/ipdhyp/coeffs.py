@@ -21,7 +21,12 @@ routes cross-validate:
   closed forms for p = 2, 3, 4.
 
 Default route per family is the terminating-hypergeometric one (no Stirling
-sums); the other routes are kept for the cross-check suite.
+sums); the other routes are kept for the cross-check suite.  That route is
+a vector over the index: ``CoeffFamilies(f, m)`` computes C, D and Y once
+per build, each as one terminating-sum family over a single term sequence
+(``kernel.terminating_family``), and Y shares the sequence of C.
+``coeff_C``, ``coeff_D`` and ``coeff_Y`` return entry k of the same
+vector, so a builder and a single coefficient take one code path.
 """
 
 from __future__ import annotations
@@ -32,19 +37,29 @@ from typing import Optional
 
 import mpmath as mp
 
-from .errors import IndexOutOfRangeError, LengthMismatchError, UnsupportedPError
+from .errors import (
+    DenominatorPoleError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    UnsupportedPError,
+)
 from .kernel import (
     ComplexLike,
     ComplexValue,
     IntVector,
     ParamVector,
+    as_nonpositive_integer,
     cplx,
     genfunc_coeffs,
+    hyp_terms,
     nonzero,
     pochhammer,
     pochhammer_vec,
+    rising,
     stirling2,
+    terminating_family,
     terminating_pfq,
+    terminating_sums,
 )
 
 
@@ -117,23 +132,103 @@ def _stirling_sum(seq: list, k: int) -> ComplexValue:
     return total
 
 
+def _checked(index: int, top: int) -> int:
+    if not 0 <= index <= top:
+        raise IndexOutOfRangeError(f"need 0 <= k <= {top}, got {index}")
+    return index
+
+
+class CoeffFamilies:
+    """The "hyp" routes of C_k, D_k and Y_l for one (f, m), each a vector
+    over its index, built once.
+
+    C and Y are terminating sums over the term sequence
+    sigma_n = (f+m)_n / ((f)_n n!) of (f+m; f), which is made once and
+    shared, as is (f)_m; D sums the sequence of (1-f+b; 1-f+b-m).  Each
+    method takes the last index it needs (default: all of them), so a
+    family raises DenominatorPoleError exactly where the per-index
+    terminating sum of its last entry does, and entry k does not depend on
+    how far the vector goes.
+    """
+
+    def __init__(self, f, m):
+        self.f, self.m = ParamVector(f), IntVector(m)
+        self.total = self.m.total
+        self._sigma = []
+        self._fm = None
+
+    @property
+    def fm(self) -> ComplexValue:
+        """(f)_m, which must not vanish (DegenerateCaseError)."""
+        if self._fm is None:
+            self._fm = nonzero(pochhammer_vec(self.f, self.m), "(f)_m")
+        return self._fm
+
+    def _sigma_to(self, upto: int) -> list:
+        if len(self._sigma) <= upto:
+            self._sigma = hyp_terms(self.f.shifted_by(self.m), self.f, upto)
+        return self._sigma[: upto + 1]
+
+    def C(self, upto: Optional[int] = None) -> list:
+        """[C_0, ..., C_upto]: C_k = (-1)^k / k! (r+1)F_r(-k, f+m; f | 1)."""
+        upto = self.total if upto is None else _checked(upto, self.total)
+        sums = terminating_sums(self._sigma_to(upto))
+        return [(-1) ** k * val / mp.factorial(k) for k, val in enumerate(sums)]
+
+    def D(self, b: ComplexLike, upto: Optional[int] = None) -> list:
+        """[D_0, ..., D_upto]:
+        D_k = (-1)^k (f-b)_m / k! (r+1)F_r(-k, 1-f+b; 1-f+b-m | 1)."""
+        b = cplx(b)
+        upto = self.total if upto is None else _checked(upto, self.total)
+        fbm = pochhammer_vec(self.f - b, self.m)
+        num = [1 - fi + b for fi in self.f]
+        den = [1 - fi + b - mi for fi, mi in zip(self.f, self.m)]
+        sums = terminating_family(num, den, upto)
+        return [(-1) ** k * fbm * val / mp.factorial(k) for k, val in enumerate(sums)]
+
+    def Y(self, b: ComplexLike, upto: Optional[int] = None) -> list:
+        """[Y_0, ..., Y_upto] (default upto m_total - 1):
+        Y_l = (-1)^l/l! (r+2)F_{r+1}(-l, b, f+m; b+1, f | 1)
+              - (-1)^l (f-b)_m / ((b+1)_l (f)_m).
+
+        The terms of the (r+2)F_{r+1} are y_0 = 1 and y_n = b sigma_n/(b+n):
+        (b)_n/(b+1)_n = b/(b+n).  At b = -n, 1 <= n <= upto, the bottom
+        parameter b+1 poles the series and DenominatorPoleError is raised.
+        """
+        b = cplx(b)
+        top = self.total - 1
+        upto = top if upto is None else _checked(upto, top)
+        if upto < 0:
+            return []
+        fm = self.fm
+        pole = as_nonpositive_integer(b)
+        if pole is not None and 0 < -pole <= upto:
+            raise DenominatorPoleError(f"bottom parameter {b + 1} hits a pole at term {-pole}")
+        sigma = self._sigma_to(upto)
+        terms = [sigma[0]] + [b * s / (b + n) for n, s in enumerate(sigma[1:], 1)]
+        fbm = pochhammer_vec(self.f - b, self.m)
+        b1 = rising(b + 1, upto)
+        out = []
+        for l, val in enumerate(terminating_sums(terms)):
+            sgn = (-1) ** l
+            out.append(sgn * val / mp.factorial(l) - sgn * fbm / (b1[l] * fm))
+        return out
+
+
 def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
     """C_{k,r}(f, m) for 0 <= k <= m_total.
 
-    route "hyp":      (-1)^k / k! * (r+1)F_r(-k, f+m; f) summed exactly.
+    route "hyp":      (-1)^k / k! * (r+1)F_r(-k, f+m; f) summed exactly;
+                      entry k of ``CoeffFamilies(f, m).C``.
     route "stirling": (1/(f)_m) * sum_{j>=k} sigma_j S(j, k) with sigma the
                       coefficients of (f_1+x)_{m_1}...(f_r+x)_{m_r}.
 
     C_0 = 1 and C_m = 1/(f)_m always.
     """
     f, m = ParamVector(f), IntVector(m)
-    mt = m.total
-    if not 0 <= k <= mt:
-        raise IndexOutOfRangeError(f"need 0 <= k <= {mt}, got {k}")
+    _checked(k, m.total)
     if route == "hyp":
-        num = list(f.shifted_by(m)) + [mp.mpc(-k)]
-        val = terminating_pfq(num, list(f), k)
-        return (-1) ** k * val / mp.factorial(k)
+        return CoeffFamilies(f, m).C(k)[k]
     if route == "stirling":
         fm = nonzero(pochhammer_vec(f, m), "(f)_m")
         return _stirling_sum(genfunc_coeffs(f, m), k) / fm
@@ -143,7 +238,8 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
 def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     """D_k(f, m, b) for 0 <= k <= m_total.
 
-    route "hyp":      (-1)^k (f-b)_m / k! * (r+1)F_r(-k, 1-f+b; 1-f+b-m).
+    route "hyp":      (-1)^k (f-b)_m / k! * (r+1)F_r(-k, 1-f+b; 1-f+b-m);
+                      entry k of ``CoeffFamilies(f, m).D(b)``.
     route "stirling": sum_{j>=k} alpha_j S(j, k) with alpha the coefficients
                       of (f-b-t)_m.
 
@@ -152,15 +248,9 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     """
     f, m = ParamVector(f), IntVector(m)
     b = cplx(b)
-    mt = m.total
-    if not 0 <= k <= mt:
-        raise IndexOutOfRangeError(f"need 0 <= k <= {mt}, got {k}")
+    _checked(k, m.total)
     if route == "hyp":
-        fbm = pochhammer_vec(f - b, m)
-        num = [1 - fi + b for fi in f] + [mp.mpc(-k)]
-        den = [1 - fi + b - mi for fi, mi in zip(f, m)]
-        val = terminating_pfq(num, den, k)
-        return (-1) ** k * fbm * val / mp.factorial(k)
+        return CoeffFamilies(f, m).D(b, k)[k]
     if route == "stirling":
         return _stirling_sum(genfunc_coeffs(f, m, shift=b, sign=-1), k)
     raise ValueError(f"unknown route {route!r}")
@@ -196,7 +286,8 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     """Y_l(b, f, m) for 0 <= l <= m_total - 1.
 
     route "hyp":      (-1)^l/l! (r+2)F_{r+1}(-l, b, f+m; b+1, f)
-                      - (-1)^l (f-b)_m / ((b+1)_l (f)_m).
+                      - (-1)^l (f-b)_m / ((b+1)_l (f)_m);
+                      entry l of ``CoeffFamilies(f, m).Y(b)``.
     route "stirling": sum_{k>=l} delta_k S(k, l) over the W coefficients.
     route "norlund":  (-1)^{m-l-1} b/(f)_m *
                       sum_i (-1)^i g_{m-1-l-i}(-f; -f-m, l) (1-b)_i.
@@ -206,14 +297,9 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     mt = m.total
     if not 0 <= l <= mt - 1:
         raise IndexOutOfRangeError(f"need 0 <= l <= {mt - 1}, got {l}")
-    fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     if route == "hyp":
-        fbm = pochhammer_vec(f - b, m)
-        num = [b] + list(f.shifted_by(m)) + [mp.mpc(-l)]
-        den = [b + 1] + list(f)
-        val = terminating_pfq(num, den, l)
-        sgn = (-1) ** l
-        return sgn * val / mp.factorial(l) - sgn * fbm / (pochhammer(b + 1, l) * fm)
+        return CoeffFamilies(f, m).Y(b, l)[l]
+    fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     if route == "stirling":
         return _stirling_sum(w_poly_coeffs(b, f, m), l)
     if route == "norlund":

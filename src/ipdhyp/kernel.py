@@ -6,15 +6,19 @@ identities verified downstream involve alternating sums with heavy
 cancellation, so fixed double precision is not an option; the context can be
 raised but never drops below 16 digits.
 
-The rising factorial (a)_n = a(a+1)...(a+n-1) and its vector form
-(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The vectors
-f and m are tuples, ``ParamVector`` and ``IntVector``, compared by value;
-their constructors are the one coercion of any sequence.  The module
+The rising factorial (a)_n = a(a+1)...(a+n-1), its run [(a)_0, ..., (a)_n]
+(``rising``, which ``pochhammer`` reads) and its vector form
+(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The
+vectors f and m are tuples, ``ParamVector`` and ``IntVector``, compared by
+value; their constructors are the one coercion of any sequence.  The module
 also provides Stirling numbers of the second kind (exact integers),
 running products of linear factors as coefficient lists (behind every
 characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}),
 exact summation of terminating hypergeometric series by term-ratio
-recursion, ``nonzero``, the one guard behind every quantity a
+recursion (``hyp_terms`` is the one term loop and pole check, and
+``terminating_family`` sums one term sequence into pFq(-k, num; den | 1)
+for every k at once, so a coefficient family is computed once per build,
+as a vector), ``nonzero``, the one guard behind every quantity a
 transformation needs nonzero, and ``as_nonpositive_integer``, the one
 predicate for "z is at, or within a tolerance of, a pole of Gamma".
 """
@@ -170,20 +174,30 @@ def _paired(f: Iterable[ComplexLike], m: Iterable[int]) -> Iterator[tuple[Comple
     return zip(fs, ms)
 
 
-def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1.
+def rising(a: ComplexLike, n: int) -> list:
+    """The run [(a)_0, (a)_1, ..., (a)_n] of rising factorials, as running
+    products; entry k is ``pochhammer(a, k)`` bit for bit.
 
-    Computed as an explicit product, so zero results (a at a nonpositive
-    integer with n large enough) come out exact rather than as 0/0 gamma
-    quotients.
+    Every builder that weights a sum over k by (a)_k reads one run instead
+    of building each (a)_k from 1.
     """
     if n < 0:
         raise ValueError(f"pochhammer order must be nonnegative, got {n}")
     a = cplx(a)
-    result = mp.mpc(1)
+    run = [mp.mpc(1)]
     for j in range(n):
-        result *= a + j
-    return result
+        run.append(run[-1] * (a + j))
+    return run
+
+
+def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
+    """Rising factorial (a)_n = a(a+1)...(a+n-1), with (a)_0 = 1.
+
+    Computed as an explicit product (the last entry of ``rising``), so zero
+    results (a at a nonpositive integer with n large enough) come out exact
+    rather than as 0/0 gamma quotients.
+    """
+    return rising(a, n)[n]
 
 
 def pochhammer_vec(f: Iterable[ComplexLike], m: Iterable[int]) -> ComplexValue:
@@ -250,24 +264,23 @@ def genfunc_coeffs(
     )[-1]
 
 
-def terminating_pfq(
+def hyp_terms(
     num: Sequence[ComplexLike],
     den: Sequence[ComplexLike],
-    terms: int,
-) -> ComplexValue:
-    """Sum the first ``terms``+1 terms of a pFq at x = 1 by exact term recursion.
+    count: int,
+) -> list:
+    """The terms t_0, ..., t_count of pFq(num; den | 1): t_0 = 1 and
+    t_{n+1} = t_n prod(u+n) / (prod(v+n) (n+1)), so t_n = (num)_n / ((den)_n n!).
 
-    Used for terminating series (a nonpositive-integer top parameter -k with
-    ``terms`` = k): successive terms are built from the ratio of consecutive
-    coefficients, never from gamma quotients, so bottom parameters close to
-    negative integers are harmless as long as the pole index lies beyond the
-    terminal one.
+    The engine's one term loop and its one pole check (the series oracle
+    ``hypeval`` keeps its own): a bottom parameter v with v + n = 0 for
+    some n < count raises DenominatorPoleError.
     """
     nums = [cplx(u) for u in num]
     dens = [cplx(v) for v in den]
-    total = mp.mpc(1)
     term = mp.mpc(1)
-    for n in range(terms):
+    terms = [term]
+    for n in range(count):
         for u in nums:
             term *= u + n
         for v in dens:
@@ -278,7 +291,53 @@ def terminating_pfq(
                 )
             term /= d
         term /= n + 1
-        total += term
-    return total
+        terms.append(term)
+    return terms
 
 
+def terminating_pfq(
+    num: Sequence[ComplexLike],
+    den: Sequence[ComplexLike],
+    terms: int,
+) -> ComplexValue:
+    """Sum the first ``terms``+1 terms of a pFq at x = 1 by exact term recursion.
+
+    Used for terminating series (a nonpositive-integer top parameter -k with
+    ``terms`` = k): successive terms are built from the ratio of consecutive
+    coefficients (``hyp_terms``), never from gamma quotients, so bottom
+    parameters close to negative integers are harmless as long as the pole
+    index lies beyond the terminal one.
+    """
+    return sum(hyp_terms(num, den, terms), mp.mpc(0))
+
+
+def terminating_sums(terms: Sequence[ComplexValue]) -> list:
+    """sum_{n <= k} (-k)_n t_n for every k = 0..len(terms)-1.
+
+    With t = ``hyp_terms(num, den, K)`` entry k is pFq(-k, num; den | 1):
+    the k-th terminating sum of one term sequence, weighted by the exact
+    integer (-k)_n = (-1)^n k!/(k-n)!.  O(K^2) multiplications by integers
+    replace K+1 term loops over all the parameters.
+    """
+    sums = []
+    for k in range(len(terms)):
+        total, weight = mp.mpc(0), 1
+        for n in range(k + 1):
+            total += weight * terms[n]
+            weight *= n - k
+        sums.append(total)
+    return sums
+
+
+def terminating_family(
+    num: Sequence[ComplexLike],
+    den: Sequence[ComplexLike],
+    kmax: int,
+) -> list:
+    """pFq(-k, num; den | 1) for every k = 0..kmax, from one term sequence.
+
+    Entry k equals ``terminating_pfq(num + [-k], den, k)`` up to rounding,
+    and the family raises DenominatorPoleError exactly where that call at
+    k = kmax does.
+    """
+    return terminating_sums(hyp_terms(num, den, kmax))

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .charpoly import build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
-from .coeffs import IpdSpec, coeff_D, coeff_Y
+from .coeffs import CoeffFamilies, IpdSpec
 from .errors import (
     DistinctnessViolationError,
     IntegerDifferenceError,
@@ -61,6 +61,7 @@ from .kernel import (
     nonzero,
     pochhammer,
     pochhammer_vec,
+    rising,
 )
 
 ARG_IDENTITY = "identity"
@@ -229,23 +230,23 @@ def expand_to_gauss(spec: IpdSpec) -> HypExpression:
     a, b, c = spec.a, spec.b, spec.c
     if c is None:
         raise ValueError("expand_to_gauss needs c set on the IpdSpec")
-    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
+    families = CoeffFamilies(spec.f, spec.m)
+    fm = families.fm
+    dk, bk = families.D(b), rising(b, spec.m_total)
     terms = []
     for k in range(spec.m_total + 1):
-        weight = (-1) ** k * coeff_D(k, spec.f, spec.m, b) * pochhammer(b, k) / fm
+        weight = (-1) ** k * dk[k] * bk[k] / fm
         fun = HypFunction(ParamVector([a, b + k]), ParamVector([c]))
         terms.append(HypTerm(weight, 0, mp.mpc(0), ARG_IDENTITY, fun))
     return HypExpression(terms)
 
 
-def _algebraic_tail(a: ComplexValue, b: ComplexValue, f, m, scale: ComplexValue):
-    """Terms scale * Y_l(b, f, m) (a)_l x^l (1-x)^(-a-l), l = 0..m-1."""
-    mt = IntVector(m).total
-    out = []
-    for l in range(mt):
-        coeff = scale * coeff_Y(l, b, f, m) * pochhammer(a, l)
-        out.append(HypTerm(coeff, l, -a - l, ARG_IDENTITY, None))
-    return out
+def _algebraic_tail(a: ComplexValue, yl: list, al: list, scale: ComplexValue):
+    """Terms scale * Y_l (a)_l x^l (1-x)^(-a-l), l = 0..m-1, from the Y
+    vector ``yl`` and the run ``al`` of (a)_l."""
+    return [
+        HypTerm(scale * y * al[l], l, -a - l, ARG_IDENTITY, None) for l, y in enumerate(yl)
+    ]
 
 
 def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpression:
@@ -263,7 +264,8 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     a, b = spec.a, spec.b
     if spec.c is not None and spec.c != b + 1:
         raise ValueError("spec.c must be exactly b+1 (or omitted) here")
-    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
+    families = CoeffFamilies(spec.f, spec.m)
+    fm = families.fm
     if variant == "eq19":
         mu, arg, num = -a, ARG_MOBIUS, [mp.mpc(1), a]
     elif variant == "eq20":
@@ -275,7 +277,8 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     fbm = pochhammer_vec(spec.f - b, spec.m)
     fun = HypFunction(ParamVector(num), ParamVector([b + 1]))
     gauss = HypTerm(fbm / fm, 0, mu, arg, fun)
-    return HypExpression([gauss] + _algebraic_tail(a, b, spec.f, spec.m, mp.mpc(1)))
+    tail = _algebraic_tail(a, families.Y(b), rising(a, spec.m_total), mp.mpc(1))
+    return HypExpression([gauss] + tail)
 
 
 def apply_degenerate_p(
@@ -290,14 +293,16 @@ def apply_degenerate_p(
     lambda the roots of the degree-(p-1) polynomial (variant "eq29" uses T
     with the Moebius argument, "eq31" uses T* at the plain argument) and
     the head coefficient T(0)/(f)_m; no Gamma is evaluated.  The algebraic
-    part is the double sum over q = 1..p and l = 0..m-1.  Requires
+    part is the double sum over q = 1..p and l = 0..m-1, whose p tails
+    share (f)_m, the run of (a)_l and the term sequence of Y.  Requires
     b+q-1 != 0 for q = 1..p, and for eq31 (b+1-a)_{p-1} != 0.
     """
     a, b = spec.a, spec.b
     p = int(p)
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
-    fm = nonzero(pochhammer_vec(spec.f, spec.m), "(f)_m")
+    families = CoeffFamilies(spec.f, spec.m)
+    fm = families.fm
     betas = [nonzero(b + (q - 1), "b+q-1") for q in range(1, p + 1)]
     if variant == "eq29":
         num, mu, arg, which = [a, mp.mpc(1)], -a, ARG_MOBIUS, "T"
@@ -308,14 +313,14 @@ def apply_degenerate_p(
     poly = build_T(b, p, spec.f, spec.m, variant=which, a=a)
     fun = _collapsed(num, [b + p], poly, "degenerate transformation", negate=True)
     terms = [HypTerm(poly(0) / fm, 0, mu, arg, fun)]
-    bp = pochhammer(b, p)
+    bp, al = pochhammer(b, p), rising(a, spec.m_total)
     for q, beta_q in enumerate(betas, start=1):
         weight = (
             (-1) ** (q - 1)
             * bp
             / (beta_q * mp.factorial(q - 1) * mp.factorial(p - q))
         )
-        terms.extend(_algebraic_tail(a, beta_q, spec.f, spec.m, weight))
+        terms.extend(_algebraic_tail(a, families.Y(beta_q), al, weight))
     return HypExpression(terms)
 
 
@@ -475,7 +480,9 @@ def meijer_norlund_ipd_many(
     f, m = ParamVector(f), IntVector(m)
     mt = m.total
     if route == "closed":
-        weights = [coeff_D(k, f, m, b) * pochhammer(c - b - k, k) for k in range(mt + 1)]
+        # (c-b-k)_k = (-1)^k (1-c+b)_k
+        dk, ck = CoeffFamilies(f, m).D(b), rising(1 - c + b, mt)
+        weights = [(-1) ** k * dk[k] * ck[k] for k in range(mt + 1)]
         exponent, scale = c - b - 1, gamma(c - b)
         values = []
         for t in ts:

@@ -46,6 +46,8 @@ from .kernel import (
     gamma,
     pochhammer,
     pochhammer_vec,
+    rising,
+    terminating_family,
     terminating_pfq,
 )
 from .transforms import (
@@ -377,25 +379,22 @@ def _sample_lemma3(rng: random.Random, index: int) -> dict:
 def _check_lemma3(case: IdentityCase) -> list:
     # (-n)_j = (-1)^j n!/(n-j)! and j! are exact ints: an mpc times an int
     # rounds as it does times the same value held as an mpc, and dividing by
-    # an int rounds as dividing by an mpf.  The complex Pochhammers are made
-    # once per mt, each from alpha - mt + j (alpha + (j - mt) can round
+    # an int rounds as dividing by an mpf.  The complex Pochhammers are runs
+    # made once per mt, each from alpha - mt + j (alpha + (j - mt) can round
     # differently).
     alpha = case.params["alpha"]
     m_max = case.params["m_max"]
     residuals = []
     for mt in range(m_max + 1):
-        base = [pochhammer(alpha - mt, k) for k in range(mt + 1)]
-        shifted = {
-            (j, n): pochhammer(alpha - mt + j, n)
-            for j in range(mt + 1) for n in range(mt - j, mt + 1)
-        }
+        base = rising(alpha - mt, mt)
+        shifted = [rising(alpha - mt + j, mt) for j in range(mt + 1)]
         for k in range(mt + 1):
             for i in range(k + 1):
                 lhs = mp.mpc(0)
                 for j in range(i, k + 1):
                     lhs += (
                         (-1) ** j * math.perm(k, j)
-                        * shifted[j, mt - i]
+                        * shifted[j][mt - i]
                         * ((-1) ** i * math.perm(j, i))
                         / math.factorial(j)
                     )
@@ -432,8 +431,8 @@ def _check_lemma4(case: IdentityCase) -> list:
         m = IntVector(pool_m)
         mt = m.total
         f_shift = list(f.shifted_by(m))
-        inner = [terminating_pfq(f_shift + [mp.mpc(-i)], list(f), i) for i in range(mt + 1)]
-        pb = [pochhammer(b, i) for i in range(mt + 1)]
+        inner = terminating_family(f_shift, f, mt)
+        pb, nb, nm = rising(b, mt), rising(-b - mt, mt), rising(-mt, mt)
         denominators = [
             mp.mpc((-1) ** i * math.perm(mt, i) * math.factorial(i)) for i in range(mt + 1)
         ]
@@ -444,7 +443,7 @@ def _check_lemma4(case: IdentityCase) -> list:
             outer = terminating_pfq(
                 [mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k
             )
-            rhs = pochhammer(-b - mt, k) / pochhammer(-mt, k) * outer
+            rhs = nb[k] / nm[k] * outer
             residuals.append(_relative(rhs, lhs))
     return residuals
 

@@ -173,6 +173,23 @@ class TestFindRoots:
         assert sum(1 for r in roots.roots if abs(r - 1) < mp.mpf("1e-6")) == 4
         assert sum(1 for r in roots.roots if abs(r - 2) < mp.mpf("1e-25")) == 1
 
+    def test_ill_conditioned_simple_roots_leave_double_early(self, monkeypatch):
+        # (t-1)...(t-6): rounding keeps the double step near 1e-13 relative,
+        # above four ulp, so only the stall rule ends phase 1 early
+        kinds = []
+        sweep = charpoly._sweep
+
+        def counted(monic, deriv, z, tiny):
+            kinds.append(type(z[0]))
+            return sweep(monic, deriv, z, tiny)
+
+        monkeypatch.setattr(charpoly, "_sweep", counted)
+        roots = find_roots(CPoly.from_roots(range(1, 7)))
+        assert kinds.count(complex) <= 20
+        assert roots.sweeps == 2 == len(kinds) - kinds.count(complex)
+        got = sorted(roots.roots, key=lambda z: z.real)
+        assert all(abs(r - k) < mp.mpf("1e-28") for k, r in enumerate(got, 1))
+
     def test_polish_sweep_reaches_full_precision(self):
         # Without the sweep that follows the first residual under target,
         # this Q-hat (MP2, seed 1, case 11) kept a root error of 6e-51 at
@@ -491,4 +508,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "754cccaf0a3dbb61d624d15800269b77401fd66b7c182b1fdc9398286384677f"
+_PINNED_BUILDS = "a898510ddf3889cb64e48bdead739da9669b708f6ad9bd4363cea7f98b95ebec"

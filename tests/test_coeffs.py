@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from ipdhyp.coeffs import (
+    CoeffFamilies,
     IpdSpec,
     NorlundArgs,
     coeff_C,
@@ -15,6 +16,7 @@ from ipdhyp.coeffs import (
 )
 from ipdhyp.errors import (
     DegenerateCaseError,
+    DenominatorPoleError,
     IndexOutOfRangeError,
     LengthMismatchError,
     UnsupportedPError,
@@ -25,6 +27,7 @@ from ipdhyp.kernel import (
     cplx,
     pochhammer,
     pochhammer_vec,
+    terminating_pfq,
 )
 
 M_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)]
@@ -412,3 +415,113 @@ class TestSpecTypes:
     def test_norlund_args_validates_lengths(self):
         with pytest.raises(LengthMismatchError):
             NorlundArgs(ParamVector([1]), ParamVector([1]))
+
+
+FAMILY_SHAPES = [(1,), (2,), (3,), (4,), (5,), (6,), (3, 3), (2, 2, 2)]
+
+
+def _bits(z):
+    return (z.real._mpf_, z.imag._mpf_)
+
+
+class TestCoeffFamilies:
+    def test_vectors_match_the_other_routes(self):
+        rng = _rng(613)
+        tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
+        for shape in FAMILY_SHAPES:
+            for _ in range(3):
+                f, m = _sample(rng, shape)
+                b = _rc(rng)
+                fam = CoeffFamilies(f, m)
+                cs, ds, ys = fam.C(), fam.D(b), fam.Y(b)
+                assert (len(cs), len(ds), len(ys)) == (m.total + 1, m.total + 1, m.total)
+                for k in range(m.total + 1):
+                    assert abs(cs[k] - coeff_C(k, f, m, "stirling")) <= tol * max(1, abs(cs[k]))
+                    assert abs(ds[k] - coeff_D(k, f, m, b, "stirling")) <= tol * max(1, abs(ds[k]))
+                for l in range(m.total):
+                    for route in ("stirling", "norlund"):
+                        other = coeff_Y(l, b, f, m, route)
+                        assert abs(ys[l] - other) <= tol * max(1, abs(ys[l]))
+
+    def test_single_coefficients_are_vector_entries_bit_for_bit(self):
+        rng = _rng(617)
+        for shape in FAMILY_SHAPES:
+            f, m = _sample(rng, shape)
+            b = _rc(rng)
+            fam = CoeffFamilies(f, m)
+            cs, ds, ys = fam.C(), fam.D(b), fam.Y(b)
+            assert [_bits(coeff_C(k, f, m)) for k in range(m.total + 1)] == list(map(_bits, cs))
+            assert [_bits(coeff_D(k, f, m, b)) for k in range(m.total + 1)] == list(map(_bits, ds))
+            assert [_bits(coeff_Y(l, b, f, m)) for l in range(m.total)] == list(map(_bits, ys))
+
+    def test_y_shares_the_term_sequence_of_c(self):
+        rng = _rng(619)
+        f, m = _sample(rng, (2, 1))
+        fam = CoeffFamilies(f, m)
+        fam.C()
+        sigma = fam._sigma
+        fam.Y(_rc(rng))
+        fam.Y(_rc(rng))
+        assert fam._sigma is sigma
+
+    def test_y_at_b_zero_vanishes(self):
+        # W(n) = 0 at b = 0, so every Y_l vanishes; no term divides by b
+        rng = _rng(631)
+        tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
+        for shape in FAMILY_SHAPES:
+            f, m = _sample(rng, shape)
+            ys = CoeffFamilies(f, m).Y(0)
+            assert len(ys) == m.total
+            assert all(abs(y) <= tol for y in ys)
+            assert list(map(_bits, ys)) == [_bits(coeff_Y(l, 0, f, m)) for l in range(m.total)]
+            norlund = [coeff_Y(l, 0, f, m, "norlund") for l in range(m.total)]
+            assert all(abs(y) <= tol for y in norlund)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_y_raises_exactly_where_terminating_pfq_does(self, n):
+        # b = -n: the bottom parameter b+1 of Y's series poles at term n
+        f, m = ParamVector([cplx(1.3, 0.4), cplx(-0.7, 0.9)]), IntVector((3, 2))
+        b = mp.mpc(-n)
+        for l in range(m.total):
+            num = [b] + list(f.shifted_by(m)) + [mp.mpc(-l)]
+            try:
+                terminating_pfq(num, [b + 1] + list(f), l)
+            except DenominatorPoleError:
+                with pytest.raises(DenominatorPoleError):
+                    coeff_Y(l, b, f, m)
+                with pytest.raises(DenominatorPoleError):
+                    CoeffFamilies(f, m).Y(b, l)
+            else:
+                assert _bits(coeff_Y(l, b, f, m)) == _bits(CoeffFamilies(f, m).Y(b, l)[l])
+        if n < m.total:
+            with pytest.raises(DenominatorPoleError):
+                CoeffFamilies(f, m).Y(b)
+        else:
+            assert len(CoeffFamilies(f, m).Y(b)) == m.total
+
+    def test_c_raises_exactly_where_terminating_pfq_does(self):
+        # f_1 = -2 with m_1 = 1 keeps (f)_m nonzero and poles term 3
+        f, m = ParamVector([mp.mpc(-2), cplx(0.6, 0.2)]), IntVector((1, 4))
+        for k in range(m.total + 1):
+            try:
+                terminating_pfq(list(f.shifted_by(m)) + [mp.mpc(-k)], list(f), k)
+            except DenominatorPoleError:
+                with pytest.raises(DenominatorPoleError):
+                    coeff_C(k, f, m)
+            else:
+                assert k <= 2
+                coeff_C(k, f, m)
+        with pytest.raises(DenominatorPoleError):
+            CoeffFamilies(f, m).C()
+
+    def test_index_out_of_range(self):
+        fam = CoeffFamilies([cplx(1.5)], [2])
+        with pytest.raises(IndexOutOfRangeError):
+            fam.C(3)
+        with pytest.raises(IndexOutOfRangeError):
+            fam.D(0.3, -1)
+        with pytest.raises(IndexOutOfRangeError):
+            fam.Y(0.3, 2)
+
+    def test_empty_m_has_no_y(self):
+        assert CoeffFamilies([], []).Y(cplx(0.3)) == []

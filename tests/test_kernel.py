@@ -1,9 +1,17 @@
+import math
+import random
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipdhyp.errors import DegenerateCaseError, LengthMismatchError, PoleAtNonpositiveIntegerError
+from ipdhyp.errors import (
+    DegenerateCaseError,
+    DenominatorPoleError,
+    LengthMismatchError,
+    PoleAtNonpositiveIntegerError,
+)
 from ipdhyp.hypeval import HypFunction
 from ipdhyp.kernel import (
     IntVector,
@@ -14,10 +22,14 @@ from ipdhyp.kernel import (
     genfunc_coeffs,
     get_precision,
     nonzero,
+    hyp_terms,
     pochhammer,
     pochhammer_vec,
+    rising,
     set_precision,
     stirling2,
+    terminating_family,
+    terminating_pfq,
 )
 
 COMPLEX_BOX = st.builds(
@@ -76,6 +88,101 @@ class TestPochhammer:
         whole = pochhammer(a, n + k)
         split = pochhammer(a, n) * pochhammer(a + n, k)
         assert abs(whole - split) <= mp.mpf("1e-30") * max(1, abs(whole))
+
+
+class TestRising:
+    @settings(max_examples=40, deadline=None)
+    @given(a=COMPLEX_BOX, n=st.integers(0, 14))
+    def test_entries_are_pochhammer_bit_for_bit(self, a, n):
+        run = rising(a, n)
+        assert len(run) == n + 1
+        for k, value in enumerate(run):
+            assert value.real._mpf_ == pochhammer(a, k).real._mpf_
+            assert value.imag._mpf_ == pochhammer(a, k).imag._mpf_
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rising(1, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pochhammer(1, -1)
+
+
+def _terminating_reference(num, den, terms):
+    """terminating_pfq as one product loop: the bit-level reference."""
+    nums, dens = [cplx(u) for u in num], [cplx(v) for v in den]
+    total = term = mp.mpc(1)
+    for n in range(terms):
+        for u in nums:
+            term *= u + n
+        for v in dens:
+            d = v + n
+            if d == 0:
+                raise DenominatorPoleError(f"bottom parameter {v} hits a pole at term {n + 1}")
+            term /= d
+        term /= n + 1
+        total += term
+    return total
+
+
+def _bits(z):
+    return (z.real._mpf_, z.imag._mpf_)
+
+
+class TestTerminatingFamily:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num=st.lists(COMPLEX_BOX, min_size=0, max_size=3),
+        den=st.lists(COMPLEX_BOX, min_size=0, max_size=3),
+        kmax=st.integers(0, 12),
+    )
+    def test_each_entry_matches_terminating_pfq(self, num, den, kmax):
+        try:
+            family = terminating_family(num, den, kmax)
+        except DenominatorPoleError:
+            with pytest.raises(DenominatorPoleError):
+                terminating_pfq(num + [-kmax], den, kmax)
+            return
+        tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
+        for k, value in enumerate(family):
+            single = terminating_pfq(num + [-k], den, k)
+            # both sum the same terms; scale by the largest one summed
+            scale = max(abs(t) * math.perm(k, n) for n, t in enumerate(hyp_terms(num, den, k)))
+            assert abs(value - single) <= tol * max(1, scale)
+
+    def test_terminating_pfq_keeps_its_bits(self):
+        rng = random.Random(331)
+        for _ in range(40):
+            num = [cplx(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(rng.randint(0, 3))]
+            den = [cplx(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(rng.randint(0, 3))]
+            k = rng.randint(0, 12)
+            got = terminating_pfq(num + [-k], den, k)
+            assert _bits(got) == _bits(_terminating_reference(num + [-k], den, k))
+
+    @pytest.mark.parametrize("pole", [0, -1, -3, -5])
+    @pytest.mark.parametrize("kmax", [0, 1, 3, 5, 6])
+    def test_raises_exactly_where_terminating_pfq_does(self, pole, kmax):
+        num, den = [cplx(0.3, 0.2)], [cplx(1.7, -0.4), mp.mpc(pole)]
+        try:
+            terminating_pfq(num + [-kmax], den, kmax)
+        except DenominatorPoleError:
+            with pytest.raises(DenominatorPoleError):
+                terminating_family(num, den, kmax)
+        else:
+            assert len(terminating_family(num, den, kmax)) == kmax + 1
+
+    def test_closed_form_chu_vandermonde(self):
+        # 2F1(-k, a; c | 1) = (c-a)_k / (c)_k
+        a, c = cplx(0.7, 0.3), cplx(2.4, -0.5)
+        for k, value in enumerate(terminating_family([a], [c], 10)):
+            expect = pochhammer(c - a, k) / pochhammer(c, k)
+            assert abs(value - expect) <= mp.mpf("1e-34") * max(1, abs(expect))
+
+    def test_entries_do_not_depend_on_the_length(self):
+        num, den = [cplx(1.2, 0.4), cplx(-0.6, 1.1)], [cplx(0.8, -0.3)]
+        long = terminating_family(num, den, 9)
+        for kmax in range(10):
+            short = terminating_family(num, den, kmax)
+            assert [_bits(z) for z in short] == [_bits(z) for z in long[: kmax + 1]]
 
 
 class TestPochhammerVec:

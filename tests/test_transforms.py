@@ -493,7 +493,7 @@ class TestMeijerNorlund:
             raise AssertionError("summed before every t was checked")
 
         monkeypatch.setattr(transforms, "eval_pfq_many", refuse)
-        monkeypatch.setattr(transforms, "coeff_D", refuse)
+        monkeypatch.setattr(transforms, "CoeffFamilies", refuse)
         for bad in (mp.mpf("1.2"), mp.mpf(0), cplx(0.5, 0.1)):
             with pytest.raises(ValueError, match="t must be real"):
                 meijer_norlund_ipd_many(
