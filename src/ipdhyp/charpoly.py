@@ -30,6 +30,9 @@ read each coefficient family once per build, as a vector over k
 iteration from a seeded random circle: in double precision first (from the
 circle itself when a double overflows), then at full precision until the
 residual target holds on two consecutive sweeps, the second a polish sweep.
+The full-precision sweeps run in fixed point, on pairs of Python integers
+scaled by 2^wp, with wp wide enough for the target at the largest root and
+for the relative precision of the smallest.
 Root multiplicity is not classified: repeated roots come back as
 near-coincident values, which is harmless downstream because (root+1, root)
 parameter pairs cancel formally in series term ratios.
@@ -44,6 +47,7 @@ import sys
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .coeffs import CoeffFamilies, w_poly_coeffs
 from .errors import DegenerateCaseError, NonConvergenceError
@@ -53,6 +57,7 @@ from .kernel import (
     IntVector,
     ParamVector,
     cplx,
+    from_fixed_pair,
     linear_products,
     nonzero,
     pochhammer,
@@ -60,6 +65,7 @@ from .kernel import (
     rising,
     terminating_family,
     terminating_pfq,
+    to_fixed_pair,
 )
 
 #: Relative magnitude below which a leading coefficient is trimmed.
@@ -171,36 +177,44 @@ class RootSet:
 def find_roots(poly: CPoly) -> RootSet:
     """All complex roots of ``poly``, each rounded to the working precision.
 
-    Everything runs at 15 guard digits.  Degree 0 has no roots and degree 1
-    the closed form -c_0/c_1.  From degree 2 on, Ehrlich-Aberth iteration
-    starts from a circle of Fujiwara-bound radius 2 max_k |c_{n-k}/c_n|^{1/k}
-    at angles drawn from ``random.Random(ROOT_SEED)``, so the result is
-    deterministic, and runs in two phases, both built on ``_sweep``:
+    The monic coefficients are made at 15 guard digits.  Degree 0 has no
+    roots and degree 1 the closed form -c_0/c_1.  From degree 2 on,
+    Ehrlich-Aberth iteration starts from a circle of Fujiwara-bound radius
+    R = 2 max_k |c_{n-k}/c_n|^{1/k} at angles drawn from
+    ``random.Random(ROOT_SEED)``, so the result is deterministic, and runs
+    in two phases:
 
-    1. double precision (``_double_start``): sweeps on ``complex`` copies of
-       the monic coefficients from the circle built in double, until the
-       largest relative step is a few ulp, or stalls at most
+    1. double precision (``_double_start``): ``_sweep`` on ``complex``
+       copies of the monic coefficients from the circle built in double,
+       until the largest relative step is a few ulp, or stalls at most
        ``DOUBLE_STALL_STEP`` without halving, or after ``MAX_SWEEPS``
        sweeps.  It only supplies the start of phase 2 and never raises; if
        the radius, a coefficient or an iterate is not finite in double,
        phase 2 starts from the circle built at full precision instead.
-    2. full precision: sweeps until the scaled residual max|p(root)| / |lead|
-       is at most 10^-(dps-10) on two consecutive sweeps, so the first sweep
-       under that target is followed by one polish sweep.  Raises
-       NonConvergenceError after ``MAX_SWEEPS`` sweeps.  ``RootSet.sweeps``
-       counts the sweeps of this phase.
+    2. full precision, in fixed point (``_fixed_sweep``): every number is a
+       pair of integers scaled by 2^wp, converted in once and out once.
+       wp is the bits of the 15-guard-digit context plus n times the larger
+       of log2 R and the bits below 1 of the smallest nonzero start
+       iterate: the first keeps the rounding of p at iterates up to R far
+       below the target, the second keeps the relative precision of small
+       roots, near which p is of order |z|^n.  Sweeps run until
+       the scaled residual max|p(root)| / |lead| is at most 10^-(dps-10) on
+       two consecutive sweeps, so the first sweep under that target is
+       followed by one polish sweep.  Raises NonConvergenceError after
+       ``MAX_SWEEPS`` sweeps.  ``RootSet.sweeps`` counts the sweeps of this
+       phase.
     """
     if poly.is_zero:
         raise DegenerateCaseError("zero polynomial has no well-defined roots")
     target = mp.mpf(10) ** (-(mp.mp.dps - 10))
     n = poly.degree
+    prec = mp.mp.prec
     with mp.extradps(15):
         lead = poly.leading
-        lead_mag = abs(lead)
         monic = [c / lead for c in poly.coeffs]
         if n < 2:
             z, sweeps = ([-monic[0]] if n == 1 else []), 0
-            residual = max((abs(poly(zi)) for zi in z), default=mp.mpf(0)) / lead_mag
+            residual = max((abs(poly(zi)) for zi in z), default=mp.mpf(0)) / abs(lead)
         else:
             deriv = [i * c for i, c in enumerate(monic) if i > 0]
             radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
@@ -213,27 +227,86 @@ def find_roots(poly: CPoly) -> RootSet:
                     for k, u in enumerate(draws)
                 ]
             z = [mp.mpc(zi) for zi in z]
-            tiny = mp.mpf(10) ** (-mp.mp.dps)
-            met = False
+            low = min((mp.mag(zi) for zi in z if zi), default=0)
+            wp = mp.mp.prec + n * max(0, -low, mp.mag(radius))
+            # highest coefficient first, as Horner reads them
+            fixed = [to_fixed_pair(c, wp) for c in reversed(monic)]
+            fixed_deriv = [(k * cr, k * ci) for k, (cr, ci) in zip(range(n, 0, -1), fixed)]
+            z = [to_fixed_pair(zi, wp) for zi in z]
+            inv_tiny = 10**mp.mp.dps << wp
+            # max |p(z)|^2 against target^2, both scaled by 2^(2 wp)
+            bound = to_fixed(target._mpf_, wp) ** 2
+            met = done = False
             for sweeps in range(1, MAX_SWEEPS + 1):
-                _sweep(monic, deriv, z, tiny)
-                residual = max(abs(poly(zi)) for zi in z) / lead_mag
-                if residual <= target and met:
+                _fixed_sweep(fixed, fixed_deriv, z, wp, inv_tiny)
+                square = max(pr * pr + pi * pi for pr, pi in
+                             (_fixed_horner(fixed, zr, zi, wp) for zr, zi in z))
+                done, met = met and square <= bound, square <= bound
+                if done:
                     break
-                met = residual <= target
-            else:
+            residual = mp.sqrt(mp.make_mpf(from_man_exp(square, -2 * wp)))
+            if not done:
                 raise NonConvergenceError(
                     f"root iteration failed to reach residual {mp.nstr(target, 5)} "
                     f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
                 )
+            z = [from_fixed_pair(zr, zi, wp, prec) for zr, zi in z]
     return RootSet(ParamVector(mp.mpc(zi) for zi in z), residual, sweeps)
 
 
-def _sweep(monic: list, deriv: list, z: list, tiny) -> None:
+def _fixed_horner(coeffs: list, zr: int, zi: int, wp: int) -> tuple:
+    """p(z) on fixed-point pairs scaled by 2^wp, ``coeffs`` highest first."""
+    ar = ai = 0
+    for cr, ci in coeffs:
+        ar, ai = ((ar * zr - ai * zi) >> wp) + cr, ((ar * zi + ai * zr) >> wp) + ci
+    return ar, ai
+
+
+def _fixed_sweep(monic: list, deriv: list, z: list, wp: int, inv_tiny: int) -> None:
     """One Gauss-Seidel Ehrlich-Aberth sweep over the iterates ``z``, in place.
 
-    Works alike on ``complex`` and ``mpc`` values; ``tiny`` replaces a
-    difference of two iterates that vanishes.
+    Every number is a pair of integers scaled by 2^wp (coefficients highest
+    first); a quotient u/v is u conj(v) / |v|^2 in integer division.  A
+    difference of two iterates that vanishes adds ``inv_tiny`` to the
+    shifts, and an iterate where the derivative vanishes is nudged to
+    z (1 + 2^-27) + 2^-40 first.
+    """
+    one = 1 << wp
+    for i, (zr, zi) in enumerate(z):
+        dr, di = _fixed_horner(deriv, zr, zi, wp)
+        if not (dr or di):
+            zr, zi = zr + (zr >> 27) + (one >> 40), zi + (zi >> 27)
+            dr, di = _fixed_horner(deriv, zr, zi, wp)
+            if not (dr or di):
+                z[i] = zr, zi
+                continue
+        pr, pi = _fixed_horner(monic, zr, zi, wp)
+        norm = dr * dr + di * di
+        nr, ni = ((pr * dr + pi * di) << wp) // norm, ((pi * dr - pr * di) << wp) // norm
+        # sum of 1/(z_i - z_j) over j != i
+        sr = si = 0
+        for j, (wr, wi) in enumerate(z):
+            if j == i:
+                continue
+            er, ei = zr - wr, zi - wi
+            if er or ei:
+                norm = er * er + ei * ei
+                sr += (er << 2 * wp) // norm
+                si -= (ei << 2 * wp) // norm
+            else:
+                sr += inv_tiny
+        # step = newton / (1 - newton * shifts)
+        qr, qi = one - ((nr * sr - ni * si) >> wp), -((nr * si + ni * sr) >> wp)
+        if qr or qi:
+            norm = qr * qr + qi * qi
+            nr, ni = ((nr * qr + ni * qi) << wp) // norm, ((ni * qr - nr * qi) << wp) // norm
+        z[i] = zr - nr, zi - ni
+
+
+def _sweep(monic: list, deriv: list, z: list, tiny: float) -> None:
+    """One Gauss-Seidel Ehrlich-Aberth sweep over the ``complex`` iterates
+    ``z``, in place; ``tiny`` replaces a difference of two iterates that
+    vanishes.
     """
     n = len(z)
     for i in range(n):

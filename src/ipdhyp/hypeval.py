@@ -69,7 +69,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
     DenominatorPoleError,
@@ -84,6 +83,8 @@ from .kernel import (
     ParamVector,
     as_nonpositive_integer,
     cplx,
+    from_fixed_pair,
+    to_fixed_pair,
 )
 
 #: Hard cap on the number of summed terms.
@@ -178,10 +179,6 @@ def _tol_bits(tol: mp.mpf) -> int:
     return max(0, 1 - exp - bc)
 
 
-def _to_fixed(z: ComplexValue, wp: int) -> tuple:
-    return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-
-
 def _fixed_linear_product(roots: list, out: list) -> list:
     """Coefficients of ``out`` times prod(1 + r u) over the fixed-point pairs
     ``roots``, in powers of u.  Read in X = 1/u, prod(1 + r u) gives those of
@@ -209,9 +206,9 @@ def _ratio_maker(fun: HypFunction, wp: int):
     # |D|^2 = prod(v + X) prod(conj(v) + X) are polynomials in X with exact
     # integer coefficients, those of |D|^2 real: Horner in the small n gives
     # the integers that the products N and D would
-    dens = [_to_fixed(v, pw) for v in fun.den]
+    dens = [to_fixed_pair(v, pw) for v in fun.den]
     conj = _fixed_linear_product([(vr, -vi) for vr, vi in dens], [(1, 0)])
-    cross = _fixed_linear_product([_to_fixed(u, pw) for u in fun.num], conj)
+    cross = _fixed_linear_product([to_fixed_pair(u, pw) for u in fun.num], conj)
     square = [c for c, _ in _fixed_linear_product(dens, conj)]
     # the products carry 2^(p pw) and 2^(q pw); lift is below -wp for p > q+1,
     # which only a terminating series reaches, or for pw > wp
@@ -248,7 +245,7 @@ class _Point:
 
     def __init__(self, index: int, x: ComplexValue, wp: int):
         self.index = index
-        self.xr, self.xi = _to_fixed(x, wp)
+        self.xr, self.xi = to_fixed_pair(x, wp)
         self.absx = math.nextafter(float(abs(x)), math.inf)  # |x| rounded up
         self.tr = self.sr = 1 << wp  # term and partial sum
         self.ti = self.si = 0
@@ -288,10 +285,8 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
         need = 2 * terms.bit_length() + GUARD_EXTRA_BITS + _growth_bits(
             pt.hi, pt.rise, unit, pt.huge
         )
-        value, term = (
-            mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
-            for re, im in ((pt.sr, pt.si), (pt.tr, pt.ti))
-        )
+        value = from_fixed_pair(pt.sr, pt.si, wp, prec)
+        term = from_fixed_pair(pt.tr, pt.ti, wp, prec)
         out[pt.index] = ((EvalResult(value, terms, tail), term), need)
 
     for n in steps:
@@ -437,7 +432,7 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
 
         def product(params: list) -> list:
             # the coefficient of u^k carries 2^(k wp), rescaled to 2^wp
-            coeffs = _fixed_linear_product([_to_fixed(v, wp) for v in params], [(1, 0)])
+            coeffs = _fixed_linear_product([to_fixed_pair(v, wp) for v in params], [(1, 0)])
             return [((cr << wp) >> (k * wp), (ci << wp) >> (k * wp))
                     for k, (cr, ci) in enumerate(coeffs)]
 
@@ -458,7 +453,7 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
                     acci -= dr * xi + di * xr
                 r.append((accr >> wp, acci >> wp))
 
-        sr, si = _to_fixed(sigma, wp)
+        sr, si = to_fixed_pair(sigma, wp)
         # A = 1/(sigma - 1) = conj(sigma - 1) / |sigma - 1|^2
         norm = (sr - one) ** 2 + si * si
         Ar, Ai = ((sr - one) << 2 * wp) // norm, (-si << 2 * wp) // norm
@@ -515,10 +510,7 @@ def _sum_at_unit(fun: HypFunction, tol: mp.mpf) -> EvalResult:
                 if mag < tol_units * _abs_down(wr, wi, w_drop, w_unit):
                     break
             # S_{N-1} + t_N W(N) = S_N + t_N (W(N) - 1)
-            rest = mp.make_mpc(
-                (from_man_exp(wr - one, -wp, mp.mp.prec, "n"),
-                 from_man_exp(wi, -wp, mp.mp.prec, "n"))
-            )
+            rest = from_fixed_pair(wr - one, wi, wp, mp.mp.prec)
             value = head.value + term * rest
             bound = abs(term) * mp.ldexp(smallest, -tol_bits) + abs(value) * rounding_floor
             if bound <= tol * max(1, abs(value)):

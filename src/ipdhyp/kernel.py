@@ -12,9 +12,11 @@ The rising factorial (a)_n = a(a+1)...(a+n-1), its run [(a)_0, ..., (a)_n]
 vectors f and m are tuples, ``ParamVector`` and ``IntVector``, compared by
 value; their constructors are the one coercion of any sequence.  The module
 also provides Stirling numbers of the second kind (exact integers),
-running products of linear factors as coefficient lists (behind every
-characteristic polynomial and behind (f_1+x)_{m_1}...(f_r+x)_{m_r}),
-exact summation of terminating hypergeometric series by term-ratio
+fixed-point pairs (``to_fixed_pair`` and ``from_fixed_pair``: a complex
+number as two integers scaled by 2^wp, for the inner loops of the oracle
+and of the root finder), running products of linear factors as
+coefficient lists (behind every characteristic polynomial and behind
+(f_1+x)_{m_1}...(f_r+x)_{m_r}), exact summation of terminating hypergeometric series by term-ratio
 recursion (``hyp_terms`` is the one term loop and pole check, and
 ``terminating_family`` sums one term sequence into pFq(-k, num; den | 1)
 for every k at once, so a coefficient family is computed once per build,
@@ -29,6 +31,7 @@ import math
 from typing import Iterable, Iterator, Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
     DegenerateCaseError,
@@ -75,6 +78,16 @@ def cplx(value: ComplexLike, imag: ComplexLike | None = None) -> ComplexValue:
     if isinstance(value, mp.mpc):
         return value
     return mp.mpc(mp.mpmathify(value))
+
+
+def to_fixed_pair(z: ComplexValue, wp: int) -> tuple:
+    """z as a pair of integers (re, im) scaled by 2^wp, each rounded down."""
+    return to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+
+
+def from_fixed_pair(re: int, im: int, wp: int, prec: int) -> ComplexValue:
+    """(re + i im) 2^-wp, rounded to ``prec`` bits."""
+    return mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
 
 
 def nonzero(value: ComplexValue, what: str) -> ComplexValue:

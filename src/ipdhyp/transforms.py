@@ -49,7 +49,13 @@ from .errors import (
     IntegerDifferenceError,
     RootWarning,
 )
-from .hypeval import HypFunction, eval_pfq_many, log_one_minus, mobius_arg
+from .hypeval import (
+    HypFunction,
+    default_series_tolerance,
+    eval_pfq_many,
+    log_one_minus,
+    mobius_arg,
+)
 from .kernel import (
     ComplexLike,
     ComplexValue,
@@ -105,7 +111,9 @@ class HypTerm:
             raise ValueError(f"unknown arg_map {self.arg_map!r}")
 
     def _at(self, points: _Points, tol) -> list:
-        """The term at every point; its series is summed once for all."""
+        """The term at every point; its series is summed once for all, to
+        ``tol`` over max(1, max |weight|), the weight being everything that
+        multiplies the series (coefficient, x-power and prefactor)."""
         xs = points.xs
         if self.coeff == 0:
             return [mp.mpc(0)] * len(xs)
@@ -117,7 +125,9 @@ class HypTerm:
             values = [v * mp.exp(mu * log) for v, log in zip(values, points.logs())]
         if self.fun is not None:
             args = points.mobius() if self.arg_map == ARG_MOBIUS else xs
-            sums = eval_pfq_many(self.fun, args, tol)
+            tol = default_series_tolerance() if tol is None else mp.mpf(tol)
+            # the weight scales the series' error, so a heavy term sums finer
+            sums = eval_pfq_many(self.fun, args, tol / max(1, max(abs(v) for v in values)))
             values = [v * s.value for v, s in zip(values, sums)]
         return values
 

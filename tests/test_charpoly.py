@@ -20,6 +20,7 @@ from ipdhyp.charpoly import (
 from ipdhyp.coeffs import coeff_Y
 from ipdhyp.errors import (
     DegenerateCaseError,
+    IpdHypError,
     NonConvergenceError,
 )
 from ipdhyp.kernel import (
@@ -176,17 +177,22 @@ class TestFindRoots:
     def test_ill_conditioned_simple_roots_leave_double_early(self, monkeypatch):
         # (t-1)...(t-6): rounding keeps the double step near 1e-13 relative,
         # above four ulp, so only the stall rule ends phase 1 early
-        kinds = []
-        sweep = charpoly._sweep
+        counts = {"double": 0, "fixed": 0}
+        sweep, fixed_sweep = charpoly._sweep, charpoly._fixed_sweep
 
-        def counted(monic, deriv, z, tiny):
-            kinds.append(type(z[0]))
-            return sweep(monic, deriv, z, tiny)
+        def counted_double(*args):
+            counts["double"] += 1
+            return sweep(*args)
 
-        monkeypatch.setattr(charpoly, "_sweep", counted)
+        def counted_fixed(*args):
+            counts["fixed"] += 1
+            return fixed_sweep(*args)
+
+        monkeypatch.setattr(charpoly, "_sweep", counted_double)
+        monkeypatch.setattr(charpoly, "_fixed_sweep", counted_fixed)
         roots = find_roots(CPoly.from_roots(range(1, 7)))
-        assert kinds.count(complex) <= 20
-        assert roots.sweeps == 2 == len(kinds) - kinds.count(complex)
+        assert counts["double"] <= 20
+        assert roots.sweeps == 2 == counts["fixed"]
         got = sorted(roots.roots, key=lambda z: z.real)
         assert all(abs(r - k) < mp.mpf("1e-28") for k, r in enumerate(got, 1))
 
@@ -216,6 +222,176 @@ class TestFindRoots:
             rebuilt = CPoly.from_roots(list(roots.roots), lead=1)
             monic = [c / poly.leading for c in poly.coeffs]
             assert _coeff_dev(rebuilt.coeffs, monic) <= mp.mpf("1e-28")
+
+
+def _reference_sweep(monic, deriv, z, tiny):
+    """The Gauss-Seidel Ehrlich-Aberth sweep on mpc values that find_roots'
+    full-precision phase ran before it moved to fixed point."""
+    n = len(z)
+    for i in range(n):
+        pv = charpoly._horner(monic, z[i])
+        dv = charpoly._horner(deriv, z[i])
+        if dv == 0:
+            z[i] = z[i] * (1 + 1e-8) + 1e-12
+            dv = charpoly._horner(deriv, z[i])
+            pv = charpoly._horner(monic, z[i])
+        newton = pv / dv
+        shifts = 0
+        for j in range(n):
+            if j == i:
+                continue
+            diff = z[i] - z[j]
+            if diff == 0:
+                diff = tiny
+            shifts += 1 / diff
+        denom = 1 - newton * shifts
+        step = newton if denom == 0 else newton / denom
+        z[i] = z[i] - step
+
+
+def _reference_roots(poly):
+    """Reference for ``find_roots`` at degree >= 2: the same start, then mpc
+    sweeps and an mpc Horner residual at 15 guard digits, with the same stop
+    rule."""
+    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+    n = poly.degree
+    with mp.extradps(15):
+        lead = poly.leading
+        monic = [c / lead for c in poly.coeffs]
+        deriv = [i * c for i, c in enumerate(monic) if i > 0]
+        radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
+        rng = random.Random(charpoly.ROOT_SEED)
+        draws = [rng.random() for _ in range(n)]
+        z = charpoly._double_start(monic, deriv, float(radius), draws)
+        if z is None:
+            z = [
+                radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(u) / 2) / n + mp.mpf("0.35")))
+                for k, u in enumerate(draws)
+            ]
+        z = [mp.mpc(zi) for zi in z]
+        tiny = mp.mpf(10) ** (-mp.mp.dps)
+        met = False
+        for sweeps in range(1, charpoly.MAX_SWEEPS + 1):
+            _reference_sweep(monic, deriv, z, tiny)
+            residual = max(abs(poly(zi)) for zi in z) / abs(lead)
+            if residual <= target and met:
+                break
+            met = residual <= target
+        else:
+            raise NonConvergenceError("reference iteration did not converge")
+    return [mp.mpc(zi) for zi in z], residual, sweeps
+
+
+def _engine_polys(rng, shape, ps=(3,)):
+    """Every characteristic polynomial of degree >= 2 for one seeded spec."""
+    f, m = _sample(rng, shape)
+    a, b, c, d, e = (_rc(rng) for _ in range(5))
+    builds = [
+        partial(build_Q, b, c, f, m),
+        partial(build_Q, b, c, f, m, route="eq7"),
+        partial(build_P, b, c, f, m),
+        partial(build_Qhat, a, b, c, f, m),
+        partial(build_Phat, a, b, c, f, m),
+        partial(build_L, a, d, e, b, f, m, variant="L"),
+        partial(build_L, a, d, e, b, f, m, variant="Lhat"),
+        partial(w_poly, b, f, m),
+    ]
+    for p in ps:
+        builds += [partial(build_T, b, p, f, m), partial(build_T, b, p, f, m, "Tstar", a)]
+    polys = []
+    for build in builds:
+        try:
+            poly = build()
+        except IpdHypError:
+            continue
+        if poly.degree >= 2:
+            polys.append(poly)
+    return polys
+
+
+class TestFixedPointPhase:
+    """find_roots against the mpc phase it replaced: the same sweeps, roots
+    equal to 10^-(dps-2) relative, and the residual under the target."""
+
+    @staticmethod
+    def _check(poly, sweeps_differ_by=0, multiplicity=1):
+        target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+        got = find_roots(poly)
+        ref, _, ref_sweeps = _reference_roots(poly)
+        assert got.residual <= target
+        assert abs(got.sweeps - ref_sweeps) == sweeps_differ_by
+        # a root of multiplicity k is determined only to the k-th root of
+        # the agreement of simple ones, and a zero one absolutely
+        tol = (mp.mpf(10) ** (2 - mp.mp.dps)) ** (mp.mpf(1) / multiplicity)
+        for new, old in zip(got.roots, ref):
+            assert abs(new - old) <= tol * (abs(old) if multiplicity == 1 else max(1, abs(old)))
+
+    def test_engine_like_specs(self):
+        rng = _rng(307)
+        count = 0
+        for shape in [(1,), (2,), (3,), (4,), (5,), (6,), (3, 3), (2, 2, 2)]:
+            for poly in _engine_polys(rng, shape, ps=(2, 3, 4, 5)):
+                self._check(poly)
+                count += 1
+        assert count >= 70
+
+    def test_route_study_shapes(self):
+        rng = _rng(311)
+        for shape in [(9,), (5, 4), (3, 3, 3), (12,), (6, 6), (4, 4, 4)]:
+            for poly in _engine_polys(rng, shape):
+                self._check(poly)
+
+    def test_roots_spread_over_scales(self):
+        # roots of one scale 10^e each, at 60 digits, so that CPoly trims no
+        # leading coefficient up to e * degree = 40.  The reference meets
+        # its absolute target only while max|c_k z^k| stays below about
+        # 10^25, which its rounding floor needs; beyond that the roots are
+        # checked against the ones the polynomial was built from.
+        mp.mp.dps = 60
+        rng = _rng(313)
+        for e in range(-20, 21, 5):
+            for degree in (2, 3, 4):
+                if e * degree > 40:
+                    continue
+                roots = [_rc(rng) * mp.mpf(10) ** e for _ in range(degree)]
+                poly = CPoly.from_roots(roots, lead=_rc(rng))
+                assert poly.degree == degree
+                if e * degree <= 20:
+                    self._check(poly)
+                got = find_roots(poly)
+                assert got.residual <= mp.mpf(10) ** (-(mp.mp.dps - 10))
+                for r in roots:
+                    assert min(abs(r - x) for x in got.roots) <= mp.mpf("1e-55") * abs(r)
+
+    def test_nudge_moves_an_iterate_off_a_double_critical_point(self):
+        # t^3 - 1 with an iterate at 0, where p' = 3t^2 vanishes to second
+        # order: a nudge of one ulp would leave p' = 0 in fixed point and
+        # the iterate where it is
+        wp = 120
+        one = 1 << wp
+        monic = [(one, 0), (0, 0), (0, 0), (-one, 0)]
+        deriv = [(3 * one, 0), (0, 0), (0, 0)]
+        z = [(0, 0), (2 * one, 0), (-2 * one, one)]
+        for _ in range(50):
+            charpoly._fixed_sweep(monic, deriv, z, wp, 10**40 << wp)
+        for zr, zi in z:
+            pr, pi = charpoly._fixed_horner(monic, zr, zi, wp)
+            assert max(abs(pr), abs(pi)) < 16
+
+    def test_edge_inputs(self):
+        self._check(CPoly.from_roots(range(1, 7)))
+        self._check(CPoly.from_roots([1, 1, 1, 1, 2]), multiplicity=4)
+        # t^8: after the nudge to 2^-40, p' = 8 t^7 is still 0 in fixed point
+        for degree in (2, 3, 8):
+            self._check(CPoly([0] * degree + [1]), multiplicity=degree)
+        mp.mp.dps = 400
+        # at 400 digits the reference's Horner rounds |p| to about 4e-390
+        # near 1e175: t^2 + 1e350 meets the 1e-390 target a sweep later, on
+        # an exact zero; and (t - 1e350)(t - 1) lands on its representable
+        # roots a sweep earlier than the fixed point, which resolves 4e-384
+        self._check(CPoly([mp.mpf("1e350"), 0, 1]), sweeps_differ_by=1)
+        big = mp.mpf("1e350")
+        self._check(CPoly([big, -(big + 1), 1]), sweeps_differ_by=1)
 
 
 class TestBuildQ:
@@ -508,4 +684,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "a898510ddf3889cb64e48bdead739da9669b708f6ad9bd4363cea7f98b95ebec"
+_PINNED_BUILDS = "061f698c8da504e39d58d5149c6a719afc7b695439d5ac2c189278104b8c3ba0"

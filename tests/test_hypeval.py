@@ -29,6 +29,7 @@ from ipdhyp.kernel import (
     gamma,
     pochhammer,
     set_precision,
+    to_fixed_pair,
 )
 
 
@@ -406,8 +407,8 @@ def _product_ratio_maker(fun, wp):
     products prod(u+n) and (n+1) prod(v+n) of the fixed-point parameters."""
     low = min((exp + bc for v in fun.den for _, man, exp, bc in v._mpc_ if man), default=0)
     pw = wp + max(0, -mp.mp.prec - low)
-    nums = [hypeval._to_fixed(u, pw) for u in fun.num]
-    dens = [hypeval._to_fixed(v, pw) for v in fun.den]
+    nums = [to_fixed_pair(u, pw) for u in fun.num]
+    dens = [to_fixed_pair(v, pw) for v in fun.den]
     lift = (fun.q - fun.p) * pw
 
     def ratio(n):

@@ -18,8 +18,11 @@ other exception stops the script.  Numbers are hashed exactly,
 by ``_feed`` of ``tests/test_verify_cli.py`` as the pins hash them.  The
 script prints one line per build label (``Q eq5``, ``T``, ``eq29``, ...;
 the p of a label is part of its builds, not of the label) with its number
-of builds and their digest, then the total number of hashed items and the
-digest of all of them.  Run it on two trees with the same arguments
+of builds and their digest; a label that builds a polynomial gets two more
+lines, the digest of its coefficients alone and that of its roots and
+residual alone (a build that raised goes into both), so a change that
+moves only roots shows as such.  Then come the total number of hashed
+items and the digest of all of them.  Run it on two trees with the same arguments
 (``ipdhyp`` is imported from ``PYTHONPATH``): equal digests mean equal
 builds, and a diff of the two outputs names the labels that moved.
 """
@@ -89,8 +92,11 @@ def _builds(spec: IpdSpec, d, e, bvec) -> list:
     def poly(build):
         def run():
             p = build()
-            roots = find_roots(p)
-            return [p.coeffs, list(roots.roots), roots.residual]
+            try:
+                roots = find_roots(p)
+            except IpdHypError as exc:
+                return {"coeffs": p.coeffs, "roots": type(exc).__name__}
+            return {"coeffs": p.coeffs, "roots": [list(roots.roots), roots.residual]}
         return run
 
     out = [
@@ -138,9 +144,36 @@ def _group(label: str) -> str:
     return head if tail.isdigit() else label
 
 
+class _LabelDigest:
+    """The digests of one label: of all its builds, and of a polynomial's
+    coefficients and of its roots apart (a build that raised goes to
+    both)."""
+
+    def __init__(self):
+        self.builds = 0
+        self.whole, self.coeffs, self.roots = (hashlib.sha256() for _ in range(3))
+        self.poly = False
+
+    def add(self, label: str, value) -> None:
+        self.builds += 1
+        self.poly = self.poly or isinstance(value, dict)
+        parts = (value, value, value)
+        if isinstance(value, dict):
+            parts = (value, value["coeffs"], value["roots"])
+        for sink, part in zip((self.whole, self.coeffs, self.roots), parts):
+            sink.update(label.encode())
+            _feed(sink, part)
+
+    def digests(self) -> tuple:
+        split = (self.coeffs.hexdigest(), self.roots.hexdigest()) if self.poly else (None, None)
+        return (self.builds, self.whole.hexdigest(), *split)
+
+
 def build_digest(seeds: range, count: int) -> tuple:
     """(number of hashed builds, SHA-256 hex digest) over all seeds, and
-    {label: (builds, digest)} per label, in the order the labels appear."""
+    {label: (builds, digest, coefficient digest, root digest)} per label, in
+    the order the labels appear; the last two are None for a label that
+    builds no polynomial."""
     digest = hashlib.sha256()
     items = 0
     groups = {}
@@ -161,13 +194,12 @@ def build_digest(seeds: range, count: int) -> tuple:
                             value = run()
                     except IpdHypError as exc:
                         value = type(exc).__name__
-                    group = groups.setdefault(_group(label), [0, hashlib.sha256()])
-                    group[0] += 1
-                    for sink in (digest, group[1]):
-                        sink.update(label.encode())
-                        _feed(sink, value)
+                    group = groups.setdefault(_group(label), _LabelDigest())
+                    group.add(label, value)
+                    digest.update(label.encode())
+                    _feed(digest, value)
                     items += 1
-    per_label = {name: (n, sink.hexdigest()) for name, (n, sink) in groups.items()}
+    per_label = {name: group.digests() for name, group in groups.items()}
     return items, digest.hexdigest(), per_label
 
 
@@ -179,8 +211,11 @@ def main() -> None:
     args = parser.parse_args()
     set_precision(args.digits)
     items, hexdigest, per_label = build_digest(args.seeds, args.count)
-    for name, (n, label_digest) in per_label.items():
+    for name, (n, label_digest, coeffs, roots) in per_label.items():
         print(f"{name:<14} {n:>5} builds  sha256 {label_digest}")
+        if coeffs is not None:
+            print(f"{'':<14} {'coefficients':>12}  sha256 {coeffs}")
+            print(f"{'':<14} {'roots':>12}  sha256 {roots}")
     print(f"{items} builds  sha256 {hexdigest}")
 
 

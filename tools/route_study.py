@@ -20,7 +20,12 @@ worst normwise relative error max_k |v_k - ref_k| / max_k |ref_k| over the
 specs, and the median over the specs of the fastest of ``REPEATS`` builds
 at ``--digits``, in ms.  A
 build that raises an ``IpdHypError`` at either precision is left out of
-both and counted in the last column.  ``ipdhyp`` is imported from
+both and counted in the last column.  A third table has one row per
+builder (P as built, not divided by (f)_m) and gives ``find_roots`` on its
+polynomial at ``--digits``: the worst ``RootSet.residual`` over the specs
+as a multiple of the target 10^-(digits-10), and in parentheses the median
+over the specs of the fastest of ``REPEATS`` calls, in ms; a call that
+raises is counted in the last column.  ``ipdhyp`` is imported from
 ``PYTHONPATH``, so the same script measures two trees.
 """
 
@@ -40,6 +45,7 @@ from ipdhyp.charpoly import (
     build_Q,
     build_Qhat,
     build_T,
+    find_roots,
 )
 from ipdhyp.coeffs import coeff_C, coeff_D, coeff_Y
 from ipdhyp.errors import IpdHypError
@@ -61,6 +67,21 @@ def _draw(rng: random.Random) -> mp.mpc:
     return mp.mpc(rng.uniform(-2, 3), rng.uniform(-1, 1))
 
 
+def _builders(a, b, c, d, e, f, m) -> list:
+    """(name, thunk) of every builder; each thunk returns a CPoly."""
+    return [
+        ("Q eq5", lambda: build_Q(b, c, f, m)),
+        ("Q eq7", lambda: build_Q(b, c, f, m, route="eq7")),
+        ("P", lambda: build_P(b, c, f, m)),
+        ("Q-hat", lambda: build_Qhat(a, b, c, f, m)),
+        ("P-hat", lambda: build_Phat(a, b, c, f, m)),
+        ("L", lambda: build_L(a, d, e, b, f, m, variant="L")),
+        ("L-hat", lambda: build_L(a, d, e, b, f, m, variant="Lhat")),
+        ("T", lambda: build_T(b, P, f, m)),
+        ("T*", lambda: build_T(b, P, f, m, variant="Tstar", a=a)),
+    ]
+
+
 def _routes(a, b, c, d, e, f, m) -> list:
     """(name, thunk) of every route; each thunk returns a coefficient list."""
     mt = sum(m)
@@ -72,17 +93,13 @@ def _routes(a, b, c, d, e, f, m) -> list:
         out.append((f"D {route}", lambda r=route: [coeff_D(k, f, m, b, r) for k in ks]))
     for route in ("hyp", "stirling", "norlund"):
         out.append((f"Y {route}", lambda r=route: [coeff_Y(l, b, f, m, r) for l in ls]))
-    out += [
-        ("Q eq5", lambda: build_Q(b, c, f, m).coeffs),
-        ("Q eq7", lambda: build_Q(b, c, f, m, route="eq7").coeffs),
-        ("P/(f)_m", lambda: [x / pochhammer_vec(f, m) for x in build_P(b, c, f, m).coeffs]),
-        ("Q-hat", lambda: build_Qhat(a, b, c, f, m).coeffs),
-        ("P-hat", lambda: build_Phat(a, b, c, f, m).coeffs),
-        ("L", lambda: build_L(a, d, e, b, f, m, variant="L").coeffs),
-        ("L-hat", lambda: build_L(a, d, e, b, f, m, variant="Lhat").coeffs),
-        ("T", lambda: build_T(b, P, f, m).coeffs),
-        ("T*", lambda: build_T(b, P, f, m, variant="Tstar", a=a).coeffs),
-    ]
+    for name, build in _builders(a, b, c, d, e, f, m):
+        if name == "P":
+            out.append(("P/(f)_m", lambda build=build: [
+                x / pochhammer_vec(f, m) for x in build().coeffs
+            ]))
+        else:
+            out.append((name, lambda build=build: build().coeffs))
     return out
 
 
@@ -94,13 +111,34 @@ def _error(got: list, ref: list) -> mp.mpf:
     return max(abs(g - r) for g, r in zip(got, ref)) / (top if top else 1)
 
 
-def study(digits: int, ref_digits: int, specs: int, seed: int) -> dict:
-    """{route: {m_total: (worst error, median ms, builds left out)}}."""
+def _fastest(run) -> tuple:
+    """(result, seconds) of the fastest of REPEATS calls of ``run``."""
+    best = None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        got = run()
+        spent = time.perf_counter() - start
+        best = spent if best is None else min(best, spent)
+    return got, best
+
+
+def _cells(cells: dict, total: int, table: dict) -> None:
+    """Fold {name: (values, times, left out)} into table[name][total]."""
+    for name, (values, times, left_out) in cells.items():
+        worst = max(values) if values else None
+        ms = 1e3 * statistics.median(times) if times else None
+        table.setdefault(name, {})[total] = (worst, ms, left_out[0])
+
+
+def study(digits: int, ref_digits: int, specs: int, seed: int) -> tuple:
+    """{route: {m_total: (worst error, median ms, builds left out)}}, and
+    {builder: {m_total: (worst residual / target, median ms, left out)}}."""
     set_precision(digits)
-    table = {}
+    target = mp.mpf(10) ** (10 - digits)
+    table, roots_table = {}, {}
     for total, shapes in SHAPES.items():
         rng = random.Random(f"route-study/{seed}/{total}")
-        cells = {}
+        cells, root_cells = {}, {}
         for i in range(specs):
             shape = shapes[i % len(shapes)]
             a, b, c, d, e = (_draw(rng) for _ in range(5))
@@ -108,23 +146,26 @@ def study(digits: int, ref_digits: int, specs: int, seed: int) -> dict:
             for name, build in _routes(a, b, c, d, e, f, shape):
                 errors, times, left_out = cells.setdefault(name, ([], [], [0]))
                 try:
-                    best = None
-                    for _ in range(REPEATS):
-                        start = time.perf_counter()
-                        got = build()
-                        spent = time.perf_counter() - start
-                        best = spent if best is None else min(best, spent)
-                    times.append(best)
+                    got, spent = _fastest(build)
+                    times.append(spent)
                     with mp.workdps(ref_digits):
                         ref = build()
                         errors.append(_error(got, ref))
                 except IpdHypError:
                     left_out[0] += 1
-        for name, (errors, times, left_out) in cells.items():
-            worst = max(errors) if errors else None
-            ms = 1e3 * statistics.median(times) if times else None
-            table.setdefault(name, {})[total] = (worst, ms, left_out[0])
-    return table
+            for name, build in _builders(a, b, c, d, e, f, shape):
+                residuals, times, left_out = root_cells.setdefault(name, ([], [], [0]))
+                try:
+                    poly = build()
+                    roots, spent = _fastest(lambda: find_roots(poly))
+                except IpdHypError:
+                    left_out[0] += 1
+                    continue
+                times.append(spent)
+                residuals.append(roots.residual / target)
+        _cells(cells, total, table)
+        _cells(root_cells, total, roots_table)
+    return table, roots_table
 
 
 def main() -> None:
@@ -134,7 +175,7 @@ def main() -> None:
     parser.add_argument("--specs", type=int, default=6)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    table = study(args.digits, args.ref_digits, args.specs, args.seed)
+    table, roots_table = study(args.digits, args.ref_digits, args.specs, args.seed)
     totals = list(SHAPES)
     print(f"worst normwise relative error at {args.digits} digits "
           f"against {args.ref_digits} digits, {args.specs} specs per m_total")
@@ -150,6 +191,17 @@ def main() -> None:
     for name, row in table.items():
         cells = [f"{row[t][1]:.2f}" if row[t][1] is not None else "-" for t in totals]
         print(f"| {name} | " + " | ".join(cells) + " |")
+    print()
+    print(f"worst find_roots residual over its target 1e-{args.digits - 10}, and the median "
+          f"find_roots time in ms (fastest of {REPEATS}), at {args.digits} digits")
+    print("| builder | " + " | ".join(f"m = {t}" for t in totals) + " | left out |")
+    print("|---" * (len(totals) + 2) + "|")
+    for name, row in roots_table.items():
+        cells = [
+            f"{mp.nstr(row[t][0], 2)} ({row[t][1]:.2f})" if row[t][0] is not None else "-"
+            for t in totals
+        ]
+        print(f"| {name} | " + " | ".join(cells) + f" | {sum(row[t][2] for t in totals)} |")
 
 
 if __name__ == "__main__":
