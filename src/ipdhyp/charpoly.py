@@ -17,14 +17,23 @@ form:
   two-free-parameter extensions, assembled from the Y coefficients.
 * ``w_poly``: the degree-(m-1) weight polynomial behind the Y family.
 
-Every builder is rational in its parameters (no Gamma is evaluated) and
-works on plain ascending coefficient lists: running products of linear
-factors come from ``kernel.linear_products``, and a weighted sum of basis
-polynomials (or a Lagrange interpolation) accumulates into one list, which
-is wrapped in ``CPoly`` once, so each result is trimmed once.  The weights
-read each coefficient family once per build, as a vector over k
-(``coeffs.CoeffFamilies``), and each Pochhammer weight (a)_k from one run
-``kernel.rising(a, m)``; no weight is rebuilt index by index.
+Every builder is rational in its parameters (no Gamma is evaluated), and
+its algebra is one body (``_q_eq5``, ``_q_eq7``, ``_p``, ``_qhat``,
+``_phat``, ``_t``, ``_l``, and ``coeffs.w_poly_coeffs`` for W) that uses
+only operators and int constants on plain ascending coefficient lists:
+running products of linear factors come from ``kernel.linear_products``,
+and a weighted sum of basis polynomials (or a Lagrange interpolation)
+accumulates into one list.  The weights read each coefficient family once
+per build, as a vector over k (``coeffs.CoeffFamilies``), and each
+Pochhammer weight (a)_k from one run ``kernel.rising(a, m)``; no weight is
+rebuilt index by index.  The public builder runs its body in fixed point,
+``CPoly(kernel.run_fixed(body, params, ...))``: the parameters convert in
+once, exactly, at W = 2 prec bits plus what the inputs need, the body runs
+on ``kernel.Fixed``, and the coefficients convert out once, correctly
+rounded, into one ``CPoly``, so each result is trimmed once.  The same
+body run on mpc is the reference the tests keep.  At 2 prec bits the
+cancellation among a builder's weights costs none of the working digits
+up to m = 12, where rounding after every mpc operation lost 10-13 of 40.
 
 ``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
 iteration from a seeded random circle: in double precision first (from the
@@ -63,6 +72,7 @@ from .kernel import (
     pochhammer,
     pochhammer_vec,
     rising,
+    run_fixed,
     terminating_family,
     terminating_pfq,
     to_fixed_pair,
@@ -134,13 +144,13 @@ def _horner(coeffs: list, z: ComplexValue) -> ComplexValue:
     return acc
 
 
-def _split_basis(c0: ComplexValue, n: int) -> list:
+def _split_basis(c0, n: int) -> list:
     """(t)_k (c0 - t)_{n-k} for k = 0..n: the basis of Q, P-hat and L."""
     rising = linear_products((j, 1) for j in range(n))
     rev = linear_products((c0 + j, -1) for j in range(n))
     basis = []
     for k in range(n + 1):
-        prod = [mp.mpc(0)] * (n + 1)
+        prod = [0] * (n + 1)
         for i, u in enumerate(rising[k]):
             for j, v in enumerate(rev[n - k]):
                 prod[i + j] += u * v
@@ -148,13 +158,13 @@ def _split_basis(c0: ComplexValue, n: int) -> list:
     return basis
 
 
-def _weighted_sum(weights, basis) -> CPoly:
-    """sum_k weights[k] * basis[k], trimmed once."""
-    out = [mp.mpc(0)] * max(len(poly) for poly in basis)
+def _weighted_sum(weights, basis) -> list:
+    """sum_k weights[k] * basis[k], as one coefficient list."""
+    out = [0] * max(len(poly) for poly in basis)
     for w, poly in zip(weights, basis):
         for i, c in enumerate(poly):
             out[i] += c * w
-    return CPoly(out)
+    return out
 
 
 @dataclass
@@ -370,59 +380,82 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
     """First-transformation characteristic polynomial Q, degree m, Q(0) = 1.
 
     route "eq5" assembles sum_k (b)_k C_k (t)_k (c-b-m-t)_{m-k} directly in
-    coefficient form; route "eq7" evaluates the equivalent rearrangement
-    with terminating-hypergeometric weights at m+1 points and interpolates.
-    Requires (c-b-m)_m != 0 (otherwise the transformation degenerates).
+    coefficient form (``_q_eq5``); route "eq7" evaluates the equivalent
+    rearrangement with terminating-hypergeometric weights at m+1 points
+    and interpolates (``_q_eq7``).  Requires (c-b-m)_m != 0 (otherwise the
+    transformation degenerates).
     """
-    b, c = cplx(b), cplx(c)
-    f, m = ParamVector(f), IntVector(m)
-    mt = m.total
-    norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    bk = rising(b, mt)
+    m = IntVector(m)
     if route == "eq5":
-        ck = CoeffFamilies(f, m).C()
-        weights = [bk[k] * ck[k] / norm for k in range(mt + 1)]
-        return _weighted_sum(weights, _split_basis(c - b - mt, mt))
+        return CPoly(run_fixed(_q_eq5, (b, c, ParamVector(f)), m))
     if route == "eq7":
-        fmvals = terminating_family(f.shifted_by(m), f, mt)
-
-        def q_at(t: ComplexValue) -> ComplexValue:
-            head = pochhammer(c - b - t - mt, mt) / norm
-            shifted = rising(1 + t + b - c, mt)
-            tot = mp.mpc(0)
-            term_tk = mp.mpc(1)
-            for k in range(mt + 1):
-                tot += fmvals[k] * term_tk * bk[k] / (shifted[k] * mp.factorial(k))
-                term_tk *= t + k
-            return head * tot
-
-        # interpolation nodes, offset off the real axis and checked against
-        # the poles of (1+t+b-c)_k at t = c-b-1-j
-        poles = [c - b - 1 - j for j in range(mt)]
-        for offset in ("0.5", "-0.7", "1.3", "0.23", "-1.42"):
-            nodes = [mp.mpc(j, mp.mpf(offset)) for j in range(mt + 1)]
-            clearance = min(
-                (abs(t - pole) for t in nodes for pole in poles), default=mp.mpf(1)
-            )
-            if clearance > mp.mpf("0.05"):
-                return _interpolate(nodes, [q_at(t) for t in nodes])
-        raise DegenerateCaseError("no pole-free interpolation nodes found")
+        b, c = cplx(b), cplx(c)
+        return CPoly(run_fixed(_q_eq7, (b, c, ParamVector(f), _node_shift(b, c, m.total)), m))
     raise ValueError(f"unknown route {route!r}")
 
 
-def _interpolate(nodes, values) -> CPoly:
-    """Lagrange interpolation through (node, value) pairs."""
-    total = [mp.mpc(0)] * len(nodes)
-    for i, (xi, yi) in enumerate(zip(nodes, values)):
-        basis = [yi]
-        for j, xj in enumerate(nodes):
-            if j != i:
-                # times (t - xj), then divided by (xi - xj)
-                scale = 1 / (xi - xj)
-                basis = [(lo * -xj + hi) * scale for lo, hi in zip(basis + [0], [0] + basis)]
-        for k, c in enumerate(basis):
-            total[k] += c
-    return CPoly(total)
+def _q_eq5(b, c, f, m: IntVector) -> list:
+    mt = m.total
+    norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
+    bk, ck = rising(b, mt), CoeffFamilies(f, m)._C(mt)
+    weights = [bk[k] * ck[k] / norm for k in range(mt + 1)]
+    return _weighted_sum(weights, _split_basis(c - b - mt, mt))
+
+
+def _node_shift(b: ComplexValue, c: ComplexValue, mt: int) -> ComplexValue:
+    """i times the first offset whose interpolation nodes j + i offset,
+    j = 0..m, keep 0.05 off the poles c-b-1-k, k < m, of (1+t+b-c)_k.
+
+    Node j minus pole k is gap + j + k, gap = i offset - (c-b-1), so the
+    m(m+1) distances take only the 2m values |gap + n|, n < 2m, which a
+    complex double measures well enough to place the nodes.
+    """
+    for offset in ("0.5", "-0.7", "1.3", "0.23", "-1.42"):
+        shift = mp.mpc(0, mp.mpf(offset))
+        gap = complex(shift - (c - b - 1))
+        if all(abs(gap + n) > 0.05 for n in range(2 * mt)):
+            return shift
+    raise DegenerateCaseError("no pole-free interpolation nodes found")
+
+
+def _q_eq7(b, c, f, shift, m: IntVector) -> list:
+    mt = m.total
+    norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
+    bk = rising(b, mt)
+    fmvals = terminating_family([fi + mi for fi, mi in zip(f, m)], f, mt)
+    weights = [fmvals[k] * bk[k] / math.factorial(k) for k in range(mt + 1)]
+    values = []
+    for j in range(mt + 1):
+        t = shift + j
+        shifted = rising(1 + t + b - c, mt)
+        total, tk = 0, 1
+        for k in range(mt + 1):
+            total += weights[k] * tk / shifted[k]
+            tk = tk * (t + k)
+        values.append(pochhammer(c - b - t - mt, mt) / norm * total)
+    return _interpolate(values, shift)
+
+
+def _interpolate(values: list, shift) -> list:
+    """Coefficients of the polynomial through (j + shift, values[j]), j = 0..n.
+
+    Lagrange's form in O(n^2): the node polynomial prod_j (t - j - shift)
+    is built once and each node is divided out of it by synthetic
+    division.  The nodes differ by integers, so each denominator
+    prod_{j != i} (x_i - x_j) is the exact integer (-1)^(n-i) i! (n-i)!.
+    """
+    n = len(values) - 1
+    node = linear_products((-(j + shift), 1) for j in range(n + 1))[-1]
+    total = [0] * (n + 1)
+    for i, y in enumerate(values):
+        x = i + shift
+        weight = y / ((-1) ** (n - i) * math.factorial(i) * math.factorial(n - i))
+        # quotient of node by (t - x), from the top
+        carry = node[n + 1]
+        for k in range(n, -1, -1):
+            total[k] += carry * weight
+            carry = node[k] + carry * x
+    return total
 
 
 def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
@@ -432,11 +465,13 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     P(x) = (1/(c-b-m)_m) sum_k (b)_k (1-c+b)_k D_k (c-b-m-x)_{m-k}.
     Coefficientwise P = (f)_m * Q, so both share the same roots.
     """
-    b, c = cplx(b), cplx(c)
-    f, m = ParamVector(f), IntVector(m)
+    return CPoly(run_fixed(_p, (b, c, ParamVector(f)), IntVector(m)))
+
+
+def _p(b, c, f, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    bk, ck, dk = rising(b, mt), rising(1 - c + b, mt), CoeffFamilies(f, m).D(b)
+    bk, ck, dk = rising(b, mt), rising(1 - c + b, mt), CoeffFamilies(f, m)._D(b, mt)
     weights = [bk[k] * ck[k] * dk[k] / norm for k in range(mt + 1)]
     # basis (c-b-m-t)_{m-k}, k = 0..m
     return _weighted_sum(weights, linear_products((c - b - mt + j, -1) for j in range(mt))[::-1])
@@ -450,15 +485,18 @@ def build_Qhat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     converting to monomials keeps everything exact.
     Requires (c-a-m)_m != 0 and (c-b-m)_m != 0.
     """
-    a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = ParamVector(f), IntVector(m)
+    return CPoly(run_fixed(_qhat, (a, b, c, ParamVector(f)), IntVector(m)))
+
+
+def _qhat(a, b, c, f, m: IntVector) -> list:
     mt = m.total
     nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    return _hatted(mt, CoeffFamilies(f, m).C(), a, b, c - a - mt, c - b - mt, c - a - b - mt)
+    ck = CoeffFamilies(f, m)._C(mt)
+    return _hatted(mt, ck, a, b, c - a - mt, c - b - mt, c - a - b - mt)
 
 
-def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
+def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> list:
     """sum_k (-1)^k coef_k (u)_k (v)_k / ((alpha)_k (beta)_k) * (t)_k
     * 3F2(k-n, gamma_, t+k; alpha+k, beta+k | 1), a polynomial of degree n.
 
@@ -467,16 +505,16 @@ def _hatted(n: int, coef: list, u, v, alpha, beta, gamma_) -> CPoly:
     everything stays exact.  Shared by Q-hat and L-hat.
     """
     us, vs, alphas, betas = (rising(z, n) for z in (u, v, alpha, beta))
-    rise = [mp.mpc(0)] * (n + 1)
+    rise = [0] * (n + 1)
     for k in range(n + 1):
         weight = (-1) ** k * coef[k] * us[k] * vs[k] / (alphas[k] * betas[k])
         rise[k] += weight
-        term = mp.mpc(1)
+        term = weight
         for s in range(n - k):
-            term *= ((-n + k + s) * (gamma_ + s)) / (
+            term = term * ((-n + k + s) * (gamma_ + s)) / (
                 (alpha + k + s) * (beta + k + s) * (s + 1)
             )
-            rise[k + s + 1] += weight * term
+            rise[k + s + 1] += term
     return _weighted_sum(rise, linear_products((j, 1) for j in range(n)))
 
 
@@ -487,20 +525,22 @@ def build_Phat(a: ComplexLike, b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
     builds follow genuinely different summation formulas, so their equality
     is a strong cross-check.
     """
-    a, b, c = cplx(a), cplx(b), cplx(c)
-    f, m = ParamVector(f), IntVector(m)
+    return CPoly(run_fixed(_phat, (a, b, c, ParamVector(f)), IntVector(m)))
+
+
+def _phat(a, b, c, f, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    fm_shift = list(f.shifted_by(m))
+    fm_shift = [fi + mi for fi, mi in zip(f, m)]
     ak, bk, ck = rising(a, mt), rising(-b - mt, mt), rising(c - b - mt, mt)
     # the bottom parameter b+m-k+1 moves with k, so each sum is its own
     weights = [
         (-1) ** k
         * ak[k]
         * bk[k]
-        * terminating_pfq([mp.mpc(-k), b] + fm_shift, [b + mt - k + 1] + list(f), k)
-        / (norm * ck[k] * mp.factorial(k))
+        * terminating_pfq([-k, b] + fm_shift, [b + mt - k + 1] + list(f), k)
+        / (norm * ck[k] * math.factorial(k))
         for k in range(mt + 1)
     ]
     return _weighted_sum(weights, _split_basis(c - a - mt, mt))
@@ -525,29 +565,34 @@ def build_T(
     coefficient zero comes back as the zero polynomial (``is_zero``), which
     ``find_roots`` rejects.
     """
-    b = cplx(b)
     f, m = ParamVector(f), IntVector(m)
     p = int(p)
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if variant not in ("T", "Tstar"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "Tstar":
-        if a is None:
-            raise ValueError("variant Tstar requires the parameter a")
-        a = cplx(a)
+    if variant == "T":
+        return CPoly(run_fixed(lambda b, f: _t(b, f, m, p), (b, f)))
+    if a is None:
+        raise ValueError("variant Tstar requires the parameter a")
+    return CPoly(run_fixed(lambda b, f, a: _t(b, f, m, p, a), (b, f, a)))
+
+
+def _t(b, f, m: IntVector, p: int, a=None) -> list:
+    """T, or T* when ``a`` is given."""
+    if a is not None:
         shifted = rising(b + 1 - a, p - 1)
     bq = rising(b, p - 1)
     weights, basis = [], []
     for q in range(1, p + 1):
         weight = (
             (-1) ** (q - 1)
-            * pochhammer_vec(f - (b + (q - 1)), m)
+            * pochhammer_vec([fi - (b + (q - 1)) for fi in f], m)
             * bq[q - 1]
-            / (mp.factorial(q - 1) * mp.factorial(p - q))
+            / (math.factorial(q - 1) * math.factorial(p - q))
         )
         factors = [(b + q + j, 1) for j in range(p - q)]
-        if variant == "Tstar":
+        if a is not None:
             weight /= nonzero(shifted[q - 1], "(b+1-a)_{q-1}")
             factors += [(b + 1 - a + j, 1) for j in range(q - 1)]
         weights.append(weight)
@@ -573,23 +618,26 @@ def build_L(
     (e-a-m+1)_{m-1} != 0.  A result with every coefficient zero comes back
     as the zero polynomial (``is_zero``), which ``find_roots`` rejects.
     """
-    a, d, e, b = cplx(a), cplx(d), cplx(e), cplx(b)
-    f, m = ParamVector(f), IntVector(m)
-    mt = m.total
-    if mt < 1:
+    m = IntVector(m)
+    if m.total < 1:
         raise ValueError("need m_total >= 1")
+    if variant not in ("L", "Lhat"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return CPoly(run_fixed(_l, (a, d, e, b, ParamVector(f)), m, variant))
+
+
+def _l(a, d, e, b, f, m: IntVector, variant: str) -> list:
+    mt = m.total
     nonzero(pochhammer(e - d - mt + 1, mt - 1), "(e-d-m+1)_{m-1}")
-    yk = CoeffFamilies(f, m).Y(b)
+    yk = CoeffFamilies(f, m)._Y(b, mt - 1)
     if variant == "L":
         dk = rising(d, mt - 1)
         weights = [dk[k] * yk[k] for k in range(mt)]
         return _weighted_sum(weights, _split_basis(e - d - mt + 1, mt - 1))
-    if variant == "Lhat":
-        nonzero(pochhammer(e - a - mt + 1, mt - 1), "(e-a-m+1)_{m-1}")
-        return _hatted(mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1)
-    raise ValueError(f"unknown variant {variant!r}")
+    nonzero(pochhammer(e - a - mt + 1, mt - 1), "(e-a-m+1)_{m-1}")
+    return _hatted(mt - 1, yk, a, d, e - a - mt + 1, e - d - mt + 1, e - a - d - mt + 1)
 
 
 def w_poly(b: ComplexLike, f, m) -> CPoly:
     """Weight polynomial W of degree m-1 (see coeffs.w_poly_coeffs)."""
-    return CPoly(w_poly_coeffs(b, f, m))
+    return CPoly(run_fixed(w_poly_coeffs, (b, ParamVector(f)), IntVector(m)))

@@ -21,17 +21,24 @@ routes cross-validate:
   closed forms for p = 2, 3, 4.
 
 Default route per family is the terminating-hypergeometric one (no Stirling
-sums); the other routes are kept for the cross-check suite.  That route is
-a vector over the index: ``CoeffFamilies(f, m)`` computes C, D and Y once
-per build, each as one terminating-sum family over a single term sequence
-(``kernel.terminating_family``), and Y shares the sequence of C.
-``coeff_C``, ``coeff_D`` and ``coeff_Y`` return entry k of the same
-vector, so a builder and a single coefficient take one code path.
+sums); the other routes are kept for the cross-check suite and run on mpc.
+That route is a vector over the index: ``CoeffFamilies(f, m)`` computes C,
+D and Y once per build, each as one terminating-sum family over a single
+term sequence (``kernel.terminating_family``), and Y shares the sequence
+of C.  Its algebra, like that of ``w_poly_coeffs``, uses only operators and
+int constants, so it runs on the type of its inputs: on ``kernel.Fixed``
+inside a builder's fixed-point run, which reads the vectors directly.
+Called with mpc values, as ``transforms`` calls it, each method converts
+f and b in once at W = 2 prec bits plus what the inputs need, and the
+vector out once, correctly rounded (``kernel.run_fixed``).  ``coeff_C``,
+``coeff_D`` and ``coeff_Y`` return entry k of the same vector, so a
+builder and a single coefficient take one code path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,16 +53,18 @@ from .errors import (
 from .kernel import (
     ComplexLike,
     ComplexValue,
+    Fixed,
     IntVector,
     ParamVector,
-    as_nonpositive_integer,
     cplx,
     genfunc_coeffs,
     hyp_terms,
+    lift,
     nonzero,
     pochhammer,
     pochhammer_vec,
     rising,
+    run_fixed,
     stirling2,
     terminating_family,
     terminating_pfq,
@@ -149,42 +158,77 @@ class CoeffFamilies:
     family raises DenominatorPoleError exactly where the per-index
     terminating sum of its last entry does, and entry k does not depend on
     how far the vector goes.
+
+    The algebra (``_fm_list``, ``_C``, ``_D``, ``_Y``) runs on the type of
+    f.  Inside a builder's fixed-point run f holds ``Fixed`` values and so
+    do the vectors.  Given mpc values, as ``transforms`` and ``coeff_*``
+    give them, each public method is one ``run_fixed``: f and its own b
+    convert in once at one width, and the vector comes out once as mpc.
     """
 
     def __init__(self, f, m):
-        self.f, self.m = ParamVector(f), IntVector(m)
+        self.f, self.m = tuple(lift(fi) for fi in f), IntVector(m)
+        if len(self.f) != len(self.m):
+            raise LengthMismatchError(f"vector lengths differ: {len(self.f)} vs {len(self.m)}")
         self.total = self.m.total
         self._sigma = []
         self._fm = None
+        self._twin = None
+
+    def _run(self, name: str, params: tuple, *args) -> list:
+        """Method ``name`` of the algebra on ``params`` and ``args``: directly
+        on Fixed (or on mpc when there is no f to convert), else as one
+        fixed-point run of the Fixed twin family."""
+        if not self.f or isinstance(self.f[0], Fixed):
+            return getattr(self, name)(*params, *args)
+        return run_fixed(
+            lambda f, *ps: getattr(self._twin_at(f), name)(*ps, *args), (self.f,) + params
+        )
+
+    def _twin_at(self, f) -> "CoeffFamilies":
+        """The family of the converted f, kept while calls convert at the
+        same width, so calls share its term sequence and (f)_m."""
+        if self._twin is None or self._twin.f[0].w != f[0].w:
+            self._twin = CoeffFamilies(f, self.m)
+        return self._twin
 
     @property
     def fm(self) -> ComplexValue:
         """(f)_m, which must not vanish (DegenerateCaseError)."""
+        return self._run("_fm_list", ())[0]
+
+    def _fm_list(self) -> list:
         if self._fm is None:
             self._fm = nonzero(pochhammer_vec(self.f, self.m), "(f)_m")
-        return self._fm
+        return [self._fm]
 
     def _sigma_to(self, upto: int) -> list:
         if len(self._sigma) <= upto:
-            self._sigma = hyp_terms(self.f.shifted_by(self.m), self.f, upto)
+            shifted = [fi + mi for fi, mi in zip(self.f, self.m)]
+            self._sigma = hyp_terms(shifted, self.f, upto)
         return self._sigma[: upto + 1]
 
     def C(self, upto: Optional[int] = None) -> list:
         """[C_0, ..., C_upto]: C_k = (-1)^k / k! (r+1)F_r(-k, f+m; f | 1)."""
         upto = self.total if upto is None else _checked(upto, self.total)
+        return self._run("_C", (), upto)
+
+    def _C(self, upto: int) -> list:
         sums = terminating_sums(self._sigma_to(upto))
-        return [(-1) ** k * val / mp.factorial(k) for k, val in enumerate(sums)]
+        return [(-1) ** k * val / math.factorial(k) for k, val in enumerate(sums)]
 
     def D(self, b: ComplexLike, upto: Optional[int] = None) -> list:
         """[D_0, ..., D_upto]:
         D_k = (-1)^k (f-b)_m / k! (r+1)F_r(-k, 1-f+b; 1-f+b-m | 1)."""
-        b = cplx(b)
         upto = self.total if upto is None else _checked(upto, self.total)
-        fbm = pochhammer_vec(self.f - b, self.m)
+        return self._run("_D", (lift(b),), upto)
+
+    def _D(self, b, upto: int) -> list:
+        fbm = pochhammer_vec([fi - b for fi in self.f], self.m)
         num = [1 - fi + b for fi in self.f]
         den = [1 - fi + b - mi for fi, mi in zip(self.f, self.m)]
         sums = terminating_family(num, den, upto)
-        return [(-1) ** k * fbm * val / mp.factorial(k) for k, val in enumerate(sums)]
+        return [(-1) ** k * fbm * val / math.factorial(k) for k, val in enumerate(sums)]
 
     def Y(self, b: ComplexLike, upto: Optional[int] = None) -> list:
         """[Y_0, ..., Y_upto] (default upto m_total - 1):
@@ -195,23 +239,25 @@ class CoeffFamilies:
         (b)_n/(b+1)_n = b/(b+n).  At b = -n, 1 <= n <= upto, the bottom
         parameter b+1 poles the series and DenominatorPoleError is raised.
         """
-        b = cplx(b)
         top = self.total - 1
         upto = top if upto is None else _checked(upto, top)
         if upto < 0:
             return []
-        fm = self.fm
-        pole = as_nonpositive_integer(b)
-        if pole is not None and 0 < -pole <= upto:
-            raise DenominatorPoleError(f"bottom parameter {b + 1} hits a pole at term {-pole}")
+        return self._run("_Y", (lift(b),), upto)
+
+    def _Y(self, b, upto: int) -> list:
+        fm = self._fm_list()[0]
+        for n in range(1, upto + 1):
+            if b + n == 0:
+                raise DenominatorPoleError(f"bottom parameter {1 - n} hits a pole at term {n}")
         sigma = self._sigma_to(upto)
         terms = [sigma[0]] + [b * s / (b + n) for n, s in enumerate(sigma[1:], 1)]
-        fbm = pochhammer_vec(self.f - b, self.m)
+        fbm = pochhammer_vec([fi - b for fi in self.f], self.m)
         b1 = rising(b + 1, upto)
         out = []
         for l, val in enumerate(terminating_sums(terms)):
             sgn = (-1) ** l
-            out.append(sgn * val / mp.factorial(l) - sgn * fbm / (b1[l] * fm))
+            out.append(sgn * val / math.factorial(l) - sgn * fbm / (b1[l] * fm))
         return out
 
 
@@ -263,18 +309,19 @@ def w_poly_coeffs(b: ComplexLike, f, m) -> list:
     leading coefficient is b/(f)_m and its free term
     ((f)_m - (f-b)_m)/(f)_m.  Computed by exact synthetic division of the
     numerator by (x + b) (the numerator vanishes at x = -b identically).
+    The algebra runs on the type of b and f: ``charpoly.w_poly`` runs it on
+    Fixed.
     """
-    f, m = ParamVector(f), IntVector(m)
-    b = cplx(b)
+    f, m, b = [lift(fi) for fi in f], IntVector(m), lift(b)
     mt = m.total
     if mt < 1:
         raise ValueError("need m_total >= 1")
     fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     nonzero(b, "b")
     numerator = genfunc_coeffs(f, m)
-    numerator[0] -= pochhammer_vec(f - b, m)
+    numerator[0] -= pochhammer_vec([fi - b for fi in f], m)
     # divide by (x + b); remainder is analytically zero and is dropped
-    quotient = [mp.mpc(0)] * mt
+    quotient = [0] * mt
     carry = numerator[mt]
     for kk in range(mt - 1, -1, -1):
         quotient[kk] = carry

@@ -1,28 +1,43 @@
-"""Numeric substrate: precision context, Pochhammer and gamma machinery.
+"""Numeric substrate: precision context, Pochhammer machinery, fixed point.
 
-All arithmetic in this package runs on mpmath complex numbers under one
-global decimal-precision context (default 40 significant digits).  The
-identities verified downstream involve alternating sums with heavy
-cancellation, so fixed double precision is not an option; the context can be
-raised but never drops below 16 digits.
+The working precision is one global decimal-precision context (default 40
+significant digits, never below 16), and every public value is an mpmath
+complex number (``mpc``) rounded to it.  The identities verified downstream
+involve alternating sums with heavy cancellation, so fixed double precision
+is not an option.  Inside, the hot layers compute in fixed point instead:
+
+* ``Fixed`` is a complex number as two Python integers scaled by 2^W, with
+  ``+ - * /``, integer operands and exact-zero tests (``== 0``, ``bool``).
+  Addition, subtraction and multiplication by an integer are exact; a
+  product or quotient is floored once per part, so it lands within one
+  unit of 2^-W.
+* ``run_fixed`` is where the polynomial builders and the coefficient
+  families convert: each mpc parameter goes in once (``to_fixed_pair``,
+  exact), the body runs on ``Fixed`` and each result comes out once
+  (``from_fixed_pair``, correctly rounded to the working precision).
+  ``fixed_width`` picks W = 2 prec plus the bits any input needs beyond
+  prec below the binary point, so every input converts exactly and every
+  nonzero difference of inputs stays at least 2^(prec-W): an exact-zero
+  guard fires exactly where the exact value is zero.  The oracle and the
+  root finder use the same pairs in their own inner loops.
 
 The rising factorial (a)_n = a(a+1)...(a+n-1), its run [(a)_0, ..., (a)_n]
 (``rising``, which ``pochhammer`` reads) and its vector form
-(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  The
-vectors f and m are tuples, ``ParamVector`` and ``IntVector``, compared by
-value; their constructors are the one coercion of any sequence.  The module
-also provides Stirling numbers of the second kind (exact integers),
-fixed-point pairs (``to_fixed_pair`` and ``from_fixed_pair``: a complex
-number as two integers scaled by 2^wp, for the inner loops of the oracle
-and of the root finder), running products of linear factors as
-coefficient lists (behind every characteristic polynomial and behind
-(f_1+x)_{m_1}...(f_r+x)_{m_r}), exact summation of terminating hypergeometric series by term-ratio
-recursion (``hyp_terms`` is the one term loop and pole check, and
-``terminating_family`` sums one term sequence into pFq(-k, num; den | 1)
-for every k at once, so a coefficient family is computed once per build,
-as a vector), ``nonzero``, the one guard behind every quantity a
-transformation needs nonzero, and ``as_nonpositive_integer``, the one
-predicate for "z is at, or within a tolerance of, a pole of Gamma".
+(f)_m = (f_1)_{m_1}...(f_r)_{m_r} are the basic building blocks.  They,
+``linear_products`` (running products of linear factors as coefficient
+lists, behind every characteristic polynomial and behind
+(f_1+x)_{m_1}...(f_r+x)_{m_r}), ``genfunc_coeffs``, ``hyp_terms`` (the one
+term loop and pole check of a terminating series) and
+``terminating_sums``/``terminating_family`` (pFq(-k, num; den | 1) for
+every k at once, from one term sequence) use only operators and integer
+constants, so one body runs on ``mpc`` and on ``Fixed``; ``lift`` is their
+one coercion, and it leaves both types alone.  The vectors f and m are
+tuples, ``ParamVector`` and ``IntVector``, compared by value; their
+constructors are the one coercion of any sequence.  The module also
+provides Stirling numbers of the second kind (exact integers),
+``nonzero``, the one guard behind every quantity a transformation needs
+nonzero, and ``as_nonpositive_integer``, the one predicate for "z is at,
+or within a tolerance of, a pole of Gamma".
 """
 
 from __future__ import annotations
@@ -88,6 +103,128 @@ def to_fixed_pair(z: ComplexValue, wp: int) -> tuple:
 def from_fixed_pair(re: int, im: int, wp: int, prec: int) -> ComplexValue:
     """(re + i im) 2^-wp, rounded to ``prec`` bits."""
     return mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
+
+
+class Fixed:
+    """A complex number (re + i im) 2^-w as two Python integers.
+
+    Operands are Fixed values of the same w or Python ints.  ``+``, ``-``
+    and multiplication by an int are exact; a product or quotient of two
+    Fixed values, or a quotient by an int, floors each part once, so it
+    lands within one unit of 2^-w.  ``== 0`` and ``bool`` are exact.  Any
+    other operand, an mpc or a float, raises TypeError, so no value of
+    another type can leak into a fixed-point run.
+    """
+
+    __slots__ = ("re", "im", "w")
+
+    def __init__(self, re: int, im: int, w: int):
+        self.re, self.im, self.w = re, im, w
+
+    def __add__(self, other):
+        if type(other) is Fixed:
+            return Fixed(self.re + other.re, self.im + other.im, self.w)
+        if type(other) is int:
+            return Fixed(self.re + (other << self.w), self.im, self.w)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Fixed:
+            return Fixed(self.re - other.re, self.im - other.im, self.w)
+        if type(other) is int:
+            return Fixed(self.re - (other << self.w), self.im, self.w)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return Fixed((other << self.w) - self.re, -self.im, self.w)
+        return NotImplemented
+
+    def __neg__(self):
+        return Fixed(-self.re, -self.im, self.w)
+
+    def __mul__(self, other):
+        if type(other) is Fixed:
+            ar, ai, br, bi, w = self.re, self.im, other.re, other.im, self.w
+            return Fixed((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, w)
+        if type(other) is int:
+            return Fixed(self.re * other, self.im * other, self.w)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Fixed:
+            ar, ai, br, bi, w = self.re, self.im, other.re, other.im, self.w
+            norm = br * br + bi * bi
+            if not norm:
+                raise ZeroDivisionError("division by an exact zero")
+            return Fixed(((ar * br + ai * bi) << w) // norm, ((ai * br - ar * bi) << w) // norm, w)
+        if type(other) is int:
+            return Fixed(self.re // other, self.im // other, self.w)
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        """Only x ** 0, the one of x's type, which the generic helpers use."""
+        if n != 0:
+            return NotImplemented
+        return Fixed(1 << self.w, 0, self.w)
+
+    def __eq__(self, other):
+        if type(other) is Fixed:
+            return self.re == other.re and self.im == other.im
+        if type(other) is int:
+            return self.im == 0 and self.re == other << self.w
+        return NotImplemented
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+
+def fixed_width(values: Iterable[ComplexValue], prec: int) -> int:
+    """W = prec + max(prec, L), L the most bits below the binary point that
+    any part of ``values`` needs: 2 prec for inputs of order one, more for
+    inputs whose last bit lies below 2^-prec.
+
+    Every input then converts exactly, and any nonzero difference of inputs
+    is at least 2^(prec-W), prec bits clear of the fixed-point floor.
+    """
+    need = 0
+    for z in values:
+        for _, man, exp, _ in (z.real._mpf_, z.imag._mpf_):
+            if man and exp < 0:
+                need = max(need, -exp)
+    return prec + max(prec, need)
+
+
+def run_fixed(body, params: Sequence, *args) -> list:
+    """``body(*params, *args)`` run on Fixed, its result list converted out.
+
+    Each parameter is a number or a sequence of numbers.  All of them are
+    coerced by ``cplx`` and converted in at one ``fixed_width``, exactly;
+    ``args`` (integers, names) pass unchanged; and every entry of the list
+    the body returns, which must be a Fixed, comes out rounded to the
+    working precision.  This is where the builders and the coefficient
+    families convert in once and out once.
+    """
+    prec = mp.mp.prec
+    groups = [[cplx(z) for z in p] if isinstance(p, (list, tuple)) else [cplx(p)] for p in params]
+    w = fixed_width((z for group in groups for z in group), prec)
+    fixed = [[Fixed(*to_fixed_pair(z, w), w) for z in group] for group in groups]
+    ins = [group if isinstance(p, (list, tuple)) else group[0] for p, group in zip(params, fixed)]
+    return [from_fixed_pair(z.re, z.im, w, prec) for z in body(*ins, *args)]
+
+
+def lift(value: ComplexLike):
+    """The one coercion of the generic helpers: an int, an mpc or a Fixed
+    comes back unchanged, anything else goes through ``cplx``."""
+    if isinstance(value, (int, mp.mpc, Fixed)):
+        return value
+    return cplx(value)
 
 
 def nonzero(value: ComplexValue, what: str) -> ComplexValue:
@@ -180,8 +317,9 @@ class ParamVector(tuple):
 
 
 def _paired(f: Iterable[ComplexLike], m: Iterable[int]) -> Iterator[tuple[ComplexValue, int]]:
-    """The pairs (f_i, m_i) of a parameter and a multiplicity vector."""
-    fs, ms = ParamVector(f), IntVector(m)
+    """The pairs (f_i, m_i) of a parameter and a multiplicity vector, each
+    f_i through ``lift``."""
+    fs, ms = [lift(e) for e in f], IntVector(m)
     if len(fs) != len(ms):
         raise LengthMismatchError(f"vector lengths differ: {len(fs)} vs {len(ms)}")
     return zip(fs, ms)
@@ -192,12 +330,13 @@ def rising(a: ComplexLike, n: int) -> list:
     products; entry k is ``pochhammer(a, k)`` bit for bit.
 
     Every builder that weights a sum over k by (a)_k reads one run instead
-    of building each (a)_k from 1.
+    of building each (a)_k from 1.  The run is in the type of ``lift(a)``,
+    (a)_0 = a ** 0 included.
     """
     if n < 0:
         raise ValueError(f"pochhammer order must be nonnegative, got {n}")
-    a = cplx(a)
-    run = [mp.mpc(1)]
+    a = lift(a)
+    run = [a**0]
     for j in range(n):
         run.append(run[-1] * (a + j))
     return run
@@ -214,10 +353,11 @@ def pochhammer(a: ComplexLike, n: int) -> ComplexValue:
 
 
 def pochhammer_vec(f: Iterable[ComplexLike], m: Iterable[int]) -> ComplexValue:
-    """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r}."""
-    result = mp.mpc(1)
+    """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r};
+    the int 1 for empty vectors."""
+    result = 1
     for fi, mi in _paired(f, m):
-        result *= pochhammer(fi, mi)
+        result = result * pochhammer(fi, mi)
     return result
 
 
@@ -244,11 +384,12 @@ def stirling2(j: int, k: int) -> int:
 def linear_products(factors) -> list:
     """Running products [1, l_0, l_0 l_1, ...] of the linear polynomials
     l_j(x) = u_j + v_j x, given as pairs (u_j, v_j), as ascending coefficient
-    lists."""
-    out = [[mp.mpc(1)]]
+    lists.  The coefficients are in the type of the factors: exact ints for
+    int factors, and the first list is [1]."""
+    out = [[1]]
     for u, v in factors:
         prev = out[-1]
-        nxt = [mp.mpc(0)] * (len(prev) + 1)
+        nxt = [0] * (len(prev) + 1)
         for i, c in enumerate(prev):
             nxt[i] += c * u
             nxt[i + 1] += c * v
@@ -271,10 +412,14 @@ def genfunc_coeffs(
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    shift = cplx(shift)
-    return linear_products(
-        (fi - shift + j, sign) for fi, mi in _paired(f, m) for j in range(mi)
-    )[-1]
+    shift = lift(shift)
+    factors = []
+    for fi, mi in _paired(f, m):
+        for j in range(mi):
+            u = fi - shift + j
+            # sign in u's type, so the top coefficient is not a bare int
+            factors.append((u, sign * u**0))
+    return linear_products(factors)[-1]
 
 
 def hyp_terms(
@@ -287,11 +432,13 @@ def hyp_terms(
 
     The engine's one term loop and its one pole check (the series oracle
     ``hypeval`` keeps its own): a bottom parameter v with v + n = 0 for
-    some n < count raises DenominatorPoleError.
+    some n < count raises DenominatorPoleError.  The parameters go through
+    ``lift``, and t_0 is the one of the first that is not an int (an mpc
+    when all are).
     """
-    nums = [cplx(u) for u in num]
-    dens = [cplx(v) for v in den]
-    term = mp.mpc(1)
+    nums = [lift(u) for u in num]
+    dens = [lift(v) for v in den]
+    term = next((z for z in nums + dens if type(z) is not int), cplx(1)) ** 0
     terms = [term]
     for n in range(count):
         for u in nums:
@@ -299,9 +446,7 @@ def hyp_terms(
         for v in dens:
             d = v + n
             if d == 0:
-                raise DenominatorPoleError(
-                    f"bottom parameter {v} hits a pole at term {n + 1}"
-                )
+                raise DenominatorPoleError(f"bottom parameter {-n} hits a pole at term {n + 1}")
             term /= d
         term /= n + 1
         terms.append(term)
@@ -321,7 +466,7 @@ def terminating_pfq(
     parameters close to negative integers are harmless as long as the pole
     index lies beyond the terminal one.
     """
-    return sum(hyp_terms(num, den, terms), mp.mpc(0))
+    return sum(hyp_terms(num, den, terms))
 
 
 def terminating_sums(terms: Sequence[ComplexValue]) -> list:
@@ -334,7 +479,7 @@ def terminating_sums(terms: Sequence[ComplexValue]) -> list:
     """
     sums = []
     for k in range(len(terms)):
-        total, weight = mp.mpc(0), 1
+        total, weight = 0, 1
         for n in range(k + 1):
             total += weight * terms[n]
             weight *= n - k

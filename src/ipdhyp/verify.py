@@ -432,7 +432,7 @@ def _check_lemma4(case: IdentityCase) -> list:
         mt = m.total
         f_shift = list(f.shifted_by(m))
         inner = terminating_family(f_shift, f, mt)
-        pb, nb, nm = rising(b, mt), rising(-b - mt, mt), rising(-mt, mt)
+        pb, nb, nm = rising(b, mt), rising(-b - mt, mt), rising(mp.mpc(-mt), mt)
         denominators = [
             mp.mpc((-1) ** i * math.perm(mt, i) * math.factorial(i)) for i in range(mt + 1)
         ]

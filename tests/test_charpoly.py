@@ -78,8 +78,9 @@ class TestCPoly:
 
     def test_weighted_sum_trims_only_the_result(self):
         # the first partial sum's top coefficient is below the trim threshold
-        # of that partial sum, but it is all that is left once the sum is done
-        poly = charpoly._weighted_sum([1, -1], [[1, mp.mpf("1e-36")], [1]])
+        # of that partial sum, but it is all that is left once the sum is done;
+        # the sum is a plain list, and CPoly trims it once
+        poly = CPoly(charpoly._weighted_sum([1, -1], [[1, mp.mpf("1e-36")], [1]]))
         assert poly.degree == 1
         assert poly.coeffs[1] == mp.mpf("1e-36")
 
@@ -650,6 +651,56 @@ class TestDegreeContracts:
         assert w_poly(b, f, m).degree == mt - 1
 
 
+class TestRoutesAtWorkingPrecision:
+    """The paper's cross-checking routes agree at the working precision,
+    engine only, at m_total 4 to 8: each relation holds within
+    10^-(dps-4) normwise, with no raised precision."""
+
+    SHAPES = [(4,), (2, 2), (5,), (3, 2), (6,), (2, 2, 2), (7,), (4, 3), (8,), (4, 4)]
+
+    @staticmethod
+    def _normwise(p1, p2):
+        assert len(p1) == len(p2)
+        return max(abs(x - y) for x, y in zip(p1, p2)) / max(abs(y) for y in p2)
+
+    def _specs(self, seed):
+        rng = _rng(seed)
+        for shape in self.SHAPES:
+            f, m = _sample(rng, shape)
+            yield f, m, _rc(rng), _rc(rng), _rc(rng)
+
+    def _tol(self):
+        return mp.mpf(10) ** (4 - mp.mp.dps)
+
+    def test_p_is_fm_times_q(self):
+        for f, m, a, b, c in self._specs(907):
+            fm = pochhammer_vec(f, m)
+            q = [fm * z for z in build_Q(b, c, f, m).coeffs]
+            assert self._normwise(build_P(b, c, f, m).coeffs, q) <= self._tol(), m
+
+    def test_q_eq5_is_q_eq7(self):
+        for f, m, a, b, c in self._specs(911):
+            eq5, eq7 = build_Q(b, c, f, m), build_Q(b, c, f, m, route="eq7")
+            assert self._normwise(eq7.coeffs, eq5.coeffs) <= self._tol(), m
+
+    def test_qhat_is_phat(self):
+        for f, m, a, b, c in self._specs(919):
+            qhat, phat = build_Qhat(a, b, c, f, m), build_Phat(a, b, c, f, m)
+            assert self._normwise(phat.coeffs, qhat.coeffs) <= self._tol(), m
+
+    def test_splitting_a_pair_keeps_q(self):
+        # (f_i + m_i; f_i) = prod_j (f_i + j + 1; f_i + j): the pair (f_i, m_i)
+        # and the m_i unit pairs (f_i + j, 1) define the same function
+        for f, m, a, b, c in self._specs(929):
+            i = max(range(len(m)), key=lambda k: m[k])
+            split_f = list(f[:i]) + [f[i] + j for j in range(m[i])] + list(f[i + 1:])
+            split_m = list(m[:i]) + [1] * m[i] + list(m[i + 1:])
+            for route in ("eq5", "eq7"):
+                whole = build_Q(b, c, f, m, route=route)
+                split = build_Q(b, c, split_f, split_m, route=route)
+                assert self._normwise(split.coeffs, whole.coeffs) <= self._tol(), (m, route)
+
+
 class TestPinned:
     def test_builds_are_pinned(self):
         # Every builder, genfunc_coeffs and find_roots on a few seeded specs,
@@ -684,4 +735,4 @@ class TestPinned:
 
 
 #: SHA-256 of the builds in test_builds_are_pinned at 40 digits.
-_PINNED_BUILDS = "061f698c8da504e39d58d5149c6a719afc7b695439d5ac2c189278104b8c3ba0"
+_PINNED_BUILDS = "b80e8b6077b0a01d50c71e908d7b17085b679454bc7fd5cda5f1ff1c5345db48"

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -9,15 +10,21 @@ from hypothesis import strategies as st
 from ipdhyp.errors import (
     DegenerateCaseError,
     DenominatorPoleError,
+    IpdHypError,
     LengthMismatchError,
     PoleAtNonpositiveIntegerError,
 )
+from ipdhyp import charpoly
+from ipdhyp.coeffs import CoeffFamilies, w_poly_coeffs
 from ipdhyp.hypeval import HypFunction
 from ipdhyp.kernel import (
+    Fixed,
     IntVector,
     ParamVector,
     as_nonpositive_integer,
     cplx,
+    fixed_width,
+    from_fixed_pair,
     gamma,
     genfunc_coeffs,
     get_precision,
@@ -26,10 +33,12 @@ from ipdhyp.kernel import (
     pochhammer,
     pochhammer_vec,
     rising,
+    run_fixed,
     set_precision,
     stirling2,
     terminating_family,
     terminating_pfq,
+    to_fixed_pair,
 )
 
 COMPLEX_BOX = st.builds(
@@ -391,6 +400,280 @@ class TestVectors:
     def test_shifted_by_mismatch(self):
         with pytest.raises(LengthMismatchError):
             ParamVector([1, 2]).shifted_by(IntVector([1]))
+
+def _prec_bit(rng, scale=0):
+    """A random mpc of modulus up to about 2^(scale+2) whose parts carry
+    prec-bit mantissas."""
+    prec = mp.mp.prec
+
+    def part():
+        return mp.ldexp(mp.mpf(rng.getrandbits(prec + 2) - 2 ** (prec + 1)), scale - prec)
+
+    return mp.mpc(part(), part())
+
+
+def _fixed(zs):
+    """zs converted in at one width, as run_fixed converts them."""
+    w = fixed_width(zs, mp.mp.prec)
+    return [Fixed(*to_fixed_pair(z, w), w) for z in zs], w
+
+
+def _exact(x: Fixed):
+    """The value of x as a pair of Fractions."""
+    return Fraction(x.re, 2**x.w), Fraction(x.im, 2**x.w)
+
+
+def _exact_mpc(z):
+    parts = []
+    for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_):
+        parts.append(Fraction((-1) ** sign * man) * Fraction(2) ** exp)
+    return tuple(parts)
+
+
+def _exact_mul(x, y):
+    (ar, ai), (br, bi) = x, y
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _exact_div(x, y):
+    (ar, ai), (br, bi) = x, y
+    norm = br * br + bi * bi
+    return (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm
+
+
+class TestFixed:
+    SCALES = (0, 5, -40, -150, 60)
+
+    def test_width_is_twice_prec_plus_what_the_inputs_need(self):
+        prec = mp.mp.prec
+        assert fixed_width([cplx(0.3, 0.1), cplx(2)], prec) == prec + max(prec, 54)
+        assert fixed_width([cplx(1), cplx(0)], prec) == 2 * prec
+        tiny = mp.mpc(mp.ldexp(1, -400))
+        assert fixed_width([cplx(0.5), tiny], prec) == prec + 400
+
+    def test_conversion_in_is_exact(self):
+        rng = random.Random(701)
+        for scale in self.SCALES:
+            for _ in range(20):
+                z = _prec_bit(rng, scale)
+                (x,), _ = _fixed([z])
+                assert _exact(x) == _exact_mpc(z)
+
+    def test_conversion_out_is_correctly_rounded(self):
+        rng = random.Random(709)
+        prec = mp.mp.prec
+        for _ in range(200):
+            w = rng.randint(2 * prec, 3 * prec)
+            re, im = rng.getrandbits(w + 20) - 2 ** (w + 19), rng.getrandbits(w // 2)
+            z = from_fixed_pair(re, im, w, prec)
+            for part, exact in zip(_exact_mpc(z), (Fraction(re, 2**w), Fraction(im, 2**w))):
+                # round to nearest: within half a unit of the last of prec bits
+                assert abs(part - exact) <= Fraction(2) ** (mp.mag(exact) - prec - 1)
+
+    def test_add_and_subtract_are_exact(self):
+        rng = random.Random(719)
+        for scale in self.SCALES:
+            zs = [_prec_bit(rng, scale) for _ in range(4)]
+            (x, y, u, v), _ = _fixed(zs)
+            exact = [_exact(t) for t in (x, y, u, v)]
+            assert _exact(x + y) == tuple(p + q for p, q in zip(exact[0], exact[1]))
+            assert _exact(u - v) == tuple(p - q for p, q in zip(exact[2], exact[3]))
+            assert _exact(x + 3) == (exact[0][0] + 3, exact[0][1])
+            assert _exact(3 - x) == (3 - exact[0][0], -exact[0][1])
+            assert _exact(x - 7) == (exact[0][0] - 7, exact[0][1])
+            assert _exact(-x) == (-exact[0][0], -exact[0][1])
+            assert _exact(x * -5) == (-5 * exact[0][0], -5 * exact[0][1])
+
+    def test_multiply_and_divide_land_within_one_unit(self):
+        rng = random.Random(727)
+        for scale in self.SCALES:
+            for _ in range(20):
+                (x, y), w = _fixed([_prec_bit(rng, scale), _prec_bit(rng, scale)])
+                unit = Fraction(1, 2**w)
+                ex, ey = _exact(x), _exact(y)
+                for got, want in (
+                    (x * y, _exact_mul(ex, ey)),
+                    (x / y, _exact_div(ex, ey)),
+                    (x / 7, (ex[0] / 7, ex[1] / 7)),
+                ):
+                    # each part floored once
+                    assert all(0 <= p - q < unit for p, q in zip(want, _exact(got)))
+                # against mpc at more than 2W bits
+                with mp.workprec(3 * w):
+                    ref = mp.mpc(x.re, x.im) / mp.mpc(y.re, y.im)
+                    out = from_fixed_pair((x / y).re, (x / y).im, w, 3 * w)
+                    assert abs(out.real - ref.real) <= mp.ldexp(1, -w)
+                    assert abs(out.imag - ref.imag) <= mp.ldexp(1, -w)
+
+    def test_zero_tests_are_exact(self):
+        (x, y), w = _fixed([cplx(0.25, -0.5), mp.mpc(mp.ldexp(1, -300))])
+        assert x - x == 0 and not (x - x)
+        assert y != 0 and bool(y)
+        assert Fixed(2 << w, 0, w) == 2 and Fixed(2 << w, 1, w) != 2
+        assert x**0 == 1
+        with pytest.raises(ZeroDivisionError):
+            x / (x - x)
+
+    def test_other_types_do_not_mix(self):
+        (x,), _ = _fixed([cplx(0.25, -0.5)])
+        for other in (mp.mpc(1), mp.mpf(1), 1.0, 1j):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other * x
+
+    def test_run_fixed_converts_in_once_and_out_once(self):
+        b, f = cplx(0.3, 0.2), [cplx(1.7, -0.4), cplx(-0.6, 1.1)]
+        seen = []
+
+        def body(b, f, k):
+            seen.append((b, f, k))
+            return [b * f[0] + k, f[1] / b]
+
+        out = run_fixed(body, (b, f), 4)
+        (fb, ff, k), = seen
+        assert isinstance(fb, Fixed) and all(isinstance(z, Fixed) for z in ff) and k == 4
+        assert all(isinstance(z, mp.mpc) for z in out)
+        assert abs(out[0] - (b * f[0] + 4)) < mp.mpf("1e-39")
+        assert abs(out[1] - f[1] / b) < mp.mpf("1e-39")
+        with pytest.raises(AttributeError):
+            run_fixed(lambda b: [b, 1], (b,))
+
+
+def _bodies(a, b, c, d, e, f, m, p):
+    """(name, body, params, args) of every builder, as the public builder
+    hands them to ``run_fixed``."""
+    return [
+        ("Q eq5", charpoly._q_eq5, (b, c, f), (m,)),
+        ("Q eq7", charpoly._q_eq7, (b, c, f, charpoly._node_shift(b, c, m.total)), (m,)),
+        ("P", charpoly._p, (b, c, f), (m,)),
+        ("Q-hat", charpoly._qhat, (a, b, c, f), (m,)),
+        ("P-hat", charpoly._phat, (a, b, c, f), (m,)),
+        ("L", charpoly._l, (a, d, e, b, f), (m, "L")),
+        ("L-hat", charpoly._l, (a, d, e, b, f), (m, "Lhat")),
+        ("T", lambda b, f: charpoly._t(b, f, m, p), (b, f), ()),
+        ("T*", lambda b, f, a: charpoly._t(b, f, m, p, a), (b, f, a), ()),
+        ("W", w_poly_coeffs, (b, f), (m,)),
+    ]
+
+
+def _public(a, b, c, d, e, f, m, p):
+    return [
+        charpoly.build_Q(b, c, f, m),
+        charpoly.build_Q(b, c, f, m, route="eq7"),
+        charpoly.build_P(b, c, f, m),
+        charpoly.build_Qhat(a, b, c, f, m),
+        charpoly.build_Phat(a, b, c, f, m),
+        charpoly.build_L(a, d, e, b, f, m, variant="L"),
+        charpoly.build_L(a, d, e, b, f, m, variant="Lhat"),
+        charpoly.build_T(b, p, f, m),
+        charpoly.build_T(b, p, f, m, variant="Tstar", a=a),
+        charpoly.w_poly(b, f, m),
+    ]
+
+
+def _spec(rng, shape):
+    a, b, c, d, e = (cplx(rng.uniform(-2, 3), rng.uniform(-1, 1)) for _ in range(5))
+    return a, b, c, d, e, [cplx(rng.uniform(-2, 3), rng.uniform(-1, 1)) for _ in shape]
+
+
+class TestFixedBuilds:
+    SHAPES = [((1,), 1), ((2,), 2), ((1, 1), 1), ((3, 1), 3)]
+
+    def test_every_coefficient_is_of_the_run_type(self):
+        # the (b)_0 = 1 pitfall: no float and no bare int in any list
+        rng = random.Random(733)
+        for shape, p in self.SHAPES:
+            a, b, c, d, e, f = _spec(rng, shape)
+            m = IntVector(shape)
+            for name, body, params, args in _bodies(a, b, c, d, e, f, m, p):
+                on_mpc = body(*params, *args)
+                assert all(type(z) is mp.mpc for z in on_mpc), name
+
+                def checked(*values, body=body, args=args, name=name):
+                    out = body(*values, *args)
+                    assert all(type(z) is Fixed for z in out), name
+                    return out
+
+                run_fixed(checked, params)
+            fam = CoeffFamilies(f, m)
+            for vector in (fam._C(m.total), fam._D(b, m.total), fam._Y(b, m.total - 1)):
+                assert all(type(z) is mp.mpc for z in vector)
+            for vector in (fam.C(), fam.D(b), fam.Y(b), [fam.fm]):
+                assert all(type(z) is mp.mpc for z in vector)
+
+    def test_public_builders_run_these_bodies(self):
+        rng = random.Random(739)
+        for shape, p in self.SHAPES:
+            spec = _spec(rng, shape)
+            m = IntVector(shape)
+            bodies = _bodies(*spec, m, p)
+            for (name, body, params, args), poly in zip(bodies, _public(*spec, m, p)):
+                assert charpoly.CPoly(run_fixed(body, params, *args)).coeffs == poly.coeffs, name
+
+    def test_fixed_builds_beat_the_mpc_run_of_the_same_body(self):
+        rng = random.Random(743)
+        for shape, p in [((6,), 3), ((3, 3), 2)]:
+            spec = _spec(rng, shape)
+            m = IntVector(shape)
+            bodies = _bodies(*spec, m, p)
+            with mp.workdps(80):
+                exact = [run_fixed(body, params, *args) for _, body, params, args in bodies]
+            for (name, body, params, args), ref in zip(bodies, exact):
+                scale = max(abs(z) for z in ref)
+                fixed = max(abs(u - v) for u, v in zip(run_fixed(body, params, *args), ref)) / scale
+                on_mpc = max(abs(u - v) for u, v in zip(body(*params, *args), ref)) / scale
+                assert fixed <= max(on_mpc, mp.mpf(2) ** -mp.mp.prec), name
+                assert fixed <= mp.mpf(2) ** (2 - mp.mp.prec), name
+
+
+def _raises(thunk):
+    try:
+        thunk()
+    except IpdHypError as exc:
+        return type(exc)
+    return None
+
+
+class TestExactZeroGuards:
+    """Each guard raises on the same inputs in the mpc run and the Fixed
+    run: exactly where the exact value is zero, also next to it."""
+
+    NEAR = (0, mp.ldexp(1, -60), mp.ldexp(1, -100), mp.ldexp(1, -130))
+
+    def test_nonzero(self):
+        for tiny in self.NEAR:
+            z = mp.mpc(tiny, 0)
+            on_mpc = _raises(lambda: nonzero(z, "z"))
+            on_fixed = _raises(lambda: run_fixed(lambda z: [nonzero(z, "z")], (z,)))
+            assert on_mpc is on_fixed is (DegenerateCaseError if tiny == 0 else None)
+
+    def test_hyp_terms_pole(self):
+        u = cplx(0.3, 0.2)
+        for tiny in self.NEAR:
+            for pole in (0, -2):
+                v = mp.mpc(pole + tiny, 0) if pole == 0 else mp.mpc(pole) + tiny
+                on_mpc = _raises(lambda: hyp_terms([u], [v], 4))
+                on_fixed = _raises(lambda: run_fixed(lambda u, v: hyp_terms([u], [v], 4), (u, v)))
+                assert on_mpc is on_fixed
+                assert on_mpc is (DenominatorPoleError if tiny == 0 else None)
+
+    def test_build_q_norm(self):
+        # c - b - 3 = -1 exactly makes (c-b-m)_m = 0 at m = (3)
+        b, f, m = cplx(0.25, 0.5), [cplx(1.5, -0.25)], IntVector((3,))
+        for tiny in self.NEAR:
+            c = b + 2 + tiny
+            on_mpc = _raises(lambda: charpoly._q_eq5(b, c, f, m))
+            on_fixed = _raises(lambda: charpoly.build_Q(b, c, f, m))
+            assert on_mpc is on_fixed is (DegenerateCaseError if tiny == 0 else None)
+
+    def test_build_t_zero_polynomial(self):
+        # f = b zeroes (f-b-q+1)_m for every q <= p <= m
+        b, m, p = cplx(0.25, 0.5), IntVector((3,)), 2
+        for tiny in self.NEAR:
+            f = [b + tiny]
+            on_mpc = charpoly.CPoly(charpoly._t(b, f, m, p)).is_zero
+            assert on_mpc is charpoly.build_T(b, p, f, m).is_zero is (tiny == 0)
 
 
 def test_every_exported_name_resolves():

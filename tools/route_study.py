@@ -13,7 +13,10 @@ routes are:
   of all indices, made by the per-index calls (bit for bit the builders'
   vectors, which the builders read in one call);
 * the builders Q eq5, Q eq7, P/(f)_m, Q-hat, P-hat, L, L-hat, and T and T*
-  at p = ``P``, as their coefficient vectors.
+  at p = ``P``, as their coefficient vectors;
+* the same builder bodies run on mpc at ``--digits`` instead of in fixed
+  point ("on mpc" rows), the reference run the tests keep, against the
+  same kind of reference: the body on mpc at ``--ref-digits``.
 
 It prints two tables, one row per route and one column per m_total: the
 worst normwise relative error max_k |v_k - ref_k| / max_k |ref_k| over the
@@ -38,6 +41,7 @@ import time
 
 import mpmath as mp
 
+from ipdhyp import charpoly
 from ipdhyp.charpoly import (
     build_L,
     build_P,
@@ -49,7 +53,7 @@ from ipdhyp.charpoly import (
 )
 from ipdhyp.coeffs import coeff_C, coeff_D, coeff_Y
 from ipdhyp.errors import IpdHypError
-from ipdhyp.kernel import pochhammer_vec, set_precision
+from ipdhyp.kernel import IntVector, pochhammer_vec, set_precision
 
 SHAPES = {
     3: [(3,), (2, 1), (1, 1, 1)],
@@ -82,6 +86,23 @@ def _builders(a, b, c, d, e, f, m) -> list:
     ]
 
 
+def _on_mpc(a, b, c, d, e, f, m) -> list:
+    """(name, thunk) of every builder's body run on mpc; each thunk returns
+    a coefficient list, P's divided by (f)_m."""
+    m = IntVector(m)
+    return [
+        ("Q eq5 on mpc", lambda: charpoly._q_eq5(b, c, f, m)),
+        ("Q eq7 on mpc", lambda: charpoly._q_eq7(b, c, f, charpoly._node_shift(b, c, m.total), m)),
+        ("P/(f)_m on mpc", lambda: [x / pochhammer_vec(f, m) for x in charpoly._p(b, c, f, m)]),
+        ("Q-hat on mpc", lambda: charpoly._qhat(a, b, c, f, m)),
+        ("P-hat on mpc", lambda: charpoly._phat(a, b, c, f, m)),
+        ("L on mpc", lambda: charpoly._l(a, d, e, b, f, m, "L")),
+        ("L-hat on mpc", lambda: charpoly._l(a, d, e, b, f, m, "Lhat")),
+        ("T on mpc", lambda: charpoly._t(b, f, m, P)),
+        ("T* on mpc", lambda: charpoly._t(b, f, m, P, a)),
+    ]
+
+
 def _routes(a, b, c, d, e, f, m) -> list:
     """(name, thunk) of every route; each thunk returns a coefficient list."""
     mt = sum(m)
@@ -100,7 +121,7 @@ def _routes(a, b, c, d, e, f, m) -> list:
             ]))
         else:
             out.append((name, lambda build=build: build().coeffs))
-    return out
+    return out + _on_mpc(a, b, c, d, e, f, m)
 
 
 def _error(got: list, ref: list) -> mp.mpf:
