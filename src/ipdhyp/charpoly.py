@@ -28,12 +28,14 @@ per build, as a vector over k (``coeffs.CoeffFamilies``), and each
 Pochhammer weight (a)_k from one run ``kernel.rising(a, m)``; no weight is
 rebuilt index by index.  The public builder runs its body in fixed point,
 ``CPoly(kernel.run_fixed(body, params, ...))``: the parameters convert in
-once, exactly, at W = 2 prec bits plus what the inputs need, the body runs
-on ``kernel.Fixed``, and the coefficients convert out once, correctly
-rounded, into one ``CPoly``, so each result is trimmed once.  The same
-body run on mpc is the reference the tests keep.  At 2 prec bits the
-cancellation among a builder's weights costs none of the working digits
-up to m = 12, where rounding after every mpc operation lost 10-13 of 40.
+once, exactly, at W = 2 prec bits plus what the inputs need (more where a
+product or quotient of the run needs it to keep its relative precision),
+the body runs on ``kernel.Fixed``, and the coefficients convert out once,
+rounded to the working precision, into one ``CPoly``, so each result is
+trimmed once.  The same body run on mpc is the reference the tests keep.
+At 2 prec bits the cancellation among a builder's weights costs none of
+the working digits up to m = 12, where rounding after every mpc
+operation lost 10-13 of 40.
 
 ``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
 iteration from a seeded random circle: in double precision first (from the
@@ -572,10 +574,14 @@ def build_T(
     if variant not in ("T", "Tstar"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "T":
-        return CPoly(run_fixed(lambda b, f: _t(b, f, m, p), (b, f)))
+        return CPoly(run_fixed(_t, (b, f), m, p))
     if a is None:
         raise ValueError("variant Tstar requires the parameter a")
-    return CPoly(run_fixed(lambda b, f, a: _t(b, f, m, p, a), (b, f, a)))
+    return CPoly(run_fixed(_tstar, (b, f, a), m, p))
+
+
+def _tstar(b, f, a, m: IntVector, p: int) -> list:
+    return _t(b, f, m, p, a)
 
 
 def _t(b, f, m: IntVector, p: int, a=None) -> list:

@@ -29,8 +29,9 @@ of C.  Its algebra, like that of ``w_poly_coeffs``, uses only operators and
 int constants, so it runs on the type of its inputs: on ``kernel.Fixed``
 inside a builder's fixed-point run, which reads the vectors directly.
 Called with mpc values, as ``transforms`` calls it, each method converts
-f and b in once at W = 2 prec bits plus what the inputs need, and the
-vector out once, correctly rounded (``kernel.run_fixed``).  ``coeff_C``,
+f and b in once at W = 2 prec bits plus what the inputs need (more where
+a product or quotient needs it), and the vector out once, rounded to the
+working precision (``kernel.run_fixed``).  ``coeff_C``,
 ``coeff_D`` and ``coeff_Y`` return entry k of the same vector, so a
 builder and a single coefficient take one code path.
 """

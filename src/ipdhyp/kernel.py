@@ -14,12 +14,20 @@ is not an option.  Inside, the hot layers compute in fixed point instead:
 * ``run_fixed`` is where the polynomial builders and the coefficient
   families convert: each mpc parameter goes in once (``to_fixed_pair``,
   exact), the body runs on ``Fixed`` and each result comes out once
-  (``from_fixed_pair``, correctly rounded to the working precision).
-  ``fixed_width`` picks W = 2 prec plus the bits any input needs beyond
+  (``from_fixed_pair``, rounded to the working precision).  A run starts
+  at the ``fixed_width`` W = 2 prec plus the bits any input needs beyond
   prec below the binary point, so every input converts exactly and every
-  nonzero difference of inputs stays at least 2^(prec-W): an exact-zero
-  guard fires exactly where the exact value is zero.  The oracle and the
-  root finder use the same pairs in their own inner loops.
+  nonzero difference of inputs is at least 2^(prec-W).  A floor at 2^-W
+  alone would cost relative precision on small values, so where a product
+  or quotient of nonzero values keeps fewer than prec +
+  ``FIXED_GUARD_BITS`` significant bits (b over a large (f)_m, a product
+  of tiny parameters) the run is repeated at a W grown by the bits it fell
+  short.  Every product and quotient then carries a smaller relative error
+  than one mpc operation, none of nonzero operands comes out zero, and an
+  exact-zero guard on a difference, product or quotient of inputs fires
+  exactly where the exact value is zero; a guard on a sum of rounded
+  terms is as exact as the working precision, as on mpc.  The oracle and
+  the root finder use the same pairs in their own inner loops.
 
 The rising factorial (a)_n = a(a+1)...(a+n-1), its run [(a)_0, ..., (a)_n]
 (``rising``, which ``pochhammer`` reads) and its vector form
@@ -51,6 +59,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .errors import (
     DegenerateCaseError,
     DenominatorPoleError,
+    IpdHypError,
     LengthMismatchError,
     PoleAtNonpositiveIntegerError,
 )
@@ -105,15 +114,39 @@ def from_fixed_pair(re: int, im: int, wp: int, prec: int) -> ComplexValue:
     return mp.make_mpc((from_man_exp(re, -wp, prec, "n"), from_man_exp(im, -wp, prec, "n")))
 
 
+#: Significant bits beyond the working precision that every nonzero product
+#: or quotient of a fixed-point run keeps; ``run_fixed`` widens a run in
+#: which one falls short.
+FIXED_GUARD_BITS = 16
+
+#: Widenings after which ``run_fixed`` returns a run that still falls short.
+MAX_WIDENINGS = 4
+
+# State of the fixed-point run in progress: a product or quotient of nonzero
+# values whose parts both lie below _floor (2^_floor_bits, 0 outside a run)
+# falls short, and _short keeps the most bits any one fell short by.
+_floor = 0
+_floor_bits = 0
+_short = 0
+
+
+def _fell_short(bits: int) -> None:
+    """Note a nonzero result of about 2^bits units of 2^-w."""
+    global _short
+    _short = max(_short, _floor_bits - bits + 2)
+
+
 class Fixed:
     """A complex number (re + i im) 2^-w as two Python integers.
 
     Operands are Fixed values of the same w or Python ints.  ``+``, ``-``
     and multiplication by an int are exact; a product or quotient of two
     Fixed values, or a quotient by an int, floors each part once, so it
-    lands within one unit of 2^-w.  ``== 0`` and ``bool`` are exact.  Any
-    other operand, an mpc or a float, raises TypeError, so no value of
-    another type can leak into a fixed-point run.
+    lands within one unit of 2^-w.  Inside ``run_fixed`` such a result of
+    nonzero operands that keeps fewer than prec + ``FIXED_GUARD_BITS``
+    significant bits is noted, and the run is widened.  ``== 0`` and
+    ``bool`` are exact.  Any other operand, an mpc or a float, raises
+    TypeError, so no value of another type can leak into a fixed-point run.
     """
 
     __slots__ = ("re", "im", "w")
@@ -148,7 +181,11 @@ class Fixed:
     def __mul__(self, other):
         if type(other) is Fixed:
             ar, ai, br, bi, w = self.re, self.im, other.re, other.im, self.w
-            return Fixed((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w, w)
+            pr, pi = ar * br - ai * bi, ar * bi + ai * br
+            re, im = pr >> w, pi >> w
+            if -_floor < re < _floor and -_floor < im < _floor and (pr or pi):
+                _fell_short(max(abs(pr), abs(pi)).bit_length() - w)
+            return Fixed(re, im, w)
         if type(other) is int:
             return Fixed(self.re * other, self.im * other, self.w)
         return NotImplemented
@@ -161,9 +198,16 @@ class Fixed:
             norm = br * br + bi * bi
             if not norm:
                 raise ZeroDivisionError("division by an exact zero")
-            return Fixed(((ar * br + ai * bi) << w) // norm, ((ai * br - ar * bi) << w) // norm, w)
+            nr, ni = (ar * br + ai * bi) << w, (ai * br - ar * bi) << w
+            re, im = nr // norm, ni // norm
+            if -_floor < re < _floor and -_floor < im < _floor and (nr or ni):
+                _fell_short(max(abs(nr), abs(ni)).bit_length() - norm.bit_length())
+            return Fixed(re, im, w)
         if type(other) is int:
-            return Fixed(self.re // other, self.im // other, self.w)
+            re, im = self.re // other, self.im // other
+            if -_floor < re < _floor and -_floor < im < _floor and (self.re or self.im):
+                _fell_short(max(abs(self.re), abs(self.im)).bit_length() - abs(other).bit_length())
+            return Fixed(re, im, self.w)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -191,7 +235,9 @@ def fixed_width(values: Iterable[ComplexValue], prec: int) -> int:
     inputs whose last bit lies below 2^-prec.
 
     Every input then converts exactly, and any nonzero difference of inputs
-    is at least 2^(prec-W), prec bits clear of the fixed-point floor.
+    is at least 2^(prec-W), prec bits clear of the fixed-point floor.  This
+    is where a run starts; ``run_fixed`` widens it where a product or
+    quotient needs more.
     """
     need = 0
     for z in values:
@@ -205,18 +251,46 @@ def run_fixed(body, params: Sequence, *args) -> list:
     """``body(*params, *args)`` run on Fixed, its result list converted out.
 
     Each parameter is a number or a sequence of numbers.  All of them are
-    coerced by ``cplx`` and converted in at one ``fixed_width``, exactly;
-    ``args`` (integers, names) pass unchanged; and every entry of the list
-    the body returns, which must be a Fixed, comes out rounded to the
-    working precision.  This is where the builders and the coefficient
-    families convert in once and out once.
+    coerced by ``cplx`` and converted in at one width, exactly; ``args``
+    (integers, names) pass unchanged; and every entry of the list the body
+    returns, which must be a Fixed, comes out rounded to the working
+    precision.  This is where the builders and the coefficient families
+    convert in once and out once.
+
+    The run starts at ``fixed_width``.  Where a product or quotient of
+    nonzero values would keep fewer than prec + ``FIXED_GUARD_BITS``
+    significant bits (a large (f)_m divided into b, a product of small
+    parameters), the whole run, an error it raised included, is discarded
+    and repeated with W grown by the most bits any result fell short by, so
+    every product and quotient keeps at least as many bits as an mpc
+    operation at the working precision, and none of nonzero operands comes
+    out as zero.  Only a value that cancels to a rounding residue can keep
+    a run short; after ``MAX_WIDENINGS`` widenings the run is returned as
+    it stands.
     """
+    global _floor, _floor_bits, _short
     prec = mp.mp.prec
     groups = [[cplx(z) for z in p] if isinstance(p, (list, tuple)) else [cplx(p)] for p in params]
     w = fixed_width((z for group in groups for z in group), prec)
-    fixed = [[Fixed(*to_fixed_pair(z, w), w) for z in group] for group in groups]
-    ins = [group if isinstance(p, (list, tuple)) else group[0] for p, group in zip(params, fixed)]
-    return [from_fixed_pair(z.re, z.im, w, prec) for z in body(*ins, *args)]
+    state = _floor, _floor_bits, _short
+    _floor_bits = prec + FIXED_GUARD_BITS
+    _floor = 1 << _floor_bits
+    try:
+        for widening in range(MAX_WIDENINGS + 1):
+            _short = 0
+            fixed = [[Fixed(*to_fixed_pair(z, w), w) for z in group] for group in groups]
+            ins = [group if isinstance(p, (list, tuple)) else group[0] for p, group in zip(params, fixed)]
+            try:
+                out = body(*ins, *args)
+            except (ArithmeticError, IpdHypError):
+                if not _short or widening == MAX_WIDENINGS:
+                    raise
+            else:
+                if not _short or widening == MAX_WIDENINGS:
+                    return [from_fixed_pair(z.re, z.im, w, prec) for z in out]
+            w += _short
+    finally:
+        _floor, _floor_bits, _short = state
 
 
 def lift(value: ComplexLike):

@@ -14,7 +14,7 @@ from ipdhyp.errors import (
     LengthMismatchError,
     PoleAtNonpositiveIntegerError,
 )
-from ipdhyp import charpoly
+from ipdhyp import charpoly, kernel
 from ipdhyp.coeffs import CoeffFamilies, w_poly_coeffs
 from ipdhyp.hypeval import HypFunction
 from ipdhyp.kernel import (
@@ -540,6 +540,67 @@ class TestFixed:
             run_fixed(lambda b: [b, 1], (b,))
 
 
+def _relative_errors(body, params, *args):
+    """Worst coefficientwise relative error of the Fixed run and of the mpc
+    run of ``body`` against the mpc run at 150 digits."""
+
+    def on_mpc():
+        values = [[cplx(z) for z in p] if isinstance(p, list) else cplx(p) for p in params]
+        return body(*values, *args)
+
+    with mp.workdps(150):
+        ref = on_mpc()
+
+    def worst(out):
+        return max(abs(u - v) / abs(v) for u, v in zip(out, ref))
+
+    return worst(run_fixed(body, params, *args)), worst(on_mpc())
+
+
+class TestWidening:
+    """Products and quotients keep their relative precision however far the
+    parameters reach from order one."""
+
+    def _assert_no_worse_than_mpc(self, body, params, *args):
+        fixed, on_mpc = _relative_errors(body, params, *args)
+        assert fixed <= max(on_mpc, mp.ldexp(1, -mp.mp.prec))
+
+    def test_large_pochhammer_divided_into_b(self):
+        # (f)_m near 2^400 and 2^300, far beyond 2^W at the starting width
+        for f, m in (([10**10], (12,)), ([10**30], (3,))):
+            f, m = [cplx(z) for z in f], IntVector(m)
+            self._assert_no_worse_than_mpc(w_poly_coeffs, (cplx(0.5), f), m)
+            lead = run_fixed(w_poly_coeffs, (cplx(0.5), f), m)[-1]
+            assert abs(lead * pochhammer_vec(f, m) / mp.mpf(0.5) - 1) < mp.mpf("1e-39")
+
+    def test_large_c_minus_b(self):
+        b, f = cplx(0.3, 0.2), [cplx(1.1, 0.4)]
+        for gap, m in ((10**5, (12,)), (10**10, (12,)), (10**30, (3,))):
+            c, m = b + gap, IntVector(m)
+            for body in (charpoly._q_eq5, charpoly._p):
+                self._assert_no_worse_than_mpc(body, (b, c, f), m)
+            assert abs(charpoly.build_Q(b, c, f, m).coeffs[0] - 1) < mp.mpf("1e-39")
+
+    def test_products_of_tiny_parameters(self):
+        # (f)_m = 2^-300 at f = (2^-100,)*3, m = (1, 1, 1)
+        tiny, m = [mp.mpc(mp.ldexp(1, -100))] * 3, IntVector((1, 1, 1))
+        a, b, d, e = cplx(0.4), cplx(0.3, 0.2), cplx(0.7, 0.1), cplx(2.3, -0.2)
+        assert CoeffFamilies(tiny, m).fm == mp.ldexp(1, -300)
+        self._assert_no_worse_than_mpc(charpoly._l, (a, d, e, b, tiny), m, "L")
+        self._assert_no_worse_than_mpc(w_poly_coeffs, (b, tiny), m)
+        for build in (lambda: charpoly.build_L(a, d, e, b, tiny, m), lambda: charpoly.w_poly(b, tiny, m)):
+            assert build().degree == 2
+
+    def test_a_residue_stops_widening(self):
+        # (a/3)*3 - a is a rounding residue of zero, and stays one at every width
+        out, = run_fixed(lambda a: [((a / 3) * 3 - a) * a], (cplx(1),))
+        assert abs(out) <= mp.ldexp(1, -2 * mp.mp.prec)
+
+    def test_no_bookkeeping_outside_a_run(self):
+        (x,), w = _fixed([mp.mpc(mp.ldexp(1, -200))])
+        assert (x * x) == 0 and kernel._short == 0
+
+
 def _bodies(a, b, c, d, e, f, m, p):
     """(name, body, params, args) of every builder, as the public builder
     hands them to ``run_fixed``."""
@@ -551,8 +612,8 @@ def _bodies(a, b, c, d, e, f, m, p):
         ("P-hat", charpoly._phat, (a, b, c, f), (m,)),
         ("L", charpoly._l, (a, d, e, b, f), (m, "L")),
         ("L-hat", charpoly._l, (a, d, e, b, f), (m, "Lhat")),
-        ("T", lambda b, f: charpoly._t(b, f, m, p), (b, f), ()),
-        ("T*", lambda b, f, a: charpoly._t(b, f, m, p, a), (b, f, a), ()),
+        ("T", charpoly._t, (b, f), (m, p)),
+        ("T*", charpoly._tstar, (b, f, a), (m, p)),
         ("W", w_poly_coeffs, (b, f), (m,)),
     ]
 

@@ -99,7 +99,7 @@ def _on_mpc(a, b, c, d, e, f, m) -> list:
         ("L on mpc", lambda: charpoly._l(a, d, e, b, f, m, "L")),
         ("L-hat on mpc", lambda: charpoly._l(a, d, e, b, f, m, "Lhat")),
         ("T on mpc", lambda: charpoly._t(b, f, m, P)),
-        ("T* on mpc", lambda: charpoly._t(b, f, m, P, a)),
+        ("T* on mpc", lambda: charpoly._tstar(b, f, a, m, P)),
     ]
 
 
