@@ -31,19 +31,19 @@ rebuilt index by index.  The public builder runs its body in fixed point,
 once, exactly, at W = 2 prec bits plus what the inputs need (more where a
 product or quotient of the run needs it to keep its relative precision),
 the body runs on ``kernel.Fixed``, and the coefficients convert out once,
-rounded to the working precision, into one ``CPoly``, so each result is
-trimmed once.  The same body run on mpc is the reference the tests keep.
-At 2 prec bits the cancellation among a builder's weights costs none of
-the working digits up to m = 12, where rounding after every mpc
-operation lost 10-13 of 40.
+rounded to the working precision, into one ``CPoly``, which trims only
+exactly zero top coefficients.  The same body run on mpc is the reference
+the tests keep.  At 2 prec bits the cancellation among a builder's
+weights costs none of the working digits up to m = 12, where rounding
+after every mpc operation lost 10-13 of 40.
 
 ``find_roots`` extracts all roots simultaneously by Ehrlich-Aberth
 iteration from a seeded random circle: in double precision first (from the
 circle itself when a double overflows), then at full precision until the
 residual target holds on two consecutive sweeps, the second a polish sweep.
-The full-precision sweeps run in fixed point, on pairs of Python integers
-scaled by 2^wp, with wp wide enough for the target at the largest root and
-for the relative precision of the smallest.
+One sweep body, ``_sweep``, serves both phases: it runs on ``complex``
+first and on ``kernel.Fixed`` at a width wp wide enough for the target at
+the largest root and for the relative precision of the smallest.
 Root multiplicity is not classified: repeated roots come back as
 near-coincident values, which is harmless downstream because (root+1, root)
 parameter pairs cancel formally in series term ratios.
@@ -65,6 +65,7 @@ from .errors import DegenerateCaseError, NonConvergenceError
 from .kernel import (
     ComplexLike,
     ComplexValue,
+    Fixed,
     IntVector,
     ParamVector,
     cplx,
@@ -80,9 +81,6 @@ from .kernel import (
     to_fixed_pair,
 )
 
-#: Relative magnitude below which a leading coefficient is trimmed.
-TRIM_GUARD_DIGITS = 6
-
 #: Seed of find_roots' initial angles, and its budget of Ehrlich-Aberth sweeps.
 ROOT_SEED = 0
 MAX_SWEEPS = 200
@@ -95,24 +93,22 @@ DOUBLE_STALL_STEP = 1e-11
 class CPoly:
     """Dense univariate polynomial, ascending complex coefficients.
 
-    Trailing (highest-degree) coefficients smaller than
-    10^-(dps-6) relative to the largest coefficient are trimmed at
-    construction, so ``degree`` is meaningful.  The zero polynomial is
-    explicitly representable (``is_zero``).  There is no arithmetic on
-    CPoly: builders work on plain coefficient lists and wrap the result.
+    Trailing (highest-degree) coefficients that are exactly zero are
+    trimmed at construction, so ``degree`` is meaningful.  A nonzero one is
+    kept however small: the builders' fixed-point runs keep each
+    coefficient's relative precision, and a small top coefficient is
+    genuine degree (Q at c-b = 1e10, m = 12, has every root near 1e10 and
+    a top coefficient of 2e-121).  The zero polynomial is explicitly
+    representable (``is_zero``).  There is no arithmetic on CPoly: builders
+    work on plain coefficient lists and wrap the result.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [cplx(c) for c in coeffs] or [mp.mpc(0)]
-        top = max(abs(c) for c in cs)
-        if top == 0:
-            cs = [mp.mpc(0)]
-        else:
-            tol = mp.mpf(10) ** (-(mp.mp.dps - TRIM_GUARD_DIGITS)) * top
-            while len(cs) > 1 and abs(cs[-1]) <= tol:
-                cs.pop()
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
         self.coeffs = cs
 
     @property
@@ -139,7 +135,8 @@ class CPoly:
         return f"CPoly(degree={self.degree})"
 
 
-def _horner(coeffs: list, z: ComplexValue) -> ComplexValue:
+def _horner(coeffs: list, z):
+    """p(z) for ascending ``coeffs``, in the type of z and the coefficients."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -203,16 +200,18 @@ def find_roots(poly: CPoly) -> RootSet:
        sweeps.  It only supplies the start of phase 2 and never raises; if
        the radius, a coefficient or an iterate is not finite in double,
        phase 2 starts from the circle built at full precision instead.
-    2. full precision, in fixed point (``_fixed_sweep``): every number is a
-       pair of integers scaled by 2^wp, converted in once and out once.
-       wp is the bits of the 15-guard-digit context plus n times the larger
-       of log2 R and the bits below 1 of the smallest nonzero start
-       iterate: the first keeps the rounding of p at iterates up to R far
-       below the target, the second keeps the relative precision of small
-       roots, near which p is of order |z|^n.  Sweeps run until
-       the scaled residual max|p(root)| / |lead| is at most 10^-(dps-10) on
-       two consecutive sweeps, so the first sweep under that target is
-       followed by one polish sweep.  Raises NonConvergenceError after
+    2. full precision, in fixed point: ``_sweep`` and the residual's
+       ``_horner`` on ``kernel.Fixed`` values of width wp, into which the
+       monic coefficients and the iterates convert once and out of which
+       the roots convert once (not through ``run_fixed``, whose width rule
+       is the builders').  wp is the bits of the 15-guard-digit context
+       plus n times the larger of log2 R and the bits below 1 of the
+       smallest nonzero start iterate: the first keeps the rounding of p at
+       iterates up to R far below the target, the second keeps the
+       relative precision of small roots, near which p is of order |z|^n.
+       Sweeps run until the scaled residual max|p(root)| / |lead| is at
+       most 10^-(dps-10) on two consecutive sweeps, so the first sweep
+       under that target is followed by one polish sweep.  Raises NonConvergenceError after
        ``MAX_SWEEPS`` sweeps.  ``RootSet.sweeps`` counts the sweeps of this
        phase.
     """
@@ -241,18 +240,19 @@ def find_roots(poly: CPoly) -> RootSet:
             z = [mp.mpc(zi) for zi in z]
             low = min((mp.mag(zi) for zi in z if zi), default=0)
             wp = mp.mp.prec + n * max(0, -low, mp.mag(radius))
-            # highest coefficient first, as Horner reads them
-            fixed = [to_fixed_pair(c, wp) for c in reversed(monic)]
-            fixed_deriv = [(k * cr, k * ci) for k, (cr, ci) in zip(range(n, 0, -1), fixed)]
-            z = [to_fixed_pair(zi, wp) for zi in z]
-            inv_tiny = 10**mp.mp.dps << wp
+
+            def fixed(value):
+                return Fixed(*to_fixed_pair(value, wp), wp)
+
+            monic, z = [fixed(c) for c in monic], [fixed(zi) for zi in z]
+            deriv = [k * c for k, c in enumerate(monic) if k > 0]
+            inv_tiny = Fixed(10**mp.mp.dps << wp, 0, wp)
             # max |p(z)|^2 against target^2, both scaled by 2^(2 wp)
             bound = to_fixed(target._mpf_, wp) ** 2
             met = done = False
             for sweeps in range(1, MAX_SWEEPS + 1):
-                _fixed_sweep(fixed, fixed_deriv, z, wp, inv_tiny)
-                square = max(pr * pr + pi * pi for pr, pi in
-                             (_fixed_horner(fixed, zr, zi, wp) for zr, zi in z))
+                _sweep(monic, deriv, z, inv_tiny)
+                square = max(v.re * v.re + v.im * v.im for v in (_horner(monic, zi) for zi in z))
                 done, met = met and square <= bound, square <= bound
                 if done:
                     break
@@ -262,84 +262,36 @@ def find_roots(poly: CPoly) -> RootSet:
                     f"root iteration failed to reach residual {mp.nstr(target, 5)} "
                     f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
                 )
-            z = [from_fixed_pair(zr, zi, wp, prec) for zr, zi in z]
+            z = [from_fixed_pair(zi.re, zi.im, wp, prec) for zi in z]
     return RootSet(ParamVector(mp.mpc(zi) for zi in z), residual, sweeps)
 
 
-def _fixed_horner(coeffs: list, zr: int, zi: int, wp: int) -> tuple:
-    """p(z) on fixed-point pairs scaled by 2^wp, ``coeffs`` highest first."""
-    ar = ai = 0
-    for cr, ci in coeffs:
-        ar, ai = ((ar * zr - ai * zi) >> wp) + cr, ((ar * zi + ai * zr) >> wp) + ci
-    return ar, ai
-
-
-def _fixed_sweep(monic: list, deriv: list, z: list, wp: int, inv_tiny: int) -> None:
+def _sweep(monic: list, deriv: list, z: list, inv_tiny) -> None:
     """One Gauss-Seidel Ehrlich-Aberth sweep over the iterates ``z``, in place.
 
-    Every number is a pair of integers scaled by 2^wp (coefficients highest
-    first); a quotient u/v is u conj(v) / |v|^2 in integer division.  A
-    difference of two iterates that vanishes adds ``inv_tiny`` to the
-    shifts, and an iterate where the derivative vanishes is nudged to
-    z (1 + 2^-27) + 2^-40 first.
+    Only operators, ``x ** 0`` and int constants, so it runs on ``complex``
+    (phase 1 of find_roots), on ``kernel.Fixed`` (phase 2) and on mpc (the
+    tests' reference).  ``inv_tiny`` stands in for 1/(z_i - z_j) where the
+    difference vanishes.  An iterate where the derivative vanishes is
+    nudged to z + z/2^27 + 2^-40 first, and left there if it still does.
     """
-    one = 1 << wp
-    for i, (zr, zi) in enumerate(z):
-        dr, di = _fixed_horner(deriv, zr, zi, wp)
-        if not (dr or di):
-            zr, zi = zr + (zr >> 27) + (one >> 40), zi + (zi >> 27)
-            dr, di = _fixed_horner(deriv, zr, zi, wp)
-            if not (dr or di):
-                z[i] = zr, zi
-                continue
-        pr, pi = _fixed_horner(monic, zr, zi, wp)
-        norm = dr * dr + di * di
-        nr, ni = ((pr * dr + pi * di) << wp) // norm, ((pi * dr - pr * di) << wp) // norm
-        # sum of 1/(z_i - z_j) over j != i
-        sr = si = 0
-        for j, (wr, wi) in enumerate(z):
-            if j == i:
-                continue
-            er, ei = zr - wr, zi - wi
-            if er or ei:
-                norm = er * er + ei * ei
-                sr += (er << 2 * wp) // norm
-                si -= (ei << 2 * wp) // norm
-            else:
-                sr += inv_tiny
-        # step = newton / (1 - newton * shifts)
-        qr, qi = one - ((nr * sr - ni * si) >> wp), -((nr * si + ni * sr) >> wp)
-        if qr or qi:
-            norm = qr * qr + qi * qi
-            nr, ni = ((nr * qr + ni * qi) << wp) // norm, ((ni * qr - nr * qi) << wp) // norm
-        z[i] = zr - nr, zi - ni
-
-
-def _sweep(monic: list, deriv: list, z: list, tiny: float) -> None:
-    """One Gauss-Seidel Ehrlich-Aberth sweep over the ``complex`` iterates
-    ``z``, in place; ``tiny`` replaces a difference of two iterates that
-    vanishes.
-    """
-    n = len(z)
-    for i in range(n):
-        pv = _horner(monic, z[i])
-        dv = _horner(deriv, z[i])
+    one = z[0] ** 0
+    for i, zi in enumerate(z):
+        dv = _horner(deriv, zi)
         if dv == 0:
-            z[i] = z[i] * (1 + 1e-8) + 1e-12
-            dv = _horner(deriv, z[i])
-            pv = _horner(monic, z[i])
-        newton = pv / dv
-        shifts = 0
-        for j in range(n):
-            if j == i:
+            zi = zi + zi / 2**27 + one / 2**40
+            dv = _horner(deriv, zi)
+            if dv == 0:
+                z[i] = zi
                 continue
-            diff = z[i] - z[j]
-            if diff == 0:
-                diff = tiny
-            shifts += 1 / diff
+        newton = _horner(monic, zi) / dv
+        shifts = 0
+        for j, zj in enumerate(z):
+            if j != i:
+                diff = zi - zj
+                shifts += one / diff if diff else inv_tiny
         denom = 1 - newton * shifts
-        step = newton if denom == 0 else newton / denom
-        z[i] = z[i] - step
+        z[i] = zi - (newton if denom == 0 else newton / denom)
 
 
 def _double_start(monic: list, deriv: list, radius: float, draws: list):
@@ -364,7 +316,7 @@ def _double_start(monic: list, deriv: list, radius: float, draws: list):
     try:
         for _ in range(MAX_SWEEPS):
             old = list(z)
-            _sweep(md, dd, z, eps)
+            _sweep(md, dd, z, 1 / eps)
             if not all(map(cmath.isfinite, z)):
                 return None
             if all(abs(new - prev) <= 4 * eps * abs(new) for new, prev in zip(z, old)):

@@ -174,24 +174,16 @@ class CoeffFamilies:
         self.total = self.m.total
         self._sigma = []
         self._fm = None
-        self._twin = None
 
     def _run(self, name: str, params: tuple, *args) -> list:
         """Method ``name`` of the algebra on ``params`` and ``args``: directly
         on Fixed (or on mpc when there is no f to convert), else as one
-        fixed-point run of the Fixed twin family."""
+        fixed-point run of a fresh family of the converted f."""
         if not self.f or isinstance(self.f[0], Fixed):
             return getattr(self, name)(*params, *args)
         return run_fixed(
-            lambda f, *ps: getattr(self._twin_at(f), name)(*ps, *args), (self.f,) + params
+            lambda f, *ps: getattr(CoeffFamilies(f, self.m), name)(*ps, *args), (self.f,) + params
         )
-
-    def _twin_at(self, f) -> "CoeffFamilies":
-        """The family of the converted f, kept while calls convert at the
-        same width, so calls share its term sequence and (f)_m."""
-        if self._twin is None or self._twin.f[0].w != f[0].w:
-            self._twin = CoeffFamilies(f, self.m)
-        return self._twin
 
     @property
     def fm(self) -> ComplexValue:

@@ -26,8 +26,11 @@ is not an option.  Inside, the hot layers compute in fixed point instead:
   than one mpc operation, none of nonzero operands comes out zero, and an
   exact-zero guard on a difference, product or quotient of inputs fires
   exactly where the exact value is zero; a guard on a sum of rounded
-  terms is as exact as the working precision, as on mpc.  The oracle and
-  the root finder use the same pairs in their own inner loops.
+  terms is as exact as the working precision, as on mpc.
+* ``charpoly.find_roots`` runs its full-precision sweeps on ``Fixed`` too,
+  at its own width and outside any run, where nothing is noted or
+  widened.  The oracle (``hypeval``) uses the same integer pairs in its
+  own inner loop.
 
 The rising factorial (a)_n = a(a+1)...(a+n-1), its run [(a)_0, ..., (a)_n]
 (``rising``, which ``pochhammer`` reads) and its vector form

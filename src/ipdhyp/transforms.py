@@ -304,7 +304,7 @@ def apply_degenerate_p(
     with the Moebius argument, "eq31" uses T* at the plain argument) and
     the head coefficient T(0)/(f)_m; no Gamma is evaluated.  The algebraic
     part is the double sum over q = 1..p and l = 0..m-1, whose p tails
-    share (f)_m, the run of (a)_l and the term sequence of Y.  Requires
+    share (f)_m and the run of (a)_l.  Requires
     b+q-1 != 0 for q = 1..p, and for eq31 (b+1-a)_{p-1} != 0.
     """
     a, b = spec.a, spec.b

@@ -24,6 +24,7 @@ from ipdhyp.errors import (
     NonConvergenceError,
 )
 from ipdhyp.kernel import (
+    Fixed,
     IntVector,
     ParamVector,
     as_nonpositive_integer,
@@ -62,9 +63,9 @@ def _coeff_dev(p1, p2):
 
 
 class TestCPoly:
-    def test_trims_tiny_leading_coefficients(self):
-        poly = CPoly([1, 2, mp.mpf("1e-39")])
-        assert poly.degree == 1
+    def test_trims_only_exact_zero_tops(self):
+        assert CPoly([1, 2, 0, 0]).degree == 1
+        assert CPoly([1, 2, mp.mpf("1e-39")]).degree == 2
 
     def test_zero_polynomial_flag(self):
         assert CPoly([0]).is_zero
@@ -178,22 +179,17 @@ class TestFindRoots:
     def test_ill_conditioned_simple_roots_leave_double_early(self, monkeypatch):
         # (t-1)...(t-6): rounding keeps the double step near 1e-13 relative,
         # above four ulp, so only the stall rule ends phase 1 early
-        counts = {"double": 0, "fixed": 0}
-        sweep, fixed_sweep = charpoly._sweep, charpoly._fixed_sweep
+        counts = {complex: 0, Fixed: 0}
+        sweep = charpoly._sweep
 
-        def counted_double(*args):
-            counts["double"] += 1
-            return sweep(*args)
+        def counted(monic, deriv, z, inv_tiny):
+            counts[type(z[0])] += 1
+            return sweep(monic, deriv, z, inv_tiny)
 
-        def counted_fixed(*args):
-            counts["fixed"] += 1
-            return fixed_sweep(*args)
-
-        monkeypatch.setattr(charpoly, "_sweep", counted_double)
-        monkeypatch.setattr(charpoly, "_fixed_sweep", counted_fixed)
+        monkeypatch.setattr(charpoly, "_sweep", counted)
         roots = find_roots(CPoly.from_roots(range(1, 7)))
-        assert counts["double"] <= 20
-        assert roots.sweeps == 2 == counts["fixed"]
+        assert counts[complex] <= 20
+        assert roots.sweeps == 2 == counts[Fixed]
         got = sorted(roots.roots, key=lambda z: z.real)
         assert all(abs(r - k) < mp.mpf("1e-28") for k, r in enumerate(got, 1))
 
@@ -225,35 +221,10 @@ class TestFindRoots:
             assert _coeff_dev(rebuilt.coeffs, monic) <= mp.mpf("1e-28")
 
 
-def _reference_sweep(monic, deriv, z, tiny):
-    """The Gauss-Seidel Ehrlich-Aberth sweep on mpc values that find_roots'
-    full-precision phase ran before it moved to fixed point."""
-    n = len(z)
-    for i in range(n):
-        pv = charpoly._horner(monic, z[i])
-        dv = charpoly._horner(deriv, z[i])
-        if dv == 0:
-            z[i] = z[i] * (1 + 1e-8) + 1e-12
-            dv = charpoly._horner(deriv, z[i])
-            pv = charpoly._horner(monic, z[i])
-        newton = pv / dv
-        shifts = 0
-        for j in range(n):
-            if j == i:
-                continue
-            diff = z[i] - z[j]
-            if diff == 0:
-                diff = tiny
-            shifts += 1 / diff
-        denom = 1 - newton * shifts
-        step = newton if denom == 0 else newton / denom
-        z[i] = z[i] - step
-
-
 def _reference_roots(poly):
-    """Reference for ``find_roots`` at degree >= 2: the same start, then mpc
-    sweeps and an mpc Horner residual at 15 guard digits, with the same stop
-    rule."""
+    """Reference for ``find_roots`` at degree >= 2: the same start, then the
+    same ``_sweep`` on mpc values and an mpc Horner residual at 15 guard
+    digits, with the same stop rule."""
     target = mp.mpf(10) ** (-(mp.mp.dps - 10))
     n = poly.degree
     with mp.extradps(15):
@@ -270,10 +241,10 @@ def _reference_roots(poly):
                 for k, u in enumerate(draws)
             ]
         z = [mp.mpc(zi) for zi in z]
-        tiny = mp.mpf(10) ** (-mp.mp.dps)
+        inv_tiny = mp.mpf(10) ** mp.mp.dps
         met = False
         for sweeps in range(1, charpoly.MAX_SWEEPS + 1):
-            _reference_sweep(monic, deriv, z, tiny)
+            charpoly._sweep(monic, deriv, z, inv_tiny)
             residual = max(abs(poly(zi)) for zi in z) / abs(lead)
             if residual <= target and met:
                 break
@@ -343,8 +314,9 @@ class TestFixedPointPhase:
                 self._check(poly)
 
     def test_roots_spread_over_scales(self):
-        # roots of one scale 10^e each, at 60 digits, so that CPoly trims no
-        # leading coefficient up to e * degree = 40.  The reference meets
+        # roots of one scale 10^e each, at 60 digits, up to e * degree = 40,
+        # where the leading coefficient is 10^-40 of the constant one; CPoly
+        # trims only exact zeros, so the degree holds.  The reference meets
         # its absolute target only while max|c_k z^k| stays below about
         # 10^25, which its rounding floor needs; beyond that the roots are
         # checked against the ones the polynomial was built from.
@@ -369,15 +341,18 @@ class TestFixedPointPhase:
         # order: a nudge of one ulp would leave p' = 0 in fixed point and
         # the iterate where it is
         wp = 120
-        one = 1 << wp
-        monic = [(one, 0), (0, 0), (0, 0), (-one, 0)]
-        deriv = [(3 * one, 0), (0, 0), (0, 0)]
-        z = [(0, 0), (2 * one, 0), (-2 * one, one)]
+
+        def fixed(re, im=0):
+            return Fixed(re << wp, im << wp, wp)
+
+        monic = [fixed(-1), fixed(0), fixed(0), fixed(1)]
+        deriv = [fixed(0), fixed(0), fixed(3)]
+        z = [fixed(0), fixed(2), fixed(-2, 1)]
         for _ in range(50):
-            charpoly._fixed_sweep(monic, deriv, z, wp, 10**40 << wp)
-        for zr, zi in z:
-            pr, pi = charpoly._fixed_horner(monic, zr, zi, wp)
-            assert max(abs(pr), abs(pi)) < 16
+            charpoly._sweep(monic, deriv, z, fixed(10**40))
+        for zi in z:
+            v = charpoly._horner(monic, zi)
+            assert max(abs(v.re), abs(v.im)) < 16
 
     def test_edge_inputs(self):
         self._check(CPoly.from_roots(range(1, 7)))
@@ -420,6 +395,20 @@ class TestBuildQ:
             eq5 = build_Q(b, c, f, m, route="eq5")
             eq7 = build_Q(b, c, f, m, route="eq7")
             assert _coeff_dev(eq5.coeffs, eq7.coeffs) <= mp.mpf("1e-30")
+
+    def test_roots_far_from_the_origin_keep_the_degree(self):
+        # at large c-b every root is large and the top coefficient tiny
+        # beside Q(0) = 1: 2e-121 at c-b = 1e10, m = 12; it is genuine degree
+        b, f = cplx(0.5, 0.1), [cplx(1.1, 0.4)]
+        tol = mp.mpf(10) ** (6 - mp.mp.dps)
+        for gap, m in ((mp.mpf("1e10"), (12,)), (mp.mpf("1e30"), (3,))):
+            poly = build_Q(b, b + gap, f, m)
+            assert poly.degree == m[0]
+            got = find_roots(poly).roots
+            with mp.workdps(150):
+                ref = find_roots(build_Q(b, b + gap, f, m)).roots
+            for r in ref:
+                assert min(abs(x - r) for x in got) <= tol * abs(r)
 
     def test_degenerate_case_detected(self):
         b = cplx(0.4, 0.15)

@@ -417,7 +417,7 @@ class TestSpecTypes:
             NorlundArgs(ParamVector([1]), ParamVector([1]))
 
 
-FAMILY_SHAPES = [(1,), (2,), (3,), (4,), (5,), (6,), (3, 3), (2, 2, 2)]
+FAMILY_SHAPES = [(1,), (2,), (3,), (4,), (5,), (6,), (3, 3), (2, 2, 2), (8,), (4, 4)]
 
 
 def _bits(z):
@@ -457,7 +457,6 @@ class TestCoeffFamilies:
     def test_y_shares_the_term_sequence_of_c(self):
         rng = _rng(619)
         f, m = _sample(rng, (2, 1))
-        # on the algebra run on mpc
         fam = CoeffFamilies(f, m)
         fam._C(m.total)
         sigma = fam._sigma
@@ -465,14 +464,6 @@ class TestCoeffFamilies:
         fam._Y(_rc(rng), m.total - 1)
         fam._Y(_rc(rng), m.total - 1)
         assert fam._sigma is sigma
-        # and through the public methods, which run the Fixed twin
-        fam = CoeffFamilies(f, m)
-        fam.C()
-        twin = fam._twin
-        sigma = twin._sigma
-        fam.Y(_rc(rng))
-        fam.Y(_rc(rng))
-        assert fam._twin is twin and twin._sigma is sigma
 
     def test_y_at_b_zero_vanishes(self):
         # W(n) = 0 at b = 0, so every Y_l vanishes; no term divides by b

@@ -18,10 +18,11 @@ other exception stops the script.  Numbers are hashed exactly,
 by ``_feed`` of ``tests/test_verify_cli.py`` as the pins hash them.  The
 script prints one line per build label (``Q eq5``, ``T``, ``eq29``, ...;
 the p of a label is part of its builds, not of the label) with its number
-of builds and their digest; a label that builds a polynomial gets two more
-lines, the digest of its coefficients alone and that of its roots and
-residual alone (a build that raised goes into both), so a change that
-moves only roots shows as such.  Then come the total number of hashed
+of builds and their digest; a label that builds a polynomial gets three
+more lines, the digests of its coefficients alone, of its root values
+alone and of its root residuals alone (a build that raised goes into all
+three, a ``find_roots`` that raised into both root lines), so a change
+that moves only roots, or only residuals, shows as such.  Then come the total number of hashed
 items and the digest of all of them.  Run it on two trees with the same arguments
 (``ipdhyp`` is imported from ``PYTHONPATH``): equal digests mean equal
 builds, and a diff of the two outputs names the labels that moved.
@@ -146,34 +147,36 @@ def _group(label: str) -> str:
 
 class _LabelDigest:
     """The digests of one label: of all its builds, and of a polynomial's
-    coefficients and of its roots apart (a build that raised goes to
-    both)."""
+    coefficients, root values and root residuals apart (a build that raised
+    goes to all three, a ``find_roots`` that raised to the last two)."""
 
     def __init__(self):
         self.builds = 0
-        self.whole, self.coeffs, self.roots = (hashlib.sha256() for _ in range(3))
+        self.sinks = [hashlib.sha256() for _ in range(4)]
         self.poly = False
 
     def add(self, label: str, value) -> None:
         self.builds += 1
         self.poly = self.poly or isinstance(value, dict)
-        parts = (value, value, value)
+        parts = (value,) * 4
         if isinstance(value, dict):
-            parts = (value, value["coeffs"], value["roots"])
-        for sink, part in zip((self.whole, self.coeffs, self.roots), parts):
+            found = value["roots"]
+            roots, residual = found if isinstance(found, list) else (found, found)
+            parts = (value, value["coeffs"], roots, residual)
+        for sink, part in zip(self.sinks, parts):
             sink.update(label.encode())
             _feed(sink, part)
 
     def digests(self) -> tuple:
-        split = (self.coeffs.hexdigest(), self.roots.hexdigest()) if self.poly else (None, None)
-        return (self.builds, self.whole.hexdigest(), *split)
+        whole, *split = (sink.hexdigest() for sink in self.sinks)
+        return (self.builds, whole, *(split if self.poly else [None] * 3))
 
 
 def build_digest(seeds: range, count: int) -> tuple:
     """(number of hashed builds, SHA-256 hex digest) over all seeds, and
-    {label: (builds, digest, coefficient digest, root digest)} per label, in
-    the order the labels appear; the last two are None for a label that
-    builds no polynomial."""
+    {label: (builds, digest, coefficient digest, root digest, residual
+    digest)} per label, in the order the labels appear; the last three are
+    None for a label that builds no polynomial."""
     digest = hashlib.sha256()
     items = 0
     groups = {}
@@ -211,11 +214,11 @@ def main() -> None:
     args = parser.parse_args()
     set_precision(args.digits)
     items, hexdigest, per_label = build_digest(args.seeds, args.count)
-    for name, (n, label_digest, coeffs, roots) in per_label.items():
+    for name, (n, label_digest, *split) in per_label.items():
         print(f"{name:<14} {n:>5} builds  sha256 {label_digest}")
-        if coeffs is not None:
-            print(f"{'':<14} {'coefficients':>12}  sha256 {coeffs}")
-            print(f"{'':<14} {'roots':>12}  sha256 {roots}")
+        if split[0] is not None:
+            for part, digest in zip(("coefficients", "roots", "residuals"), split):
+                print(f"{'':<14} {part:>12}  sha256 {digest}")
     print(f"{items} builds  sha256 {hexdigest}")
 
 
