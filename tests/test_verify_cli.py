@@ -166,9 +166,25 @@ class TestSampler:
                 _feed(digest, case.x_samples)
         assert digest.hexdigest() == _PINNED_DRAWS
 
+    def test_draws_under_a_wide_margin_are_pinned(self, monkeypatch):
+        # At MARGIN 1e-3 almost no draw is rejected, so the plain pins cannot
+        # see a draw order that changes after a rejection.  At 0.2 every
+        # rejection site fires (KARLSSON's some 500 times, MP1's and
+        # LEMMA3's once), and this digest moves if any of them does.
+        import ipdhyp.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "MARGIN", mp.mpf("0.2"))
+        draw_digest = runpy.run_path(str(_TOOLS / "draw_digest.py"))["draw_digest"]
+        assert draw_digest(range(1, 4), 20)[:2] == (1260, _PINNED_WIDE_DRAWS)
+
 
 #: SHA-256 of every identity's sample_params(id, 1, 3) at 40 digits.
 _PINNED_DRAWS = "e5e9751ea12cd22745ee6fe2432d2180501262c75cc44069f7ac5946dfcefa2e"
+
+#: tools/draw_digest.py at 40 digits, seeds 1-3, count 20, with MARGIN 0.2.
+_PINNED_WIDE_DRAWS = "d38ceaf34cdc4806ed59b5f6afdd4080884feecf6530e7aaf576cbda4e115432"
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _feed(digest, value) -> None:
@@ -753,9 +769,7 @@ class TestCli:
         assert "IPDHYP_DIGITS" in capsys.readouterr().err
 
 
-_report_diff = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
-)
+_report_diff = runpy.run_path(str(_TOOLS / "report_diff.py"))
 
 
 class TestReportDiff:
