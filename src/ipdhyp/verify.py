@@ -1,10 +1,16 @@
 """Batch verification harness for the full identity catalog.
 
-For every identity in the catalog a sampler draws random admissible
-parameter tuples (rejection-resampled until the identity's preconditions
-hold with margin) and a checker evaluates both sides numerically, the right
-side through the transformation engine and the left side through the
-independent series oracle.  Residuals are relative:
+Each identity in the catalog declares its preconditions as data: how it
+draws (its parameter letters, its m pool and any extra draws) and a tuple
+of named clauses, each of one kind (``_clear``, ``_poch``, ``_away``,
+``_distinct``, or KARLSSON's ``_convergent``) and named after the
+hypothesis or engine guard it encodes.  ``admissible(id, params)`` returns
+the names of the clauses a parameter set fails.  ``sample_params`` redraws
+until that list is empty, then builds a two-sided case's right side and
+screens its series, a test separate from the clauses.  A checker evaluates
+both sides numerically, the right side through the transformation engine
+and the left side through the independent series oracle.  Residuals are
+relative:
 
     |LHS(x) - RHS(x)| / max(1, |LHS(x)|).
 
@@ -26,10 +32,9 @@ import json
 import math
 import random
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -65,7 +70,7 @@ from .transforms import (
     vector_function,
 )
 
-#: Pochhammer non-vanishing margin used by the rejection sampler.
+#: Margin of every clause kind but ``_convergent``, read when a clause is tested.
 MARGIN = mp.mpf("1e-3")
 
 #: Multiplicity vectors drawn by the sampler.
@@ -142,28 +147,9 @@ class VerificationReport:
         return out
 
 
-class _Reject(Exception):
-    """Internal: parameter draw violated a precondition; redraw."""
-
-
 def _case_rng(seed: int, identity_id: str, index: int) -> random.Random:
     digest = hashlib.sha256(f"{seed}/{identity_id}/{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _draw_complex(rng: random.Random) -> ComplexValue:
-    return cplx(mp.mpf(rng.uniform(-2, 3)), mp.mpf(rng.uniform(-1, 1)))
-
-
-def _draw(rng: random.Random, names: str, pool=M_POOL) -> dict:
-    """Draw the complex parameters named by the letters of ``names`` in
-    order, then m from ``pool`` (a pool of one is taken without a draw) and
-    one f_i per entry of m."""
-    params = {name: _draw_complex(rng) for name in names}
-    m = IntVector(pool[0] if len(pool) == 1 else rng.choice(pool))
-    params["f"] = ParamVector([_draw_complex(rng) for _ in m])
-    params["m"] = m
-    return params
 
 
 def _default_x_samples(rng: random.Random) -> list:
@@ -176,15 +162,36 @@ def _default_x_samples(rng: random.Random) -> list:
     return xs
 
 
-def _require(condition: bool) -> None:
-    if not condition:
-        raise _Reject
+def _complex(rng: random.Random, *_) -> ComplexValue:
+    """A complex parameter from the box Re in [-2, 3], Im in [-1, 1]."""
+    return cplx(mp.mpf(rng.uniform(-2, 3)), mp.mpf(rng.uniform(-1, 1)))
 
 
-def _away(z: ComplexValue) -> bool:
-    """|z| clears the margin: for a quantity that must not vanish and is
-    not a pole of Gamma (poles go through ``_clear`` and ``_poch_margin``)."""
-    return abs(z) >= MARGIN
+def _choice(pool: tuple) -> Callable:
+    """Draw an IntVector from ``pool``; a pool of one is taken without a draw."""
+    return lambda rng, p, index: IntVector(pool[0] if len(pool) == 1 else rng.choice(pool))
+
+
+def _one_per(key: str) -> Callable:
+    """Draw one complex parameter per entry of the IntVector ``p[key]``."""
+    return lambda rng, p, index: ParamVector([_complex(rng) for _ in p[key]])
+
+
+def _by_index(*values) -> Callable:
+    """No draw: the value the case index picks from ``values``, cyclically."""
+    return lambda rng, p, index: values[index % len(values)]
+
+
+def _draws(letters: str, *extra, pool: tuple = M_POOL, before: tuple = ()) -> tuple:
+    """One round of draws: the ``before`` steps, a complex parameter per
+    letter in order, m from ``pool``, one f_i per entry of m, then the
+    ``extra`` steps.  A step is (name, (rng, params, index) -> value)."""
+    complexes = tuple((name, _complex) for name in letters)
+    return ((*before, *complexes, ("m", _choice(pool)), ("f", _one_per("m")), *extra),)
+
+
+# The clause kinds: each takes the values its clause computes from a draw.
+# All but ``_convergent`` read MARGIN when they are called.
 
 
 def _clear(*zs: ComplexValue) -> bool:
@@ -196,16 +203,35 @@ def _clear(*zs: ComplexValue) -> bool:
     return all(as_nonpositive_integer(z, MARGIN) is None for z in zs)
 
 
-def _poch_margin(z: ComplexValue, n: int) -> bool:
-    """Every factor of (z)_n clears the margin: z keeps the box of ``_clear``
-    off each of the poles 0, -1, ..., -(n-1), and may lie near -n or below."""
-    k = as_nonpositive_integer(z, MARGIN)
-    return k is None or k <= -n
+def _poch(*pairs: tuple) -> bool:
+    """Every factor of each (z)_n, a pair (z, n), clears the margin: z keeps
+    the box of ``_clear`` off each of the poles 0, -1, ..., -(n-1), and may
+    lie near -n or below."""
+    return all((k := as_nonpositive_integer(z, MARGIN)) is None or k <= -n for z, n in pairs)
 
 
-def _f_margin(p: dict) -> bool:
-    """Every (f_i)_{|m|+1} clears the margin, |m| the total multiplicity."""
-    return all(_poch_margin(fi, p["m"].total + 1) for fi in p["f"])
+def _away(*zs: ComplexValue) -> bool:
+    """Every |z| clears the margin: for a quantity that must not vanish and
+    is not a pole of Gamma (poles go through ``_clear`` and ``_poch``)."""
+    return all(abs(z) >= MARGIN for z in zs)
+
+
+def _distinct(*zs: ComplexValue) -> bool:
+    """The zs are pairwise at least the margin apart."""
+    return all(abs(y - z) >= MARGIN for y, z in combinations(zs, 2))
+
+
+def _convergent(*zs: ComplexValue) -> bool:
+    """Every Re z is at least 0.05: a fixed convergence margin, not MARGIN."""
+    return all(z.real >= mp.mpf("0.05") for z in zs)
+
+
+class _Clause(NamedTuple):
+    """One named precondition: it holds when ``kind(*values(**params))`` does."""
+
+    name: str  # the hypothesis or engine guard the clause encodes
+    kind: Callable  # _clear, _poch, _away, _distinct or _convergent
+    values: Callable  # (**params) -> the arguments of kind
 
 
 def _rhs_usable(expr: HypExpression) -> bool:
@@ -232,81 +258,8 @@ def _series_tol() -> mp.mpf:
 
 
 # --------------------------------------------------------------------------
-# samplers
+# checks
 # --------------------------------------------------------------------------
-
-
-def _sample_mp1(rng: random.Random, index: int) -> dict:
-    p = _sample_cor1(rng, index)
-    b, c, m = p["b"], p["c"], p["m"]
-    _require(_poch_margin(c - b - m.total, m.total))
-    p["route"] = "paperQ" if index % 2 == 0 else "newP"
-    return p
-
-
-def _sample_mp2(rng: random.Random, index: int) -> dict:
-    p = _sample_cor2(rng, index)
-    a, b, c, m = p["a"], p["b"], p["c"], p["m"]
-    _require(_poch_margin(1 + a + b - c, m.total))
-    p["route"] = "paperQhat" if index % 2 == 0 else "newPhat"
-    return p
-
-
-def _sample_thm3(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "ab")
-    _require(_away(p["b"]) and _f_margin(p))
-    return p
-
-
-def _sample_thm4(rng: random.Random, index: int) -> dict:
-    p_shift = index % 4 + 1
-    p = _draw(rng, "ab")
-    a, b = p["a"], p["b"]
-    _require(_clear(b, *(b + q - a for q in range(1, p_shift + 1))) and _f_margin(p))
-    p["p"] = p_shift
-    return p
-
-
-_P_POOL = ((1, 1), (2, 1), (1, 2), (2, 2))
-
-
-def _sample_vec(rng: random.Random, index: int) -> dict:
-    pvec = IntVector(rng.choice(_P_POOL))
-    bvec = ParamVector([_draw_complex(rng) for _ in pvec])
-    p = _draw(rng, "a")
-    beta = [bj + i for bj, pj in zip(bvec, pvec) for i in range(pj)]
-    _require(
-        all(_away(z) for z in beta)
-        and all(_away(y - z) for y, z in combinations(beta, 2))
-        and _f_margin(p)
-    )
-    p.update(b=bvec, p=pvec)
-    return p
-
-
-def _sample_thm5(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "adeb")
-    a, d, e, b, mt = p["a"], p["d"], p["e"], p["b"], p["m"].total
-    _require(
-        _away(b)
-        and _poch_margin(e - d - mt + 1, mt - 1)
-        and _poch_margin(e - a - mt + 1, mt - 1)
-        and _poch_margin(1 + a + d - e, mt - 1)
-        and _f_margin(p)
-    )
-    return p
-
-
-def _sample_lemma1(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "bc")
-    b, c, f, m = p["b"], p["c"], p["f"], p["m"]
-    # f_i - c and f_i - f_j must be clear of the integers of either sign
-    _require(
-        _clear(c - b, *(fi - fj for fi, fj in permutations(f, 2)))
-        and _clear(*(z for fi, mi in zip(f, m) for z in (fi - c, c - fi, 1 - fi - mi + b)))
-        and _f_margin(p)
-    )
-    return p
 
 
 def _lemma1_t_samples(rng: random.Random) -> list:
@@ -321,27 +274,6 @@ def _check_lemma1(case: IdentityCase) -> list:
     return [_relative(left, right) for left, right in zip(closed, series)]
 
 
-def _sample_cor1(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "abc")
-    b, f, m = p["b"], p["f"], p["m"]
-    _require(
-        _f_margin(p) and all(_poch_margin(1 - fi + b - mi, m.total) for fi, mi in zip(f, m))
-    )
-    return p
-
-
-def _sample_lemma2(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "bc")
-    b, c, f, m = p["b"], p["c"], p["f"], p["m"]
-    mt = m.total
-    _require(
-        _poch_margin(c - b - mt, mt)
-        and _f_margin(p)
-        and all(_poch_margin(1 - fi + b - mi, mt) for fi, mi in zip(f, m))
-    )
-    return p
-
-
 def _check_lemma2(case: IdentityCase) -> list:
     p = case.params
     q_poly = build_Q(p["b"], p["c"], p["f"], p["m"])
@@ -350,30 +282,11 @@ def _check_lemma2(case: IdentityCase) -> list:
     return [_coeff_deviation(p_poly.coeffs, [c * fm for c in q_poly.coeffs])]
 
 
-def _sample_cor2(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "abc")
-    a, b, c, mt = p["a"], p["b"], p["c"], p["m"].total
-    # (b+1)_{m+1}: the terminating sums inside the hatted polynomials
-    _require(
-        _poch_margin(c - a - mt, mt)
-        and _poch_margin(c - b - mt, mt)
-        and _poch_margin(b + 1, mt + 1)
-        and _f_margin(p)
-    )
-    return p
-
-
 def _check_cor2(case: IdentityCase) -> list:
     p = case.params
     qhat = build_Qhat(p["a"], p["b"], p["c"], p["f"], p["m"])
     phat = build_Phat(p["a"], p["b"], p["c"], p["f"], p["m"])
     return [_coeff_deviation(qhat.coeffs, phat.coeffs)]
-
-
-def _sample_lemma3(rng: random.Random, index: int) -> dict:
-    alpha = _draw_complex(rng)
-    _require(_poch_margin(alpha - 6, 6))
-    return {"alpha": alpha, "m_max": 6}
 
 
 def _check_lemma3(case: IdentityCase) -> list:
@@ -408,20 +321,6 @@ def _check_lemma3(case: IdentityCase) -> list:
     return residuals
 
 
-_LEMMA4_M_POOL = ((1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1),
-                  (2, 1, 1), (1, 1, 1, 1), (4,), (5,), (3, 2), (4, 1))
-
-
-def _sample_lemma4(rng: random.Random, index: int) -> dict:
-    b = _draw_complex(rng)
-    fs = {}
-    for pool_m in _LEMMA4_M_POOL:
-        p = _draw(rng, "", (pool_m,))
-        _require(_f_margin(p) and _poch_margin(b + 1, 2 * p["m"].total + 1))
-        fs[pool_m] = p["f"]
-    return {"b": b, "f_by_m": fs}
-
-
 def _check_lemma4(case: IdentityCase) -> list:
     # Integer Pochhammers as exact ints, as in _check_lemma3; a divisor stays
     # an mpc, since dividing by an mpc rounds unlike dividing by an int.
@@ -448,17 +347,6 @@ def _check_lemma4(case: IdentityCase) -> list:
     return residuals
 
 
-def _sample_minton(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "b")
-    b, f, mt = p["b"], p["f"], p["m"].total
-    k = p["k"] = mt + rng.randint(0, 4)
-    _require(
-        _poch_margin(b + 1, k)
-        and all(_poch_margin(fi, k + 1) and _poch_margin(fi - b, mt) for fi in f)
-    )
-    return p
-
-
 def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> list:
     """The c = b+1 IPD function with top parameter a, summed at x = 1,
     against the Gauss value times (f-b)_m/(f)_m."""
@@ -475,35 +363,10 @@ def _check_minton(case: IdentityCase) -> list:
     return _unit_check(p, mp.mpc(-k), mp.factorial(k) / pochhammer(p["b"] + 1, k))
 
 
-def _sample_karlsson(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "b")
-    b, f, mt = p["b"], p["f"], p["m"].total
-    a = p["a"] = _draw_complex(rng)
-    _require(
-        (1 - a - mt).real >= mp.mpf("0.05")
-        and _clear(b + 1, b + 1 - a, *f)
-        and all(_poch_margin(fi - b, mt) for fi in f)
-    )
-    return p
-
-
 def _check_karlsson(case: IdentityCase) -> list:
     p = case.params
     a, b = p["a"], p["b"]
     return _unit_check(p, a, gamma(b + 1) * gamma(1 - a) / gamma(b + 1 - a))
-
-
-def _sample_cor3(rng: random.Random, index: int) -> dict:
-    p = _draw(rng, "ab", ((1,), (2,), (3,)))
-    a, b, f, m = p["a"], p["b"], p["f"], p["m"]
-    fb = pochhammer_vec(f - b, m)
-    fb1 = pochhammer_vec(f - b - 1, m)
-    _require(
-        _clear(b, b + 1 - a)
-        and _away((b - a + 1) * fb - b * fb1)
-        and _f_margin(p)
-    )
-    return p
 
 
 def _check_cor3(case: IdentityCase) -> list:
@@ -524,25 +387,6 @@ def _single_roots(p: dict, lam: ComplexValue, lam_star: ComplexValue) -> list:
     return [_relative(lam, root), _relative(lam_star, root_star)]
 
 
-def _sample_single_root(rng: random.Random, m: tuple) -> dict:
-    """COR4 and COR5: a, d, e, b and f at a fixed m, with their common margins."""
-    p = _draw(rng, "adeb", (m,))
-    a, d, e, b = p["a"], p["d"], p["e"], p["b"]
-    _require(_away(b) and _away(e - d - 1) and _away(e - a - 1) and _poch_margin(b + 1, 2))
-    return p
-
-
-def _sample_cor4(rng: random.Random, index: int) -> dict:
-    p = _sample_single_root(rng, (2,))
-    a, d, e, b, f0 = p["a"], p["d"], p["e"], p["b"], p["f"][0]
-    _require(
-        _away(2 * f0 - b - d + 1)
-        and _away(a * d + (2 * f0 - b + 1) * (e - a - d - 1))
-        and _f_margin(p)
-    )
-    return p
-
-
 def _check_cor4(case: IdentityCase) -> list:
     p = case.params
     a, d, e, b = p["a"], p["d"], p["e"], p["b"]
@@ -555,18 +399,6 @@ def _check_cor4(case: IdentityCase) -> list:
         / (a * d + (2 * f0 - b + 1) * (e - a - d - 1))
     )
     return _single_roots(p, lam, lam_star)
-
-
-def _sample_cor5(rng: random.Random, index: int) -> dict:
-    p = _sample_single_root(rng, (1, 1))
-    a, d, e, f = p["a"], p["d"], p["e"], p["f"]
-    s = f[0] + f[1] - p["b"]
-    _require(
-        _away(s - d)
-        and _away(a * d + s * (e - a - d - 1))
-        and all(_poch_margin(fi, 2) for fi in f)
-    )
-    return p
 
 
 def _check_cor5(case: IdentityCase) -> list:
@@ -612,6 +444,11 @@ class TwoSided:
 
 def _spec(p: dict) -> IpdSpec:
     return IpdSpec(b=p["b"], f=p["f"], m=p["m"], a=p["a"], c=p.get("c"))
+
+
+def _general_lhs(p: dict):
+    """The general IPD function, the left side of MP1, MP2 and COR1."""
+    return ipd_function(_spec(p))
 
 
 _IPD_KEYS = {"a": ComplexValue, "b": ComplexValue, "f": ParamVector, "m": IntVector}
@@ -661,96 +498,251 @@ def _no_x_samples(rng: random.Random) -> list:
 
 @dataclass(frozen=True)
 class _Identity:
-    sample: Callable  # (rng, index) -> params
     check: Callable  # case -> residuals, one per sample checked
+    draws: tuple  # rounds of (name, drawer) steps; the clauses are tested after each
+    clauses: tuple  # the _Clause preconditions of an admissible draw
     x_samples: Callable = _default_x_samples  # rng -> arguments
+
+
+# Clauses several identities share.  A name cites the hypothesis or the
+# engine guard the clause encodes; |m| is the total multiplicity.
+_F = _Clause("(f_i)_{|m|+1} != 0: (f)_m, the guard of every coefficient family",
+             _poch, lambda f, m, **_: [(fi, m.total + 1) for fi in f])
+_B = _Clause("b != 0", _away, lambda b, **_: (b,))
+_FB = _Clause("(f_i-b)_{|m|} != 0: the weight (f-b)_m/(f)_m",
+              _poch, lambda b, f, m, **_: [(fi - b, m.total) for fi in f])
+_CB = _Clause("(c-b-m)_m != 0: the norm of Q (eq5) and P",
+              _poch, lambda b, c, m, **_: [(c - b - m.total, m.total)])
+_COR1 = (_F, _Clause("(1-f_i+b-m_i)_{|m|} != 0: the bottom of D_k's (r+1)F_r", _poch,
+                     lambda b, f, m, **_: [(1 - fi + b - mi, m.total) for fi, mi in zip(f, m)]))
+_COR2 = (
+    _Clause("(c-a-m)_m != 0: Q-hat and P-hat",
+            _poch, lambda a, c, m, **_: [(c - a - m.total, m.total)]),
+    _CB,
+    _Clause("(b+1)_{|m|+1} != 0: the terminating sums inside Q-hat and P-hat",
+            _poch, lambda b, m, **_: [(b + 1, m.total + 1)]),
+    _F,
+)
+
+
+def _beta(b: ParamVector, p: IntVector, **_) -> list:
+    """VEC's grid: b_j, b_j+1, ..., b_j+p_j-1 for every j."""
+    return [bj + i for bj, pj in zip(b, p) for i in range(pj)]
+
+
+# The draws and the clauses each pair of variants shares.
+_THM3 = (_draws("ab"), (_B, _F))
+_THM4 = (_draws("ab", ("p", _by_index(1, 2, 3, 4))), (
+    _Clause("b clear: b+q-1 != 0 for q = 1..p (eq29, eq31)", _clear, lambda b, **_: (b,)),
+    _Clause("b+q-a clear for q < p: (b+1-a)_{p-1} != 0, T* (eq31)",
+            _clear, lambda a, b, p, **_: [b + q - a for q in range(1, p)]),
+    # build_T no longer evaluates Gamma(b+p-a): kept only for draw-neutrality,
+    # until ROADMAP item 5 Step 2 drops it
+    _Clause("b+p-a clear: a stale Gamma guard, kept only for draw-neutrality",
+            _clear, lambda a, b, p, **_: (b + p - a,)),
+    _F,
+))
+_VEC = (
+    _draws("a", before=(("p", _choice(((1, 1), (2, 1), (1, 2), (2, 2)))), ("b", _one_per("p")))),
+    (
+        _Clause("beta_q != 0: the weights of eq27 and eq28", _away, _beta),
+        _Clause("the beta grid is distinct (eq27, eq28)", _distinct, _beta),
+        _F,
+    ),
+)
+_THM5 = (_draws("adeb"), (
+    _B,
+    _Clause("(e-d-m+1)_{m-1} != 0: L",
+            _poch, lambda d, e, m, **_: [(e - d - m.total + 1, m.total - 1)]),
+    _Clause("(e-a-m+1)_{m-1} != 0: L-hat",
+            _poch, lambda a, e, m, **_: [(e - a - m.total + 1, m.total - 1)]),
+    _Clause("(1+a+d-e)_{m-1} != 0: the second variant",
+            _poch, lambda a, d, e, m, **_: [(1 + a + d - e, m.total - 1)]),
+    _F,
+))
+
+#: COR4 and COR5: b != 0 and the guards of L, L-hat and Y at |m| = 2.
+_SINGLE_ROOT = (
+    _B,
+    _Clause("e-d-1 != 0: (e-d-m+1)_{m-1} of L", _away, lambda d, e, **_: (e - d - 1,)),
+    _Clause("e-a-1 != 0: (e-a-m+1)_{m-1} of L-hat", _away, lambda a, e, **_: (e - a - 1,)),
+    _Clause("(b+1)_2 != 0: the bottom b+1 of Y", _poch, lambda b, **_: [(b + 1, 2)]),
+)
+
+_LEMMA4_M_POOL = ((1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1),
+                  (2, 1, 1), (1, 1, 1, 1), (4,), (5,), (3, 2), (4, 1))
+
+
+def _minton_k(rng: random.Random, p: dict, index: int) -> int:
+    """MINTON's terminating index k, at least |m|."""
+    return p["m"].total + rng.randint(0, 4)
+
+
+def _f_for(m: tuple) -> tuple:
+    """LEMMA4's step for the multiplicity m: one f_i per entry, into f_by_m."""
+    return ("f_by_m", lambda rng, p, index: {
+        **p.get("f_by_m", {}), m: ParamVector([_complex(rng) for _ in m])
+    })
 
 
 #: Identity catalog, in report order.
 IDENTITIES = {
-    "MP1": _Identity(_sample_mp1, TwoSided(
-        lambda p: apply_mp1(_spec(p), route=p["route"]),
-        lambda p: ipd_function(_spec(p)),
-        dict(_GENERAL_KEYS, route=str),
-        {"route": "paperQ"},
-    )),
-    "MP2": _Identity(_sample_mp2, TwoSided(
-        lambda p: apply_mp2(_spec(p), route=p["route"]),
-        lambda p: ipd_function(_spec(p)),
-        dict(_GENERAL_KEYS, route=str),
-        {"route": "paperQhat"},
-    )),
-    "THM3_EQ19": _Identity(_sample_thm3, _degenerate_single("eq19")),
-    "THM3_EQ20": _Identity(_sample_thm3, _degenerate_single("eq20")),
-    "THM4_EQ29": _Identity(_sample_thm4, _degenerate_p("eq29")),
-    "THM4_EQ31": _Identity(_sample_thm4, _degenerate_p("eq31")),
-    "VEC_EQ27": _Identity(_sample_vec, _degenerate_vector("eq27")),
-    "VEC_EQ28": _Identity(_sample_vec, _degenerate_vector("eq28")),
-    "THM5_FIRST": _Identity(_sample_thm5, _two_free("first")),
-    "THM5_SECOND": _Identity(_sample_thm5, _two_free("second")),
-    "LEMMA1": _Identity(_sample_lemma1, _check_lemma1, _lemma1_t_samples),
-    "COR1": _Identity(_sample_cor1, TwoSided(
-        lambda p: expand_to_gauss(_spec(p)),
-        lambda p: ipd_function(_spec(p)),
-        _GENERAL_KEYS,
-    )),
-    "LEMMA2": _Identity(_sample_lemma2, _check_lemma2, _no_x_samples),
-    "COR2": _Identity(_sample_cor2, _check_cor2, _no_x_samples),
-    "LEMMA3": _Identity(_sample_lemma3, _check_lemma3, _no_x_samples),
-    "LEMMA4": _Identity(_sample_lemma4, _check_lemma4, _no_x_samples),
-    "MINTON": _Identity(_sample_minton, _check_minton, _unit_x_samples),
-    "KARLSSON": _Identity(_sample_karlsson, _check_karlsson, _unit_x_samples),
-    "COR3": _Identity(_sample_cor3, _check_cor3, _no_x_samples),
-    "COR4": _Identity(_sample_cor4, _check_cor4, _no_x_samples),
-    "COR5": _Identity(_sample_cor5, _check_cor5, _no_x_samples),
+    "MP1": _Identity(
+        TwoSided(lambda p: apply_mp1(_spec(p), route=p["route"]), _general_lhs,
+                 dict(_GENERAL_KEYS, route=str), {"route": "paperQ"}),
+        _draws("abc", ("route", _by_index("paperQ", "newP"))),
+        _COR1 + (_CB,),
+    ),
+    "MP2": _Identity(
+        TwoSided(lambda p: apply_mp2(_spec(p), route=p["route"]), _general_lhs,
+                 dict(_GENERAL_KEYS, route=str), {"route": "paperQhat"}),
+        _draws("abc", ("route", _by_index("paperQhat", "newPhat"))),
+        _COR2 + (_Clause("(1+a+b-c)_m != 0: apply_mp2",
+                         _poch, lambda a, b, c, m, **_: [(1 + a + b - c, m.total)]),),
+    ),
+    "THM3_EQ19": _Identity(_degenerate_single("eq19"), *_THM3),
+    "THM3_EQ20": _Identity(_degenerate_single("eq20"), *_THM3),
+    "THM4_EQ29": _Identity(_degenerate_p("eq29"), *_THM4),
+    "THM4_EQ31": _Identity(_degenerate_p("eq31"), *_THM4),
+    "VEC_EQ27": _Identity(_degenerate_vector("eq27"), *_VEC),
+    "VEC_EQ28": _Identity(_degenerate_vector("eq28"), *_VEC),
+    "THM5_FIRST": _Identity(_two_free("first"), *_THM5),
+    "THM5_SECOND": _Identity(_two_free("second"), *_THM5),
+    "LEMMA1": _Identity(_check_lemma1, _draws("bc"), (
+        _Clause("c-b and f_i-f_j (i != j) clear: the kernel's partial fractions",
+                _clear, lambda b, c, f, **_: [c - b, *(fi - fj for fi, fj in permutations(f, 2))]),
+        _Clause("f_i-c, c-f_i and 1-f_i-m_i+b clear: the series route's genericity",
+                _clear, lambda b, c, f, m, **_: [
+                    z for fi, mi in zip(f, m) for z in (fi - c, c - fi, 1 - fi - mi + b)
+                ]),
+        _F,
+    ), _lemma1_t_samples),
+    "COR1": _Identity(TwoSided(lambda p: expand_to_gauss(_spec(p)), _general_lhs, _GENERAL_KEYS),
+                      _draws("abc"), _COR1),
+    "LEMMA2": _Identity(_check_lemma2, _draws("bc"), _COR1 + (_CB,), _no_x_samples),
+    "COR2": _Identity(_check_cor2, _draws("abc"), _COR2, _no_x_samples),
+    "LEMMA3": _Identity(_check_lemma3, ((("alpha", _complex), ("m_max", _by_index(6))),), (
+        _Clause("(alpha-m_max)_{m_max} != 0",
+                _poch, lambda alpha, m_max, **_: [(alpha - m_max, m_max)]),
+    ), _no_x_samples),
+    # a round per m: a failed clause rejects before the next f is drawn
+    "LEMMA4": _Identity(
+        _check_lemma4,
+        ((("b", _complex), _f_for(_LEMMA4_M_POOL[0])),
+         *((_f_for(m),) for m in _LEMMA4_M_POOL[1:])),
+        (
+            _Clause("(f_i)_{|m|+1} != 0 for every m: (f)_m", _poch,
+                    lambda f_by_m, **_: [(fi, sum(m) + 1) for m, f in f_by_m.items() for fi in f]),
+            _Clause("(b+1)_{2|m|+1} != 0 for every m: the outer sum's bottom b+|m|-k+1",
+                    _poch, lambda b, f_by_m, **_: [(b + 1, 2 * sum(m) + 1) for m in f_by_m]),
+        ),
+        _no_x_samples,
+    ),
+    "MINTON": _Identity(_check_minton, _draws("b", ("k", _minton_k)), (
+        _Clause("(b+1)_k != 0: k!/(b+1)_k", _poch, lambda b, k, **_: [(b + 1, k)]),
+        _Clause("(f_i)_{k+1} != 0: the bottom f",
+                _poch, lambda f, k, **_: [(fi, k + 1) for fi in f]),
+        _FB,
+    ), _unit_x_samples),
+    "KARLSSON": _Identity(_check_karlsson, _draws("b", ("a", _complex)), (
+        # never met at |m| = 3, as Re a >= -2: kept as is only for draw-neutrality,
+        # until ROADMAP item 5 Step 2 draws a relative to m
+        _Clause("Re(1-a-|m|) >= 0.05: the series at x = 1 converges",
+                _convergent, lambda a, m, **_: (1 - a - m.total,)),
+        _Clause("b+1, b+1-a and f_i clear: Gamma(b+1)/Gamma(b+1-a) and the bottom",
+                _clear, lambda a, b, f, **_: (b + 1, b + 1 - a, *f)),
+        _FB,
+    ), _unit_x_samples),
+    "COR3": _Identity(_check_cor3, _draws("ab", pool=((1,), (2,), (3,))), (
+        # the closed form is finite at b = 0: kept only for draw-neutrality,
+        # until ROADMAP item 5 Step 2 drops it
+        _Clause("b clear: a stale Gamma guard, kept only for draw-neutrality",
+                _clear, lambda b, **_: (b,)),
+        _Clause("b+1-a clear: (b+1-a)_{p-1} of T* at p = 2",
+                _clear, lambda a, b, **_: (b + 1 - a,)),
+        _Clause("lambda*'s denominator (b-a+1)(f-b)_m - b(f-b-1)_m != 0", _away,
+                lambda a, b, f, m, **_: (
+                    (b - a + 1) * pochhammer_vec(f - b, m) - b * pochhammer_vec(f - b - 1, m),
+                )),
+        _F,
+    ), _no_x_samples),
+    "COR4": _Identity(_check_cor4, _draws("adeb", pool=((2,),)), _SINGLE_ROOT + (
+        _Clause("lambda's denominator 2f-b-d+1 != 0",
+                _away, lambda b, d, f, **_: (2 * f[0] - b - d + 1,)),
+        _Clause("lambda*'s denominator ad+(2f-b+1)(e-a-d-1) != 0",
+                _away, lambda a, b, d, e, f, **_: (a * d + (2 * f[0] - b + 1) * (e - a - d - 1),)),
+        _F,
+    ), _no_x_samples),
+    "COR5": _Identity(_check_cor5, _draws("adeb", pool=((1, 1),)), _SINGLE_ROOT + (
+        _Clause("lambda's denominator s-d != 0, s = f_1+f_2-b",
+                _away, lambda b, d, f, **_: (sum(f) - b - d,)),
+        _Clause("lambda*'s denominator ad+s(e-a-d-1) != 0",
+                _away, lambda a, b, d, e, f, **_: (a * d + (sum(f) - b) * (e - a - d - 1),)),
+        _Clause("(f_i)_2 != 0: (f)_m", _poch, lambda f, **_: [(fi, 2) for fi in f]),
+    ), _no_x_samples),
 }
 
 IDENTITY_IDS = tuple(IDENTITIES)
 
 
-def _draw_case(identity_id: str, entry: _Identity, rng: random.Random, index: int) -> IdentityCase:
-    case = IdentityCase(identity_id, entry.sample(rng, index), [])
+def admissible(identity_id: str, params: dict) -> list:
+    """Names of the clauses of ``identity_id`` that ``params`` fails, in
+    table order; an empty list means admissible.  The right-side screen of
+    ``sample_params`` is not a clause and is not applied here."""
+    return [c.name for c in IDENTITIES[identity_id].clauses if not c.kind(*c.values(**params))]
+
+
+def _draw_case(identity_id: str, rng: random.Random, index: int) -> Optional[IdentityCase]:
+    """One draw: None if a clause or the right-side screen rejects it."""
+    entry = IDENTITIES[identity_id]
+    params: dict = {}
+    for steps in entry.draws:
+        for name, draw in steps:
+            params[name] = draw(rng, params, index)
+        if admissible(identity_id, params):
+            return None
+    case = IdentityCase(identity_id, params, [])
     if isinstance(entry.check, TwoSided):
         try:
-            case.rhs = entry.check.rhs(case.params)
+            case.rhs = entry.check.rhs(params)
         except IpdHypError as exc:
             case.rhs_error = exc
         else:
-            _require(_rhs_usable(case.rhs))
+            if not _rhs_usable(case.rhs):
+                return None
     return case
 
 
 def sample_params(identity_id: str, seed: int, count: int) -> list:
     """Draw ``count`` admissible cases for one identity, deterministically.
 
-    Parameters come from the box Re in [-2, 3], Im in [-1, 1] and are
-    rejection-resampled until the identity's preconditions hold with margin
-    1e-3 (Pochhammer non-vanishing, distinctness, pole clearance).  A
-    two-sided case's right side is built here once, for its check to
-    evaluate, and redrawn unless each bottom parameter of its series is at
-    most 1e4 and 1e-3 clear of the poles: the samplers leave the pole
-    clearance of those bottom parameters to this screen.  A domain error
-    building an admissible draw is kept for the check to raise (a skip, not
-    a redraw); a draw may warn (RootWarning) and then be redrawn.  Raises
+    The identity's draws take complex parameters from the box Re in [-2, 3],
+    Im in [-1, 1], round by round, and after each round the draw is redrawn
+    if ``admissible`` names a failed clause.  A two-sided case's right side
+    is then built once, for its check to evaluate, and the draw is redrawn
+    unless each bottom parameter of its series is at most 1e4 and MARGIN
+    clear of the poles: this right-side screen is not a clause, and the
+    clauses leave those bottom parameters to it.  A domain error building
+    an admissible draw is kept for the check to raise (a skip, not a
+    redraw); a draw may warn (RootWarning) and then be redrawn.  Raises
     RejectionExhaustedError after 10^4 failed draws.
     """
     if identity_id not in IDENTITIES:
         raise KeyError(f"unknown identity id {identity_id!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    entry = IDENTITIES[identity_id]
     cases = []
     for index in range(count):
         rng = _case_rng(seed, identity_id, index)
         for _attempt in range(MAX_REJECTIONS):
-            with suppress(_Reject):
-                case = _draw_case(identity_id, entry, rng, index)
+            case = _draw_case(identity_id, rng, index)
+            if case is not None:
                 break
         else:
             raise RejectionExhaustedError(
                 f"{identity_id}: no admissible draw in {MAX_REJECTIONS} attempts"
             )
-        case.x_samples = entry.x_samples(rng)
+        case.x_samples = IDENTITIES[identity_id].x_samples(rng)
         cases.append(case)
     return cases
 

@@ -38,7 +38,7 @@ from ipdhyp.verify import (
     _away,
     _clear,
     _draw_case,
-    _Reject,
+    admissible,
     report_to_json,
     run_suite,
     sample_params,
@@ -251,19 +251,88 @@ _SCREENED = [
 
 class TestRightSideScreen:
     @pytest.mark.parametrize("identity_id, params", _SCREENED)
-    def test_rejects_a_bottom_parameter_near_a_pole(self, identity_id, params):
-        # the samplers no longer test these parameters themselves
+    def test_rejects_a_bottom_parameter_near_a_pole(self, identity_id, params, monkeypatch):
+        # no clause tests these parameters: the screen after the clauses does
         rng = random.Random(0)
         for z, rejected in ((mp.mpf("5e-4"), True), (mp.mpf("0.5"), False)):
-            entry = dataclasses.replace(
-                IDENTITIES[identity_id], sample=lambda rng, index, z=z: params(z)
-            )
+            assert admissible(identity_id, params(z)) == []
+            fixed = tuple((name, lambda rng, p, index, v=v: v) for name, v in params(z).items())
+            entry = dataclasses.replace(IDENTITIES[identity_id], draws=(fixed,))
+            monkeypatch.setitem(IDENTITIES, identity_id, entry)
+            case = _draw_case(identity_id, rng, 0)
             if rejected:
-                with pytest.raises(_Reject):
-                    _draw_case(identity_id, entry, rng, 0)
+                assert case is None
             else:
-                case = _draw_case(identity_id, entry, rng, 0)
                 assert case.rhs is not None and case.rhs_error is None
+
+
+#: One clause of each kind, as (kind, id, params(d)): at d = 9e-4 the
+#: params sit just inside the clause's margin, at d = 1.1e-3 just outside.
+_BY_KIND = [
+    pytest.param("_clear", "THM4_EQ29",
+                 lambda d: {"a": _A, "b": cplx(-1 + d, d), "f": _F, "m": _M, "p": 1}, id="clear"),
+    pytest.param("_poch", "MP1",
+                 lambda d: {"a": _A, "b": _B, "c": _B + 1 + d, "f": _F, "m": _M, "route": "paperQ"},
+                 id="poch"),
+    pytest.param("_away", "THM3_EQ19", lambda d: {"a": _A, "b": cplx(d), "f": _F, "m": _M}, id="away"),
+    pytest.param("_distinct", "VEC_EQ27",
+                 lambda d: {"a": _A, "b": ParamVector([_B, _B + d]), "p": IntVector([1, 1]),
+                            "f": _F, "m": _M}, id="distinct"),
+    # Re(1-a-|m|) = 0.05 -+ 1e-4: the convergence clause's own bound
+    pytest.param("_convergent", "KARLSSON",
+                 lambda d: {"a": cplx(-1.05 + 1e-3 - d, 0.1), "b": _B, "f": _F, "m": _M},
+                 id="convergent"),
+]
+
+
+def _raw_draw(identity_id: str, rng: random.Random, index: int) -> dict:
+    """Every draw step of an identity, with no clause tested."""
+    params: dict = {}
+    for steps in IDENTITIES[identity_id].draws:
+        for name, draw in steps:
+            params[name] = draw(rng, params, index)
+    return params
+
+
+class TestClauses:
+    @pytest.mark.parametrize("kind, identity_id, params", _BY_KIND)
+    def test_rejects_just_inside_the_margin(self, kind, identity_id, params):
+        inside = admissible(identity_id, params(9e-4))
+        assert len(inside) == 1
+        clause = next(c for c in IDENTITIES[identity_id].clauses if c.name == inside[0])
+        assert clause.kind.__name__ == kind
+        assert admissible(identity_id, params(1.1e-3)) == []
+
+    def test_poch_admits_a_factor_past_its_last(self):
+        # (c-b-2)_2 with c-b-2 near -2: its factors are near -2 and -1
+        params = {"a": _A, "b": _B, "c": _B + cplx(5e-4, 5e-4), "f": _F, "m": _M, "route": "newP"}
+        assert admissible("MP1", params) == []
+
+    def test_clause_names_are_unique(self):
+        for entry in IDENTITIES.values():
+            names = [c.name for c in entry.clauses]
+            assert len(set(names)) == len(names)
+
+    @settings(max_examples=40, deadline=None)
+    @given(identity_id=st.sampled_from(IDENTITY_IDS), seed=st.integers(0, 2**32))
+    def test_sampled_cases_are_admissible(self, identity_id, seed):
+        for case in sample_params(identity_id, seed, 2):
+            assert admissible(identity_id, case.params) == []
+
+    def test_every_clause_rejects_under_a_wide_margin(self, monkeypatch):
+        # No clause is dead weight: at MARGIN 0.2 each fails on some draw of
+        # its identity, which sample_params would then redraw.
+        import ipdhyp.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "MARGIN", mp.mpf("0.2"))
+        for identity_id, entry in IDENTITIES.items():
+            silent = {c.name for c in entry.clauses}
+            for index in range(2000):
+                params = _raw_draw(identity_id, random.Random(index), index)
+                silent -= set(admissible(identity_id, params))
+                if not silent:
+                    break
+            assert not silent, (identity_id, silent)
 
 
 #: Real parts within 2e-3 of an integer in -8..2, and a wider box.

@@ -5,10 +5,12 @@
 For every seed in the range and every identity id, ``sample_params`` draws
 ``count`` cases.  The params, the x samples and the type name of the kept
 right-side error (``NoneType`` when there is none) of each case go into one
-SHA-256, hashed exactly as ``test_draws_are_pinned`` hashes its draws.  The
-script prints the number of cases and the hex digest.  Run it on two trees
-with the same arguments (``ipdhyp`` is imported from ``PYTHONPATH``): equal
-digests mean equal draws.
+SHA-256, hashed exactly as ``test_draws_are_pinned`` hashes its draws, and
+into a SHA-256 of that identity's draws alone.  The script prints one line
+per identity with its digest, then the number of cases and the total hex
+digest.  Run it on two trees with the same arguments (``ipdhyp`` is
+imported from ``PYTHONPATH``): equal digests mean equal draws, and the
+identity lines name the identities whose draws moved.
 """
 
 from __future__ import annotations
@@ -31,18 +33,21 @@ def _seed_range(text: str) -> range:
 
 
 def draw_digest(seeds: range, count: int) -> tuple:
-    """(number of cases, SHA-256 hex digest) of every draw over all ids."""
-    digest = hashlib.sha256()
+    """(number of cases, SHA-256 hex digest of every draw over all ids,
+    {id: SHA-256 hex digest of that id's draws})."""
+    total = hashlib.sha256()
+    by_id = {identity_id: hashlib.sha256() for identity_id in IDENTITY_IDS}
     cases = 0
     for seed in seeds:
         for identity_id in IDENTITY_IDS:
             for case in sample_params(identity_id, seed, count):
-                digest.update(identity_id.encode())
-                _feed(digest, case.params)
-                _feed(digest, case.x_samples)
-                digest.update(type(case.rhs_error).__name__.encode())
+                for digest in (total, by_id[identity_id]):
+                    digest.update(identity_id.encode())
+                    _feed(digest, case.params)
+                    _feed(digest, case.x_samples)
+                    digest.update(type(case.rhs_error).__name__.encode())
                 cases += 1
-    return cases, digest.hexdigest()
+    return cases, total.hexdigest(), {i: d.hexdigest() for i, d in by_id.items()}
 
 
 def main() -> None:
@@ -52,7 +57,9 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=20)
     args = parser.parse_args()
     set_precision(args.digits)
-    cases, hexdigest = draw_digest(args.seeds, args.count)
+    cases, hexdigest, by_id = draw_digest(args.seeds, args.count)
+    for identity_id, id_digest in by_id.items():
+        print(f"{identity_id:<12} sha256 {id_digest}")
     print(f"{cases} cases  sha256 {hexdigest}")
 
 
