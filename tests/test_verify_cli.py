@@ -220,9 +220,9 @@ def _thm3(z):
     return {"a": _A, "b": z - 2, "f": _F, "m": _M}
 
 
-#: Params of the samplers that leave pole clearance to the right-side
-#: screen, as a function of z: the named bottom parameter of the right
-#: side is z - 1 or z - 2, so z = 5e-4 puts it 5e-4 from a pole.
+#: Params of the identities whose clauses leave pole clearance to the
+#: right-side screen, as a function of z: the named bottom parameter of the
+#: right side is z - 1 or z - 2, so z = 5e-4 puts it 5e-4 from a pole.
 _SCREENED = [
     pytest.param("MP1", _general("paperQ"), id="MP1-c"),
     pytest.param("COR1", _general(None), id="COR1-c"),
@@ -345,7 +345,7 @@ _REAL_PARTS = st.one_of(_NEAR_INTEGERS, st.floats(-10, 10).map(mp.mpf))
 
 
 class TestSamplerImplications:
-    """The implications that let a sampler drop a test another one makes."""
+    """The implications that let a clause list drop a test another clause makes."""
 
     @settings(max_examples=300, deadline=None)
     @given(re=_REAL_PARTS, im=st.floats(-3e-3, 3e-3), k=st.integers(0, 8))
