@@ -75,18 +75,33 @@ ARG_MOBIUS = "mobius"
 
 
 class _Points:
-    """The points of one evaluation.  Log(1-x) and x/(x-1) are made once
-    per point, when the first term that needs them asks, so they raise
-    where a term evaluated on its own would."""
+    """The points of one evaluation.  Log(1-x), x/(x-1), each power x^j and
+    each prefactor (1-x)^mu are made once per point, when the first term
+    that needs them asks, so they raise where a term evaluated on its own
+    would."""
 
     def __init__(self, xs: Sequence[ComplexLike]):
         self.xs = [cplx(x) for x in xs]
         self._logs = self._mobius = None
+        self._powers: dict = {}
+        self._prefactors: dict = {}
 
     def logs(self) -> list:
         if self._logs is None:
             self._logs = [log_one_minus(x) for x in self.xs]
         return self._logs
+
+    def power(self, j: int) -> list:
+        """x^j at every point."""
+        if j not in self._powers:
+            self._powers[j] = [x**j for x in self.xs]
+        return self._powers[j]
+
+    def prefactor(self, mu: ComplexValue) -> list:
+        """(1-x)^mu = exp(mu Log(1-x)) at every point."""
+        if mu not in self._prefactors:
+            self._prefactors[mu] = [mp.exp(mu * log) for log in self.logs()]
+        return self._prefactors[mu]
 
     def mobius(self) -> list:
         if self._mobius is None:
@@ -119,10 +134,9 @@ class HypTerm:
             return [mp.mpc(0)] * len(xs)
         values = [self.coeff] * len(xs)
         if self.x_power:
-            values = [v * x**self.x_power for v, x in zip(values, xs)]
+            values = [v * p for v, p in zip(values, points.power(self.x_power))]
         if self.prefactor_exponent != 0:
-            mu = self.prefactor_exponent
-            values = [v * mp.exp(mu * log) for v, log in zip(values, points.logs())]
+            values = [v * p for v, p in zip(values, points.prefactor(self.prefactor_exponent))]
         if self.fun is not None:
             args = points.mobius() if self.arg_map == ARG_MOBIUS else xs
             tol = default_series_tolerance() if tol is None else mp.mpf(tol)
@@ -146,7 +160,8 @@ class HypExpression:
 
     def evaluate_many(self, xs: Sequence[ComplexLike], tol=None) -> list:
         """The expression at every point of ``xs``, each term evaluated once
-        for all; the terms share each point's Log(1-x) and x/(x-1)."""
+        for all; the terms share each point's Log(1-x), x/(x-1), x^j and
+        (1-x)^mu."""
         points = _Points(xs)
         totals = [mp.mpc(0)] * len(points.xs)
         for term in self.terms:

@@ -28,6 +28,7 @@ wall-time field).
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -52,6 +53,7 @@ from .kernel import (
     pochhammer,
     pochhammer_vec,
     rising,
+    run_fixed,
     terminating_family,
     terminating_pfq,
 )
@@ -289,62 +291,69 @@ def _check_cor2(case: IdentityCase) -> list:
     return [_coeff_deviation(qhat.coeffs, phat.coeffs)]
 
 
-def _check_lemma3(case: IdentityCase) -> list:
-    # (-n)_j = (-1)^j n!/(n-j)! and j! are exact ints: an mpc times an int
-    # rounds as it does times the same value held as an mpc, and dividing by
-    # an int rounds as dividing by an mpf.  The complex Pochhammers are runs
-    # made once per mt, each from alpha - mt + j (alpha + (j - mt) can round
-    # differently).
-    alpha = case.params["alpha"]
-    m_max = case.params["m_max"]
-    residuals = []
+def _fixed_residuals(sides: list) -> list:
+    """|lhs - rhs| / max(1, |rhs|) of each relation, read from the list
+    [rhs, lhs - rhs, ...] that a check's fixed-point run returns."""
+    return [abs(diff) / max(1, abs(rhs)) for rhs, diff in zip(sides[::2], sides[1::2])]
+
+
+def _lemma3_sides(alpha, m_max: int) -> list:
+    """LEMMA3's relation for every 0 <= i <= k <= mt <= m_max, as [rhs,
+    lhs - rhs, ...].  (-n)_j = (-1)^j n!/(n-j)!, perms and factorials are
+    exact ints; the complex Pochhammers are runs made once per mt, each
+    from alpha - mt + j."""
+    sides = []
     for mt in range(m_max + 1):
         base = rising(alpha - mt, mt)
         shifted = [rising(alpha - mt + j, mt) for j in range(mt + 1)]
         for k in range(mt + 1):
             for i in range(k + 1):
-                lhs = mp.mpc(0)
-                for j in range(i, k + 1):
-                    lhs += (
-                        (-1) ** j * math.perm(k, j)
-                        * shifted[j][mt - i]
-                        * ((-1) ** i * math.perm(j, i))
-                        / math.factorial(j)
-                    )
+                # (-k)_j (-j)_i / j! = (-1)^(i+j) C(k, j) j!/(j-i)!, an int
+                lhs = sum(
+                    shifted[j][mt - i] * ((-1) ** (i + j) * math.comb(k, j) * math.perm(j, i))
+                    for j in range(i, k + 1)
+                )
                 # (-1)^i (-k)_i (-mt)_k = (-1)^k k!/(k-i)! mt!/(mt-k)!
                 rhs = (
-                    (-1) ** k * math.perm(k, i) * math.perm(mt, k)
-                    * base[mt]
-                    / ((-1) ** i * math.perm(mt, i) * base[k])
+                    base[mt] * ((-1) ** k * math.perm(k, i) * math.perm(mt, k))
+                    / (base[k] * ((-1) ** i * math.perm(mt, i)))
                 )
-                residuals.append(_relative(rhs, lhs))
-    return residuals
+                sides += [rhs, lhs - rhs]
+    return sides
+
+
+def _lemma4_sides(b, fs: list, ms: tuple) -> list:
+    """LEMMA4's relation for every k <= |m| and every m of ``ms``, as [rhs,
+    lhs - rhs, ...]; ``fs`` holds the f of each m in turn.  (-|m|)_i and
+    the perms and factorials are exact ints."""
+    sides = []
+    for m in ms:
+        f, fs = fs[:len(m)], fs[len(m):]
+        mt = sum(m)
+        f_shift = [fi + mi for fi, mi in zip(f, m)]
+        inner = terminating_family(f_shift, f, mt)
+        pb, nb = rising(b, mt), rising(-b - mt, mt)
+        for k in range(mt + 1):
+            # (-k)_i (b)_i / ((-mt)_i i!) times the inner sum
+            lhs = sum(
+                pb[i] * inner[i] * math.perm(k, i) / (math.perm(mt, i) * math.factorial(i))
+                for i in range(k + 1)
+            )
+            outer = terminating_pfq([-k, b] + f_shift, [b + mt - k + 1] + f, k)
+            rhs = nb[k] * outer / ((-1) ** k * math.perm(mt, k))
+            sides += [rhs, lhs - rhs]
+    return sides
+
+
+def _check_lemma3(case: IdentityCase) -> list:
+    p = case.params
+    return _fixed_residuals(run_fixed(_lemma3_sides, (p["alpha"],), p["m_max"]))
 
 
 def _check_lemma4(case: IdentityCase) -> list:
-    # Integer Pochhammers as exact ints, as in _check_lemma3; a divisor stays
-    # an mpc, since dividing by an mpc rounds unlike dividing by an int.
-    b = case.params["b"]
-    residuals = []
-    for pool_m, f in case.params["f_by_m"].items():
-        m = IntVector(pool_m)
-        mt = m.total
-        f_shift = list(f.shifted_by(m))
-        inner = terminating_family(f_shift, f, mt)
-        pb, nb, nm = rising(b, mt), rising(-b - mt, mt), rising(mp.mpc(-mt), mt)
-        denominators = [
-            mp.mpc((-1) ** i * math.perm(mt, i) * math.factorial(i)) for i in range(mt + 1)
-        ]
-        for k in range(mt + 1):
-            lhs = mp.mpc(0)
-            for i in range(k + 1):
-                lhs += (-1) ** i * math.perm(k, i) * pb[i] / denominators[i] * inner[i]
-            outer = terminating_pfq(
-                [mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k
-            )
-            rhs = nb[k] / nm[k] * outer
-            residuals.append(_relative(rhs, lhs))
-    return residuals
+    f_by_m = case.params["f_by_m"]
+    fs = [fi for f in f_by_m.values() for fi in f]
+    return _fixed_residuals(run_fixed(_lemma4_sides, (case.params["b"], fs), tuple(f_by_m)))
 
 
 def _unit_check(p: dict, a: ComplexValue, gauss: ComplexValue) -> list:
@@ -688,18 +697,34 @@ IDENTITY_IDS = tuple(IDENTITIES)
 def admissible(identity_id: str, params: dict) -> list:
     """Names of the clauses of ``identity_id`` that ``params`` fails, in
     table order; an empty list means admissible.  The right-side screen of
-    ``sample_params`` is not a clause and is not applied here."""
-    return [c.name for c in IDENTITIES[identity_id].clauses if not c.kind(*c.values(**params))]
+    ``sample_params`` is not a clause and is not applied here.  Raises
+    ValueError naming the key when ``params`` lacks one a clause reads."""
+    clauses = IDENTITIES[identity_id].clauses
+    for clause in clauses:
+        for key, arg in inspect.signature(clause.values).parameters.items():
+            if arg.kind is not arg.VAR_KEYWORD and key not in params:
+                raise ValueError(f"{identity_id} params are missing {key!r}")
+    return [c.name for c in clauses if not c.kind(*c.values(**params))]
 
 
 def _draw_case(identity_id: str, rng: random.Random, index: int) -> Optional[IdentityCase]:
-    """One draw: None if a clause or the right-side screen rejects it."""
+    """One draw: None if a clause or the right-side screen rejects it.
+
+    After each round the clauses are tested up to the first that fails.  A
+    dict value (LEMMA4's f_by_m) is tested on the entries the round added
+    only: the earlier ones passed after their own round, and a clause that
+    reads a dict tests each of its entries on its own."""
     entry = IDENTITIES[identity_id]
     params: dict = {}
     for steps in entry.draws:
+        seen = {name: set(value) for name, value in params.items() if isinstance(value, dict)}
         for name, draw in steps:
             params[name] = draw(rng, params, index)
-        if admissible(identity_id, params):
+        fresh = {
+            name: {k: v for k, v in value.items() if k not in seen[name]} if name in seen else value
+            for name, value in params.items()
+        } if seen else params
+        if not all(c.kind(*c.values(**fresh)) for c in entry.clauses):
             return None
     case = IdentityCase(identity_id, params, [])
     if isinstance(entry.check, TwoSided):

@@ -441,6 +441,25 @@ class TestSharedLogs:
             expr.evaluate_many(self.XS, STOL)
             assert len(calls) == len(self.XS)
 
+    def test_one_prefactor_per_exponent_and_point(self, monkeypatch):
+        # four algebraic terms, two exponents: (1-x)^mu made once per mu
+        calls = []
+        exp = mp.exp
+
+        def counted(z):
+            calls.append(z)
+            return exp(z)
+
+        mu, nu = mp.mpf("0.3"), cplx(-1.2, 0.4)
+        expr = HypExpression(
+            [HypTerm(1, 2, mu), HypTerm(3, 0, nu), HypTerm(-2, 2, mu), HypTerm(5, 1, nu)]
+        )
+        pointwise = [expr.evaluate(x, STOL) for x in self.XS]
+        monkeypatch.setattr(mp, "exp", counted)
+        many = expr.evaluate_many(self.XS, STOL)
+        assert len(calls) == 2 * len(self.XS)
+        assert _bits(many) == _bits(pointwise)
+
     def test_nonzero_exponent_raises_on_the_cut(self):
         fun = HypFunction(ParamVector([mp.mpf("0.5")]), ParamVector([mp.mpf("1.5")]))
         expr = HypExpression([

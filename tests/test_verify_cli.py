@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import random
 import re
@@ -30,7 +31,19 @@ from ipdhyp.errors import (
     RejectionExhaustedError,
     RootWarning,
 )
-from ipdhyp.kernel import IntVector, ParamVector, cplx, pochhammer, set_precision
+import ipdhyp.verify as verify_mod
+from ipdhyp.kernel import (
+    Fixed,
+    IntVector,
+    ParamVector,
+    cplx,
+    pochhammer,
+    rising,
+    run_fixed,
+    set_precision,
+    terminating_family,
+    terminating_pfq,
+)
 from ipdhyp.verify import (
     IDENTITIES,
     IDENTITY_IDS,
@@ -39,6 +52,7 @@ from ipdhyp.verify import (
     _clear,
     _draw_case,
     admissible,
+    evaluate_case,
     report_to_json,
     run_suite,
     sample_params,
@@ -96,8 +110,6 @@ class TestSampler:
             sample_params("NOPE", seed=1, count=1)
 
     def test_rejection_budget_exhausted(self, monkeypatch):
-        import ipdhyp.verify as verify_mod
-
         monkeypatch.setattr(verify_mod, "MAX_REJECTIONS", 0)
         with pytest.raises(RejectionExhaustedError):
             sample_params("MP1", seed=1, count=1)
@@ -106,8 +118,6 @@ class TestSampler:
         # sampling builds each right side once and the check reuses it, so
         # every case finds its characteristic roots once, degree 0 included
         import ipdhyp.transforms as transforms_mod
-        import ipdhyp.verify as verify_mod
-
         calls = []
 
         def counted(poly):
@@ -125,8 +135,6 @@ class TestSampler:
         assert len(calls) == 2 * run_calls
 
     def test_check_evaluates_the_sampled_right_side(self, monkeypatch):
-        import ipdhyp.verify as verify_mod
-
         cases = sample_params("MP1", seed=1, count=2)
 
         def rebuilt(*args, **kwargs):
@@ -171,8 +179,6 @@ class TestSampler:
         # see a draw order that changes after a rejection.  At 0.2 every
         # rejection site fires (KARLSSON's some 500 times, MP1's and
         # LEMMA3's once), and this digest moves if any of them does.
-        import ipdhyp.verify as verify_mod
-
         monkeypatch.setattr(verify_mod, "MARGIN", mp.mpf("0.2"))
         draw_digest = runpy.run_path(str(_TOOLS / "draw_digest.py"))["draw_digest"]
         assert draw_digest(range(1, 4), 20)[:2] == (1260, _PINNED_WIDE_DRAWS)
@@ -308,6 +314,11 @@ class TestClauses:
         params = {"a": _A, "b": _B, "c": _B + cplx(5e-4, 5e-4), "f": _F, "m": _M, "route": "newP"}
         assert admissible("MP1", params) == []
 
+    def test_names_a_missing_key(self):
+        params = {"a": _A, "b": _B, "f": _F, "m": _M, "route": "newP"}
+        with pytest.raises(ValueError, match="MP1 params are missing 'c'"):
+            admissible("MP1", params)
+
     def test_clause_names_are_unique(self):
         for entry in IDENTITIES.values():
             names = [c.name for c in entry.clauses]
@@ -322,8 +333,6 @@ class TestClauses:
     def test_every_clause_rejects_under_a_wide_margin(self, monkeypatch):
         # No clause is dead weight: at MARGIN 0.2 each fails on some draw of
         # its identity, which sample_params would then redraw.
-        import ipdhyp.verify as verify_mod
-
         monkeypatch.setattr(verify_mod, "MARGIN", mp.mpf("0.2"))
         for identity_id, entry in IDENTITIES.items():
             silent = {c.name for c in entry.clauses}
@@ -363,11 +372,126 @@ class TestSamplerImplications:
             assert _clear(1 - a)
 
 
+def _lemma3_reference(case) -> list:
+    """LEMMA3's relations on mpc at the working precision, as pairs (rhs,
+    lhs): the check's body before it ran in fixed point."""
+    alpha = case.params["alpha"]
+    m_max = case.params["m_max"]
+    pairs = []
+    for mt in range(m_max + 1):
+        base = rising(alpha - mt, mt)
+        shifted = [rising(alpha - mt + j, mt) for j in range(mt + 1)]
+        for k in range(mt + 1):
+            for i in range(k + 1):
+                lhs = mp.mpc(0)
+                for j in range(i, k + 1):
+                    lhs += (
+                        (-1) ** j * math.perm(k, j)
+                        * shifted[j][mt - i]
+                        * ((-1) ** i * math.perm(j, i))
+                        / math.factorial(j)
+                    )
+                rhs = (
+                    (-1) ** k * math.perm(k, i) * math.perm(mt, k)
+                    * base[mt]
+                    / ((-1) ** i * math.perm(mt, i) * base[k])
+                )
+                pairs.append((rhs, lhs))
+    return pairs
+
+
+def _lemma4_reference(case) -> list:
+    """LEMMA4's relations on mpc at the working precision, as pairs (rhs,
+    lhs): the check's body before it ran in fixed point."""
+    b = case.params["b"]
+    pairs = []
+    for pool_m, f in case.params["f_by_m"].items():
+        m = IntVector(pool_m)
+        mt = m.total
+        f_shift = list(f.shifted_by(m))
+        inner = terminating_family(f_shift, f, mt)
+        pb, nb, nm = rising(b, mt), rising(-b - mt, mt), rising(mp.mpc(-mt), mt)
+        denominators = [
+            mp.mpc((-1) ** i * math.perm(mt, i) * math.factorial(i)) for i in range(mt + 1)
+        ]
+        for k in range(mt + 1):
+            lhs = mp.mpc(0)
+            for i in range(k + 1):
+                lhs += (-1) ** i * math.perm(k, i) * pb[i] / denominators[i] * inner[i]
+            outer = terminating_pfq([mp.mpc(-k), b] + f_shift, [b + mt - k + 1] + list(f), k)
+            pairs.append((nb[k] / nm[k] * outer, lhs))
+    return pairs
+
+
+def _lemma3_run(case) -> list:
+    return run_fixed(verify_mod._lemma3_sides, (case.params["alpha"],), case.params["m_max"])
+
+
+def _lemma4_run(case) -> list:
+    f_by_m = case.params["f_by_m"]
+    fs = [fi for f in f_by_m.values() for fi in f]
+    return run_fixed(verify_mod._lemma4_sides, (case.params["b"], fs), tuple(f_by_m))
+
+
+#: id -> (the fixed-point run, the mpc reference, relations per case)
+_LEMMAS = {"LEMMA3": (_lemma3_run, _lemma3_reference, 84),
+           "LEMMA4": (_lemma4_run, _lemma4_reference, 63)}
+
+
+class TestFixedPointLemmas:
+    """LEMMA3 and LEMMA4 form both sides of every relation in one fixed-point run."""
+
+    @pytest.mark.parametrize("digits", [40, 60])
+    @pytest.mark.parametrize("identity_id", _LEMMAS)
+    def test_sides_agree_with_the_mpc_reference(self, identity_id, digits):
+        run, reference, _ = _LEMMAS[identity_id]
+        set_precision(digits)
+        tol = mp.mpf(10) ** -(digits - 4)
+        for case in sample_params(identity_id, seed=1, count=20):
+            sides = run(case)
+            pairs = reference(case)
+            assert len(sides) == 2 * len(pairs)
+            for (rhs, diff), (ref_rhs, ref_lhs) in zip(zip(sides[::2], sides[1::2]), pairs):
+                assert abs(rhs - ref_rhs) <= tol * max(1, abs(ref_rhs))
+                assert abs(rhs + diff - ref_lhs) <= tol * max(1, abs(ref_lhs))
+
+    @pytest.mark.parametrize("identity_id", _LEMMAS)
+    def test_relation_counts(self, identity_id):
+        for case in sample_params(identity_id, seed=1, count=2):
+            assert len(IDENTITIES[identity_id].check(case)) == _LEMMAS[identity_id][2]
+
+    @pytest.mark.parametrize("identity_id, name, entry", [
+        ("LEMMA4", "terminating_family", 2),
+        ("LEMMA3", "rising", 3),
+    ])
+    def test_a_nudge_inside_the_run_fails_the_case(self, identity_id, name, entry, monkeypatch):
+        # one entry of every such list in the run moved by 1e-20 relative,
+        # in int arithmetic
+        real = getattr(verify_mod, name)
+        nudged = []
+
+        def nudge(*args):
+            out = real(*args)
+            if len(out) > entry:
+                value = out[entry]
+                assert type(value) is Fixed
+                out[entry] = value + value / 10**20
+                nudged.append(value)
+            return out
+
+        monkeypatch.setattr(verify_mod, name, nudge)
+        case = sample_params(identity_id, seed=1, count=1)[0]
+        result = evaluate_case(case, mp.mpf("1e-28"))
+        assert nudged
+        assert result.status == "fail"
+        assert result.max_residual > mp.mpf("1e-21")
+
+
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
-_PINNED_REPORT = "23a2a2f73378ff050b439246804e5104b7afd9012261fdb5fbc0f7e22fb9f681"
+_PINNED_REPORT = "5a3ab214cc4c8c4a27d48c6c792f5854330ad278a7843be8ca103748c6443c74"
 
 #: SHA-256 of every residual the checks return for sample_params(id, 1, 2) at 40 digits.
-_PINNED_RESIDUALS = "423f1e6bbae3f23a8db4003aad657a4640b61ae63efe6e751722d205ed172d55"
+_PINNED_RESIDUALS = "82a3aa41bb5c8976534b5620b7e704cf95c3f2c8f54e2b540880dd0fa48e303f"
 
 
 def _patch_check(monkeypatch, identity_id, check) -> None:
@@ -425,8 +549,6 @@ class TestRunSuite:
         assert outputs[0] == outputs[1]
 
     def test_program_error_is_not_a_skip(self, monkeypatch):
-        import ipdhyp.verify as verify_mod
-
         def broken(*args, **kwargs):
             raise ValueError("bug in a transform")
 
