@@ -24,7 +24,8 @@ only operators and int constants on plain ascending coefficient lists:
 running products of linear factors come from ``kernel.linear_products``,
 and a weighted sum of basis polynomials (or a Lagrange interpolation)
 accumulates into one list.  The weights read each coefficient family once
-per build, as a vector over k (``coeffs.CoeffFamilies``), and each
+per build, as a vector over k from its body (``coeffs.c_coeffs``,
+``d_coeffs`` or ``y_coeffs``, called inside the builder's run), and each
 Pochhammer weight (a)_k from one run ``kernel.rising(a, m)``; no weight is
 rebuilt index by index.  The public builder runs its body in fixed point,
 ``CPoly(kernel.run_fixed(body, params, ...))``: the parameters convert in
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .coeffs import CoeffFamilies, w_poly_coeffs
+from .coeffs import c_coeffs, d_coeffs, w_poly_coeffs, y_coeffs
 from .errors import DegenerateCaseError, NonConvergenceError
 from .kernel import (
     ComplexLike,
@@ -351,7 +352,7 @@ def build_Q(b: ComplexLike, c: ComplexLike, f, m, route: str = "eq5") -> CPoly:
 def _q_eq5(b, c, f, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    bk, ck = rising(b, mt), CoeffFamilies(f, m)._C(mt)
+    bk, ck = rising(b, mt), c_coeffs(f, m, mt)
     weights = [bk[k] * ck[k] / norm for k in range(mt + 1)]
     return _weighted_sum(weights, _split_basis(c - b - mt, mt))
 
@@ -425,7 +426,7 @@ def build_P(b: ComplexLike, c: ComplexLike, f, m) -> CPoly:
 def _p(b, c, f, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    bk, ck, dk = rising(b, mt), rising(1 - c + b, mt), CoeffFamilies(f, m)._D(b, mt)
+    bk, ck, dk = rising(b, mt), rising(1 - c + b, mt), d_coeffs(f, b, m, mt)
     weights = [bk[k] * ck[k] * dk[k] / norm for k in range(mt + 1)]
     # basis (c-b-m-t)_{m-k}, k = 0..m
     return _weighted_sum(weights, linear_products((c - b - mt + j, -1) for j in range(mt))[::-1])
@@ -446,7 +447,7 @@ def _qhat(a, b, c, f, m: IntVector) -> list:
     mt = m.total
     nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    ck = CoeffFamilies(f, m)._C(mt)
+    ck = c_coeffs(f, m, mt)
     return _hatted(mt, ck, a, b, c - a - mt, c - b - mt, c - a - b - mt)
 
 
@@ -587,7 +588,7 @@ def build_L(
 def _l(a, d, e, b, f, m: IntVector, variant: str) -> list:
     mt = m.total
     nonzero(pochhammer(e - d - mt + 1, mt - 1), "(e-d-m+1)_{m-1}")
-    yk = CoeffFamilies(f, m)._Y(b, mt - 1)
+    yk = y_coeffs(f, b, m, mt - 1)
     if variant == "L":
         dk = rising(d, mt - 1)
         weights = [dk[k] * yk[k] for k in range(mt)]

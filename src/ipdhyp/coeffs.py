@@ -22,18 +22,19 @@ routes cross-validate:
 
 Default route per family is the terminating-hypergeometric one (no Stirling
 sums); the other routes are kept for the cross-check suite and run on mpc.
-That route is a vector over the index: ``CoeffFamilies(f, m)`` computes C,
-D and Y once per build, each as one terminating-sum family over a single
-term sequence (``kernel.terminating_family``), and Y shares the sequence
-of C.  Its algebra, like that of ``w_poly_coeffs``, uses only operators and
-int constants, so it runs on the type of its inputs: on ``kernel.Fixed``
-inside a builder's fixed-point run, which reads the vectors directly.
-Called with mpc values, as ``transforms`` calls it, each method converts
-f and b in once at W = 2 prec bits plus what the inputs need (more where
-a product or quotient needs it), and the vector out once, rounded to the
-working precision (``kernel.run_fixed``).  ``coeff_C``,
-``coeff_D`` and ``coeff_Y`` return entry k of the same vector, so a
-builder and a single coefficient take one code path.
+That route is a vector over the index, one plain body per family, as
+``w_poly_coeffs`` is for W: ``c_coeffs``, ``d_coeffs`` and ``y_coeffs``
+each sum one term sequence for every index at once
+(``kernel.terminating_family``), and ``fm_coeffs`` gives (f)_m as a
+one-entry list.  The bodies use only operators and int constants, so they
+run on the type of their inputs: on ``kernel.Fixed`` inside a builder's
+fixed-point run, which calls them directly.  Everywhere else, in
+``transforms`` and in ``coeff_C``, ``coeff_D`` and ``coeff_Y``, a body is
+one ``kernel.run_fixed`` call on (f,) or (f, b): the parameters convert in
+once at W = 2 prec bits plus what the inputs need (more where a product or
+quotient needs it), and the vector comes out once, rounded to the working
+precision.  A single coefficient is entry k of that vector, so a builder
+and a single coefficient take one code path.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .errors import (
 from .kernel import (
     ComplexLike,
     ComplexValue,
-    Fixed,
     IntVector,
     ParamVector,
     cplx,
@@ -62,6 +62,7 @@ from .kernel import (
     hyp_terms,
     lift,
     nonzero,
+    paired,
     pochhammer,
     pochhammer_vec,
     rising,
@@ -70,6 +71,7 @@ from .kernel import (
     terminating_family,
     terminating_pfq,
     terminating_sums,
+    unit,
 )
 
 
@@ -148,117 +150,62 @@ def _checked(index: int, top: int) -> int:
     return index
 
 
-class CoeffFamilies:
-    """The "hyp" routes of C_k, D_k and Y_l for one (f, m), each a vector
-    over its index, built once.
+def fm_coeffs(f, m: IntVector) -> list:
+    """[(f)_m], which must not vanish (DegenerateCaseError): (f)_m as the
+    one-entry list that ``run_fixed`` converts out.  The empty product of
+    r = 0 is ``unit()``, so it converts out too."""
+    fm = pochhammer_vec(f, m)
+    return [nonzero(fm if m else unit(), "(f)_m")]
 
-    C and Y are terminating sums over the term sequence
-    sigma_n = (f+m)_n / ((f)_n n!) of (f+m; f), which is made once and
-    shared, as is (f)_m; D sums the sequence of (1-f+b; 1-f+b-m).  Each
-    method takes the last index it needs (default: all of them), so a
-    family raises DenominatorPoleError exactly where the per-index
-    terminating sum of its last entry does, and entry k does not depend on
-    how far the vector goes.
 
-    The algebra (``_fm_list``, ``_C``, ``_D``, ``_Y``) runs on the type of
-    f.  Inside a builder's fixed-point run f holds ``Fixed`` values and so
-    do the vectors.  Given mpc values, as ``transforms`` and ``coeff_*``
-    give them, each public method is one ``run_fixed``: f and its own b
-    convert in once at one width, and the vector comes out once as mpc.
+def c_coeffs(f, m: IntVector, upto: int) -> list:
+    """[C_0, ..., C_upto]: C_k = (-1)^k / k! (r+1)F_r(-k, f+m; f | 1), the
+    terminating sums over sigma_n = (f+m)_n / ((f)_n n!)."""
+    sums = terminating_family([fi + mi for fi, mi in paired(f, m)], f, upto)
+    return [(-1) ** k * val / math.factorial(k) for k, val in enumerate(sums)]
+
+
+def d_coeffs(f, b, m: IntVector, upto: int) -> list:
+    """[D_0, ..., D_upto]:
+    D_k = (-1)^k (f-b)_m / k! (r+1)F_r(-k, 1-f+b; 1-f+b-m | 1)."""
+    fbm = pochhammer_vec([fi - b for fi in f], m)
+    num = [1 - fi + b for fi in f]
+    den = [1 - fi + b - mi for fi, mi in zip(f, m)]
+    sums = terminating_family(num, den, upto)
+    return [(-1) ** k * fbm * val / math.factorial(k) for k, val in enumerate(sums)]
+
+
+def y_coeffs(f, b, m: IntVector, upto: int) -> list:
+    """[Y_0, ..., Y_upto], empty for upto < 0 (r = 0 has no Y):
+    Y_l = (-1)^l/l! (r+2)F_{r+1}(-l, b, f+m; b+1, f | 1)
+          - (-1)^l (f-b)_m / ((b+1)_l (f)_m).
+
+    The terms of the (r+2)F_{r+1} are y_0 = 1 and y_n = b sigma_n/(b+n):
+    (b)_n/(b+1)_n = b/(b+n).  At b = -n, 1 <= n <= upto, the bottom
+    parameter b+1 poles the series and DenominatorPoleError is raised.
     """
-
-    def __init__(self, f, m):
-        self.f, self.m = tuple(lift(fi) for fi in f), IntVector(m)
-        if len(self.f) != len(self.m):
-            raise LengthMismatchError(f"vector lengths differ: {len(self.f)} vs {len(self.m)}")
-        self.total = self.m.total
-        self._sigma = []
-        self._fm = None
-
-    def _run(self, name: str, params: tuple, *args) -> list:
-        """Method ``name`` of the algebra on ``params`` and ``args``: directly
-        on Fixed (or on mpc when there is no f to convert), else as one
-        fixed-point run of a fresh family of the converted f."""
-        if not self.f or isinstance(self.f[0], Fixed):
-            return getattr(self, name)(*params, *args)
-        return run_fixed(
-            lambda f, *ps: getattr(CoeffFamilies(f, self.m), name)(*ps, *args), (self.f,) + params
-        )
-
-    @property
-    def fm(self) -> ComplexValue:
-        """(f)_m, which must not vanish (DegenerateCaseError)."""
-        return self._run("_fm_list", ())[0]
-
-    def _fm_list(self) -> list:
-        if self._fm is None:
-            self._fm = nonzero(pochhammer_vec(self.f, self.m), "(f)_m")
-        return [self._fm]
-
-    def _sigma_to(self, upto: int) -> list:
-        if len(self._sigma) <= upto:
-            shifted = [fi + mi for fi, mi in zip(self.f, self.m)]
-            self._sigma = hyp_terms(shifted, self.f, upto)
-        return self._sigma[: upto + 1]
-
-    def C(self, upto: Optional[int] = None) -> list:
-        """[C_0, ..., C_upto]: C_k = (-1)^k / k! (r+1)F_r(-k, f+m; f | 1)."""
-        upto = self.total if upto is None else _checked(upto, self.total)
-        return self._run("_C", (), upto)
-
-    def _C(self, upto: int) -> list:
-        sums = terminating_sums(self._sigma_to(upto))
-        return [(-1) ** k * val / math.factorial(k) for k, val in enumerate(sums)]
-
-    def D(self, b: ComplexLike, upto: Optional[int] = None) -> list:
-        """[D_0, ..., D_upto]:
-        D_k = (-1)^k (f-b)_m / k! (r+1)F_r(-k, 1-f+b; 1-f+b-m | 1)."""
-        upto = self.total if upto is None else _checked(upto, self.total)
-        return self._run("_D", (lift(b),), upto)
-
-    def _D(self, b, upto: int) -> list:
-        fbm = pochhammer_vec([fi - b for fi in self.f], self.m)
-        num = [1 - fi + b for fi in self.f]
-        den = [1 - fi + b - mi for fi, mi in zip(self.f, self.m)]
-        sums = terminating_family(num, den, upto)
-        return [(-1) ** k * fbm * val / math.factorial(k) for k, val in enumerate(sums)]
-
-    def Y(self, b: ComplexLike, upto: Optional[int] = None) -> list:
-        """[Y_0, ..., Y_upto] (default upto m_total - 1):
-        Y_l = (-1)^l/l! (r+2)F_{r+1}(-l, b, f+m; b+1, f | 1)
-              - (-1)^l (f-b)_m / ((b+1)_l (f)_m).
-
-        The terms of the (r+2)F_{r+1} are y_0 = 1 and y_n = b sigma_n/(b+n):
-        (b)_n/(b+1)_n = b/(b+n).  At b = -n, 1 <= n <= upto, the bottom
-        parameter b+1 poles the series and DenominatorPoleError is raised.
-        """
-        top = self.total - 1
-        upto = top if upto is None else _checked(upto, top)
-        if upto < 0:
-            return []
-        return self._run("_Y", (lift(b),), upto)
-
-    def _Y(self, b, upto: int) -> list:
-        fm = self._fm_list()[0]
-        for n in range(1, upto + 1):
-            if b + n == 0:
-                raise DenominatorPoleError(f"bottom parameter {1 - n} hits a pole at term {n}")
-        sigma = self._sigma_to(upto)
-        terms = [sigma[0]] + [b * s / (b + n) for n, s in enumerate(sigma[1:], 1)]
-        fbm = pochhammer_vec([fi - b for fi in self.f], self.m)
-        b1 = rising(b + 1, upto)
-        out = []
-        for l, val in enumerate(terminating_sums(terms)):
-            sgn = (-1) ** l
-            out.append(sgn * val / math.factorial(l) - sgn * fbm / (b1[l] * fm))
-        return out
+    if upto < 0:
+        return []
+    fm = fm_coeffs(f, m)[0]
+    for n in range(1, upto + 1):
+        if b + n == 0:
+            raise DenominatorPoleError(f"bottom parameter {1 - n} hits a pole at term {n}")
+    sigma = hyp_terms([fi + mi for fi, mi in zip(f, m)], f, upto)
+    terms = [sigma[0]] + [b * s / (b + n) for n, s in enumerate(sigma[1:], 1)]
+    fbm = pochhammer_vec([fi - b for fi in f], m)
+    b1 = rising(b + 1, upto)
+    out = []
+    for l, val in enumerate(terminating_sums(terms)):
+        sgn = (-1) ** l
+        out.append(sgn * val / math.factorial(l) - sgn * fbm / (b1[l] * fm))
+    return out
 
 
 def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
     """C_{k,r}(f, m) for 0 <= k <= m_total.
 
     route "hyp":      (-1)^k / k! * (r+1)F_r(-k, f+m; f) summed exactly;
-                      entry k of ``CoeffFamilies(f, m).C``.
+                      entry k of ``c_coeffs`` run in fixed point.
     route "stirling": (1/(f)_m) * sum_{j>=k} sigma_j S(j, k) with sigma the
                       coefficients of (f_1+x)_{m_1}...(f_r+x)_{m_r}.
 
@@ -267,7 +214,7 @@ def coeff_C(k: int, f, m, route: str = "hyp") -> ComplexValue:
     f, m = ParamVector(f), IntVector(m)
     _checked(k, m.total)
     if route == "hyp":
-        return CoeffFamilies(f, m).C(k)[k]
+        return run_fixed(c_coeffs, (f,), m, k)[k]
     if route == "stirling":
         fm = nonzero(pochhammer_vec(f, m), "(f)_m")
         return _stirling_sum(genfunc_coeffs(f, m), k) / fm
@@ -278,7 +225,7 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     """D_k(f, m, b) for 0 <= k <= m_total.
 
     route "hyp":      (-1)^k (f-b)_m / k! * (r+1)F_r(-k, 1-f+b; 1-f+b-m);
-                      entry k of ``CoeffFamilies(f, m).D(b)``.
+                      entry k of ``d_coeffs`` run in fixed point.
     route "stirling": sum_{j>=k} alpha_j S(j, k) with alpha the coefficients
                       of (f-b-t)_m.
 
@@ -289,7 +236,7 @@ def coeff_D(k: int, f, m, b: ComplexLike, route: str = "hyp") -> ComplexValue:
     b = cplx(b)
     _checked(k, m.total)
     if route == "hyp":
-        return CoeffFamilies(f, m).D(b, k)[k]
+        return run_fixed(d_coeffs, (f, b), m, k)[k]
     if route == "stirling":
         return _stirling_sum(genfunc_coeffs(f, m, shift=b, sign=-1), k)
     raise ValueError(f"unknown route {route!r}")
@@ -327,7 +274,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
 
     route "hyp":      (-1)^l/l! (r+2)F_{r+1}(-l, b, f+m; b+1, f)
                       - (-1)^l (f-b)_m / ((b+1)_l (f)_m);
-                      entry l of ``CoeffFamilies(f, m).Y(b)``.
+                      entry l of ``y_coeffs`` run in fixed point.
     route "stirling": sum_{k>=l} delta_k S(k, l) over the W coefficients.
     route "norlund":  (-1)^{m-l-1} b/(f)_m *
                       sum_i (-1)^i g_{m-1-l-i}(-f; -f-m, l) (1-b)_i.
@@ -338,7 +285,7 @@ def coeff_Y(l: int, b: ComplexLike, f, m, route: str = "hyp") -> ComplexValue:
     if not 0 <= l <= mt - 1:
         raise IndexOutOfRangeError(f"need 0 <= l <= {mt - 1}, got {l}")
     if route == "hyp":
-        return CoeffFamilies(f, m).Y(b, l)[l]
+        return run_fixed(y_coeffs, (f, b), m, l)[l]
     fm = nonzero(pochhammer_vec(f, m), "(f)_m")
     if route == "stirling":
         return _stirling_sum(w_poly_coeffs(b, f, m), l)

@@ -12,7 +12,7 @@ is not an option.  Inside, the hot layers compute in fixed point instead:
   product or quotient is floored once per part, so it lands within one
   unit of 2^-W.
 * ``run_fixed`` is where the polynomial builders and the coefficient
-  families convert: each mpc parameter goes in once (``to_fixed_pair``,
+  bodies convert: each mpc parameter goes in once (``to_fixed_pair``,
   exact), the body runs on ``Fixed`` and each result comes out once
   (``from_fixed_pair``, rounded to the working precision).  A run starts
   at the ``fixed_width`` W = 2 prec plus the bits any input needs beyond
@@ -42,7 +42,8 @@ term loop and pole check of a terminating series) and
 ``terminating_sums``/``terminating_family`` (pFq(-k, num; den | 1) for
 every k at once, from one term sequence) use only operators and integer
 constants, so one body runs on ``mpc`` and on ``Fixed``; ``lift`` is their
-one coercion, and it leaves both types alone.  The vectors f and m are
+one coercion, and it leaves both types alone, and ``unit`` is their 1 where
+no input carries a type (r = 0, where f is empty).  The vectors f and m are
 tuples, ``ParamVector`` and ``IntVector``, compared by value; their
 constructors are the one coercion of any sequence.  The module also
 provides Stirling numbers of the second kind (exact integers),
@@ -127,10 +128,12 @@ MAX_WIDENINGS = 4
 
 # State of the fixed-point run in progress: a product or quotient of nonzero
 # values whose parts both lie below _floor (2^_floor_bits, 0 outside a run)
-# falls short, and _short keeps the most bits any one fell short by.
+# falls short, _short keeps the most bits any one fell short by, and _one is
+# the run's 1 (None outside a run).
 _floor = 0
 _floor_bits = 0
 _short = 0
+_one = None
 
 
 def _fell_short(bits: int) -> None:
@@ -257,7 +260,7 @@ def run_fixed(body, params: Sequence, *args) -> list:
     coerced by ``cplx`` and converted in at one width, exactly; ``args``
     (integers, names) pass unchanged; and every entry of the list the body
     returns, which must be a Fixed, comes out rounded to the working
-    precision.  This is where the builders and the coefficient families
+    precision.  This is where the builders and the coefficient bodies
     convert in once and out once.
 
     The run starts at ``fixed_width``.  Where a product or quotient of
@@ -271,16 +274,16 @@ def run_fixed(body, params: Sequence, *args) -> list:
     a run short; after ``MAX_WIDENINGS`` widenings the run is returned as
     it stands.
     """
-    global _floor, _floor_bits, _short
+    global _floor, _floor_bits, _short, _one
     prec = mp.mp.prec
     groups = [[cplx(z) for z in p] if isinstance(p, (list, tuple)) else [cplx(p)] for p in params]
     w = fixed_width((z for group in groups for z in group), prec)
-    state = _floor, _floor_bits, _short
+    state = _floor, _floor_bits, _short, _one
     _floor_bits = prec + FIXED_GUARD_BITS
     _floor = 1 << _floor_bits
     try:
         for widening in range(MAX_WIDENINGS + 1):
-            _short = 0
+            _short, _one = 0, Fixed(1 << w, 0, w)
             fixed = [[Fixed(*to_fixed_pair(z, w), w) for z in group] for group in groups]
             ins = [group if isinstance(p, (list, tuple)) else group[0] for p, group in zip(params, fixed)]
             try:
@@ -293,7 +296,14 @@ def run_fixed(body, params: Sequence, *args) -> list:
                     return [from_fixed_pair(z.re, z.im, w, prec) for z in out]
             w += _short
     finally:
-        _floor, _floor_bits, _short = state
+        _floor, _floor_bits, _short, _one = state
+
+
+def unit():
+    """1 in the type of the run in progress: the Fixed one of ``run_fixed``'s
+    current width inside a run, an mpc outside.  A body with no typed input
+    (r = 0 leaves f empty) takes its 1 from here."""
+    return cplx(1) if _one is None else _one
 
 
 def lift(value: ComplexLike):
@@ -387,13 +397,13 @@ class ParamVector(tuple):
 
     def shifted_by(self, m: IntVector) -> "ParamVector":
         """Element-wise shift f + m by an integer multiplicity vector."""
-        return ParamVector(e + mi for e, mi in _paired(self, m))
+        return ParamVector(e + mi for e, mi in paired(self, m))
 
     def __repr__(self) -> str:
         return f"ParamVector({list(self)})"
 
 
-def _paired(f: Iterable[ComplexLike], m: Iterable[int]) -> Iterator[tuple[ComplexValue, int]]:
+def paired(f: Iterable[ComplexLike], m: Iterable[int]) -> Iterator[tuple[ComplexValue, int]]:
     """The pairs (f_i, m_i) of a parameter and a multiplicity vector, each
     f_i through ``lift``."""
     fs, ms = [lift(e) for e in f], IntVector(m)
@@ -433,7 +443,7 @@ def pochhammer_vec(f: Iterable[ComplexLike], m: Iterable[int]) -> ComplexValue:
     """Component-wise Pochhammer product (f)_m = (f_1)_{m_1}...(f_r)_{m_r};
     the int 1 for empty vectors."""
     result = 1
-    for fi, mi in _paired(f, m):
+    for fi, mi in paired(f, m):
         result = result * pochhammer(fi, mi)
     return result
 
@@ -491,7 +501,7 @@ def genfunc_coeffs(
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     shift = lift(shift)
     factors = []
-    for fi, mi in _paired(f, m):
+    for fi, mi in paired(f, m):
         for j in range(mi):
             u = fi - shift + j
             # sign in u's type, so the top coefficient is not a bare int
@@ -510,12 +520,13 @@ def hyp_terms(
     The engine's one term loop and its one pole check (the series oracle
     ``hypeval`` keeps its own): a bottom parameter v with v + n = 0 for
     some n < count raises DenominatorPoleError.  The parameters go through
-    ``lift``, and t_0 is the one of the first that is not an int (an mpc
-    when all are).
+    ``lift``, and t_0 is the one of the first that is not an int.  When all
+    are ints, or there are none (r = 0), it is ``unit()``: a Fixed inside
+    ``run_fixed``, an mpc outside.
     """
     nums = [lift(u) for u in num]
     dens = [lift(v) for v in den]
-    term = next((z for z in nums + dens if type(z) is not int), cplx(1)) ** 0
+    term = next((z for z in nums + dens if type(z) is not int), unit()) ** 0
     terms = [term]
     for n in range(count):
         for u in nums:

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .charpoly import build_L, build_Q, build_P, build_Qhat, build_Phat, build_T, find_roots
-from .coeffs import CoeffFamilies, IpdSpec
+from .coeffs import IpdSpec, d_coeffs, fm_coeffs, y_coeffs
 from .errors import (
     DistinctnessViolationError,
     IntegerDifferenceError,
@@ -68,6 +68,7 @@ from .kernel import (
     pochhammer,
     pochhammer_vec,
     rising,
+    run_fixed,
 )
 
 ARG_IDENTITY = "identity"
@@ -255,9 +256,9 @@ def expand_to_gauss(spec: IpdSpec) -> HypExpression:
     a, b, c = spec.a, spec.b, spec.c
     if c is None:
         raise ValueError("expand_to_gauss needs c set on the IpdSpec")
-    families = CoeffFamilies(spec.f, spec.m)
-    fm = families.fm
-    dk, bk = families.D(b), rising(b, spec.m_total)
+    fm = run_fixed(fm_coeffs, (spec.f,), spec.m)[0]
+    dk = run_fixed(d_coeffs, (spec.f, b), spec.m, spec.m_total)
+    bk = rising(b, spec.m_total)
     terms = []
     for k in range(spec.m_total + 1):
         weight = (-1) ** k * dk[k] * bk[k] / fm
@@ -289,8 +290,7 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     a, b = spec.a, spec.b
     if spec.c is not None and spec.c != b + 1:
         raise ValueError("spec.c must be exactly b+1 (or omitted) here")
-    families = CoeffFamilies(spec.f, spec.m)
-    fm = families.fm
+    fm = run_fixed(fm_coeffs, (spec.f,), spec.m)[0]
     if variant == "eq19":
         mu, arg, num = -a, ARG_MOBIUS, [mp.mpc(1), a]
     elif variant == "eq20":
@@ -302,7 +302,8 @@ def apply_degenerate_single(spec: IpdSpec, variant: str = "eq19") -> HypExpressi
     fbm = pochhammer_vec(spec.f - b, spec.m)
     fun = HypFunction(ParamVector(num), ParamVector([b + 1]))
     gauss = HypTerm(fbm / fm, 0, mu, arg, fun)
-    tail = _algebraic_tail(a, families.Y(b), rising(a, spec.m_total), mp.mpc(1))
+    yl = run_fixed(y_coeffs, (spec.f, b), spec.m, spec.m_total - 1)
+    tail = _algebraic_tail(a, yl, rising(a, spec.m_total), mp.mpc(1))
     return HypExpression([gauss] + tail)
 
 
@@ -318,16 +319,16 @@ def apply_degenerate_p(
     lambda the roots of the degree-(p-1) polynomial (variant "eq29" uses T
     with the Moebius argument, "eq31" uses T* at the plain argument) and
     the head coefficient T(0)/(f)_m; no Gamma is evaluated.  The algebraic
-    part is the double sum over q = 1..p and l = 0..m-1, whose p tails
-    share (f)_m and the run of (a)_l.  Requires
+    part is the double sum over q = 1..p and l = 0..m-1: one Y vector per
+    q, each its own fixed-point run, and one run of (a)_l that the p tails
+    share.  Requires
     b+q-1 != 0 for q = 1..p, and for eq31 (b+1-a)_{p-1} != 0.
     """
     a, b = spec.a, spec.b
     p = int(p)
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
-    families = CoeffFamilies(spec.f, spec.m)
-    fm = families.fm
+    fm = run_fixed(fm_coeffs, (spec.f,), spec.m)[0]
     betas = [nonzero(b + (q - 1), "b+q-1") for q in range(1, p + 1)]
     if variant == "eq29":
         num, mu, arg, which = [a, mp.mpc(1)], -a, ARG_MOBIUS, "T"
@@ -345,7 +346,8 @@ def apply_degenerate_p(
             * bp
             / (beta_q * mp.factorial(q - 1) * mp.factorial(p - q))
         )
-        terms.extend(_algebraic_tail(a, families.Y(beta_q), al, weight))
+        yl = run_fixed(y_coeffs, (spec.f, beta_q), spec.m, spec.m_total - 1)
+        terms.extend(_algebraic_tail(a, yl, al, weight))
     return HypExpression(terms)
 
 
@@ -506,7 +508,7 @@ def meijer_norlund_ipd_many(
     mt = m.total
     if route == "closed":
         # (c-b-k)_k = (-1)^k (1-c+b)_k
-        dk, ck = CoeffFamilies(f, m).D(b), rising(1 - c + b, mt)
+        dk, ck = run_fixed(d_coeffs, (f, b), m, mt), rising(1 - c + b, mt)
         weights = [(-1) ** k * dk[k] * ck[k] for k in range(mt + 1)]
         exponent, scale = c - b - 1, gamma(c - b)
         values = []

@@ -749,7 +749,9 @@ def sample_params(identity_id: str, seed: int, count: int) -> list:
     clear of the poles: this right-side screen is not a clause, and the
     clauses leave those bottom parameters to it.  A domain error building
     an admissible draw is kept for the check to raise (a skip, not a
-    redraw); a draw may warn (RootWarning) and then be redrawn.  Raises
+    redraw).  A RootWarning from that build redraws nothing: under an error
+    filter (the test-suite's) it propagates from here, and under the
+    default one (the CLI's) it is printed and the draw kept.  Raises
     RejectionExhaustedError after 10^4 failed draws.
     """
     if identity_id not in IDENTITIES:

@@ -5,14 +5,17 @@ import mpmath as mp
 import pytest
 
 from ipdhyp.coeffs import (
-    CoeffFamilies,
     IpdSpec,
     NorlundArgs,
+    c_coeffs,
     coeff_C,
     coeff_D,
     coeff_Y,
+    d_coeffs,
+    fm_coeffs,
     norlund_g,
     w_poly_coeffs,
+    y_coeffs,
 )
 from ipdhyp.errors import (
     DegenerateCaseError,
@@ -27,6 +30,7 @@ from ipdhyp.kernel import (
     cplx,
     pochhammer,
     pochhammer_vec,
+    run_fixed,
     terminating_pfq,
 )
 
@@ -424,7 +428,23 @@ def _bits(z):
     return (z.real._mpf_, z.imag._mpf_)
 
 
+def _c(f, m, upto=None):
+    return run_fixed(c_coeffs, (f,), m, m.total if upto is None else upto)
+
+
+def _d(f, b, m, upto=None):
+    return run_fixed(d_coeffs, (f, b), m, m.total if upto is None else upto)
+
+
+def _y(f, b, m, upto=None):
+    return run_fixed(y_coeffs, (f, b), m, m.total - 1 if upto is None else upto)
+
+
 class TestCoeffFamilies:
+    """The coefficient families C, D, Y and (f)_m through their "hyp"
+    bodies, each run in fixed point over every index at once, as the
+    transforms run them."""
+
     def test_vectors_match_the_other_routes(self):
         rng = _rng(613)
         tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
@@ -432,8 +452,7 @@ class TestCoeffFamilies:
             for _ in range(3):
                 f, m = _sample(rng, shape)
                 b = _rc(rng)
-                fam = CoeffFamilies(f, m)
-                cs, ds, ys = fam.C(), fam.D(b), fam.Y(b)
+                cs, ds, ys = _c(f, m), _d(f, b, m), _y(f, b, m)
                 assert (len(cs), len(ds), len(ys)) == (m.total + 1, m.total + 1, m.total)
                 for k in range(m.total + 1):
                     assert abs(cs[k] - coeff_C(k, f, m, "stirling")) <= tol * max(1, abs(cs[k]))
@@ -448,22 +467,19 @@ class TestCoeffFamilies:
         for shape in FAMILY_SHAPES:
             f, m = _sample(rng, shape)
             b = _rc(rng)
-            fam = CoeffFamilies(f, m)
-            cs, ds, ys = fam.C(), fam.D(b), fam.Y(b)
+            cs, ds, ys = _c(f, m), _d(f, b, m), _y(f, b, m)
             assert [_bits(coeff_C(k, f, m)) for k in range(m.total + 1)] == list(map(_bits, cs))
             assert [_bits(coeff_D(k, f, m, b)) for k in range(m.total + 1)] == list(map(_bits, ds))
             assert [_bits(coeff_Y(l, b, f, m)) for l in range(m.total)] == list(map(_bits, ys))
 
-    def test_y_shares_the_term_sequence_of_c(self):
+    def test_fm_is_the_pochhammer_product(self):
         rng = _rng(619)
-        f, m = _sample(rng, (2, 1))
-        fam = CoeffFamilies(f, m)
-        fam._C(m.total)
-        sigma = fam._sigma
-        assert len(sigma) == m.total + 1
-        fam._Y(_rc(rng), m.total - 1)
-        fam._Y(_rc(rng), m.total - 1)
-        assert fam._sigma is sigma
+        for shape in FAMILY_SHAPES:
+            f, m = _sample(rng, shape)
+            fm, = run_fixed(fm_coeffs, (f,), m)
+            assert abs(fm - pochhammer_vec(f, m)) <= mp.mpf(10) ** (8 - mp.mp.dps) * abs(fm)
+        with pytest.raises(DegenerateCaseError):
+            run_fixed(fm_coeffs, ([cplx(-1), cplx(0.5)],), IntVector((2, 1)))
 
     def test_y_at_b_zero_vanishes(self):
         # W(n) = 0 at b = 0, so every Y_l vanishes; no term divides by b
@@ -471,7 +487,7 @@ class TestCoeffFamilies:
         tol = mp.mpf(10) ** (-(mp.mp.dps - 8))
         for shape in FAMILY_SHAPES:
             f, m = _sample(rng, shape)
-            ys = CoeffFamilies(f, m).Y(0)
+            ys = _y(f, cplx(0), m)
             assert len(ys) == m.total
             assert all(abs(y) <= tol for y in ys)
             assert list(map(_bits, ys)) == [_bits(coeff_Y(l, 0, f, m)) for l in range(m.total)]
@@ -491,14 +507,14 @@ class TestCoeffFamilies:
                 with pytest.raises(DenominatorPoleError):
                     coeff_Y(l, b, f, m)
                 with pytest.raises(DenominatorPoleError):
-                    CoeffFamilies(f, m).Y(b, l)
+                    _y(f, b, m, l)
             else:
-                assert _bits(coeff_Y(l, b, f, m)) == _bits(CoeffFamilies(f, m).Y(b, l)[l])
+                assert _bits(coeff_Y(l, b, f, m)) == _bits(_y(f, b, m, l)[l])
         if n < m.total:
             with pytest.raises(DenominatorPoleError):
-                CoeffFamilies(f, m).Y(b)
+                _y(f, b, m)
         else:
-            assert len(CoeffFamilies(f, m).Y(b)) == m.total
+            assert len(_y(f, b, m)) == m.total
 
     def test_c_raises_exactly_where_terminating_pfq_does(self):
         # f_1 = -2 with m_1 = 1 keeps (f)_m nonzero and poles term 3
@@ -513,16 +529,27 @@ class TestCoeffFamilies:
                 assert k <= 2
                 coeff_C(k, f, m)
         with pytest.raises(DenominatorPoleError):
-            CoeffFamilies(f, m).C()
+            _c(f, m)
 
     def test_index_out_of_range(self):
-        fam = CoeffFamilies([cplx(1.5)], [2])
+        f, m = ParamVector([cplx(1.5)]), IntVector([2])
         with pytest.raises(IndexOutOfRangeError):
-            fam.C(3)
+            coeff_C(3, f, m)
         with pytest.raises(IndexOutOfRangeError):
-            fam.D(0.3, -1)
+            coeff_D(-1, f, m, 0.3)
         with pytest.raises(IndexOutOfRangeError):
-            fam.Y(0.3, 2)
+            coeff_Y(2, 0.3, f, m)
+
+    def test_lengths_must_match(self):
+        f, m = ParamVector([cplx(1.5), cplx(0.7)]), IntVector([2])
+        for build in (lambda: coeff_C(0, f, m), lambda: coeff_D(0, f, m, 0.3),
+                      lambda: coeff_Y(0, 0.3, f, m)):
+            with pytest.raises(LengthMismatchError):
+                build()
 
     def test_empty_m_has_no_y(self):
-        assert CoeffFamilies([], []).Y(cplx(0.3)) == []
+        # r = 0: C_0 = D_0 = (f)_m = 1 and there is no Y
+        empty, b = ParamVector([]), cplx(0.3)
+        assert _y(empty, b, IntVector([])) == []
+        assert _c(empty, IntVector([])) == _d(empty, b, IntVector([])) == [mp.mpc(1)]
+        assert run_fixed(fm_coeffs, (empty,), IntVector([])) == [mp.mpc(1)]

@@ -15,7 +15,16 @@ from ipdhyp.errors import (
     PoleAtNonpositiveIntegerError,
 )
 from ipdhyp import charpoly, kernel
-from ipdhyp.coeffs import CoeffFamilies, w_poly_coeffs
+from ipdhyp.coeffs import (
+    c_coeffs,
+    coeff_C,
+    coeff_D,
+    coeff_Y,
+    d_coeffs,
+    fm_coeffs,
+    w_poly_coeffs,
+    y_coeffs,
+)
 from ipdhyp.hypeval import HypFunction
 from ipdhyp.kernel import (
     Fixed,
@@ -539,6 +548,18 @@ class TestFixed:
         with pytest.raises(AttributeError):
             run_fixed(lambda b: [b, 1], (b,))
 
+    def test_hyp_terms_with_no_typed_parameter(self):
+        # all-int or no parameters: mpc terms outside a run and the run's
+        # Fixed inside one, so an r = 0 body converts out
+        for num, den in (([1, 2], [3]), ([], [])):
+            assert all(type(t) is mp.mpc for t in hyp_terms(num, den, 3))
+            *terms, half = run_fixed(lambda b: hyp_terms(num, den, 3) + [b * kernel.unit()],
+                                     (cplx(0.5),))
+            assert half == mp.mpf(0.5)
+            for u, v in zip(terms, hyp_terms(num, den, 3), strict=True):
+                assert abs(u - v) <= mp.ldexp(abs(v), 1 - mp.mp.prec)
+        assert type(kernel.unit()) is mp.mpc
+
 
 def _relative_errors(body, params, *args):
     """Worst coefficientwise relative error of the Fixed run and of the mpc
@@ -585,7 +606,7 @@ class TestWidening:
         # (f)_m = 2^-300 at f = (2^-100,)*3, m = (1, 1, 1)
         tiny, m = [mp.mpc(mp.ldexp(1, -100))] * 3, IntVector((1, 1, 1))
         a, b, d, e = cplx(0.4), cplx(0.3, 0.2), cplx(0.7, 0.1), cplx(2.3, -0.2)
-        assert CoeffFamilies(tiny, m).fm == mp.ldexp(1, -300)
+        assert run_fixed(fm_coeffs, (tiny,), m) == [mp.ldexp(1, -300)]
         self._assert_no_worse_than_mpc(charpoly._l, (a, d, e, b, tiny), m, "L")
         self._assert_no_worse_than_mpc(w_poly_coeffs, (b, tiny), m)
         for build in (lambda: charpoly.build_L(a, d, e, b, tiny, m), lambda: charpoly.w_poly(b, tiny, m)):
@@ -602,8 +623,8 @@ class TestWidening:
 
 
 def _bodies(a, b, c, d, e, f, m, p):
-    """(name, body, params, args) of every builder, as the public builder
-    hands them to ``run_fixed``."""
+    """(name, body, params, args) of every builder and coefficient body, as
+    the public builder or ``coeff_*`` hands them to ``run_fixed``."""
     return [
         ("Q eq5", charpoly._q_eq5, (b, c, f), (m,)),
         ("Q eq7", charpoly._q_eq7, (b, c, f, charpoly._node_shift(b, c, m.total)), (m,)),
@@ -615,11 +636,18 @@ def _bodies(a, b, c, d, e, f, m, p):
         ("T", charpoly._t, (b, f), (m, p)),
         ("T*", charpoly._tstar, (b, f, a), (m, p)),
         ("W", w_poly_coeffs, (b, f), (m,)),
+        ("C", c_coeffs, (f,), (m, m.total)),
+        ("D", d_coeffs, (f, b), (m, m.total)),
+        ("Y", y_coeffs, (f, b), (m, m.total - 1)),
+        ("(f)_m", fm_coeffs, (f,), (m,)),
     ]
 
 
 def _public(a, b, c, d, e, f, m, p):
-    return [
+    """The public reading of each of ``_bodies`` but (f)_m, which has none
+    of its own, as a list of coefficients."""
+    mt = m.total
+    polys = [
         charpoly.build_Q(b, c, f, m),
         charpoly.build_Q(b, c, f, m, route="eq7"),
         charpoly.build_P(b, c, f, m),
@@ -630,6 +658,11 @@ def _public(a, b, c, d, e, f, m, p):
         charpoly.build_T(b, p, f, m),
         charpoly.build_T(b, p, f, m, variant="Tstar", a=a),
         charpoly.w_poly(b, f, m),
+    ]
+    return [poly.coeffs for poly in polys] + [
+        [coeff_C(k, f, m) for k in range(mt + 1)],
+        [coeff_D(k, f, m, b) for k in range(mt + 1)],
+        [coeff_Y(l, b, f, m) for l in range(mt)],
     ]
 
 
@@ -657,20 +690,17 @@ class TestFixedBuilds:
                     return out
 
                 run_fixed(checked, params)
-            fam = CoeffFamilies(f, m)
-            for vector in (fam._C(m.total), fam._D(b, m.total), fam._Y(b, m.total - 1)):
-                assert all(type(z) is mp.mpc for z in vector)
-            for vector in (fam.C(), fam.D(b), fam.Y(b), [fam.fm]):
-                assert all(type(z) is mp.mpc for z in vector)
 
     def test_public_builders_run_these_bodies(self):
         rng = random.Random(739)
         for shape, p in self.SHAPES:
             spec = _spec(rng, shape)
             m = IntVector(shape)
-            bodies = _bodies(*spec, m, p)
-            for (name, body, params, args), poly in zip(bodies, _public(*spec, m, p)):
-                assert charpoly.CPoly(run_fixed(body, params, *args)).coeffs == poly.coeffs, name
+            bodies = _bodies(*spec, m, p)[:-1]  # all but (f)_m
+            publics = _public(*spec, m, p)
+            for (name, body, params, args), public in zip(bodies, publics, strict=True):
+                out = run_fixed(body, params, *args)
+                assert charpoly.CPoly(out).coeffs == charpoly.CPoly(public).coeffs, name
 
     def test_fixed_builds_beat_the_mpc_run_of_the_same_body(self):
         rng = random.Random(743)

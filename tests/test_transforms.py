@@ -52,6 +52,7 @@ from ipdhyp.transforms import (
     two_free_function,
     vector_function,
 )
+from ipdhyp.verify import _default_x_samples
 
 STOL = mp.mpf("1e-34")
 
@@ -164,6 +165,41 @@ class TestApplyMp2:
         one = apply_mp2(spec, route="paperQhat").evaluate(x, STOL)
         two = apply_mp2(spec, route="newPhat").evaluate(x, STOL)
         assert _resid(one, two) < mp.mpf("1e-29")
+
+
+class TestEmptyParameterVectors:
+    """r = 0, Euler's and Pfaff's own case: F is the Gauss function
+    2F1(a, b; c | x), every characteristic polynomial is the constant 1,
+    and MP1 and MP2 are Pfaff's and Euler's transformations."""
+
+    def _specs(self):
+        rng = _rng(409)
+        return [IpdSpec(b=_rc(rng), f=[], m=[], a=_rc(rng), c=_rc(rng) + 2) for _ in range(4)]
+
+    def test_polynomials_are_the_constant_one(self):
+        for spec in self._specs():
+            a, b, c = spec.a, spec.b, spec.c
+            polys = [
+                build_Q(b, c, [], []),
+                build_Q(b, c, [], [], route="eq7"),
+                build_P(b, c, [], []),
+                build_Qhat(a, b, c, [], []),
+                build_Phat(a, b, c, [], []),
+            ]
+            for poly in polys:
+                assert poly.degree == 0 and poly.coeffs == [mp.mpc(1)]
+
+    def test_mp1_and_mp2_agree_with_the_gauss_oracle(self):
+        tol = mp.mpf(10) ** (-(mp.mp.dps - 12))
+        for seed, spec in enumerate(self._specs()):
+            fun = ipd_function(spec)
+            assert (fun.num, fun.den) == ((spec.a, spec.b), (spec.c,))
+            for apply in (apply_mp1, apply_mp2):
+                expr = apply(spec)
+                assert len(expr) == 1 and len(expr.terms[0].fun.den) == 1
+                for x in _default_x_samples(random.Random(seed)):
+                    lhs = eval_pfq(fun, x, STOL).value
+                    assert _resid(lhs, expr.evaluate(x, STOL)) <= tol
 
 
 class TestExpandToGauss:
@@ -512,7 +548,7 @@ class TestMeijerNorlund:
             raise AssertionError("summed before every t was checked")
 
         monkeypatch.setattr(transforms, "eval_pfq_many", refuse)
-        monkeypatch.setattr(transforms, "CoeffFamilies", refuse)
+        monkeypatch.setattr(transforms, "run_fixed", refuse)
         for bad in (mp.mpf("1.2"), mp.mpf(0), cplx(0.5, 0.1)):
             with pytest.raises(ValueError, match="t must be real"):
                 meijer_norlund_ipd_many(

@@ -438,6 +438,30 @@ _LEMMAS = {"LEMMA3": (_lemma3_run, _lemma3_reference, 84),
            "LEMMA4": (_lemma4_run, _lemma4_reference, 63)}
 
 
+#: (id, kernel helper the check's run calls, entry of its list to nudge)
+_NUDGED = [("LEMMA4", "terminating_family", 2), ("LEMMA3", "rising", 3)]
+
+
+def _nudge(monkeypatch, name, entry, scale) -> list:
+    """Patch the kernel helper ``name`` as the checks call it, so that entry
+    ``entry`` of every list it returns in the run moves by 1/scale relative,
+    in int arithmetic; the returned list collects the values it moved."""
+    real = getattr(verify_mod, name)
+    nudged = []
+
+    def nudge(*args):
+        out = real(*args)
+        if len(out) > entry:
+            value = out[entry]
+            assert type(value) is Fixed
+            out[entry] = value + value / scale
+            nudged.append(value)
+        return out
+
+    monkeypatch.setattr(verify_mod, name, nudge)
+    return nudged
+
+
 class TestFixedPointLemmas:
     """LEMMA3 and LEMMA4 form both sides of every relation in one fixed-point run."""
 
@@ -460,31 +484,39 @@ class TestFixedPointLemmas:
         for case in sample_params(identity_id, seed=1, count=2):
             assert len(IDENTITIES[identity_id].check(case)) == _LEMMAS[identity_id][2]
 
-    @pytest.mark.parametrize("identity_id, name, entry", [
-        ("LEMMA4", "terminating_family", 2),
-        ("LEMMA3", "rising", 3),
-    ])
+    @pytest.mark.parametrize("digits", [40, 60])
+    @pytest.mark.parametrize("identity_id", _LEMMAS)
+    def test_residuals_sit_at_the_run_width(self, identity_id, digits):
+        # the run is 2 prec bits wide; 64 bits of it cover the rounding of
+        # every relation with room to spare (clean residuals read below
+        # 1e-78 at 40 digits, where the bound is 2.4e-63)
+        set_precision(digits)
+        bound = mp.ldexp(1, 64 - 2 * mp.mp.prec)
+        for case in sample_params(identity_id, seed=1, count=20):
+            assert max(IDENTITIES[identity_id].check(case)) <= bound
+
+    @pytest.mark.parametrize("identity_id, name, entry", _NUDGED)
     def test_a_nudge_inside_the_run_fails_the_case(self, identity_id, name, entry, monkeypatch):
-        # one entry of every such list in the run moved by 1e-20 relative,
-        # in int arithmetic
-        real = getattr(verify_mod, name)
-        nudged = []
-
-        def nudge(*args):
-            out = real(*args)
-            if len(out) > entry:
-                value = out[entry]
-                assert type(value) is Fixed
-                out[entry] = value + value / 10**20
-                nudged.append(value)
-            return out
-
-        monkeypatch.setattr(verify_mod, name, nudge)
+        # one entry of every such list in the run moved by 1e-20 relative
+        nudged = _nudge(monkeypatch, name, entry, 10**20)
         case = sample_params(identity_id, seed=1, count=1)[0]
         result = evaluate_case(case, mp.mpf("1e-28"))
         assert nudged
         assert result.status == "fail"
         assert result.max_residual > mp.mpf("1e-21")
+
+    @pytest.mark.parametrize("identity_id, name, entry", _NUDGED)
+    def test_a_nudge_below_the_tolerance_breaks_the_width_bound(
+        self, identity_id, name, entry, monkeypatch
+    ):
+        # moved by 1e-35 relative the case still passes the report
+        # tolerance 1e-28, but its residual lies far above the run's width
+        nudged = _nudge(monkeypatch, name, entry, 10**35)
+        case = sample_params(identity_id, seed=1, count=1)[0]
+        result = evaluate_case(case, mp.mpf("1e-28"))
+        assert nudged
+        assert result.status == "pass"
+        assert result.max_residual > mp.ldexp(1, 64 - 2 * mp.mp.prec)
 
 
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
@@ -747,6 +779,22 @@ class TestCli:
         root = cplx(mp.mpf(doc["roots"][0][0]), mp.mpf(doc["roots"][0][1]))
         f1, b, c = mp.mpf("1.5"), mp.mpf("0.4"), mp.mpf("2.3")
         assert abs(root - f1 * (c - b - 1) / (f1 - b)) < mp.mpf("1e-28")
+
+    def test_empty_parameter_vectors(self, tmp_path, capsys):
+        # r = 0: Q is the constant 1, and MP1 and MP2 are Pfaff's and
+        # Euler's transformations of 2F1(a, b; c | x)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"a": "0.7", "b": "0.4", "c": "2.3", "f": [], "m": []}))
+        assert cli_dispatch(["charpoly", "--which", "Q", "--params", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["degree"], doc["roots"]) == (0, [])
+        gauss = mp.hyp2f1(mp.mpf("0.7"), mp.mpf("0.4"), mp.mpf("2.3"), mp.mpf("0.3"))
+        for theorem in ("MP1", "MP2"):
+            argv = ["transform", "--theorem", theorem, "--params", str(path), "--x", "0.3"]
+            assert cli_dispatch(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            got = cplx(mp.mpf(doc["value"][0]), mp.mpf(doc["value"][1]))
+            assert abs(got - gauss) < mp.mpf("1e-28")
 
     @pytest.mark.parametrize(
         "which, build",

@@ -11,7 +11,9 @@ b = 0, where the guards raise, and hashes:
 * ``genfunc_coeffs`` in both modes;
 * every route of ``coeff_C``, ``coeff_D`` and ``coeff_Y`` at every index;
 * every variant of each ``apply_*`` transformation (``apply_degenerate_p``
-  and ``apply_degenerate_vector`` for every p), as its terms.
+  and ``apply_degenerate_vector`` for every p), as its terms;
+* the closed route of ``meijer_norlund_ipd_many`` at the points of
+  ``MEIJER_TS``.
 
 A call that raises an ``IpdHypError`` is hashed as its error type; any
 other exception stops the script.  Numbers are hashed exactly,
@@ -62,12 +64,14 @@ from ipdhyp.transforms import (  # noqa: E402
     apply_mp2,
     apply_two_free,
     expand_to_gauss,
+    meijer_norlund_ipd_many,
 )
 from tests.test_verify_cli import _feed  # noqa: E402
 from tools.draw_digest import _seed_range  # noqa: E402
 
 SHAPES = [(1,), (2,), (3,), (4,), (5,), (6,), (1, 1), (2, 1), (3, 3), (2, 2, 2)]
 P_RANGE = range(1, 6)
+MEIJER_TS = [mp.mpf("0.07"), mp.mpf("0.4"), mp.mpf("0.93")]
 
 
 def _draw(rng: random.Random) -> mp.mpc:
@@ -122,6 +126,7 @@ def _builds(spec: IpdSpec, d, e, bvec) -> list:
     for route in ("paperQhat", "newPhat"):
         out.append((f"mp2 {route}", lambda r=route: _terms(apply_mp2(spec, r))))
     out.append(("gauss", lambda: _terms(expand_to_gauss(spec))))
+    out.append(("meijer closed", lambda: meijer_norlund_ipd_many(MEIJER_TS, b, c, f, m)))
     for variant in ("eq19", "eq20", "eq26"):
         out.append((variant, lambda v=variant: _terms(apply_degenerate_single(bare, v))))
     for variant in ("first", "second"):

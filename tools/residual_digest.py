@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
+from pathlib import Path
 
-from ipdhyp.kernel import set_precision
-from ipdhyp.verify import IDENTITIES, IDENTITY_IDS, sample_params
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-
-def _seed_range(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+from ipdhyp.kernel import set_precision  # noqa: E402
+from ipdhyp.verify import IDENTITIES, IDENTITY_IDS, sample_params  # noqa: E402
+from tools.draw_digest import _seed_range  # noqa: E402
 
 
 def residual_digest(seeds: range, count: int) -> tuple:
