@@ -73,6 +73,7 @@ from .kernel import (
     from_fixed_pair,
     linear_products,
     nonzero,
+    paired,
     pochhammer,
     pochhammer_vec,
     rising,
@@ -377,7 +378,7 @@ def _q_eq7(b, c, f, shift, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
     bk = rising(b, mt)
-    fmvals = terminating_family([fi + mi for fi, mi in zip(f, m)], f, mt)
+    fmvals = terminating_family([fi + mi for fi, mi in paired(f, m)], f, mt)
     weights = [fmvals[k] * bk[k] / math.factorial(k) for k in range(mt + 1)]
     values = []
     for j in range(mt + 1):
@@ -487,7 +488,7 @@ def _phat(a, b, c, f, m: IntVector) -> list:
     mt = m.total
     norm = nonzero(pochhammer(c - a - mt, mt), "(c-a-m)_m")
     nonzero(pochhammer(c - b - mt, mt), "(c-b-m)_m")
-    fm_shift = [fi + mi for fi, mi in zip(f, m)]
+    fm_shift = [fi + mi for fi, mi in paired(f, m)]
     ak, bk, ck = rising(a, mt), rising(-b - mt, mt), rising(c - b - mt, mt)
     # the bottom parameter b+m-k+1 moves with k, so each sum is its own
     weights = [

@@ -14,10 +14,18 @@ needs, so cancellation among large terms costs no digits.  The term ratio
 prod(u+n) / (prod(v+n) (n+1)) is computed once per n and shared by every
 point summed together (:func:`eval_pfq_many`); each point then multiplies
 its term by the ratio and by its x.  The ratio reads three polynomials in
-n 2^pw with exact integer coefficients, multiplied out once per pass from
+n 2^s with exact integer coefficients, multiplied out once per pass from
 the linear factors: the real and imaginary parts of
 prod(u+n) conj(prod(v+n)), and |prod(v+n)|^2.  Horner in the small integer
-n gives the very integers the products would.  A pass ends in one of two
+n gives the very integers the products would.  The scale s is the fewest
+bits below the binary point that hold every parameter exactly, or pw (wp
+plus the bits of a bottom parameter under 2^-prec) where pw is fewer: a
+double and the sum of a few doubles take about 52 bits, where pw is 200
+at 40 digits.  The coefficients at 2^s are those at 2^pw over exact powers
+of two, so every ratio is rounded to the same bits as at 2^pw.  The steps
+run in blocks of BLOCK: each point runs a block on local variables, the
+first point to reach a step makes its ratio and the rest reuse it, so no
+more than BLOCK ratios are held at once.  A pass ends in one of two
 ways:
 
 * a fixed stop k: the pass sums t_0 .. t_k, with no tail.  A terminating
@@ -30,6 +38,8 @@ ways:
   row, at n >= 8.  The rule reads magnitudes as doubles, the term's and
   the ratio's rounded up and |S| rounded down, so it is never weaker than
   in exact arithmetic; an estimate that overflows a double never passes.
+  |S| is read only when a running bound 1 + sum |t_n|, rounded up, leaves
+  the test open, so the reads it skips could not have passed it.
   qhat = |t_n / t_{n-1}| is taken from the shared ratio times |x|, not
   from two rounded terms, so it stays valid when the terms fall below the
   fixed-point resolution.  On |x| = 1 away from x = 1 the estimate never
@@ -111,9 +121,21 @@ GUARD_EXTRA_BITS = 20
 #: Guard bits of the first pass: room for 4095 terms up to 2^20.
 FIRST_GUARD_BITS = 64
 
+#: Steps of the term loop that each point runs on its own before the next.
+BLOCK = 64
+
 #: Factors that round a double up and down by more than its rounding error.
 _UP = 1 + 2.0**-48
 _DOWN = 1 - 2.0**-48
+
+#: Most bits of 2^-unit at which a term's magnitude, times 2^-unit, is
+#: still a normal double (down to 2^-1022) and so is rounded relatively.
+_NORMAL_BITS = 1000
+
+#: Least bound on |S| at which |S| may be too large for ``_abs_down``
+#: (mantissas past 2^1023 at 64 fraction bits), which then reads it as the
+#: largest double: the tail test reads |S| itself there.
+_HUGE_SUM = 2.0**900
 
 
 @dataclass(frozen=True)
@@ -198,35 +220,51 @@ def _ratio_maker(fun: HypFunction, wp: int):
     rounded to at least ``wp`` significant bits whatever its size, so a
     parameter close to a nonpositive integer costs no absolute accuracy.
     """
-    # parameters are scaled by 2^pw: a bottom one's part under 2^-prec keeps
+    # parameters are read at 2^pw: a bottom one's part under 2^-prec keeps
     # wp - prec bits there, so no nonzero v + n reads as a pole
     low = min((exp + bc for v in fun.den for _, man, exp, bc in v._mpc_ if man), default=0)
     pw = wp + max(0, -mp.mp.prec - low)
-    # with X = n 2^pw real, N conj(D) = prod(u + X) prod(conj(v) + X) and
+    # but they are scaled by 2^scale only, the fewest bits below the binary
+    # point that hold them all exactly when that is fewer than pw: a double
+    # and the sum of a few doubles take about 52.  Each coefficient below is
+    # then the one at 2^pw over an exact power of two, and every bit length
+    # that sets the shift moves by an exact amount that lift cancels
+    exact = max((-exp for v in (*fun.num, *fun.den) for _, man, exp, _ in v._mpc_ if man),
+                default=0)
+    scale = min(pw, max(0, exact))
+    # with X = n 2^scale real, N conj(D) = prod(u + X) prod(conj(v) + X) and
     # |D|^2 = prod(v + X) prod(conj(v) + X) are polynomials in X with exact
     # integer coefficients, those of |D|^2 real: Horner in the small n gives
     # the integers that the products N and D would
-    dens = [to_fixed_pair(v, pw) for v in fun.den]
+    dens = [to_fixed_pair(v, scale) for v in fun.den]
     conj = _fixed_linear_product([(vr, -vi) for vr, vi in dens], [(1, 0)])
-    cross = _fixed_linear_product([to_fixed_pair(u, pw) for u in fun.num], conj)
+    cross = _fixed_linear_product([to_fixed_pair(u, scale) for u in fun.num], conj)
     square = [c for c, _ in _fixed_linear_product(dens, conj)]
-    # the products carry 2^(p pw) and 2^(q pw); lift is below -wp for p > q+1,
-    # which only a terminating series reaches, or for pw > wp
-    lift = (fun.q - fun.p) * pw
+    # the products carry 2^(p scale) and 2^(q scale); lift is below -wp for
+    # p > q+1, which only a terminating series reaches, or for scale > wp
+    lift = (fun.q - fun.p) * scale
+    # a zero ratio's shift reads the bits of |D|^2 alone, which at 2^pw are
+    # 2q (pw - scale) more, against the lift (q - p) pw: it keeps its shift
+    zero_lift = 2 * fun.q * (pw - scale) - (fun.q - fun.p) * pw
 
     def ratio(n: int) -> tuple:
+        big = n << scale
         ar = ai = norm = 0
         for cr, ci in cross:
-            ar = ((ar * n) << pw) + cr
-            ai = ((ai * n) << pw) + ci
+            ar = ar * big + cr
+            ai = ai * big + ci
         for c in square:
-            norm = ((norm * n) << pw) + c
+            norm = norm * big + c
         # the factor n+1 of the denominator
         m = n + 1
         ar *= m
         ai *= m
         norm *= m * m
-        shift = wp + max(0, norm.bit_length() - max(abs(ar), abs(ai)).bit_length() - lift)
+        top = max(ar.bit_length(), ai.bit_length())
+        if top:
+            shift = wp + max(0, norm.bit_length() - top - lift)
+        else:
+            shift = wp + max(0, norm.bit_length() + zero_lift)
         up = shift + lift
         if up < 0:
             norm <<= -up
@@ -237,10 +275,11 @@ def _ratio_maker(fun: HypFunction, wp: int):
 
 
 class _Point:
-    """One point's running state in a pass."""
+    """One point's running state in a pass, between blocks of steps."""
 
     __slots__ = (
-        "index", "xr", "xi", "absx", "tr", "ti", "sr", "si", "streak", "lo", "hi", "rise", "huge"
+        "index", "xr", "xi", "absx", "tr", "ti", "sr", "si", "streak", "lo", "hi", "rise",
+        "huge", "bound",
     )
 
     def __init__(self, index: int, x: ComplexValue, wp: int):
@@ -253,6 +292,7 @@ class _Point:
         self.lo, self.hi = math.inf, 0.0  # smallest and largest term magnitude
         self.rise = 1.0  # largest rise of a term over the smallest earlier one
         self.huge = 0  # bits of a term magnitude too large for a double
+        self.bound = 1.0  # 1 + sum of |t_n|, at least |S|, rounded up
 
 
 def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[int]) -> list:
@@ -261,6 +301,12 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
     Returns (outcome, guard bits the pass turned out to need) per point.
     The outcome is (EvalResult, last term summed), or None when the point
     did not stop within TERM_CAP terms.
+
+    The steps run in blocks of BLOCK: each live point runs a block on local
+    variables and stores its state once at the end.  The block's ratios are
+    made by the first point to reach each step and read by the rest, so no
+    more than BLOCK of them are held at once.  A point's steps read nothing
+    of the other points, so it sums the same bits in any batch.
     """
     tol_bits = _tol_bits(tol)
     prec = mp.mp.prec
@@ -273,13 +319,17 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
     # |S| goes to a double in true units through mantissas of 64 fraction bits
     sum_drop = max(0, wp - 64)
     sum_unit = math.ldexp(1.0, sum_drop - wp)
+    # a term of `mag` units adds at most mag 2^-unit to the bound on |S|;
+    # where 2^-unit is no normal double the bound stays infinite
+    term_unit = math.ldexp(1.0, -unit) if unit <= _NORMAL_BITS else math.inf
     floor_at_x = fun.p == fun.q + 1
-    steps = range(TERM_CAP if stop is None else stop)
+    total = TERM_CAP if stop is None else stop
     # a pass that stops at t_0 (x = 0) reads no ratio
-    ratio = _ratio_maker(fun, wp) if steps else None
+    ratio = _ratio_maker(fun, wp) if total else None
     live = [_Point(index, x, wp) for index, x in enumerate(xs)]
     out = [(None, 0)] * len(xs)
     first_test = 8 if stop is None else stop  # a fixed stop skips the tail test
+    inf, hypot, block_steps = math.inf, math.hypot, BLOCK
 
     def finish(pt: _Point, terms: int, tail: mp.mpf) -> None:
         need = 2 * terms.bit_length() + GUARD_EXTRA_BITS + _growth_bits(
@@ -289,57 +339,78 @@ def _pass(fun: HypFunction, xs: list, tol: mp.mpf, guard: int, stop: Optional[in
         term = from_fixed_pair(pt.tr, pt.ti, wp, prec)
         out[pt.index] = ((EvalResult(value, terms, tail), term), need)
 
-    for n in steps:
+    for start in range(0, total, block_steps):
         if not live:
             break
-        rr, ri, rs = ratio(n)
-        # the backward ratio |t_{n+1} / t_n| is |ratio(n) x|: taken from the
-        # ratio itself, it holds where the terms fall below the resolution;
-        # only the tail test reads it
-        if n >= first_test:
-            rmag = _abs_up(rr, ri, rs)
+        count = min(block_steps, total - start)
+        test_from = first_test - start  # the first step j of the block tested
+        block, made, kept = [], 0, []
         for pt in live:
-            ar = (pt.tr * rr - pt.ti * ri) >> rs
-            ai = (pt.tr * ri + pt.ti * rr) >> rs
-            tr = pt.tr = (ar * pt.xr - ai * pt.xi) >> wp
-            ti = pt.ti = (ar * pt.xi + ai * pt.xr) >> wp
-            pt.sr += tr
-            pt.si += ti
-            try:
-                raw = math.hypot(tr >> drop, ti >> drop)
-            except OverflowError:
-                raw = math.inf
-                pt.huge = max(pt.huge, max(abs(tr), abs(ti)).bit_length() + 1 - wp)
-            # the shifted mantissas are off by < 1 each, so by < 1.5 in all
-            mag = raw * _UP + 1.5
-            if mag < pt.lo:
-                pt.lo = mag
-            elif mag > pt.rise * pt.lo:
-                pt.rise = mag / pt.lo
-            if mag > pt.hi:
-                pt.hi = mag
-            passed = False
-            if n >= first_test and mag < math.inf:
-                # for p = q+1 the limiting ratio is |x|, so the estimate
-                # never trusts a transient dip below it
-                qhat = rmag * pt.absx * _UP
-                if floor_at_x and qhat < pt.absx:
-                    qhat = pt.absx
-                if qhat < 1:
-                    # an estimate past the double range proves nothing,
-                    # even against a bound that overflows as well
-                    tail = 2 * mag * qhat / (1 - qhat) * _UP
-                    passed = tail < math.inf and (
-                        tail <= tol_units
-                        or tail <= tol_units * _abs_down(pt.sr, pt.si, sum_drop, sum_unit)
-                    )
-            if not passed:
-                pt.streak = 0
-                continue
-            pt.streak += 1
-            if pt.streak == 2:
-                finish(pt, n + 2, mp.ldexp(mp.mpf(tail), -unit))
-        live = [pt for pt in live if pt.streak < 2]
+            xr, xi, absx = pt.xr, pt.xi, pt.absx
+            tr, ti, sr, si, streak = pt.tr, pt.ti, pt.sr, pt.si, pt.streak
+            lo, hi, rise, huge, bound = pt.lo, pt.hi, pt.rise, pt.huge, pt.bound
+            for j in range(count):
+                if j < made:
+                    rr, ri, rs, rmag = block[j]
+                else:
+                    rr, ri, rs = ratio(start + j)
+                    # the backward ratio |t_{n+1} / t_n| is |ratio(n) x|:
+                    # taken from the ratio itself, it holds where the terms
+                    # fall below the resolution; only the tail test reads it
+                    rmag = _abs_up(rr, ri, rs) if j >= test_from else 0.0
+                    block.append((rr, ri, rs, rmag))
+                    made += 1
+                ar = (tr * rr - ti * ri) >> rs
+                ai = (tr * ri + ti * rr) >> rs
+                tr = (ar * xr - ai * xi) >> wp
+                ti = (ar * xi + ai * xr) >> wp
+                sr += tr
+                si += ti
+                try:
+                    raw = hypot(tr >> drop, ti >> drop)
+                except OverflowError:
+                    raw = inf
+                    huge = max(huge, max(abs(tr), abs(ti)).bit_length() + 1 - wp)
+                # the shifted mantissas are off by < 1 each, so by < 1.5 in all
+                mag = raw * _UP + 1.5
+                if mag < lo:
+                    lo = mag
+                elif mag > rise * lo:
+                    rise = mag / lo
+                if mag > hi:
+                    hi = mag
+                bound = (bound + mag * term_unit) * _UP
+                passed = False
+                if j >= test_from and mag < inf:
+                    # for p = q+1 the limiting ratio is |x|, so the estimate
+                    # never trusts a transient dip below it
+                    qhat = rmag * absx * _UP
+                    if floor_at_x and qhat < absx:
+                        qhat = absx
+                    if qhat < 1:
+                        # an estimate past the double range proves nothing,
+                        # even against a bound that overflows as well; |S|
+                        # is read only where its bound leaves the test open
+                        tail = 2 * mag * qhat / (1 - qhat) * _UP
+                        passed = tail < inf and (
+                            tail <= tol_units
+                            or (tail <= tol_units * bound or bound > _HUGE_SUM)
+                            and tail <= tol_units * _abs_down(sr, si, sum_drop, sum_unit)
+                        )
+                if not passed:
+                    streak = 0
+                    continue
+                streak += 1
+                if streak == 2:
+                    pt.tr, pt.ti, pt.sr, pt.si = tr, ti, sr, si
+                    pt.hi, pt.rise, pt.huge = hi, rise, huge
+                    finish(pt, start + j + 2, mp.ldexp(mp.mpf(tail), -unit))
+                    break
+            else:
+                pt.tr, pt.ti, pt.sr, pt.si, pt.streak = tr, ti, sr, si, streak
+                pt.lo, pt.hi, pt.rise, pt.huge, pt.bound = lo, hi, rise, huge, bound
+                kept.append(pt)
+        live = kept
     if stop is not None:
         for pt in live:
             finish(pt, stop + 1, mp.mpf(0))
@@ -356,7 +427,7 @@ def _growth_bits(hi: float, rise: float, unit: int, huge: int) -> int:
 
 def _abs_up(re: int, im: int, shift: int) -> float:
     """|re + i im| 2^-shift as a double rounded up; inf when out of range."""
-    drop = max(0, max(abs(re), abs(im)).bit_length() - 53)
+    drop = max(0, max(re.bit_length(), im.bit_length()) - 53)
     try:
         return math.ldexp((math.hypot(re >> drop, im >> drop) + 1.5) * _UP, drop - shift)
     except OverflowError:

@@ -21,6 +21,7 @@ from ipdhyp.coeffs import coeff_Y
 from ipdhyp.errors import (
     DegenerateCaseError,
     IpdHypError,
+    LengthMismatchError,
     NonConvergenceError,
 )
 from ipdhyp.kernel import (
@@ -638,6 +639,27 @@ class TestDegreeContracts:
         assert build_L(a, d, e, b, f, m, variant="L").degree == mt - 1
         assert build_L(a, d, e, b, f, m, variant="Lhat").degree == mt - 1
         assert w_poly(b, f, m).degree == mt - 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            partial(build_Q, 0.3, 2.7, route="eq5"),
+            partial(build_Q, 0.3, 2.7, route="eq7"),
+            partial(build_P, 0.3, 2.7),
+            partial(build_Qhat, 0.2, 0.3, 2.7),
+            partial(build_Phat, 0.2, 0.3, 2.7),
+            partial(build_T, 0.3, 2),
+            partial(build_T, 0.3, 2, variant="Tstar", a=0.2),
+            partial(build_L, 0.2, 1.1, 3.3, 0.3),
+            partial(build_L, 0.2, 1.1, 3.3, 0.3, variant="Lhat"),
+            partial(w_poly, 0.3),
+        ],
+        ids=["Q-eq5", "Q-eq7", "P", "Qhat", "Phat", "T", "Tstar", "L", "Lhat", "W"],
+    )
+    def test_unequal_lengths_are_refused(self, build):
+        # two f against one m: no builder may pair them by truncating
+        with pytest.raises(LengthMismatchError):
+            build([1.5, 0.7], [2])
 
 
 class TestRoutesAtWorkingPrecision:

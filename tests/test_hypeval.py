@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -26,6 +27,7 @@ from ipdhyp.kernel import (
     ParamVector,
     as_nonpositive_integer,
     cplx,
+    from_fixed_pair,
     gamma,
     pochhammer,
     set_precision,
@@ -474,6 +476,247 @@ class TestTermRatio:
         fast, reference = hypeval._ratio_maker(fun, wp), _product_ratio_maker(fun, wp)
         for n in [0, 1] + ns:
             assert _outcome(fast, n) == _outcome(reference, n), n
+
+    def test_integer_parameters_take_scale_zero(self, monkeypatch):
+        fun = _fun([1, -3, cplx(2, 5)], [4, cplx(7, -1)])
+        wp = mp.mp.prec + 64
+        ratio, factors = _ratio_factors(monkeypatch, fun, wp)
+        assert set(factors) == {(1, 0), (-3, 0), (2, 5), (4, 0), (7, -1), (7, 1)}
+        reference = _product_ratio_maker(fun, wp)
+        for n in range(8):  # ratio(3) is zero
+            assert ratio(n) == reference(n), n
+
+    def test_parameter_finer_than_pw_keeps_the_scale_pw(self, monkeypatch):
+        # 0.3e-20 at 40 digits holds 203 bits below the binary point, more
+        # than pw = wp = prec + 40: every parameter takes pw bits, as at 2^pw
+        u = cplx("0.3e-20")
+        fun = _fun([u, cplx(0.5, 0.25)], [1.5])
+        wp = mp.mp.prec + 40
+        assert -u.real._mpf_[2] > wp
+        ratio, factors = _ratio_factors(monkeypatch, fun, wp)
+        assert to_fixed_pair(u, wp) in factors
+        assert to_fixed_pair(cplx(0.5, 0.25), wp) in factors
+        reference = _product_ratio_maker(fun, wp)
+        for n in range(8):
+            assert ratio(n) == reference(n), n
+
+    def test_zero_ratio_keeps_its_shift(self):
+        # the parameters need two bits, far fewer than pw; the zero ratio at
+        # n = 3 still reads its shift off |D|^2 at 2^pw
+        fun = _fun([-3, 0.5], [cplx(1.5, 0.25)])
+        wp = mp.mp.prec + 64
+        got = hypeval._ratio_maker(fun, wp)(3)
+        assert got == _product_ratio_maker(fun, wp)(3)
+        assert got[:2] == (0, 0) and got[2] > wp
+
+    def test_doubles_take_their_own_scale(self, monkeypatch):
+        # at 100 digits pw is 400 bits here; parameters drawn as doubles,
+        # and sums of them, take a few more bits than a double's 53
+        set_precision(100)
+        rng = _rng(379)
+        num = [_rc(rng) for _ in range(3)]
+        fun = _fun(num, [num[0] + num[1] + 3, _rc(rng) + 2])
+        wp = mp.mp.prec + hypeval.FIRST_GUARD_BITS
+        ratio, factors = _ratio_factors(monkeypatch, fun, wp)
+        assert max(max(abs(re), abs(im)).bit_length() for re, im in factors) <= 60
+        reference = _product_ratio_maker(fun, wp)
+        for n in (0, 1, 17, 10**5):
+            assert ratio(n) == reference(n), n
+
+
+def _ratio_factors(monkeypatch, fun, wp):
+    """``hypeval._ratio_maker(fun, wp)`` and the fixed-point linear factors
+    that it multiplies out."""
+    factors = []
+    product = hypeval._fixed_linear_product
+    monkeypatch.setattr(
+        hypeval, "_fixed_linear_product",
+        lambda roots, out: factors.extend(roots) or product(roots, out),
+    )
+    return hypeval._ratio_maker(fun, wp), factors
+
+
+class _LockstepPoint:
+    def __init__(self, index, x, wp):
+        self.index = index
+        self.xr, self.xi = to_fixed_pair(x, wp)
+        self.absx = math.nextafter(float(abs(x)), math.inf)
+        self.tr = self.sr = 1 << wp
+        self.ti = self.si = 0
+        self.streak = 0
+        self.lo, self.hi = math.inf, 0.0
+        self.rise = 1.0
+        self.huge = 0
+
+
+def _lockstep_pass(fun, xs, tol, guard, stop):
+    """Reference for ``hypeval._pass``: every point advances one step at a
+    time through its attributes, the ratio comes from the products
+    (:func:`_product_ratio_maker`), and the tail test reads |S| whenever
+    it gets that far."""
+    up, down = hypeval._UP, hypeval._DOWN
+    tol_bits = hypeval._tol_bits(tol)
+    prec = mp.mp.prec
+    wp = max(prec, tol_bits) + guard
+    drop = max(0, wp - tol_bits - 48)
+    unit = wp - drop
+    tol_units = float(mp.ldexp(tol, unit)) * down
+    sum_drop = max(0, wp - 64)
+    sum_unit = math.ldexp(1.0, sum_drop - wp)
+    floor_at_x = fun.p == fun.q + 1
+    steps = range(hypeval.TERM_CAP if stop is None else stop)
+    ratio = _product_ratio_maker(fun, wp) if steps else None
+    live = [_LockstepPoint(index, x, wp) for index, x in enumerate(xs)]
+    out = [(None, 0)] * len(xs)
+    first_test = 8 if stop is None else stop
+
+    def finish(pt, terms, tail):
+        need = 2 * terms.bit_length() + hypeval.GUARD_EXTRA_BITS + hypeval._growth_bits(
+            pt.hi, pt.rise, unit, pt.huge
+        )
+        value = from_fixed_pair(pt.sr, pt.si, wp, prec)
+        term = from_fixed_pair(pt.tr, pt.ti, wp, prec)
+        out[pt.index] = ((hypeval.EvalResult(value, terms, tail), term), need)
+
+    for n in steps:
+        if not live:
+            break
+        rr, ri, rs = ratio(n)
+        if n >= first_test:
+            rmag = hypeval._abs_up(rr, ri, rs)
+        for pt in live:
+            ar = (pt.tr * rr - pt.ti * ri) >> rs
+            ai = (pt.tr * ri + pt.ti * rr) >> rs
+            tr = pt.tr = (ar * pt.xr - ai * pt.xi) >> wp
+            ti = pt.ti = (ar * pt.xi + ai * pt.xr) >> wp
+            pt.sr += tr
+            pt.si += ti
+            try:
+                raw = math.hypot(tr >> drop, ti >> drop)
+            except OverflowError:
+                raw = math.inf
+                pt.huge = max(pt.huge, max(abs(tr), abs(ti)).bit_length() + 1 - wp)
+            mag = raw * up + 1.5
+            if mag < pt.lo:
+                pt.lo = mag
+            elif mag > pt.rise * pt.lo:
+                pt.rise = mag / pt.lo
+            if mag > pt.hi:
+                pt.hi = mag
+            passed = False
+            if n >= first_test and mag < math.inf:
+                qhat = rmag * pt.absx * up
+                if floor_at_x and qhat < pt.absx:
+                    qhat = pt.absx
+                if qhat < 1:
+                    tail = 2 * mag * qhat / (1 - qhat) * up
+                    passed = tail < math.inf and (
+                        tail <= tol_units
+                        or tail <= tol_units * hypeval._abs_down(pt.sr, pt.si, sum_drop, sum_unit)
+                    )
+            if not passed:
+                pt.streak = 0
+                continue
+            pt.streak += 1
+            if pt.streak == 2:
+                finish(pt, n + 2, mp.ldexp(mp.mpf(tail), -unit))
+        live = [pt for pt in live if pt.streak < 2]
+    if stop is not None:
+        for pt in live:
+            finish(pt, stop + 1, mp.mpf(0))
+    return out
+
+
+def _blocked_pass(block, *args):
+    with mock.patch.object(hypeval, "BLOCK", block):
+        return hypeval._pass(*args)
+
+
+_NO_POLE = _BOX.filter(lambda v: as_nonpositive_integer(v) is None)
+
+
+def _points(radius):
+    return st.lists(
+        st.one_of(
+            st.just(mp.mpc(0)),
+            st.builds(
+                lambda r, turn: r * mp.expjpi(2 * mp.mpf(turn)),
+                st.floats(min_value=0, max_value=radius),
+                st.floats(min_value=0, max_value=1),
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+@st.composite
+def _pass_args(draw):
+    """(fun, xs, tol, guard, stop) of a pass: to the tail test inside the
+    disk of convergence, or to a fixed stop anywhere."""
+    q = draw(st.integers(0, 3))
+    stop = draw(st.one_of(st.none(), st.integers(0, 140)))
+    if stop is None:
+        p = draw(st.integers(0, q + 1))
+        radius = 0.8 if p == q + 1 else 3.0
+    else:
+        p = draw(st.integers(0, q + 2))
+        radius = 2.0
+    num = draw(st.lists(_TOP, min_size=p, max_size=p))
+    den = draw(st.lists(st.one_of(_NO_POLE, st.builds(cplx, st.integers(1, 6))),
+                        min_size=q, max_size=q))
+    xs = draw(_points(radius))
+    tol = draw(st.one_of(st.none(), st.integers(10, 45).map(lambda k: mp.mpf(10) ** -k)))
+    tol = hypeval.default_series_tolerance() if tol is None else tol
+    guard = draw(st.sampled_from([hypeval.FIRST_GUARD_BITS, 100]))
+    return _fun(num, den), xs, tol, guard, stop
+
+
+class TestBlockedPass:
+    @settings(max_examples=120, deadline=None)
+    @example(args=(_fun([cplx(0.3, 2.0), 5], [cplx(-0.7, 0.4)]), [mp.mpc(0)],
+                   mp.mpf("1e-32"), 64, 0), block=64)
+    @example(args=(_fun([-5, cplx(0.5, 0.3)], [1.5]), [mp.mpc("0.3"), mp.mpc(0, 2)],
+                   mp.mpf("1e-32"), 64, 5), block=2)
+    @given(args=_pass_args(), block=st.sampled_from([1, 2, 7, 64]))
+    def test_matches_the_lockstep_pass(self, args, block):
+        assert _blocked_pass(block, *args) == _lockstep_pass(*args)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_point_summed_again_matches_lockstep(self, monkeypatch, block):
+        # 1F1(1; 2; -40) needs more guard bits than the first pass has
+        fun, xs = _fun([1], [2]), [mp.mpc(-40), mp.mpc("0.1")]
+        tol = hypeval.default_series_tolerance()
+        monkeypatch.setattr(hypeval, "BLOCK", block)
+        got = hypeval._sum_series(fun, xs, tol)
+        first = hypeval._pass(fun, xs, tol, hypeval.FIRST_GUARD_BITS, None)
+        assert first[0][1] > hypeval.FIRST_GUARD_BITS >= first[1][1]
+        monkeypatch.setattr(hypeval, "_pass", _lockstep_pass)
+        assert got == hypeval._sum_series(fun, xs, tol)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_stops_on_both_sides_of_a_block_boundary(self, block):
+        # radii 0.40 to 0.46 stop after 60 to 70 terms, around the step 64
+        # that starts the second block of 64
+        fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5), 1.7], [cplx(2.6, -0.3), 2.2])
+        xs = [mp.mpf(400 + 5 * k) / 1000 * mp.expjpi(mp.mpf(k) / 7) for k in range(13)]
+        args = (fun, xs, hypeval.default_series_tolerance(), hypeval.FIRST_GUARD_BITS, None)
+        got = _blocked_pass(block, *args)
+        assert got == _lockstep_pass(*args)
+        terms = [outcome[0].terms_used for outcome, _ in got]
+        assert min(terms) <= 64 and max(terms) >= 67
+        assert {65, 66} <= set(terms)
+
+    def test_long_series_in_any_block(self, monkeypatch):
+        fun = _fun([cplx(0.3, 0.2), cplx(-1.4, 0.5), 1.7], [cplx(2.6, -0.3), 2.2])
+        x = mp.mpf("0.99") * mp.expjpi(mp.mpf(1) / 5)
+        args = (fun, [x], hypeval.default_series_tolerance(), hypeval.FIRST_GUARD_BITS, None)
+        reference = _lockstep_pass(*args)
+        assert reference[0][0][0].terms_used > 3000
+        for block in (1, 7, 64):
+            assert _blocked_pass(block, *args) == reference, block
+            monkeypatch.setattr(hypeval, "BLOCK", block)
+            assert eval_pfq(fun, x) == reference[0][0][0], block
 
 
 def _mpc_sum_at_unit(fun, tol):
