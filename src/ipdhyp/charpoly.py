@@ -44,7 +44,13 @@ circle itself when a double overflows), then at full precision until the
 residual target holds on two consecutive sweeps, the second a polish sweep.
 One sweep body, ``_sweep``, serves both phases: it runs on ``complex``
 first and on ``kernel.Fixed`` at a width wp wide enough for the target at
-the largest root and for the relative precision of the smallest.
+the largest root and for the relative precision of the smallest.  The
+set-up works on the coefficients' raw mpf tuples at 15 guard digits and
+rounds each step as the mpc operation it stands for would: the monic
+division (``_monic``), the Fujiwara radius (``_fujiwara``, which takes an
+mpf root only of the coefficients a double estimate leaves in the running
+for the max), and the conversions into double and, exactly, into
+``Fixed``.  So a call costs about what its sweeps cost.
 Root multiplicity is not classified: repeated roots come back as
 near-coincident values, which is harmless downstream because (root+1, root)
 parameter pairs cancel formally in series term ratios.
@@ -53,12 +59,14 @@ parameter pairs cancel formally in series term ratios.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import sys
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 from mpmath.libmp import from_man_exp, to_fixed
 
 from .coeffs import c_coeffs, d_coeffs, w_poly_coeffs, y_coeffs
@@ -188,94 +196,204 @@ class RootSet:
 def find_roots(poly: CPoly) -> RootSet:
     """All complex roots of ``poly``, each rounded to the working precision.
 
-    The monic coefficients are made at 15 guard digits.  Degree 0 has no
-    roots and degree 1 the closed form -c_0/c_1.  From degree 2 on,
-    Ehrlich-Aberth iteration starts from a circle of Fujiwara-bound radius
-    R = 2 max_k |c_{n-k}/c_n|^{1/k} at angles drawn from
-    ``random.Random(ROOT_SEED)``, so the result is deterministic, and runs
-    in two phases:
+    A coefficient that is not finite raises ValueError naming its index,
+    and the zero polynomial DegenerateCaseError.  Degree 0 has no roots and
+    degree 1 the closed form -c_0/c_1, formed at 15 guard digits.  From
+    degree 2 on, the monic coefficients are made at 15 guard digits on raw
+    mpf tuples (``_monic``), and Ehrlich-Aberth iteration starts from a
+    circle of Fujiwara-bound radius R = 2 max_k |c_{n-k}/c_n|^{1/k}
+    (``_fujiwara``) at angles drawn from ``random.Random(ROOT_SEED)``, so
+    the result is deterministic, and runs in two phases:
 
     1. double precision (``_double_start``): ``_sweep`` on ``complex``
-       copies of the monic coefficients from the circle built in double,
+       values of the monic coefficients, of the derivative's and of R, each
+       rounded to nearest from its mpf, from the circle built in double,
        until the largest relative step is a few ulp, or stalls at most
        ``DOUBLE_STALL_STEP`` without halving, or after ``MAX_SWEEPS``
        sweeps.  It only supplies the start of phase 2 and never raises; if
-       the radius, a coefficient or an iterate is not finite in double,
-       phase 2 starts from the circle built at full precision instead.
+       R, a coefficient or an iterate is not finite in double, phase 2
+       starts from the circle built at full precision instead.
     2. full precision, in fixed point: ``_sweep`` and the residual's
        ``_horner`` on ``kernel.Fixed`` values of width wp, into which the
-       monic coefficients and the iterates convert once and out of which
-       the roots convert once (not through ``run_fixed``, whose width rule
-       is the builders').  wp is the bits of the 15-guard-digit context
-       plus n times the larger of log2 R and the bits below 1 of the
-       smallest nonzero start iterate: the first keeps the rounding of p at
-       iterates up to R far below the target, the second keeps the
-       relative precision of small roots, near which p is of order |z|^n.
-       Sweeps run until the scaled residual max|p(root)| / |lead| is at
-       most 10^-(dps-10) on two consecutive sweeps, so the first sweep
-       under that target is followed by one polish sweep.  Raises NonConvergenceError after
+       monic coefficients and the iterates convert once, exactly from their
+       mpf or float parts, and out of which the roots convert once (not
+       through ``run_fixed``, whose width rule is the builders').  wp is
+       the bits of the 15-guard-digit context plus n times the larger of
+       log2 R and the bits below 1 of the smallest nonzero start iterate:
+       the first keeps the rounding of p at iterates up to R far below the
+       target, the second keeps the relative precision of small roots, near
+       which p is of order |z|^n.  Sweeps run until the scaled residual
+       max|p(root)| / |lead| is at most 10^-(dps-10) on two consecutive
+       sweeps, so the first sweep under that target is followed by one
+       polish sweep.  The values p(root) of the residual check are the ones
+       the next sweep reads, so each sweep after the first takes them
+       instead of evaluating p again.  Raises NonConvergenceError after
        ``MAX_SWEEPS`` sweeps.  ``RootSet.sweeps`` counts the sweeps of this
        phase.
+
+    Every intermediate is rounded as the mpc arithmetic at 15 guard digits
+    rounds it; ``tests/test_charpoly.py`` keeps that form as the reference.
     """
+    coeffs = [c._mpc_ for c in poly.coeffs]
+    for i, c in enumerate(coeffs):
+        if any(not man and exp for _, man, exp, _ in c):
+            raise ValueError(f"coefficient {i} is not finite: {poly.coeffs[i]}")
     if poly.is_zero:
         raise DegenerateCaseError("zero polynomial has no well-defined roots")
-    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
-    n = poly.degree
-    prec = mp.mp.prec
-    with mp.extradps(15):
-        lead = poly.leading
-        monic = [c / lead for c in poly.coeffs]
-        if n < 2:
-            z, sweeps = ([-monic[0]] if n == 1 else []), 0
-            residual = max((abs(poly(zi)) for zi in z), default=mp.mpf(0)) / abs(lead)
-        else:
-            deriv = [i * c for i, c in enumerate(monic) if i > 0]
-            radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
-            rng = random.Random(ROOT_SEED)
-            draws = [rng.random() for _ in range(n)]
-            z = _double_start(monic, deriv, float(radius), draws)
-            if z is None:
-                z = [
-                    radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(u) / 2) / n + mp.mpf("0.35")))
-                    for k, u in enumerate(draws)
-                ]
-            z = [mp.mpc(zi) for zi in z]
-            low = min((mp.mag(zi) for zi in z if zi), default=0)
-            wp = mp.mp.prec + n * max(0, -low, mp.mag(radius))
+    n = len(coeffs) - 1
+    if n == 0:
+        return RootSet(ParamVector(()), mp.mpf(0))
+    dps, prec = mp.mp.dps, mp.mp.prec
+    gprec = libmp.dps_to_prec(dps + 15)
+    if n == 1:
+        lead = coeffs[1]
+        z = libmp.mpc_neg(libmp.mpc_div(coeffs[0], lead, gprec, "n"))
+        # p(z) by Horner from 0, as CPoly.__call__ forms it: 0 z + lead is lead rounded
+        value = libmp.mpc_mul(libmp.mpc_pos(lead, gprec, "n"), z, gprec, "n")
+        value = libmp.mpc_abs(libmp.mpc_add(value, coeffs[0], gprec, "n"), gprec, "n")
+        residual = libmp.mpf_div(value, libmp.mpc_abs(lead, gprec, "n"), gprec, "n")
+        root = mp.make_mpc((libmp.mpf_pos(z[0], prec, "n"), libmp.mpf_pos(z[1], prec, "n")))
+        return RootSet(ParamVector((root,)), mp.make_mpf(residual))
+    target = _target(dps, prec)
+    monic = _monic(coeffs, gprec)
+    radius = _fujiwara(monic, gprec)
+    rng = random.Random(ROOT_SEED)
+    draws = [rng.random() for _ in range(n)]
+    z = _double_start(
+        [_complex(c) for c in monic],
+        [_complex(libmp.mpc_mul_int(c, k, gprec, "n")) for k, c in enumerate(monic) if k],
+        float(radius),
+        draws,
+    )
+    if z is None:
+        with mp.extradps(15):
+            z = [
+                radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(u) / 2) / n + mp.mpf("0.35")))
+                for k, u in enumerate(draws)
+            ]
+        low = min((mp.mag(zi) for zi in z if zi), default=0)
+    else:
+        low = min((_mag(zi) for zi in z if zi), default=0)
+    wp = gprec + n * max(0, -low, mp.mag(radius))
+    z = [_fixed(zi, wp) for zi in z]
+    monic = [Fixed(to_fixed(re, wp), to_fixed(im, wp), wp) for re, im in monic]
+    deriv = [k * c for k, c in enumerate(monic) if k > 0]
+    inv_tiny = Fixed(10 ** (dps + 15) << wp, 0, wp)
+    # max |p(z)|^2 against target^2, both scaled by 2^(2 wp)
+    bound = to_fixed(target._mpf_, wp) ** 2
+    values = None
+    met = done = False
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        _sweep(monic, deriv, z, inv_tiny, values)
+        values = [_horner(monic, zi) for zi in z]
+        square = max(v.re * v.re + v.im * v.im for v in values)
+        done, met = met and square <= bound, square <= bound
+        if done:
+            break
+    residual = mp.make_mpf(libmp.mpf_sqrt(from_man_exp(square, -2 * wp), gprec, "n"))
+    if not done:
+        raise NonConvergenceError(
+            f"root iteration failed to reach residual {mp.nstr(target, 5)} "
+            f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
+        )
+    return RootSet(ParamVector(from_fixed_pair(zi.re, zi.im, wp, prec) for zi in z),
+                   residual, sweeps)
 
-            def fixed(value):
-                return Fixed(*to_fixed_pair(value, wp), wp)
 
-            monic, z = [fixed(c) for c in monic], [fixed(zi) for zi in z]
-            deriv = [k * c for k, c in enumerate(monic) if k > 0]
-            inv_tiny = Fixed(10**mp.mp.dps << wp, 0, wp)
-            # max |p(z)|^2 against target^2, both scaled by 2^(2 wp)
-            bound = to_fixed(target._mpf_, wp) ** 2
-            met = done = False
-            for sweeps in range(1, MAX_SWEEPS + 1):
-                _sweep(monic, deriv, z, inv_tiny)
-                square = max(v.re * v.re + v.im * v.im for v in (_horner(monic, zi) for zi in z))
-                done, met = met and square <= bound, square <= bound
-                if done:
-                    break
-            residual = mp.sqrt(mp.make_mpf(from_man_exp(square, -2 * wp)))
-            if not done:
-                raise NonConvergenceError(
-                    f"root iteration failed to reach residual {mp.nstr(target, 5)} "
-                    f"within {MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
-                )
-            z = [from_fixed_pair(zi.re, zi.im, wp, prec) for zi in z]
-    return RootSet(ParamVector(mp.mpc(zi) for zi in z), residual, sweeps)
+@functools.lru_cache(maxsize=16)
+def _target(dps: int, prec: int) -> mp.mpf:
+    """find_roots' residual target 10^-(dps-10), rounded to ``prec`` bits."""
+    with mp.workprec(prec):
+        return mp.mpf(10) ** (-(dps - 10))
 
 
-def _sweep(monic: list, deriv: list, z: list, inv_tiny) -> None:
+def _monic(coeffs: list, prec: int) -> list:
+    """The raw mpc ``coeffs`` divided by the last, each quotient made as
+    ``libmpc.mpc_div`` makes it (the sums at prec+10 bits, the quotients
+    rounded to nearest at prec), with |lead|^2 formed once.  The last entry
+    is exactly 1: mpc_div(lead, lead) forms its numerator by the sum that
+    forms |lead|^2, and its imaginary numerator cancels exactly."""
+    add, sub, mul, div = libmp.mpf_add, libmp.mpf_sub, libmp.mpf_mul, libmp.mpf_div
+    c, d = coeffs[-1]
+    wp = prec + 10
+    norm = add(mul(c, c), mul(d, d), wp)
+    out = []
+    for a, b in coeffs[:-1]:
+        t = add(mul(a, c), mul(b, d), wp)
+        u = sub(mul(b, c), mul(a, d), wp)
+        out.append((div(t, norm, prec, "n"), div(u, norm, prec, "n")))
+    out.append((libmp.fone, libmp.fzero))
+    return out
+
+
+def _fujiwara(monic: list, prec: int) -> mp.mpf:
+    """2 max_k |c_{n-k}|^{1/k}, k = 1..n, over the raw mpc ``monic``, at
+    ``prec``: each |c| and each root rounded to nearest, as ``abs`` and
+    ``mp.root`` round them.
+
+    The root is taken only for the k whose estimate log2|c_{n-k}| / k, from
+    the exponent and mantissa of each part in double, lies within
+    1e-9 (|top| + prec) of the largest estimate top.  The estimates are off
+    by far less (a few ulp of the exponent plus the mantissa's bits), so
+    every k left out has a strictly smaller root, and the max is the same
+    mpf.  Zero coefficients, whose root is 0, are left out too; with none
+    left the radius is 0.
+    """
+    n = len(monic) - 1
+    estimates = {}
+    for k in range(1, n + 1):
+        logs = [exp + math.log2(man) for _, man, exp, _ in monic[n - k] if man]
+        if logs:
+            # log2 |c| = hi + log2(sum of 4^(log2|part| - hi)) / 2, hi the larger
+            hi = max(logs)
+            estimates[k] = (hi + math.log2(sum(4.0 ** (x - hi) for x in logs)) / 2) / k
+    best = libmp.fzero
+    if estimates:
+        top = max(estimates.values())
+        floor = top - 1e-9 * (abs(top) + prec)
+        for k, estimate in estimates.items():
+            if estimate >= floor:
+                root = libmp.mpf_nthroot(libmp.mpc_abs(monic[n - k], prec, "n"), k, prec, "n")
+                if libmp.mpf_gt(root, best):
+                    best = root
+    return mp.make_mpf(libmp.mpf_mul_int(best, 2, prec, "n"))
+
+
+def _complex(c: tuple) -> complex:
+    """The raw mpc c as a complex, each part rounded to nearest, as
+    ``complex()`` of the mpc rounds it."""
+    return complex(libmp.to_float(c[0], False, "n"), libmp.to_float(c[1], False, "n"))
+
+
+def _mag(z: complex) -> int:
+    """``mp.mag`` of the mpc of a nonzero complex z, from ``math.frexp``."""
+    if not z.imag:
+        return math.frexp(z.real)[1]
+    if not z.real:
+        return math.frexp(z.imag)[1]
+    return 1 + max(math.frexp(z.real)[1], math.frexp(z.imag)[1])
+
+
+def _fixed(z, wp: int) -> Fixed:
+    """A complex or an mpc z as a Fixed of width wp, each part rounded down
+    exactly: a float part x by integers, as floor(x 2^wp)."""
+    if type(z) is not complex:
+        return Fixed(*to_fixed_pair(z, wp), wp)
+    (re, re_den), (im, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return Fixed((re << wp) // re_den, (im << wp) // im_den, wp)
+
+
+def _sweep(monic: list, deriv: list, z: list, inv_tiny, values: list | None = None) -> None:
     """One Gauss-Seidel Ehrlich-Aberth sweep over the iterates ``z``, in place.
 
     Only operators, ``x ** 0`` and int constants, so it runs on ``complex``
     (phase 1 of find_roots), on ``kernel.Fixed`` (phase 2) and on mpc (the
-    tests' reference).  ``inv_tiny`` stands in for 1/(z_i - z_j) where the
-    difference vanishes.  An iterate where the derivative vanishes is
-    nudged to z + z/2^27 + 2^-40 first, and left there if it still does.
+    tests' reference).  ``values``, if given, holds p(z_i) at the iterates
+    as they stand, which the sweep reads instead of evaluating p: each z_i
+    is still unchanged when its own update reads it.  ``inv_tiny`` stands
+    in for 1/(z_i - z_j) where the difference vanishes.  An iterate where
+    the derivative vanishes is nudged to z + z/2^27 + 2^-40 first (p is then
+    evaluated there), and left there if the derivative still vanishes.
     """
     one = z[0] ** 0
     for i, zi in enumerate(z):
@@ -286,7 +404,10 @@ def _sweep(monic: list, deriv: list, z: list, inv_tiny) -> None:
             if dv == 0:
                 z[i] = zi
                 continue
-        newton = _horner(monic, zi) / dv
+            value = _horner(monic, zi)
+        else:
+            value = _horner(monic, zi) if values is None else values[i]
+        newton = value / dv
         shifts = 0
         for j, zj in enumerate(z):
             if j != i:
@@ -299,6 +420,8 @@ def _sweep(monic: list, deriv: list, z: list, inv_tiny) -> None:
 def _double_start(monic: list, deriv: list, radius: float, draws: list):
     """Phase 1 of find_roots: sweeps in double precision from the circle of
     ``radius`` at the angles 2 pi (k + u_k/2)/n + 0.35, u = ``draws``.
+    ``monic`` and ``deriv`` hold complex or mpc values (find_roots passes
+    complex, the tests' reference mpc), taken by ``complex()``.
 
     Stops once no iterate moves by more than four ulp; or once the largest
     relative step is at most ``DOUBLE_STALL_STEP`` and did not halve since

@@ -15,7 +15,8 @@ so callers can catch one base class.  One condition, one type:
   :class:`DenominatorPoleError`, :class:`SlowConvergenceError`.
 
 Usage errors (a missing parameter, an unknown route or variant, a
-multiplicity total below one) are plain ``ValueError``.  Warnings
+multiplicity total below one, a polynomial coefficient that is not finite
+in ``find_roots``) are plain ``ValueError``.  Warnings
 (non-fatal conditions such as a shifted parameter landing on a series pole
 that may still terminate first) use :class:`RootWarning`.
 """

@@ -4,6 +4,9 @@ from functools import partial
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, to_fixed
 
 from ipdhyp import charpoly
 from ipdhyp.charpoly import (
@@ -30,11 +33,13 @@ from ipdhyp.kernel import (
     ParamVector,
     as_nonpositive_integer,
     cplx,
+    from_fixed_pair,
     gamma,
     genfunc_coeffs,
     pochhammer,
     pochhammer_vec,
     terminating_pfq,
+    to_fixed_pair,
 )
 from ipdhyp.verify import sample_params
 from test_verify_cli import _feed
@@ -113,6 +118,23 @@ class TestFindRoots:
         with pytest.raises(DegenerateCaseError):
             find_roots(CPoly([0]))
 
+    @pytest.mark.parametrize(
+        "coeffs, index",
+        [
+            ([1, 2, mp.nan], 2),
+            ([1, 1, mp.inf], 2),
+            ([mp.inf, 1], 0),
+            ([1, mp.inf, 1], 1),
+            ([cplx(1, mp.nan), cplx(mp.ninf, 0), 1], 0),
+            ([mp.nan], 0),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, coeffs, index):
+        # unchecked, these come back as roots of 1.8e-12 with residual 0,
+        # as (-inf + nan j), or as NonConvergenceError after 200 sweeps
+        with pytest.raises(ValueError, match=f"coefficient {index} is not finite"):
+            find_roots(CPoly(coeffs))
+
     def test_nonconvergence_budget(self, monkeypatch):
         monkeypatch.setattr(charpoly, "MAX_SWEEPS", 1)
         poly = CPoly.from_roots([1, 2, 3, 4])
@@ -183,9 +205,9 @@ class TestFindRoots:
         counts = {complex: 0, Fixed: 0}
         sweep = charpoly._sweep
 
-        def counted(monic, deriv, z, inv_tiny):
+        def counted(monic, deriv, z, inv_tiny, values=None):
             counts[type(z[0])] += 1
-            return sweep(monic, deriv, z, inv_tiny)
+            return sweep(monic, deriv, z, inv_tiny, values)
 
         monkeypatch.setattr(charpoly, "_sweep", counted)
         roots = find_roots(CPoly.from_roots(range(1, 7)))
@@ -369,6 +391,131 @@ class TestFixedPointPhase:
         self._check(CPoly([mp.mpf("1e350"), 0, 1]), sweeps_differ_by=1)
         big = mp.mpf("1e350")
         self._check(CPoly([big, -(big + 1), 1]), sweeps_differ_by=1)
+
+
+def _mpc_setup_roots(poly):
+    """``find_roots`` with its set-up written on mpc values at 15 guard
+    digits, kept verbatim apart from module names as the reference that
+    the set-up on raw mpf tuples must match bit for bit: ``_double_start``
+    takes mpc lists and ``_sweep`` no values."""
+    if poly.is_zero:
+        raise DegenerateCaseError("zero polynomial has no well-defined roots")
+    target = mp.mpf(10) ** (-(mp.mp.dps - 10))
+    n = poly.degree
+    prec = mp.mp.prec
+    with mp.extradps(15):
+        lead = poly.leading
+        monic = [c / lead for c in poly.coeffs]
+        if n < 2:
+            z, sweeps = ([-monic[0]] if n == 1 else []), 0
+            residual = max((abs(poly(zi)) for zi in z), default=mp.mpf(0)) / abs(lead)
+        else:
+            deriv = [i * c for i, c in enumerate(monic) if i > 0]
+            radius = 2 * max(mp.root(abs(c), k) for k, c in enumerate(reversed(monic[:-1]), 1))
+            rng = random.Random(charpoly.ROOT_SEED)
+            draws = [rng.random() for _ in range(n)]
+            z = charpoly._double_start(monic, deriv, float(radius), draws)
+            if z is None:
+                z = [
+                    radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(u) / 2) / n + mp.mpf("0.35")))
+                    for k, u in enumerate(draws)
+                ]
+            z = [mp.mpc(zi) for zi in z]
+            low = min((mp.mag(zi) for zi in z if zi), default=0)
+            wp = mp.mp.prec + n * max(0, -low, mp.mag(radius))
+
+            def fixed(value):
+                return Fixed(*to_fixed_pair(value, wp), wp)
+
+            monic, z = [fixed(c) for c in monic], [fixed(zi) for zi in z]
+            deriv = [k * c for k, c in enumerate(monic) if k > 0]
+            inv_tiny = Fixed(10**mp.mp.dps << wp, 0, wp)
+            # max |p(z)|^2 against target^2, both scaled by 2^(2 wp)
+            bound = to_fixed(target._mpf_, wp) ** 2
+            met = done = False
+            for sweeps in range(1, charpoly.MAX_SWEEPS + 1):
+                charpoly._sweep(monic, deriv, z, inv_tiny)
+                square = max(
+                    v.re * v.re + v.im * v.im for v in (charpoly._horner(monic, zi) for zi in z)
+                )
+                done, met = met and square <= bound, square <= bound
+                if done:
+                    break
+            residual = mp.sqrt(mp.make_mpf(from_man_exp(square, -2 * wp)))
+            if not done:
+                raise NonConvergenceError(
+                    f"root iteration failed to reach residual {mp.nstr(target, 5)} "
+                    f"within {charpoly.MAX_SWEEPS} sweeps (got {mp.nstr(residual, 5)})"
+                )
+            z = [from_fixed_pair(zi.re, zi.im, wp, prec) for zi in z]
+    return charpoly.RootSet(ParamVector(mp.mpc(zi) for zi in z), residual, sweeps)
+
+
+def _outcome(find, poly):
+    """A RootSet as its raw parts, or the error it raised as type and text."""
+    try:
+        got = find(poly)
+    except IpdHypError as exc:
+        return type(exc).__name__, str(exc)
+    return [z._mpc_ for z in got.roots], got.residual._mpf_, got.sweeps
+
+
+# a coefficient of 2^e times a complex integer, or an exact zero
+_COEFF = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda re, im, e: cplx(mp.ldexp(re, e), mp.ldexp(im, e)),
+        st.integers(-(2**60), 2**60),
+        st.integers(-(2**60), 2**60),
+        st.integers(-80, 40),
+    ),
+)
+
+
+class TestSameAsMpcSetUp:
+    """find_roots returns bit for bit the RootSet of the mpc set-up:
+    every root's mpc, the residual's mpf and the sweeps, or the same
+    error."""
+
+    @staticmethod
+    def _same(poly):
+        assert _outcome(find_roots, poly) == _outcome(_mpc_setup_roots, poly)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        coeffs=st.lists(_COEFF, min_size=1, max_size=9).filter(lambda cs: cs[-1] != 0),
+        digits=st.sampled_from([40, 60]),
+    )
+    def test_random_polynomials(self, coeffs, digits):
+        mp.mp.dps = digits
+        self._same(CPoly(coeffs))
+
+    @pytest.mark.parametrize("digits", [40, 60])
+    def test_named_cases(self, digits):
+        mp.mp.dps = digits
+        cases = [
+            CPoly([16, 4, 1]),  # |c_1| = 16^(1/2): a radius tie
+            CPoly([5, 0, 2, 0, 1]),
+            CPoly([0, 0, 0, 1]),  # every lower coefficient zero: radius 0
+            CPoly([0, cplx(1, 2), 0, 3]),
+            CPoly([1, 1, mp.mpf("1e-400")]),  # monic overflows a double: the circle
+            # Q at c-b = 1e10, m = 12: top coefficient 2e-121, roots near 1e10
+            build_Q(cplx(0.5, 0.1), cplx(0.5, 0.1) + mp.mpf("1e10"), [cplx(1.1, 0.4)], (12,)),
+            # p overflows a double at the circle, and the sweeps from the
+            # full-precision circle end in NonConvergenceError
+            CPoly([1, 2, 3, cplx(mp.mpf("1e-121"), mp.mpf("3e-122"))]),
+            CPoly.from_roots(range(1, 7)),
+            CPoly([cplx(1, 3), 3]),
+            CPoly([cplx(2, -1)]),
+        ]
+        for poly in cases:
+            self._same(poly)
+
+    def test_engine_like_specs(self):
+        rng = _rng(331)
+        for shape in [(1,), (2,), (3,), (2, 1), (4,), (6,), (3, 3)]:
+            for poly in _engine_polys(rng, shape, ps=(1, 2, 3, 4)):
+                self._same(poly)
 
 
 class TestBuildQ:

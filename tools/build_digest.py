@@ -6,8 +6,8 @@ For every seed in the range and every m of ``SHAPES``, the script draws
 ``count`` seeded specs (a, b, c, d, e and f from a box) and one more with
 b = 0, where the guards raise, and hashes:
 
-* every characteristic-polynomial builder, with the roots and residual of
-  ``find_roots`` (T and T* for every p of ``P_RANGE``);
+* every characteristic-polynomial builder, with the roots, residual and
+  sweeps of ``find_roots`` (T and T* for every p of ``P_RANGE``);
 * ``genfunc_coeffs`` in both modes;
 * every route of ``coeff_C``, ``coeff_D`` and ``coeff_Y`` at every index;
 * every variant of each ``apply_*`` transformation (``apply_degenerate_p``
@@ -20,14 +20,17 @@ other exception stops the script.  Numbers are hashed exactly,
 by ``_feed`` of ``tests/test_verify_cli.py`` as the pins hash them.  The
 script prints one line per build label (``Q eq5``, ``T``, ``eq29``, ...;
 the p of a label is part of its builds, not of the label) with its number
-of builds and their digest; a label that builds a polynomial gets three
+of builds and their digest; a label that builds a polynomial gets four
 more lines, the digests of its coefficients alone, of its root values
-alone and of its root residuals alone (a build that raised goes into all
-three, a ``find_roots`` that raised into both root lines), so a change
-that moves only roots, or only residuals, shows as such.  Then come the total number of hashed
-items and the digest of all of them.  Run it on two trees with the same arguments
-(``ipdhyp`` is imported from ``PYTHONPATH``): equal digests mean equal
-builds, and a diff of the two outputs names the labels that moved.
+alone, of its root residuals alone and of its ``RootSet.sweeps`` alone (a
+build that raised goes into all four, a ``find_roots`` that raised into the
+three root lines), so a change that moves only roots, only residuals or
+only sweep counts shows as such.  The sweep counts are hashed on their own
+line only, not into the label's digest or the total.  Then come the total
+number of hashed items and the digest of all of them.  Run it on two trees
+with the same arguments (``ipdhyp`` is imported from ``PYTHONPATH``): equal
+digests mean equal builds, and a diff of the two outputs names the labels
+that moved.
 """
 
 from __future__ import annotations
@@ -100,8 +103,10 @@ def _builds(spec: IpdSpec, d, e, bvec) -> list:
             try:
                 roots = find_roots(p)
             except IpdHypError as exc:
-                return {"coeffs": p.coeffs, "roots": type(exc).__name__}
-            return {"coeffs": p.coeffs, "roots": [list(roots.roots), roots.residual]}
+                name = type(exc).__name__
+                return {"coeffs": p.coeffs, "roots": name, "sweeps": name}
+            return {"coeffs": p.coeffs, "roots": [list(roots.roots), roots.residual],
+                    "sweeps": roots.sweeps}
         return run
 
     out = [
@@ -150,38 +155,47 @@ def _group(label: str) -> str:
     return head if tail.isdigit() else label
 
 
+def _hashed(value):
+    """What the label and total digests hash of a build: all of it but a
+    polynomial's sweep counts."""
+    if isinstance(value, dict):
+        return {key: value[key] for key in ("coeffs", "roots")}
+    return value
+
+
 class _LabelDigest:
-    """The digests of one label: of all its builds, and of a polynomial's
-    coefficients, root values and root residuals apart (a build that raised
-    goes to all three, a ``find_roots`` that raised to the last two)."""
+    """The digests of one label: of all its builds (``_hashed``), and of a
+    polynomial's coefficients, root values, root residuals and sweep counts
+    apart (a build that raised goes to all four, a ``find_roots`` that
+    raised to the last three)."""
 
     def __init__(self):
         self.builds = 0
-        self.sinks = [hashlib.sha256() for _ in range(4)]
+        self.sinks = [hashlib.sha256() for _ in range(5)]
         self.poly = False
 
     def add(self, label: str, value) -> None:
         self.builds += 1
         self.poly = self.poly or isinstance(value, dict)
-        parts = (value,) * 4
+        parts = (value,) * 5
         if isinstance(value, dict):
             found = value["roots"]
             roots, residual = found if isinstance(found, list) else (found, found)
-            parts = (value, value["coeffs"], roots, residual)
+            parts = (_hashed(value), value["coeffs"], roots, residual, value["sweeps"])
         for sink, part in zip(self.sinks, parts):
             sink.update(label.encode())
             _feed(sink, part)
 
     def digests(self) -> tuple:
         whole, *split = (sink.hexdigest() for sink in self.sinks)
-        return (self.builds, whole, *(split if self.poly else [None] * 3))
+        return (self.builds, whole, *(split if self.poly else [None] * 4))
 
 
 def build_digest(seeds: range, count: int) -> tuple:
     """(number of hashed builds, SHA-256 hex digest) over all seeds, and
     {label: (builds, digest, coefficient digest, root digest, residual
-    digest)} per label, in the order the labels appear; the last three are
-    None for a label that builds no polynomial."""
+    digest, sweeps digest)} per label, in the order the labels appear; the
+    last four are None for a label that builds no polynomial."""
     digest = hashlib.sha256()
     items = 0
     groups = {}
@@ -205,7 +219,7 @@ def build_digest(seeds: range, count: int) -> tuple:
                     group = groups.setdefault(_group(label), _LabelDigest())
                     group.add(label, value)
                     digest.update(label.encode())
-                    _feed(digest, value)
+                    _feed(digest, _hashed(value))
                     items += 1
     per_label = {name: group.digests() for name, group in groups.items()}
     return items, digest.hexdigest(), per_label
@@ -222,7 +236,7 @@ def main() -> None:
     for name, (n, label_digest, *split) in per_label.items():
         print(f"{name:<14} {n:>5} builds  sha256 {label_digest}")
         if split[0] is not None:
-            for part, digest in zip(("coefficients", "roots", "residuals"), split):
+            for part, digest in zip(("coefficients", "roots", "residuals", "sweeps"), split):
                 print(f"{'':<14} {part:>12}  sha256 {digest}")
     print(f"{items} builds  sha256 {hexdigest}")
 
