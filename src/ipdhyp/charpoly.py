@@ -79,6 +79,7 @@ from .kernel import (
     ParamVector,
     cplx,
     from_fixed_pair,
+    integral,
     linear_products,
     nonzero,
     paired,
@@ -645,7 +646,7 @@ def build_T(
     ``find_roots`` rejects.
     """
     f, m = ParamVector(f), IntVector(m)
-    p = int(p)
+    p = integral(p, "p")
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     if variant not in ("T", "Tstar"):

@@ -26,6 +26,7 @@ from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T
 from .errors import IpdHypError
 from .hypeval import HypFunction, eval_pfq
 from .kernel import MIN_DIGITS, ComplexValue, IntVector, ParamVector, cplx, set_precision
+from .kernel import integral
 from .transforms import HypExpression
 
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
@@ -84,11 +85,7 @@ def format_complex(z) -> list:
 
 def _integral(value, key: str) -> int:
     """A JSON number with an integral value, such as 2 or 2.0."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"params entry {key!r} must hold integers, got {value!r}")
+    return integral(value, f"params entry {key!r}")
 
 
 def _listed(value, key: str) -> list:

@@ -342,11 +342,22 @@ def as_nonpositive_integer(z: ComplexLike, tol: mp.mpf | int = 0) -> int | None:
     return None
 
 
+def integral(value, what: str) -> int:
+    """An int, or a float with an integral value such as 2.0, as an int;
+    a bool, a fraction or a string, which ``int`` would truncate or parse,
+    raises ValueError naming ``what``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class IntVector(tuple):
     """Vector of positive integer multiplicities m = (m_1, ..., m_r).
 
     A tuple of ints, compared and hashed by value; the constructor returns
-    an IntVector argument unchanged.
+    an IntVector argument unchanged.  Each entry goes through ``integral``.
     """
 
     __slots__ = ()
@@ -354,7 +365,7 @@ class IntVector(tuple):
     def __new__(cls, entries: Iterable[int]):
         if isinstance(entries, IntVector):
             return entries
-        self = super().__new__(cls, [int(e) for e in entries])
+        self = super().__new__(cls, [integral(e, "a multiplicity") for e in entries])
         if any(e < 1 for e in self):
             raise ValueError(f"multiplicities must be >= 1, got {tuple(self)}")
         return self

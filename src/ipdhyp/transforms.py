@@ -64,7 +64,9 @@ from .kernel import (
     as_nonpositive_integer,
     cplx,
     gamma,
+    integral,
     nonzero,
+    paired,
     pochhammer,
     pochhammer_vec,
     rising,
@@ -325,7 +327,7 @@ def apply_degenerate_p(
     b+q-1 != 0 for q = 1..p, and for eq31 (b+1-a)_{p-1} != 0.
     """
     a, b = spec.a, spec.b
-    p = int(p)
+    p = integral(p, "p")
     if spec.c is not None and spec.c != b + p:
         raise ValueError("spec.c must be exactly b+p (or omitted) here")
     fm = run_fixed(fm_coeffs, (spec.f,), spec.m)[0]
@@ -460,7 +462,7 @@ def vector_function(a, b: ParamVector, p: IntVector, f, m) -> HypFunction:
     b, p = ParamVector(b), IntVector(p)
     f, m = ParamVector(f), IntVector(m)
     num = [cplx(a)] + list(b) + list(f.shifted_by(m))
-    den = [bj + pj for bj, pj in zip(b, p)] + list(f)
+    den = [bj + pj for bj, pj in paired(b, p)] + list(f)
     return HypFunction(ParamVector(num), ParamVector(den))
 
 

@@ -1,14 +1,15 @@
 """Batch verification harness for the full identity catalog.
 
-Each identity in the catalog declares its preconditions as data: how it
-draws (its parameter letters, its m pool and any extra draws) and a tuple
-of named clauses, each of one kind (``_clear``, ``_poch``, ``_away``,
-``_distinct``, or KARLSSON's ``_convergent``) and named after the
-hypothesis or engine guard it encodes.  ``admissible(id, params)`` returns
-the names of the clauses a parameter set fails.  ``sample_params`` redraws
+Each identity in the catalog declares its preconditions as data: a flat
+tuple of draw steps (its parameter letters, its m pool and any extra
+draws) and a tuple of named clauses, each of one kind (``_clear``,
+``_poch``, ``_away`` or ``_distinct``) and named after the hypothesis or
+engine guard it encodes; a clause is kept only where the check breaks with
+its guard at its zero or pole.  ``admissible(id, params)`` returns the
+names of the clauses a parameter set fails.  ``sample_params`` redraws
 until that list is empty, then builds a two-sided case's right side and
-screens its series, a test separate from the clauses.  A checker evaluates
-both sides numerically, the right side through the transformation engine
+screens it, a test separate from the clauses.  A checker evaluates both
+sides numerically, the right side through the transformation engine
 and the left side through the independent series oracle.  Residuals are
 relative:
 
@@ -33,6 +34,7 @@ import json
 import math
 import random
 import time
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -41,7 +43,7 @@ import mpmath as mp
 
 from .charpoly import build_L, build_P, build_Phat, build_Q, build_Qhat, build_T, find_roots
 from .coeffs import IpdSpec
-from .errors import IpdHypError, RejectionExhaustedError
+from .errors import IpdHypError, RejectionExhaustedError, RootWarning
 from .hypeval import eval_pfq, eval_pfq_many
 from .kernel import (
     ComplexValue,
@@ -72,7 +74,7 @@ from .transforms import (
     vector_function,
 )
 
-#: Margin of every clause kind but ``_convergent``, read when a clause is tested.
+#: Margin of every clause kind, read when a clause is tested.
 MARGIN = mp.mpf("1e-3")
 
 #: Multiplicity vectors drawn by the sampler.
@@ -129,8 +131,9 @@ class VerificationReport:
         return 1 if self.n_failed or self.n_skipped else 0
 
     def identity_summary(self) -> dict:
-        """Per-identity aggregation: worst residual, every skip reason, and
-        the combined status (fail over skipped over pass)."""
+        """Per-identity aggregation: worst residual (NaN if any case's is),
+        every skip reason, and the combined status (fail over skipped over
+        pass)."""
         out: dict = {}
         for c in self.cases:
             slot = out.setdefault(
@@ -141,12 +144,17 @@ class VerificationReport:
             slot["cases"] += 1
             slot["samples"] += c.samples
             if c.max_residual is not None:
-                if slot["max_residual"] is None or c.max_residual > slot["max_residual"]:
-                    slot["max_residual"] = c.max_residual
+                known = [r for r in (slot["max_residual"], c.max_residual) if r is not None]
+                slot["max_residual"] = _worst(known)
             if c.status == "skipped":
                 slot["skip_reasons"].append(c.skip_reason)
             slot["status"] = max(slot["status"], c.status, key=_STATUS_ORDER.index)
         return out
+
+
+def _worst(residuals: list) -> mp.mpf:
+    """The largest residual, or a NaN one, which ``max`` alone drops after a number."""
+    return max(residuals, key=lambda r: (mp.isnan(r), r))
 
 
 def _case_rng(seed: int, identity_id: str, index: int) -> random.Random:
@@ -170,8 +178,8 @@ def _complex(rng: random.Random, *_) -> ComplexValue:
 
 
 def _choice(pool: tuple) -> Callable:
-    """Draw an IntVector from ``pool``; a pool of one is taken without a draw."""
-    return lambda rng, p, index: IntVector(pool[0] if len(pool) == 1 else rng.choice(pool))
+    """Draw an IntVector from ``pool``."""
+    return lambda rng, p, index: IntVector(rng.choice(pool))
 
 
 def _one_per(key: str) -> Callable:
@@ -184,16 +192,16 @@ def _by_index(*values) -> Callable:
     return lambda rng, p, index: values[index % len(values)]
 
 
-def _draws(letters: str, *extra, pool: tuple = M_POOL, before: tuple = ()) -> tuple:
-    """One round of draws: the ``before`` steps, a complex parameter per
-    letter in order, m from ``pool``, one f_i per entry of m, then the
-    ``extra`` steps.  A step is (name, (rng, params, index) -> value)."""
+def _draws(letters: str, *extra, pool: tuple = M_POOL) -> tuple:
+    """The draw steps: a complex parameter per letter in order, m from
+    ``pool``, one f_i per entry of m, then the ``extra`` steps.  A step is
+    (name, (rng, params, index) -> value)."""
     complexes = tuple((name, _complex) for name in letters)
-    return ((*before, *complexes, ("m", _choice(pool)), ("f", _one_per("m")), *extra),)
+    return (*complexes, ("m", _choice(pool)), ("f", _one_per("m")), *extra)
 
 
-# The clause kinds: each takes the values its clause computes from a draw.
-# All but ``_convergent`` read MARGIN when they are called.
+# The clause kinds: each takes the values its clause computes from a draw,
+# and reads MARGIN when it is called.
 
 
 def _clear(*zs: ComplexValue) -> bool:
@@ -223,16 +231,11 @@ def _distinct(*zs: ComplexValue) -> bool:
     return all(abs(y - z) >= MARGIN for y, z in combinations(zs, 2))
 
 
-def _convergent(*zs: ComplexValue) -> bool:
-    """Every Re z is at least 0.05: a fixed convergence margin, not MARGIN."""
-    return all(z.real >= mp.mpf("0.05") for z in zs)
-
-
 class _Clause(NamedTuple):
     """One named precondition: it holds when ``kind(*values(**params))`` does."""
 
     name: str  # the hypothesis or engine guard the clause encodes
-    kind: Callable  # _clear, _poch, _away, _distinct or _convergent
+    kind: Callable  # _clear, _poch, _away or _distinct
     values: Callable  # (**params) -> the arguments of kind
 
 
@@ -508,7 +511,7 @@ def _no_x_samples(rng: random.Random) -> list:
 @dataclass(frozen=True)
 class _Identity:
     check: Callable  # case -> residuals, one per sample checked
-    draws: tuple  # rounds of (name, drawer) steps; the clauses are tested after each
+    draws: tuple  # (name, drawer) steps, drawn in order before any clause is tested
     clauses: tuple  # the _Clause preconditions of an admissible draw
     x_samples: Callable = _default_x_samples  # rng -> arguments
 
@@ -517,20 +520,19 @@ class _Identity:
 # engine guard the clause encodes; |m| is the total multiplicity.
 _F = _Clause("(f_i)_{|m|+1} != 0: (f)_m, the guard of every coefficient family",
              _poch, lambda f, m, **_: [(fi, m.total + 1) for fi in f])
+_FM = _Clause("(f_i)_{|m|} != 0: (f)_m and the terminating sums over it",
+              _poch, lambda f, m, **_: [(fi, m.total) for fi in f])
 _B = _Clause("b != 0", _away, lambda b, **_: (b,))
-_FB = _Clause("(f_i-b)_{|m|} != 0: the weight (f-b)_m/(f)_m",
-              _poch, lambda b, f, m, **_: [(fi - b, m.total) for fi in f])
 _CB = _Clause("(c-b-m)_m != 0: the norm of Q (eq5) and P",
               _poch, lambda b, c, m, **_: [(c - b - m.total, m.total)])
-_COR1 = (_F, _Clause("(1-f_i+b-m_i)_{|m|} != 0: the bottom of D_k's (r+1)F_r", _poch,
-                     lambda b, f, m, **_: [(1 - fi + b - mi, m.total) for fi, mi in zip(f, m)]))
-_COR2 = (
+_D = _Clause("(1-f_i+b-m_i)_{|m|} != 0: the bottom of D_k's (r+1)F_r",
+             _poch, lambda b, f, m, **_: [(1 - fi + b - mi, m.total) for fi, mi in zip(f, m)])
+_HATTED = (
     _Clause("(c-a-m)_m != 0: Q-hat and P-hat",
             _poch, lambda a, c, m, **_: [(c - a - m.total, m.total)]),
     _CB,
-    _Clause("(b+1)_{|m|+1} != 0: the terminating sums inside Q-hat and P-hat",
-            _poch, lambda b, m, **_: [(b + 1, m.total + 1)]),
-    _F,
+    _Clause("(b+1)_{|m|} != 0: the terminating sums inside Q-hat and P-hat",
+            _poch, lambda b, m, **_: [(b + 1, m.total)]),
 )
 
 
@@ -539,47 +541,35 @@ def _beta(b: ParamVector, p: IntVector, **_) -> list:
     return [bj + i for bj, pj in zip(b, p) for i in range(pj)]
 
 
-# The draws and the clauses each pair of variants shares.
-_THM3 = (_draws("ab"), (_B, _F))
-_THM4 = (_draws("ab", ("p", _by_index(1, 2, 3, 4))), (
-    _Clause("b clear: b+q-1 != 0 for q = 1..p (eq29, eq31)", _clear, lambda b, **_: (b,)),
-    _Clause("b+q-a clear for q < p: (b+1-a)_{p-1} != 0, T* (eq31)",
-            _clear, lambda a, b, p, **_: [b + q - a for q in range(1, p)]),
-    # build_T no longer evaluates Gamma(b+p-a): kept only for draw-neutrality,
-    # until ROADMAP item 5 Step 2 drops it
-    _Clause("b+p-a clear: a stale Gamma guard, kept only for draw-neutrality",
-            _clear, lambda a, b, p, **_: (b + p - a,)),
-    _F,
-))
+_THM4_DRAWS = _draws("ab", ("p", _by_index(1, 2, 3, 4)))
+_THM4_B = _Clause("(b)_p != 0: b+q-1 != 0 for q = 1..p (eq29, eq31)",
+                  _poch, lambda b, p, **_: [(b, p)])
 _VEC = (
-    _draws("a", before=(("p", _choice(((1, 1), (2, 1), (1, 2), (2, 2)))), ("b", _one_per("p")))),
+    _draws("a", ("p", _choice(((1, 1), (2, 1), (1, 2), (2, 2)))), ("b", _one_per("p"))),
     (
         _Clause("beta_q != 0: the weights of eq27 and eq28", _away, _beta),
         _Clause("the beta grid is distinct (eq27, eq28)", _distinct, _beta),
         _F,
     ),
 )
-_THM5 = (_draws("adeb"), (
-    _B,
-    _Clause("(e-d-m+1)_{m-1} != 0: L",
-            _poch, lambda d, e, m, **_: [(e - d - m.total + 1, m.total - 1)]),
-    _Clause("(e-a-m+1)_{m-1} != 0: L-hat",
-            _poch, lambda a, e, m, **_: [(e - a - m.total + 1, m.total - 1)]),
-    _Clause("(1+a+d-e)_{m-1} != 0: the second variant",
-            _poch, lambda a, d, e, m, **_: [(1 + a + d - e, m.total - 1)]),
-    _F,
-))
+_THM5_L = (_B, _Clause("(e-d-m+1)_{m-1} != 0: L",
+                       _poch, lambda d, e, m, **_: [(e - d - m.total + 1, m.total - 1)]))
 
 #: COR4 and COR5: b != 0 and the guards of L, L-hat and Y at |m| = 2.
 _SINGLE_ROOT = (
     _B,
     _Clause("e-d-1 != 0: (e-d-m+1)_{m-1} of L", _away, lambda d, e, **_: (e - d - 1,)),
     _Clause("e-a-1 != 0: (e-a-m+1)_{m-1} of L-hat", _away, lambda a, e, **_: (e - a - 1,)),
-    _Clause("(b+1)_2 != 0: the bottom b+1 of Y", _poch, lambda b, **_: [(b + 1, 2)]),
+    _Clause("(b+1)_1 != 0: the bottom b+1 of Y", _poch, lambda b, **_: [(b + 1, 1)]),
 )
 
 _LEMMA4_M_POOL = ((1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1),
                   (2, 1, 1), (1, 1, 1, 1), (4,), (5,), (3, 2), (4, 1))
+
+
+def _lemma4_f(rng: random.Random, p: dict, index: int) -> dict:
+    """LEMMA4's f_by_m: one f_i per entry of each m of its pool, in pool order."""
+    return {m: ParamVector([_complex(rng) for _ in m]) for m in _LEMMA4_M_POOL}
 
 
 def _minton_k(rng: random.Random, p: dict, index: int) -> int:
@@ -587,11 +577,10 @@ def _minton_k(rng: random.Random, p: dict, index: int) -> int:
     return p["m"].total + rng.randint(0, 4)
 
 
-def _f_for(m: tuple) -> tuple:
-    """LEMMA4's step for the multiplicity m: one f_i per entry, into f_by_m."""
-    return ("f_by_m", lambda rng, p, index: {
-        **p.get("f_by_m", {}), m: ParamVector([_complex(rng) for _ in m])
-    })
+def _karlsson_a(rng: random.Random, p: dict, index: int) -> ComplexValue:
+    """KARLSSON's a, from the box shifted so that Re(1-a-|m|) >= 0.05: its
+    series at x = 1 converges at every m of the pool."""
+    return _complex(rng) - (p["m"].total + mp.mpf("2.05"))
 
 
 #: Identity catalog, in report order.
@@ -600,23 +589,34 @@ IDENTITIES = {
         TwoSided(lambda p: apply_mp1(_spec(p), route=p["route"]), _general_lhs,
                  dict(_GENERAL_KEYS, route=str), {"route": "paperQ"}),
         _draws("abc", ("route", _by_index("paperQ", "newP"))),
-        _COR1 + (_CB,),
+        (_F, _D, _CB),
     ),
     "MP2": _Identity(
         TwoSided(lambda p: apply_mp2(_spec(p), route=p["route"]), _general_lhs,
                  dict(_GENERAL_KEYS, route=str), {"route": "paperQhat"}),
         _draws("abc", ("route", _by_index("paperQhat", "newPhat"))),
-        _COR2 + (_Clause("(1+a+b-c)_m != 0: apply_mp2",
-                         _poch, lambda a, b, c, m, **_: [(1 + a + b - c, m.total)]),),
+        _HATTED + (_F, _Clause("(1+a+b-c)_m != 0: apply_mp2",
+                               _poch, lambda a, b, c, m, **_: [(1 + a + b - c, m.total)])),
     ),
-    "THM3_EQ19": _Identity(_degenerate_single("eq19"), *_THM3),
-    "THM3_EQ20": _Identity(_degenerate_single("eq20"), *_THM3),
-    "THM4_EQ29": _Identity(_degenerate_p("eq29"), *_THM4),
-    "THM4_EQ31": _Identity(_degenerate_p("eq31"), *_THM4),
+    "THM3_EQ19": _Identity(_degenerate_single("eq19"), _draws("ab"), (_F,)),
+    "THM3_EQ20": _Identity(_degenerate_single("eq20"), _draws("ab"), (_F,)),
+    "THM4_EQ29": _Identity(_degenerate_p("eq29"), _THM4_DRAWS, (_THM4_B, _F)),
+    "THM4_EQ31": _Identity(_degenerate_p("eq31"), _THM4_DRAWS, (
+        _THM4_B,
+        _Clause("(b+1-a)_{p-1} != 0: T* (eq31)",
+                _poch, lambda a, b, p, **_: [(b + 1 - a, p - 1)]),
+        _F,
+    )),
     "VEC_EQ27": _Identity(_degenerate_vector("eq27"), *_VEC),
     "VEC_EQ28": _Identity(_degenerate_vector("eq28"), *_VEC),
-    "THM5_FIRST": _Identity(_two_free("first"), *_THM5),
-    "THM5_SECOND": _Identity(_two_free("second"), *_THM5),
+    "THM5_FIRST": _Identity(_two_free("first"), _draws("adeb"), _THM5_L + (_F,)),
+    "THM5_SECOND": _Identity(_two_free("second"), _draws("adeb"), _THM5_L + (
+        _Clause("(e-a-m+1)_{m-1} != 0: L-hat",
+                _poch, lambda a, e, m, **_: [(e - a - m.total + 1, m.total - 1)]),
+        _Clause("(1+a+d-e)_{m-1} != 0: the second variant",
+                _poch, lambda a, d, e, m, **_: [(1 + a + d - e, m.total - 1)]),
+        _F,
+    )),
     "LEMMA1": _Identity(_check_lemma1, _draws("bc"), (
         _Clause("c-b and f_i-f_j (i != j) clear: the kernel's partial fractions",
                 _clear, lambda b, c, f, **_: [c - b, *(fi - fj for fi, fj in permutations(f, 2))]),
@@ -624,70 +624,50 @@ IDENTITIES = {
                 _clear, lambda b, c, f, m, **_: [
                     z for fi, mi in zip(f, m) for z in (fi - c, c - fi, 1 - fi - mi + b)
                 ]),
-        _F,
     ), _lemma1_t_samples),
     "COR1": _Identity(TwoSided(lambda p: expand_to_gauss(_spec(p)), _general_lhs, _GENERAL_KEYS),
-                      _draws("abc"), _COR1),
-    "LEMMA2": _Identity(_check_lemma2, _draws("bc"), _COR1 + (_CB,), _no_x_samples),
-    "COR2": _Identity(_check_cor2, _draws("abc"), _COR2, _no_x_samples),
-    "LEMMA3": _Identity(_check_lemma3, ((("alpha", _complex), ("m_max", _by_index(6))),), (
+                      _draws("abc"), (_F, _D)),
+    "LEMMA2": _Identity(_check_lemma2, _draws("bc"), (_FM, _D, _CB), _no_x_samples),
+    "COR2": _Identity(_check_cor2, _draws("abc"), _HATTED + (_FM,), _no_x_samples),
+    "LEMMA3": _Identity(_check_lemma3, (("alpha", _complex), ("m_max", _by_index(6))), (
         _Clause("(alpha-m_max)_{m_max} != 0",
                 _poch, lambda alpha, m_max, **_: [(alpha - m_max, m_max)]),
     ), _no_x_samples),
-    # a round per m: a failed clause rejects before the next f is drawn
-    "LEMMA4": _Identity(
-        _check_lemma4,
-        ((("b", _complex), _f_for(_LEMMA4_M_POOL[0])),
-         *((_f_for(m),) for m in _LEMMA4_M_POOL[1:])),
-        (
-            _Clause("(f_i)_{|m|+1} != 0 for every m: (f)_m", _poch,
-                    lambda f_by_m, **_: [(fi, sum(m) + 1) for m, f in f_by_m.items() for fi in f]),
-            _Clause("(b+1)_{2|m|+1} != 0 for every m: the outer sum's bottom b+|m|-k+1",
-                    _poch, lambda b, f_by_m, **_: [(b + 1, 2 * sum(m) + 1) for m in f_by_m]),
-        ),
-        _no_x_samples,
-    ),
+    "LEMMA4": _Identity(_check_lemma4, (("b", _complex), ("f_by_m", _lemma4_f)), (
+        _Clause("(f_i)_{|m|} != 0 for every m: (f)_m", _poch,
+                lambda f_by_m, **_: [(fi, sum(m)) for m, f in f_by_m.items() for fi in f]),
+        _Clause("(b+1)_{|m|} != 0 for every m: the outer sum's bottom b+|m|-k+1",
+                _poch, lambda b, f_by_m, **_: [(b + 1, sum(m)) for m in f_by_m]),
+    ), _no_x_samples),
     "MINTON": _Identity(_check_minton, _draws("b", ("k", _minton_k)), (
         _Clause("(b+1)_k != 0: k!/(b+1)_k", _poch, lambda b, k, **_: [(b + 1, k)]),
-        _Clause("(f_i)_{k+1} != 0: the bottom f",
-                _poch, lambda f, k, **_: [(fi, k + 1) for fi in f]),
-        _FB,
+        _Clause("(f_i)_k != 0: the bottom f", _poch, lambda f, k, **_: [(fi, k) for fi in f]),
     ), _unit_x_samples),
-    "KARLSSON": _Identity(_check_karlsson, _draws("b", ("a", _complex)), (
-        # never met at |m| = 3, as Re a >= -2: kept as is only for draw-neutrality,
-        # until ROADMAP item 5 Step 2 draws a relative to m
-        _Clause("Re(1-a-|m|) >= 0.05: the series at x = 1 converges",
-                _convergent, lambda a, m, **_: (1 - a - m.total,)),
+    "KARLSSON": _Identity(_check_karlsson, _draws("b", ("a", _karlsson_a)), (
         _Clause("b+1, b+1-a and f_i clear: Gamma(b+1)/Gamma(b+1-a) and the bottom",
                 _clear, lambda a, b, f, **_: (b + 1, b + 1 - a, *f)),
-        _FB,
     ), _unit_x_samples),
     "COR3": _Identity(_check_cor3, _draws("ab", pool=((1,), (2,), (3,))), (
-        # the closed form is finite at b = 0: kept only for draw-neutrality,
-        # until ROADMAP item 5 Step 2 drops it
-        _Clause("b clear: a stale Gamma guard, kept only for draw-neutrality",
-                _clear, lambda b, **_: (b,)),
-        _Clause("b+1-a clear: (b+1-a)_{p-1} of T* at p = 2",
-                _clear, lambda a, b, **_: (b + 1 - a,)),
+        _Clause("(b+1-a)_1 != 0: (b+1-a)_{p-1} of T* at p = 2",
+                _poch, lambda a, b, **_: [(b + 1 - a, 1)]),
         _Clause("lambda*'s denominator (b-a+1)(f-b)_m - b(f-b-1)_m != 0", _away,
                 lambda a, b, f, m, **_: (
                     (b - a + 1) * pochhammer_vec(f - b, m) - b * pochhammer_vec(f - b - 1, m),
                 )),
-        _F,
     ), _no_x_samples),
     "COR4": _Identity(_check_cor4, _draws("adeb", pool=((2,),)), _SINGLE_ROOT + (
         _Clause("lambda's denominator 2f-b-d+1 != 0",
                 _away, lambda b, d, f, **_: (2 * f[0] - b - d + 1,)),
         _Clause("lambda*'s denominator ad+(2f-b+1)(e-a-d-1) != 0",
                 _away, lambda a, b, d, e, f, **_: (a * d + (2 * f[0] - b + 1) * (e - a - d - 1),)),
-        _F,
+        _FM,
     ), _no_x_samples),
     "COR5": _Identity(_check_cor5, _draws("adeb", pool=((1, 1),)), _SINGLE_ROOT + (
         _Clause("lambda's denominator s-d != 0, s = f_1+f_2-b",
                 _away, lambda b, d, f, **_: (sum(f) - b - d,)),
         _Clause("lambda*'s denominator ad+s(e-a-d-1) != 0",
                 _away, lambda a, b, d, e, f, **_: (a * d + (sum(f) - b) * (e - a - d - 1),)),
-        _Clause("(f_i)_2 != 0: (f)_m", _poch, lambda f, **_: [(fi, 2) for fi in f]),
+        _Clause("(f_i)_1 != 0: (f)_m", _poch, lambda f, **_: [(fi, 1) for fi in f]),
     ), _no_x_samples),
 }
 
@@ -710,48 +690,44 @@ def admissible(identity_id: str, params: dict) -> list:
 def _draw_case(identity_id: str, rng: random.Random, index: int) -> Optional[IdentityCase]:
     """One draw: None if a clause or the right-side screen rejects it.
 
-    After each round the clauses are tested up to the first that fails.  A
-    dict value (LEMMA4's f_by_m) is tested on the entries the round added
-    only: the earlier ones passed after their own round, and a clause that
-    reads a dict tests each of its entries on its own."""
+    Every draw step runs, then the clauses are tested up to the first that
+    fails.  A two-sided draw's right side is built with RootWarning raised
+    as an error whatever the caller's filters, and a draw whose build warns
+    is rejected like one the screen rejects."""
     entry = IDENTITIES[identity_id]
     params: dict = {}
-    for steps in entry.draws:
-        seen = {name: set(value) for name, value in params.items() if isinstance(value, dict)}
-        for name, draw in steps:
-            params[name] = draw(rng, params, index)
-        fresh = {
-            name: {k: v for k, v in value.items() if k not in seen[name]} if name in seen else value
-            for name, value in params.items()
-        } if seen else params
-        if not all(c.kind(*c.values(**fresh)) for c in entry.clauses):
-            return None
+    for name, draw in entry.draws:
+        params[name] = draw(rng, params, index)
+    if not all(c.kind(*c.values(**params)) for c in entry.clauses):
+        return None
     case = IdentityCase(identity_id, params, [])
     if isinstance(entry.check, TwoSided):
-        try:
-            case.rhs = entry.check.rhs(params)
-        except IpdHypError as exc:
-            case.rhs_error = exc
-        else:
-            if not _rhs_usable(case.rhs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RootWarning)
+            try:
+                case.rhs = entry.check.rhs(params)
+            except RootWarning:
                 return None
+            except IpdHypError as exc:
+                case.rhs_error = exc
+        if case.rhs is not None and not _rhs_usable(case.rhs):
+            return None
     return case
 
 
 def sample_params(identity_id: str, seed: int, count: int) -> list:
     """Draw ``count`` admissible cases for one identity, deterministically.
 
-    The identity's draws take complex parameters from the box Re in [-2, 3],
-    Im in [-1, 1], round by round, and after each round the draw is redrawn
-    if ``admissible`` names a failed clause.  A two-sided case's right side
-    is then built once, for its check to evaluate, and the draw is redrawn
-    unless each bottom parameter of its series is at most 1e4 and MARGIN
-    clear of the poles: this right-side screen is not a clause, and the
-    clauses leave those bottom parameters to it.  A domain error building
-    an admissible draw is kept for the check to raise (a skip, not a
-    redraw).  A RootWarning from that build redraws nothing: under an error
-    filter (the test-suite's) it propagates from here, and under the
-    default one (the CLI's) it is printed and the draw kept.  Raises
+    The identity's draw steps take complex parameters from the box Re in
+    [-2, 3], Im in [-1, 1] (KARLSSON's a from that box shifted by
+    -(|m| + 2.05)), and the draw is redrawn if ``admissible`` names a failed
+    clause.  A two-sided case's right side is then built once, for its
+    check to evaluate, and the draw is redrawn if the build warns
+    (RootWarning, under any warning filter) or unless each bottom parameter
+    of its series is at most 1e4 and MARGIN clear of the poles: this
+    right-side screen is not a clause, and the clauses leave those bottom
+    parameters to it.  A domain error building an admissible draw is kept
+    for the check to raise (a skip, not a redraw).  Raises
     RejectionExhaustedError after 10^4 failed draws.
     """
     if identity_id not in IDENTITIES:
@@ -777,8 +753,8 @@ def sample_params(identity_id: str, seed: int, count: int) -> list:
 def evaluate_case(case: IdentityCase, tol: mp.mpf, index: int = 0) -> CaseResult:
     """Run one case; a domain error (IpdHypError) becomes a skipped status.
 
-    The case passes when every residual is at most ``tol`` (a NaN residual
-    fails).  Any other exception is a fault of the program and propagates,
+    The case passes when every residual is at most ``tol``; a NaN residual
+    fails and is the case's ``max_residual``.  Any other exception is a fault of the program and propagates,
     and a RootWarning is left to the caller's warning filters.
     """
     check = IDENTITIES[case.identity_id].check
@@ -790,7 +766,7 @@ def evaluate_case(case: IdentityCase, tol: mp.mpf, index: int = 0) -> CaseResult
             f"{type(exc).__name__}: {exc}",
         )
     status = "pass" if all(r <= tol for r in residuals) else "fail"
-    return CaseResult(case.identity_id, index, status, max(residuals), len(residuals))
+    return CaseResult(case.identity_id, index, status, _worst(residuals), len(residuals))
 
 
 def run_suite(

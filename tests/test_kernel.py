@@ -16,6 +16,7 @@ from ipdhyp.errors import (
 )
 from ipdhyp import charpoly, kernel
 from ipdhyp.coeffs import (
+    IpdSpec,
     c_coeffs,
     coeff_C,
     coeff_D,
@@ -372,6 +373,18 @@ class TestVectors:
         for bad in (0, -1):
             with pytest.raises(ValueError, match="multiplicities must be >= 1"):
                 IntVector([1, bad])
+
+    @pytest.mark.parametrize("bad", [2.7, 1.5, True, "2", Fraction(3, 2)])
+    def test_int_vector_refuses_what_would_truncate(self, bad):
+        # int() would have made 2.7 a multiplicity of 2 and True one of 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            IntVector([1, bad])
+        with pytest.raises(ValueError, match="must be an integer"):
+            IpdSpec(b=cplx(0.4), f=[cplx(1.5)], m=[bad], a=cplx(0.3))
+
+    def test_int_vector_accepts_integral_floats(self):
+        assert IntVector([2.0, 1]) == (2, 1)
+        assert all(type(e) is int for e in IntVector([2.0, 1]))
 
     def test_int_vector_total(self):
         assert IntVector([2, 1, 3]).total == 6

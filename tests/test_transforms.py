@@ -1,6 +1,7 @@
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -320,6 +321,20 @@ class TestDegenerateP:
         with pytest.raises(ValueError, match="need p >= 1"):
             apply_degenerate_p(spec, 0)
 
+    @pytest.mark.parametrize("p", [2.7, True, "2", Fraction(5, 2)])
+    def test_nonintegral_p_rejected(self, p):
+        # int(p) would have built the p = 2 (or 1) transformation
+        spec = IpdSpec(b=cplx(0.4, 0.2), f=[cplx(1.5)], m=[1], a=0.3)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            apply_degenerate_p(spec, p)
+        with pytest.raises(ValueError, match="p must be an integer"):
+            build_T(spec.b, p, spec.f, spec.m)
+
+    def test_integral_float_p_accepted(self):
+        spec = IpdSpec(b=cplx(0.4, 0.2), f=[cplx(1.5)], m=[1], a=0.3)
+        assert apply_degenerate_p(spec, 2.0) == apply_degenerate_p(spec, 2)
+        assert build_T(spec.b, 2.0, spec.f, spec.m).coeffs == build_T(spec.b, 2, spec.f, spec.m).coeffs
+
     def test_eq31_where_b_plus_1_minus_a_is_a_nonpositive_integer(self):
         # b+1-a = -n is a pole of the paper's Gamma(b+1-a) and of its
         # 1/Gamma(b+q-a) weights; for n >= p-1 the rational T* is finite and
@@ -409,6 +424,14 @@ class TestDegenerateVector:
                 cplx(0.4),
                 ParamVector([cplx(1.5)]),
                 IntVector([1]),
+            )
+
+    def test_left_side_refuses_a_length_mismatch(self):
+        # two b against one p: the left side pairs them as the right side does
+        with pytest.raises(LengthMismatchError):
+            vector_function(
+                cplx(0.4), ParamVector([cplx(0.3, 0.45), cplx(1.7, -0.2)]), IntVector([1]),
+                ParamVector([cplx(1.5)]), IntVector([2]),
             )
 
 

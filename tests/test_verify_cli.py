@@ -27,6 +27,7 @@ from ipdhyp.charpoly import (
 from ipdhyp.cli import cli_dispatch, format_complex, parse_complex
 from ipdhyp.errors import (
     DegenerateCaseError,
+    IpdHypError,
     NonConvergenceError,
     RejectionExhaustedError,
     RootWarning,
@@ -38,6 +39,7 @@ from ipdhyp.kernel import (
     ParamVector,
     cplx,
     pochhammer,
+    pochhammer_vec,
     rising,
     run_fixed,
     set_precision,
@@ -47,6 +49,7 @@ from ipdhyp.kernel import (
 from ipdhyp.verify import (
     IDENTITIES,
     IDENTITY_IDS,
+    IdentityCase,
     TwoSided,
     _away,
     _clear,
@@ -98,6 +101,15 @@ class TestSampler:
         for case in sample_params("KARLSSON", seed=17, count=10):
             a, m = case.params["a"], case.params["m"]
             assert (1 - a - m.total).real > 0
+
+    def test_karlsson_draws_every_m_of_the_pool(self):
+        # a is drawn relative to |m|, so no m is out of reach of the series
+        drawn = {case.params["m"] for case in sample_params("KARLSSON", seed=1, count=40)}
+        assert drawn == set(verify_mod.M_POOL)
+
+    def test_lemma4_draws_f_in_pool_order(self):
+        case = sample_params("LEMMA4", seed=1, count=1)[0]
+        assert tuple(case.params["f_by_m"]) == verify_mod._LEMMA4_M_POOL
 
     def test_x_samples_include_origin_and_stay_in_disk(self):
         for case in sample_params("MP2", seed=19, count=3):
@@ -176,19 +188,20 @@ class TestSampler:
 
     def test_draws_under_a_wide_margin_are_pinned(self, monkeypatch):
         # At MARGIN 1e-3 almost no draw is rejected, so the plain pins cannot
-        # see a draw order that changes after a rejection.  At 0.2 every
-        # rejection site fires (KARLSSON's some 500 times, MP1's and
-        # LEMMA3's once), and this digest moves if any of them does.
+        # see a draw order that changes after a rejection.  At 0.2 the
+        # clauses of every identity reject some draw (some 280 in all,
+        # LEMMA4's 136 and LEMMA3's one) and the right-side screen some 80,
+        # and this digest moves if any of them does.
         monkeypatch.setattr(verify_mod, "MARGIN", mp.mpf("0.2"))
         draw_digest = runpy.run_path(str(_TOOLS / "draw_digest.py"))["draw_digest"]
         assert draw_digest(range(1, 4), 20)[:2] == (1260, _PINNED_WIDE_DRAWS)
 
 
 #: SHA-256 of every identity's sample_params(id, 1, 3) at 40 digits.
-_PINNED_DRAWS = "e5e9751ea12cd22745ee6fe2432d2180501262c75cc44069f7ac5946dfcefa2e"
+_PINNED_DRAWS = "1153297cc14bc7459ac15a79e98358328cacd6f42df2c4a19f71e4f0289e181a"
 
 #: tools/draw_digest.py at 40 digits, seeds 1-3, count 20, with MARGIN 0.2.
-_PINNED_WIDE_DRAWS = "d38ceaf34cdc4806ed59b5f6afdd4080884feecf6530e7aaf576cbda4e115432"
+_PINNED_WIDE_DRAWS = "ce699d28e5baedf5af52eb91a628e3f114e0b3a2dc849c9f413b1f1c7ed1c82f"
 
 _TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -262,41 +275,54 @@ class TestRightSideScreen:
         rng = random.Random(0)
         for z, rejected in ((mp.mpf("5e-4"), True), (mp.mpf("0.5"), False)):
             assert admissible(identity_id, params(z)) == []
-            fixed = tuple((name, lambda rng, p, index, v=v: v) for name, v in params(z).items())
-            entry = dataclasses.replace(IDENTITIES[identity_id], draws=(fixed,))
-            monkeypatch.setitem(IDENTITIES, identity_id, entry)
+            _fix_draw(monkeypatch, identity_id, params(z))
             case = _draw_case(identity_id, rng, 0)
             if rejected:
                 assert case is None
             else:
                 assert case.rhs is not None and case.rhs_error is None
 
+    @pytest.mark.parametrize("action", ["error", "default", "ignore"])
+    def test_rejects_a_right_side_that_warns(self, action, monkeypatch):
+        # an admissible MP1 draw with the root zeta = -1 exactly: its right
+        # side warns (RootWarning), and the draw is redrawn under any filter
+        params = {"a": cplx(0.31, 0.1), "b": cplx(0.5), "c": cplx(0.75),
+                  "f": ParamVector([2]), "m": IntVector([1]), "route": "paperQ"}
+        assert admissible("MP1", params) == []
+        _fix_draw(monkeypatch, "MP1", params)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RootWarning)
+            assert _draw_case("MP1", random.Random(0), 0) is None
+
+
+def _fix_draw(monkeypatch, identity_id: str, params: dict) -> None:
+    """Make every draw of ``identity_id`` return ``params``."""
+    fixed = tuple((name, lambda rng, p, index, v=v: v) for name, v in params.items())
+    monkeypatch.setitem(IDENTITIES, identity_id,
+                        dataclasses.replace(IDENTITIES[identity_id], draws=fixed))
+
 
 #: One clause of each kind, as (kind, id, params(d)): at d = 9e-4 the
 #: params sit just inside the clause's margin, at d = 1.1e-3 just outside.
 _BY_KIND = [
-    pytest.param("_clear", "THM4_EQ29",
-                 lambda d: {"a": _A, "b": cplx(-1 + d, d), "f": _F, "m": _M, "p": 1}, id="clear"),
+    pytest.param("_clear", "KARLSSON",
+                 lambda d: {"a": _A, "b": cplx(-2 + d, d), "f": _F, "m": _M}, id="clear"),
     pytest.param("_poch", "MP1",
                  lambda d: {"a": _A, "b": _B, "c": _B + 1 + d, "f": _F, "m": _M, "route": "paperQ"},
                  id="poch"),
-    pytest.param("_away", "THM3_EQ19", lambda d: {"a": _A, "b": cplx(d), "f": _F, "m": _M}, id="away"),
+    pytest.param("_away", "THM5_FIRST",
+                 lambda d: {"a": _A, "d": _D, "e": _E, "b": cplx(d), "f": _F, "m": _M}, id="away"),
     pytest.param("_distinct", "VEC_EQ27",
                  lambda d: {"a": _A, "b": ParamVector([_B, _B + d]), "p": IntVector([1, 1]),
                             "f": _F, "m": _M}, id="distinct"),
-    # Re(1-a-|m|) = 0.05 -+ 1e-4: the convergence clause's own bound
-    pytest.param("_convergent", "KARLSSON",
-                 lambda d: {"a": cplx(-1.05 + 1e-3 - d, 0.1), "b": _B, "f": _F, "m": _M},
-                 id="convergent"),
 ]
 
 
 def _raw_draw(identity_id: str, rng: random.Random, index: int) -> dict:
     """Every draw step of an identity, with no clause tested."""
     params: dict = {}
-    for steps in IDENTITIES[identity_id].draws:
-        for name, draw in steps:
-            params[name] = draw(rng, params, index)
+    for name, draw in IDENTITIES[identity_id].draws:
+        params[name] = draw(rng, params, index)
     return params
 
 
@@ -344,6 +370,141 @@ class TestClauses:
             assert not silent, (identity_id, silent)
 
 
+# The clause probes.  Each identity has one base params dict, with binary
+# fractions so that the sums a probe forms are exact, and each clause one
+# override that puts its guard exactly at its zero or pole (for a
+# Pochhammer clause, its last zero).  MP1 and MP2 take the route that
+# evaluates every one of their guards.
+_PA, _PB, _PC = cplx(0.625, 0.125), cplx(0.375, -0.25), cplx(2.3125, 0.3125)
+_PD, _PE = cplx(0.875, 0.0625), cplx(3.125, -0.375)
+_PF, _PF2 = cplx(1.5, 0.1875), cplx(0.8125, -0.125)
+_PM = IntVector([2])
+
+
+def _pv(*values) -> ParamVector:
+    return ParamVector(list(values))
+
+
+def _probe_base(letters: str, **more) -> dict:
+    values = {"a": _PA, "b": _PB, "c": _PC, "d": _PD, "e": _PE}
+    return {**{k: values[k] for k in letters}, "f": _pv(_PF), "m": _PM, **more}
+
+
+_PROBE_BASES = {
+    "MP1": _probe_base("abc", route="newP"),
+    "MP2": _probe_base("abc", route="newPhat"),
+    "THM3_EQ19": _probe_base("ab"),
+    "THM3_EQ20": _probe_base("ab"),
+    "THM4_EQ29": _probe_base("ab", p=2),
+    "THM4_EQ31": _probe_base("ab", p=2),
+    "VEC_EQ27": _probe_base("a", b=_pv(_PB, _PF2), p=IntVector([2, 1])),
+    "VEC_EQ28": _probe_base("a", b=_pv(_PB, _PF2), p=IntVector([2, 1])),
+    "THM5_FIRST": _probe_base("adeb"),
+    "THM5_SECOND": _probe_base("adeb"),
+    "LEMMA1": _probe_base("bc", f=_pv(_PF, _PF2), m=IntVector([2, 1])),
+    "COR1": _probe_base("abc"),
+    "LEMMA2": _probe_base("bc"),
+    "COR2": _probe_base("abc"),
+    "LEMMA3": {"alpha": _PA, "m_max": 6},
+    "LEMMA4": {"b": _PB, "f_by_m": {
+        m: _pv(*(_PF + i / 4 for i in range(len(m)))) for m in verify_mod._LEMMA4_M_POOL
+    }},
+    "MINTON": _probe_base("b", k=3),
+    "KARLSSON": _probe_base("b", a=cplx(-1.375, 0.125)),
+    "COR3": _probe_base("ab"),
+    "COR4": _probe_base("adeb"),
+    "COR5": _probe_base("adeb", f=_pv(_PF, _PF2), m=IntVector([1, 1])),
+}
+
+
+def _f0(p: dict, value) -> dict:
+    """Override f_1 with ``value``, keeping the other f_i."""
+    return {"f": _pv(value, *p["f"][1:])}
+
+
+#: Clause name up to its colon -> the override that probes it.
+_PROBES = {
+    "(f_i)_{|m|+1} != 0": lambda p: _f0(p, -p["m"].total),
+    "(f_i)_{|m|} != 0": lambda p: _f0(p, 1 - p["m"].total),
+    "b != 0": lambda p: {"b": cplx(0)},
+    "(c-b-m)_m != 0": lambda p: {"c": p["b"] + 1},
+    "(1-f_i+b-m_i)_{|m|} != 0": lambda p: _f0(p, p["b"] - p["m"][0] + p["m"].total),
+    "(c-a-m)_m != 0": lambda p: {"c": p["a"] + 1},
+    "(b+1)_{|m|} != 0": lambda p: {"b": cplx(-p["m"].total)},
+    "(1+a+b-c)_m != 0": lambda p: {"c": p["a"] + p["b"] + p["m"].total},
+    "(b)_p != 0": lambda p: {"b": cplx(1 - p["p"])},
+    "(b+1-a)_{p-1} != 0": lambda p: {"b": p["a"] + 1 - p["p"]},
+    "beta_q != 0": lambda p: {"b": _pv(p["b"][0], 0)},
+    "the beta grid is distinct (eq27, eq28)": lambda p: {"b": _pv(p["b"][0], p["b"][0] + 1)},
+    "(e-d-m+1)_{m-1} != 0": lambda p: {"e": p["d"] + 1},
+    "(e-a-m+1)_{m-1} != 0": lambda p: {"e": p["a"] + 1},
+    "(1+a+d-e)_{m-1} != 0": lambda p: {"e": 1 + p["a"] + p["d"] + p["m"].total - 2},
+    "c-b and f_i-f_j (i != j) clear": lambda p: {"c": p["b"]},
+    "f_i-c, c-f_i and 1-f_i-m_i+b clear": lambda p: _f0(p, p["c"]),
+    "(alpha-m_max)_{m_max} != 0": lambda p: {"alpha": cplx(1)},
+    "(f_i)_{|m|} != 0 for every m": lambda p: {"f_by_m": {**p["f_by_m"], (5,): _pv(-4)}},
+    "(b+1)_{|m|} != 0 for every m": lambda p: {"b": cplx(-5)},
+    "(b+1)_k != 0": lambda p: {"b": cplx(-p["k"])},
+    "(f_i)_k != 0": lambda p: _f0(p, 1 - p["k"]),
+    "b+1, b+1-a and f_i clear": lambda p: {"b": cplx(-1)},
+    "(b+1-a)_1 != 0": lambda p: {"b": p["a"] - 1},
+    "lambda*'s denominator (b-a+1)(f-b)_m - b(f-b-1)_m != 0": lambda p: {
+        "a": p["b"] + 1 - p["b"] * pochhammer_vec(p["f"] - p["b"] - 1, p["m"])
+        / pochhammer_vec(p["f"] - p["b"], p["m"])},
+    "e-d-1 != 0": lambda p: {"e": p["d"] + 1},
+    "e-a-1 != 0": lambda p: {"e": p["a"] + 1},
+    "(b+1)_1 != 0": lambda p: {"b": cplx(-1)},
+    "lambda's denominator 2f-b-d+1 != 0": lambda p: {"d": 2 * p["f"][0] - p["b"] + 1},
+    "lambda*'s denominator ad+(2f-b+1)(e-a-d-1) != 0": lambda p: {
+        "e": p["a"] + p["d"] + 1 - p["a"] * p["d"] / (2 * p["f"][0] - p["b"] + 1)},
+    "lambda's denominator s-d != 0, s = f_1+f_2-b": lambda p: {"d": sum(p["f"]) - p["b"]},
+    "lambda*'s denominator ad+s(e-a-d-1) != 0": lambda p: {
+        "e": p["a"] + p["d"] + 1 - p["a"] * p["d"] / (sum(p["f"]) - p["b"])},
+    "(f_i)_1 != 0": lambda p: _f0(p, 0),
+}
+
+
+def _probe_key(name: str) -> str:
+    return name.partition(":")[0]
+
+
+def _check_passes(identity_id: str, params: dict) -> bool:
+    """Whether the check of ``identity_id`` passes at ``params``: a skip, a
+    failure or a ZeroDivisionError is not a pass."""
+    entry = IDENTITIES[identity_id]
+    case = IdentityCase(identity_id, params, entry.x_samples(random.Random(0)))
+    try:
+        if isinstance(entry.check, TwoSided):
+            try:
+                case.rhs = entry.check.rhs(params)
+            except IpdHypError as exc:
+                case.rhs_error = exc
+        return evaluate_case(case, mp.mpf("1e-28")).status == "pass"
+    except ZeroDivisionError:
+        return False
+
+
+class TestClauseProbes:
+    """Every clause guards its point: with the guard at its zero or pole the
+    clause rejects the params alone, and the check does not pass there."""
+
+    @pytest.mark.parametrize("identity_id, name", [
+        pytest.param(identity_id, clause.name, id=f"{identity_id}-{_probe_key(clause.name)}")
+        for identity_id, entry in IDENTITIES.items() for clause in entry.clauses
+    ])
+    def test_clause_guards_its_point(self, identity_id, name):
+        base = _PROBE_BASES[identity_id]
+        assert admissible(identity_id, base) == []
+        params = {**base, **_PROBES[_probe_key(name)](base)}
+        assert admissible(identity_id, params) == [name]
+        assert not _check_passes(identity_id, params)
+
+    def test_every_clause_has_a_probe(self):
+        assert set(_PROBE_BASES) == set(IDENTITIES)
+        keys = [_probe_key(c.name) for c in {c for e in IDENTITIES.values() for c in e.clauses}]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(_PROBES)
+
 #: Real parts within 2e-3 of an integer in -8..2, and a wider box.
 _NEAR_INTEGERS = st.builds(
     lambda n, offset: mp.mpf(n) + mp.mpf(offset),
@@ -354,7 +515,8 @@ _REAL_PARTS = st.one_of(_NEAR_INTEGERS, st.floats(-10, 10).map(mp.mpf))
 
 
 class TestSamplerImplications:
-    """The implications that let a clause list drop a test another clause makes."""
+    """The implications that let a clause list drop a test that another
+    clause, or the draw, makes."""
 
     @settings(max_examples=300, deadline=None)
     @given(re=_REAL_PARTS, im=st.floats(-3e-3, 3e-3), k=st.integers(0, 8))
@@ -367,6 +529,7 @@ class TestSamplerImplications:
     @settings(max_examples=300, deadline=None)
     @given(re=_REAL_PARTS, im=st.floats(-3e-3, 3e-3), mt=st.integers(1, 6))
     def test_karlsson_convergence_margin_clears_1_minus_a(self, re, im, mt):
+        # KARLSSON draws Re(1-a-|m|) >= 0.05, so Gamma(1-a) needs no clause
         a = cplx(re, im)
         if (1 - a - mt).real >= mp.mpf("0.05"):
             assert _clear(1 - a)
@@ -520,10 +683,10 @@ class TestFixedPointLemmas:
 
 
 #: SHA-256 of every CaseResult of run_suite(seed=1, count=2) at 40 digits.
-_PINNED_REPORT = "5a3ab214cc4c8c4a27d48c6c792f5854330ad278a7843be8ca103748c6443c74"
+_PINNED_REPORT = "f7dd12c57244278eda7e8725f9ac7e710603636f69bc5bb3138fe37f84aec9f0"
 
 #: SHA-256 of every residual the checks return for sample_params(id, 1, 2) at 40 digits.
-_PINNED_RESIDUALS = "82a3aa41bb5c8976534b5620b7e704cf95c3f2c8f54e2b540880dd0fa48e303f"
+_PINNED_RESIDUALS = "79abc50f38eb344027f6a44bba0f05dc339a02482d3eea2031ee80537ff048d9"
 
 
 def _patch_check(monkeypatch, identity_id, check) -> None:
@@ -627,8 +790,22 @@ class TestRunSuite:
         assert summary["skip_reasons"] == ["DegenerateCaseError: degenerate draw"]
 
     def test_nan_residual_fails(self, monkeypatch):
-        _patch_check(monkeypatch, "LEMMA3", lambda case: [mp.mpf(0), mp.nan])
-        assert run_suite(ids=["LEMMA3"], count=1).n_failed == 1
+        # max() and > drop a NaN that follows a number: it must still be
+        # the case's and the identity's worst residual, in either order
+        for residuals in ([mp.mpf(0), mp.nan], [mp.nan, mp.mpf(0)]):
+            calls = []
+
+            def check(case):
+                calls.append(case)
+                return [mp.mpf(1e-40)] if len(calls) == 1 else residuals
+
+            _patch_check(monkeypatch, "LEMMA3", check)
+            report = run_suite(ids=["LEMMA3"], count=2)
+            assert report.n_failed == 1
+            assert mp.isnan(report.cases[1].max_residual)
+            assert mp.isnan(report.identity_summary()["LEMMA3"]["max_residual"])
+            (entry,) = json.loads(report_to_json(report))["identities"]
+            assert (entry["max_residual"], entry["status"]) == ("nan", "fail")
 
     def test_root_warning_is_not_silenced(self, monkeypatch):
         def warns(case):

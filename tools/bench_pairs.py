@@ -12,15 +12,16 @@ of its checkout, and the runs go one after another:
 * pairs: for every seed of SEEDS (seed order outer, workload inner) one run
   of each side; the parent runs first on odd seeds, the change on even ones;
 * held out: one more pair per workload on HELD_OUT, parent first;
-* traced: one run per side of TRACED with ``--trace 1`` on the held-out
-  seed, parent first.
+* traced: one run per side and per workload with ``--trace 1`` on the
+  held-out seed, workload outer, parent first.
 
 The file follows the schema of the earlier ``BENCH_*.json``: per workload
 and end-to-end metric (units, direction and bounds from the change's
 ``BENCHMARK.json``) each side's median and quartiles
 (``statistics.quantiles(values, n=4)``), the pairs the change won and tied,
 the relative change of the median and the parent's quartile distance; then
-every run, the held-out pairs and the traced per-layer metrics.
+every run, the held-out pairs and, per workload, the traced per-layer
+metrics.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-#: Seeds of the pairs, the seed held out from writing the change, and the
-#: workload of the traced runs.
+#: Seeds of the pairs, and the seed held out from writing the change.
 SEEDS = range(41, 51)
 HELD_OUT = 57
-TRACED = "oracle-points"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -61,6 +60,18 @@ def flat(result: dict) -> dict:
     record = {key: result[key] for key in ("correct", "attempted", "failed")}
     record.update({name: m["value"] for name, m in result["metrics"].items()})
     return record
+
+
+def traced_run(root: Path, workload: str, seconds: float) -> dict:
+    """One ``--trace 1`` run on the held-out seed, as its counts and metrics."""
+    result = run_once(root, workload, HELD_OUT, seconds, 1)
+    return {
+        "seed": HELD_OUT,
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
 
 
 def pair(roots: dict, workload: str, seed: int, first: str, seconds: float) -> dict:
@@ -135,16 +146,10 @@ def main() -> None:
         for name in names:
             runs[name].append(pair(roots, name, seed, first, seconds))
     held_out = {name: pair(roots, name, HELD_OUT, "parent", seconds) for name in names}
-    traced = {"workload": TRACED}
-    for side in SIDES:
-        result = run_once(roots[side], TRACED, HELD_OUT, seconds, 1)
-        traced[side] = {
-            "seed": HELD_OUT,
-            "correct": result["correct"],
-            "failed": result["failed"],
-            "attempted": result["attempted"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        }
+    traced = {
+        name: {side: traced_run(roots[side], name, seconds) for side in SIDES}
+        for name in names
+    }
 
     report = {
         "change": args.change_text,
@@ -157,8 +162,9 @@ def main() -> None:
             "as --parent and --change; the parent runs first on odd seeds and the change "
             "first on even seeds; seed order outer, workload inner. held_out: one more pair "
             f"per workload on seed {HELD_OUT}, which was not used while the change was "
-            f"written. traced: one {TRACED} run per side with --trace 1 (one untraced round, "
-            f"then one traced round) on seed {HELD_OUT}, parent first"
+            "written. traced, keyed by workload: one run per side and per workload with "
+            f"--trace 1 (one untraced round, then one traced round) on seed {HELD_OUT}, "
+            "workload outer, parent first"
         ),
         "machine": machine(),
         "workloads": {
